@@ -3,11 +3,13 @@
 One MAC = one multiply + one accumulate (a 1x1 conv over T positions from C
 to K channels costs T*C*K). Norms, activations, softmax, pooling, position
 adds, and bias adds cost zero MACs; their parameters are still counted.
-Counts are per sample (batch 1).
+Counts are per sample (batch 1). MACs come from each layer's blocks.LAYERS
+entry and parameter counts from the same Slot lists that build allocates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import blocks as B
@@ -58,34 +60,26 @@ class ComplexityReport:
         return "\n".join(lines)
 
 
+def layer_rows(entry, config: ModelConfig) -> list:
+    """(path, MACs, params) rows of one plan entry, one per blocks.LAYERS macs row.
+
+    A parameter counts toward the row whose path is the longest dotted prefix
+    of its own path (".qkv.w" and ".qkv.b" toward ".qkv"); buffers count nothing.
+    """
+    layer = B.LAYERS[entry.kind]
+    macs = layer.macs(entry, config)
+    params = dict.fromkeys((path for path, _ in macs), 0)
+    for slot in layer.params(entry, config):
+        if slot.init not in B.BUFFER_INITS:
+            owner = max((p for p in params if slot.path == p or slot.path.startswith(p + ".")),
+                        key=len)
+            params[owner] += math.prod(slot.shape)
+    return [(path, m, params[path]) for path, m in macs]
+
+
 def complexity_report(config: ModelConfig, resolution: int | None = None) -> ComplexityReport:
     res = resolution if resolution is not None else config.input_resolution
-    rows = []
-    for e in layer_plan(config, resolution=res):
-        out_hw = e.out_shape[1] * e.out_shape[2] if len(e.out_shape) == 3 else 0
-        if e.kind == "stem":
-            rows += B.stem_rows(e.spec, e.in_shape[0], out_hw, e.prefix)
-        elif e.kind == "pool":
-            rows.append((e.prefix, 0, 0))
-        elif e.kind == "embed":
-            rows += B.patch_embed_rows(e.spec, e.in_shape[0], out_hw, e.prefix)
-        elif e.kind == "cls":
-            rows.append((e.prefix, 0, e.in_shape[0]))
-        elif e.kind == "pos":
-            rows.append((e.prefix, 0, out_hw * e.out_shape[0]))
-        elif e.kind == "attention":
-            rows += B.attention_block_rows(e.spec, e.window[0] * e.window[1], e.prefix,
-                                           rel_pos=config.pos_mode == "relative",
-                                           window=e.window)
-        elif e.kind == "mlp":
-            rows += B.mlp_rows(e.spec, out_hw, e.prefix)
-        elif e.kind == "bottleneck":
-            rows += B.bottleneck_rows(e.spec, e.in_shape[1] * e.in_shape[2], e.prefix,
-                                      config.conv_block_style)
-        elif e.kind == "final_norm":
-            rows += [("final_norm", 0, 2 * e.in_shape[0])]
-        elif e.kind == "head":
-            rows += B.head_rows(e.in_shape[0], e.out_shape[0], "head")
+    rows = [r for e in layer_plan(config, resolution=res) for r in layer_rows(e, config)]
     return ComplexityReport(config.name, res, rows)
 
 

@@ -41,21 +41,21 @@ class AttentionParams:
 
     def __post_init__(self):
         inner = self.heads * self.head_dim
-        c = self.w_qkv.dims[1]
+        c = self.w_qkv.shape[1]
         if self.heads < 1 or self.head_dim < 1:
             raise ShapeError("heads and head_dim must be positive")
-        if self.w_qkv.dims != (3 * inner, c):
-            raise ShapeError(f"w_qkv must be (3*{inner}, {c}), got {self.w_qkv.dims}")
-        if self.b_qkv.dims != (3 * inner,):
-            raise ShapeError(f"b_qkv must be ({3 * inner},), got {self.b_qkv.dims}")
-        if self.w_proj.dims != (c, inner):
-            raise ShapeError(f"w_proj must be ({c}, {inner}), got {self.w_proj.dims}")
-        if self.b_proj.dims != (c,):
-            raise ShapeError(f"b_proj must be ({c},), got {self.b_proj.dims}")
+        if self.w_qkv.shape != (3 * inner, c):
+            raise ShapeError(f"w_qkv must be (3*{inner}, {c}), got {self.w_qkv.shape}")
+        if self.b_qkv.shape != (3 * inner,):
+            raise ShapeError(f"b_qkv must be ({3 * inner},), got {self.b_qkv.shape}")
+        if self.w_proj.shape != (c, inner):
+            raise ShapeError(f"w_proj must be ({c}, {inner}), got {self.w_proj.shape}")
+        if self.b_proj.shape != (c,):
+            raise ShapeError(f"b_proj must be ({c},), got {self.b_proj.shape}")
 
     @property
     def channels(self) -> int:
-        return self.w_qkv.dims[1]
+        return self.w_qkv.shape[1]
 
     @property
     def inner(self) -> int:
@@ -65,9 +65,9 @@ class AttentionParams:
 def attention_logits(q: Tensor, k: Tensor, mode: str = "standard",
                      alpha: float = DEFAULT_PB_RELAX_ALPHA) -> Tensor:
     """Scaled scores for (N, heads, T, d) queries/keys; returns (N, heads, T, T)."""
-    if q.dims != k.dims or len(q.dims) != 4:
-        raise ShapeError(f"queries/keys must share a (N, heads, T, d) shape, got {q.dims} vs {k.dims}")
-    d = q.dims[-1]
+    if q.shape != k.shape or len(q.shape) != 4:
+        raise ShapeError(f"queries/keys must share a (N, heads, T, d) shape, got {q.shape} vs {k.shape}")
+    d = q.shape[-1]
     kt = tz.transpose(k, (0, 1, 3, 2))
     if mode == "standard":
         return tz.scale(tz.matmul(q, kt), 1.0 / np.sqrt(d))
@@ -101,12 +101,12 @@ class RelPosBiasTable:
 
     def __post_init__(self):
         rows = (2 * self.height - 1) * (2 * self.width - 1)
-        if len(self.table.dims) != 2 or self.table.dims[0] != rows:
-            raise ShapeError(f"bias table must have {rows} rows, got {self.table.dims}")
+        if len(self.table.shape) != 2 or self.table.shape[0] != rows:
+            raise ShapeError(f"bias table must have {rows} rows, got {self.table.shape}")
 
     @property
     def heads(self) -> int:
-        return self.table.dims[1]
+        return self.table.shape[1]
 
     def bias(self) -> Tensor:
         """(heads, T, T) additive logit bias."""
@@ -114,18 +114,11 @@ class RelPosBiasTable:
         return tz.transpose(rows, (2, 0, 1))
 
 
-def add_position_map(x: Tensor, e: Tensor) -> Tensor:
-    """Add a learned (C, H, W) map to every sample of an (N, C, H, W) batch."""
-    if e.dims != x.dims[1:]:
-        raise ShapeError(f"position map {e.dims} does not match feature shape {x.dims[1:]}")
-    return tz.add(x, e)
-
-
 def mhsa_forward(x: Tensor, p: AttentionParams, *, mode: str = "standard",
                  bias: Tensor | None = None,
                  alpha: float = DEFAULT_PB_RELAX_ALPHA) -> Tensor:
     """Self-attention over the spatial positions of an (N, C, H, W) map."""
-    n, c, h, w = x.dims
+    n, c, h, w = x.shape
     if c != p.channels:
         raise ShapeError(f"input has {c} channels, attention expects {p.channels}")
     t = h * w

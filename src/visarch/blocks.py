@@ -1,15 +1,20 @@
 """Building blocks: stems, patch embeddings, conv bottlenecks, MLPs, attention blocks, heads.
 
-Each block kind has three colocated pieces sharing one parameter naming scheme:
-init_* (allocate parameters/buffers), *_forward (run it), and *_rows (emit
-(path, macs, params) complexity rows). MACs are multiply-accumulates at batch 1;
-norms, activations, softmax, pooling, and bias adds count zero.
+LAYERS maps each layer_plan kind to one Layer of three functions sharing one
+parameter naming scheme: params (the entry's parameters and buffers as Slots,
+in initialization order), forward (run the entry), and macs ((path, MACs)
+complexity rows). Building, loading a checkpoint and counting parameters all
+read the same Slot lists, and MAC rows are derived from them too (a weight
+costs its element count per output position), so none of them can disagree.
+MACs are multiply-accumulates at batch 1; norms, activations, softmax,
+pooling, and bias adds count zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,7 +74,23 @@ def conv_mlp_hidden(channels: int, hidden: int, groups: int = 1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parameter initialization primitives
+# parameter slots and their initial values
+
+
+class Slot(NamedTuple):
+    """One parameter or buffer tensor of a layer.
+
+    init is "trunc" (truncated normal, std 0.02), a float (plain normal with
+    that std: He fan-out), "zeros" or "ones" for parameters, or one of
+    BUFFER_INITS for batch-norm running statistics, which are buffers.
+    """
+
+    path: str
+    shape: tuple
+    init: object
+
+
+BUFFER_INITS = ("running_mean", "running_var")
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -82,37 +103,62 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
     return x
 
 
-def _he_fan_out(rng, cout, cin_per_group, k, groups):
-    fan_out = (cout // groups) * k * k
-    return rng.normal(0.0, math.sqrt(2.0 / fan_out), size=(cout, cin_per_group, k, k))
+def draw(rng: np.random.Generator, slot: Slot) -> np.ndarray:
+    """Initial float64 value of a slot; only random inits consume draws from rng."""
+    if slot.init == "trunc":
+        return trunc_normal(rng, slot.shape)
+    if isinstance(slot.init, float):
+        return rng.normal(0.0, slot.init, size=slot.shape)
+    return np.ones(slot.shape) if slot.init in ("ones", "running_var") else np.zeros(slot.shape)
 
 
-def init_conv(store: ParamStore, rng, prefix: str, cin: int, cout: int, k: int,
-              *, groups: int = 1, bias: bool = True, dtype=np.float32):
+def allocate(slots, value: Callable, dtype) -> tuple[ParamStore, dict]:
+    """A ParamStore and a buffer dict holding value(slot) cast to dtype, in slot order."""
+    store, buffers = ParamStore(), {}
+    for slot in slots:
+        arr = value(slot).astype(dtype)
+        if slot.init in BUFFER_INITS:
+            buffers[slot.path] = arr
+        else:
+            store.add(slot.path, Tensor(arr))
+    return store, buffers
+
+
+def _conv_slots(prefix, cin, cout, k, *, groups=1, bias=True):
     """1x1 kernels draw truncated normals (they act as linears); larger kernels He fan-out."""
-    if k == 1:
-        w = trunc_normal(rng, (cout, cin // groups, 1, 1))
-    else:
-        w = _he_fan_out(rng, cout, cin // groups, k, groups)
-    store.add(prefix + ".w", Tensor(w.astype(dtype)))
+    init = "trunc" if k == 1 else math.sqrt(2.0 / ((cout // groups) * k * k))
+    slots = [Slot(prefix + ".w", (cout, cin // groups, k, k), init)]
     if bias:
-        store.add(prefix + ".b", Tensor(np.zeros(cout, dtype=dtype)))
+        slots.append(Slot(prefix + ".b", (cout,), "zeros"))
+    return slots
 
 
-def init_linear(store: ParamStore, rng, prefix: str, din: int, dout: int,
-                *, bias: bool = True, dtype=np.float32):
-    store.add(prefix + ".w", Tensor(trunc_normal(rng, (dout, din)).astype(dtype)))
-    if bias:
-        store.add(prefix + ".b", Tensor(np.zeros(dout, dtype=dtype)))
+def _linear_slots(prefix, din, dout):
+    return [Slot(prefix + ".w", (dout, din), "trunc"), Slot(prefix + ".b", (dout,), "zeros")]
 
 
-def init_norm(store: ParamStore, buffers: dict, prefix: str, c: int, kind: str,
-              dtype=np.float32):
-    store.add(prefix + ".gamma", Tensor(np.ones(c, dtype=dtype)))
-    store.add(prefix + ".beta", Tensor(np.zeros(c, dtype=dtype)))
+def _norm_slots(prefix, c, kind):
+    slots = [Slot(prefix + ".gamma", (c,), "ones"), Slot(prefix + ".beta", (c,), "zeros")]
     if kind == "batch":
-        buffers[prefix + ".mean"] = np.zeros(c, dtype=dtype)
-        buffers[prefix + ".var"] = np.ones(c, dtype=dtype)
+        slots += [Slot(prefix + ".mean", (c,), "running_mean"),
+                  Slot(prefix + ".var", (c,), "running_var")]
+    return slots
+
+
+def _macs_rows(slots, positions, at=None):
+    """(path, MACs) per layer of slots, in slot order. A weight (.w) is applied
+    once per output position, so it costs its element count times positions
+    (at[path] where given); norms (.gamma) and learned tables cost nothing."""
+    rows = []
+    for slot in slots:
+        layer, _, leaf = slot.path.rpartition(".")
+        if leaf == "w":
+            rows.append((layer, math.prod(slot.shape) * (at or {}).get(layer, positions)))
+        elif leaf == "gamma":
+            rows.append((layer, 0))
+        elif leaf not in ("b", "beta", "mean", "var"):
+            rows.append((slot.path, 0))
+    return rows
 
 
 def norm_forward(x: Tensor, params: ParamStore, buffers: dict, prefix: str,
@@ -131,25 +177,17 @@ def _conv(x, params, prefix, *, stride=1, padding=0, groups=1):
     return tz.conv2d(x, params[prefix + ".w"], b, stride=stride, padding=padding, groups=groups)
 
 
-def _conv_rows(prefix, cin, cout, k, out_hw, *, groups=1, bias=True):
-    macs = cout * (cin // groups) * k * k * out_hw
-    params = cout * (cin // groups) * k * k + (cout if bias else 0)
-    return [(prefix, macs, params)]
-
-
-def _norm_rows(prefix, c):
-    return [(prefix, 0, 2 * c)]
-
-
 # ---------------------------------------------------------------------------
-# stem / patch embedding
+# stem / patch embedding (same parameters and rows; the stem may pad and ends in relu)
 
 
-def init_stem(store, buffers, rng, spec: EmbedSpec, cin: int, prefix: str, dtype):
-    init_conv(store, rng, prefix + ".conv", cin, spec.out_channels, spec.kernel,
-              bias=not spec.norm_after, dtype=dtype)
+def _embed_params(e, config):
+    spec = e.spec
+    slots = _conv_slots(e.prefix + ".conv", e.in_shape[0], spec.out_channels, spec.kernel,
+                        bias=not spec.norm_after)
     if spec.norm_after:
-        init_norm(store, buffers, prefix + ".norm", spec.out_channels, "batch", dtype)
+        slots += _norm_slots(e.prefix + ".norm", spec.out_channels, "batch")
+    return slots
 
 
 def stem_forward(x: Tensor, spec: EmbedSpec, params, buffers, prefix: str,
@@ -161,26 +199,11 @@ def stem_forward(x: Tensor, spec: EmbedSpec, params, buffers, prefix: str,
         return tz.relu(out)
 
 
-def stem_rows(spec: EmbedSpec, cin: int, hw_out: int, prefix: str):
-    rows = _conv_rows(prefix + ".conv", cin, spec.out_channels, spec.kernel, hw_out,
-                      bias=not spec.norm_after)
-    if spec.norm_after:
-        rows += _norm_rows(prefix + ".norm", spec.out_channels)
-    return rows
-
-
-def init_patch_embed(store, buffers, rng, spec: EmbedSpec, cin: int, prefix: str, dtype):
-    init_conv(store, rng, prefix + ".conv", cin, spec.out_channels, spec.kernel,
-              bias=not spec.norm_after, dtype=dtype)
-    if spec.norm_after:
-        init_norm(store, buffers, prefix + ".norm", spec.out_channels, "batch", dtype)
-
-
 def patch_embed_forward(x: Tensor, spec: EmbedSpec, params, buffers, prefix: str,
                         training: bool) -> Tensor:
     if spec.kernel != spec.stride or spec.padding:
         raise ShapeError(f"patch embedding at '{prefix}' must have kernel == stride and no padding")
-    h, w = x.dims[2], x.dims[3]
+    h, w = x.shape[2], x.shape[3]
     if h % spec.stride or w % spec.stride:
         raise ShapeError(f"resolution {h}x{w} not divisible by patch stride {spec.stride} at '{prefix}'")
     with tz.layer_scope(prefix):
@@ -190,39 +213,38 @@ def patch_embed_forward(x: Tensor, spec: EmbedSpec, params, buffers, prefix: str
         return out
 
 
-def patch_embed_rows(spec: EmbedSpec, cin: int, hw_out: int, prefix: str):
-    rows = _conv_rows(prefix + ".conv", cin, spec.out_channels, spec.kernel, hw_out,
-                      bias=not spec.norm_after)
-    if spec.norm_after:
-        rows += _norm_rows(prefix + ".norm", spec.out_channels)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # conv bottleneck (pre-norm residual form and post-norm downsampling form)
 
 
-def init_bottleneck(store, buffers, rng, spec: BlockSpec, norm: str, prefix: str,
-                    style: str, dtype):
+def _bottleneck_params(e, config):
+    spec, p, norm = e.spec, e.prefix, config.norm
     c, h, g = spec.channels, spec.hidden, spec.groups
     if h % g:
         raise ShapeError(f"bottleneck hidden width {h} not divisible by groups {g}")
-    if style == "pre_norm":
-        init_norm(store, buffers, prefix + ".norm", c, norm, dtype)
-        init_conv(store, rng, prefix + ".conv1", c, h, 1, dtype=dtype)
-        init_conv(store, rng, prefix + ".conv2", h, h, 3, groups=g, dtype=dtype)
-        init_conv(store, rng, prefix + ".conv3", h, c, 1, dtype=dtype)
-        return
+    if config.conv_block_style == "pre_norm":
+        return (_norm_slots(p + ".norm", c, norm)
+                + _conv_slots(p + ".conv1", c, h, 1)
+                + _conv_slots(p + ".conv2", h, h, 3, groups=g)
+                + _conv_slots(p + ".conv3", h, c, 1))
     cin = spec.in_channels or c
-    init_conv(store, rng, prefix + ".conv1", cin, h, 1, bias=False, dtype=dtype)
-    init_norm(store, buffers, prefix + ".norm1", h, norm, dtype)
-    init_conv(store, rng, prefix + ".conv2", h, h, 3, groups=g, bias=False, dtype=dtype)
-    init_norm(store, buffers, prefix + ".norm2", h, norm, dtype)
-    init_conv(store, rng, prefix + ".conv3", h, c, 1, bias=False, dtype=dtype)
-    init_norm(store, buffers, prefix + ".norm3", c, norm, dtype)
+    slots = (_conv_slots(p + ".conv1", cin, h, 1, bias=False)
+             + _norm_slots(p + ".norm1", h, norm)
+             + _conv_slots(p + ".conv2", h, h, 3, groups=g, bias=False)
+             + _norm_slots(p + ".norm2", h, norm)
+             + _conv_slots(p + ".conv3", h, c, 1, bias=False)
+             + _norm_slots(p + ".norm3", c, norm))
     if cin != c or spec.stride != 1:
-        init_conv(store, rng, prefix + ".proj", cin, c, 1, bias=False, dtype=dtype)
-        init_norm(store, buffers, prefix + ".proj_norm", c, norm, dtype)
+        slots += (_conv_slots(p + ".proj", cin, c, 1, bias=False)
+                  + _norm_slots(p + ".proj_norm", c, norm))
+    return slots
+
+
+def _bottleneck_macs(e, config):
+    """A post-norm bottleneck strides in conv2 and proj, after conv1."""
+    hw = e.in_shape[1] * e.in_shape[2]
+    return _macs_rows(_bottleneck_params(e, config), hw // e.spec.stride ** 2,
+                      at={e.prefix + ".conv1": hw})
 
 
 def bottleneck_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
@@ -249,41 +271,19 @@ def bottleneck_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
         return tz.relu(tz.add_residual(sc, h))
 
 
-def bottleneck_rows(spec: BlockSpec, hw: int, prefix: str, style: str):
-    c, h, g = spec.channels, spec.hidden, spec.groups
-    if style == "pre_norm":
-        return (_norm_rows(prefix + ".norm", c)
-                + _conv_rows(prefix + ".conv1", c, h, 1, hw)
-                + _conv_rows(prefix + ".conv2", h, h, 3, hw, groups=g)
-                + _conv_rows(prefix + ".conv3", h, c, 1, hw))
-    cin = spec.in_channels or c
-    hw_out = hw // (spec.stride * spec.stride)
-    rows = (_conv_rows(prefix + ".conv1", cin, h, 1, hw, bias=False)
-            + _norm_rows(prefix + ".norm1", h)
-            + _conv_rows(prefix + ".conv2", h, h, 3, hw_out, groups=g, bias=False)
-            + _norm_rows(prefix + ".norm2", h)
-            + _conv_rows(prefix + ".conv3", h, c, 1, hw_out, bias=False)
-            + _norm_rows(prefix + ".norm3", c))
-    if cin != c or spec.stride != 1:
-        rows += _conv_rows(prefix + ".proj", cin, c, 1, hw_out, bias=False)
-        rows += _norm_rows(prefix + ".proj_norm", c)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # MLP branch (shared by standalone mlp blocks and attention blocks)
 
 
-def _init_mlp_branch(store, buffers, rng, spec: BlockSpec, prefix: str, dtype):
+def _mlp_branch_params(spec: BlockSpec, prefix: str):
     c = spec.channels
     if spec.use_3x3:
         m = conv_mlp_hidden(c, spec.hidden, spec.groups)
-        init_conv(store, rng, prefix + ".fc1", c, m, 1, dtype=dtype)
-        init_conv(store, rng, prefix + ".conv", m, m, 3, groups=spec.groups, dtype=dtype)
-        init_conv(store, rng, prefix + ".fc2", m, c, 1, dtype=dtype)
-    else:
-        init_conv(store, rng, prefix + ".fc1", c, spec.hidden, 1, dtype=dtype)
-        init_conv(store, rng, prefix + ".fc2", spec.hidden, c, 1, dtype=dtype)
+        return (_conv_slots(prefix + ".fc1", c, m, 1)
+                + _conv_slots(prefix + ".conv", m, m, 3, groups=spec.groups)
+                + _conv_slots(prefix + ".fc2", m, c, 1))
+    return (_conv_slots(prefix + ".fc1", c, spec.hidden, 1)
+            + _conv_slots(prefix + ".fc2", spec.hidden, c, 1))
 
 
 def _mlp_branch_forward(x, spec: BlockSpec, params, prefix):
@@ -293,20 +293,9 @@ def _mlp_branch_forward(x, spec: BlockSpec, params, prefix):
     return _conv(h, params, prefix + ".fc2")
 
 
-def _mlp_branch_rows(spec: BlockSpec, hw: int, prefix: str):
-    c = spec.channels
-    if spec.use_3x3:
-        m = conv_mlp_hidden(c, spec.hidden, spec.groups)
-        return (_conv_rows(prefix + ".fc1", c, m, 1, hw)
-                + _conv_rows(prefix + ".conv", m, m, 3, hw, groups=spec.groups)
-                + _conv_rows(prefix + ".fc2", m, c, 1, hw))
-    return (_conv_rows(prefix + ".fc1", c, spec.hidden, 1, hw)
-            + _conv_rows(prefix + ".fc2", spec.hidden, c, 1, hw))
-
-
-def init_mlp(store, buffers, rng, spec: BlockSpec, norm: str, prefix: str, dtype):
-    init_norm(store, buffers, prefix + ".norm", spec.channels, norm, dtype)
-    _init_mlp_branch(store, buffers, rng, spec, prefix, dtype)
+def _mlp_params(e, config):
+    return (_norm_slots(e.prefix + ".norm", e.spec.channels, config.norm)
+            + _mlp_branch_params(e.spec, e.prefix))
 
 
 def mlp_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
@@ -316,29 +305,30 @@ def mlp_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
         return tz.add_residual(x, _mlp_branch_forward(h, spec, params, prefix))
 
 
-def mlp_rows(spec: BlockSpec, hw: int, prefix: str):
-    return _norm_rows(prefix + ".norm", spec.channels) + _mlp_branch_rows(spec, hw, prefix)
-
-
 # ---------------------------------------------------------------------------
 # attention block (pre-norm attention + pre-norm MLP, both residual)
 
 
-def init_attention_block(store, buffers, rng, spec: BlockSpec, norm: str, prefix: str,
-                         rel_pos: bool, window: tuple[int, int] | None, dtype):
+def _attention_params(e, config):
+    spec, p = e.spec, e.prefix
     c, inner = spec.channels, spec.attn_inner
-    if inner != spec.heads * spec.head_dim:
-        raise ShapeError(f"attn_inner {inner} != heads*head_dim {spec.heads * spec.head_dim}")
-    init_norm(store, buffers, prefix + ".norm1", c, norm, dtype)
-    init_linear(store, rng, prefix + ".attn.qkv", c, 3 * inner, dtype=dtype)
-    init_linear(store, rng, prefix + ".attn.proj", inner, c, dtype=dtype)
-    if rel_pos:
-        h, w = window
-        rows = (2 * h - 1) * (2 * w - 1)
-        store.add(prefix + ".attn.relpos",
-                  Tensor(trunc_normal(rng, (rows, spec.heads)).astype(dtype)))
-    init_norm(store, buffers, prefix + ".norm2", c, norm, dtype)
-    _init_mlp_branch(store, buffers, rng, spec, prefix + ".mlp", dtype)
+    slots = (_norm_slots(p + ".norm1", c, config.norm)
+             + _linear_slots(p + ".attn.qkv", c, 3 * inner)
+             + _linear_slots(p + ".attn.proj", inner, c))
+    if config.pos_mode == "relative":
+        h, w = e.window
+        slots.append(Slot(p + ".attn.relpos", ((2 * h - 1) * (2 * w - 1), spec.heads), "trunc"))
+    return (slots + _norm_slots(p + ".norm2", c, config.norm)
+            + _mlp_branch_params(spec, p + ".mlp"))
+
+
+def _attention_macs(e, config):
+    """Scores and apply each cost tokens^2 * attn_inner MACs, after norm1 and qkv."""
+    tokens = e.window[0] * e.window[1]
+    rows = _macs_rows(_attention_params(e, config), tokens)
+    core = tokens * tokens * e.spec.attn_inner
+    rows[2:2] = [(e.prefix + ".attn.scores", core), (e.prefix + ".attn.apply", core)]
+    return rows
 
 
 def attention_block_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
@@ -350,7 +340,7 @@ def attention_block_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix:
             heads=spec.heads, head_dim=spec.head_dim)
         bias = None
         if (prefix + ".attn.relpos") in params:
-            table = RelPosBiasTable(params[prefix + ".attn.relpos"], x.dims[2], x.dims[3])
+            table = RelPosBiasTable(params[prefix + ".attn.relpos"], x.shape[2], x.shape[3])
             bias = table.bias()
         h = norm_forward(x, params, buffers, prefix + ".norm1", norm, training)
         x = tz.add_residual(x, mhsa_forward(h, ap, mode=score_mode, bias=bias))
@@ -358,29 +348,8 @@ def attention_block_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix:
         return tz.add_residual(x, _mlp_branch_forward(h, spec, params, prefix + ".mlp"))
 
 
-def attention_block_rows(spec: BlockSpec, tokens: int, prefix: str,
-                         rel_pos: bool = False, window: tuple[int, int] | None = None):
-    """Complexity rows; scores/apply each cost tokens^2 * attn_inner MACs."""
-    c, inner = spec.channels, spec.attn_inner
-    rows = _norm_rows(prefix + ".norm1", c)
-    rows.append((prefix + ".attn.qkv", tokens * c * 3 * inner, 3 * inner * c + 3 * inner))
-    rows.append((prefix + ".attn.scores", tokens * tokens * inner, 0))
-    rows.append((prefix + ".attn.apply", tokens * tokens * inner, 0))
-    rows.append((prefix + ".attn.proj", tokens * inner * c, c * inner + c))
-    if rel_pos:
-        h, w = window
-        rows.append((prefix + ".attn.relpos", 0, (2 * h - 1) * (2 * w - 1) * spec.heads))
-    rows += _norm_rows(prefix + ".norm2", c)
-    rows += _mlp_branch_rows(spec, tokens, prefix + ".mlp")
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # classification head
-
-
-def init_head(store, rng, cin: int, classes: int, prefix: str, dtype):
-    init_linear(store, rng, prefix + ".fc", cin, classes, dtype=dtype)
 
 
 def head_forward(x: Tensor, mode: str, params, prefix: str) -> Tensor:
@@ -389,11 +358,80 @@ def head_forward(x: Tensor, mode: str, params, prefix: str) -> Tensor:
             feat = tz.global_avg_pool(x)
         elif mode == "cls_token":
             tok = tz.narrow(x, 2, 0, 1)
-            feat = tz.reshape(tok, (x.dims[0], x.dims[1]))
+            feat = tz.reshape(tok, (x.shape[0], x.shape[1]))
         else:
             raise ValueError(f"unknown head mode '{mode}'")
         return tz.linear(feat, params[prefix + ".fc.w"], params[prefix + ".fc.b"])
 
 
-def head_rows(cin: int, classes: int, prefix: str):
-    return [(prefix + ".fc", cin * classes, cin * classes + classes)]
+# ---------------------------------------------------------------------------
+# the per-kind table, and the layers without a block function of their own
+
+
+def _pool(x, e, m, training):
+    with tz.layer_scope(e.prefix):
+        return tz.max_pool2d(x, kernel=3, stride=2, padding=1)
+
+
+def _cls(x, e, m, training):
+    n, c, h, w = x.shape
+    tokens = tz.reshape(x, (n, c, h * w, 1))
+    return tz.concat([tz.batch_tile(m.params[e.prefix], n), tokens], axis=2)
+
+
+def _pos(x, e, m, training):
+    with tz.layer_scope(e.prefix):
+        return tz.add(x, m.params[e.prefix])
+
+
+class Layer(NamedTuple):
+    """What one layer_plan kind contributes to building, running and counting."""
+
+    params: Callable  # (entry, config) -> [Slot], in initialization order
+    forward: Callable  # (x, entry, model, training) -> Tensor
+    macs: Callable  # (entry, config) -> [(path, MACs)], one per complexity row
+
+
+def _out_macs(params):
+    """macs for a layer whose weights all run at its output resolution."""
+    return lambda e, config: _macs_rows(params(e, config), math.prod(e.out_shape[1:]))
+
+
+def _cls_params(e, config):
+    return [Slot(e.prefix, (e.in_shape[0], 1, 1), "trunc")]
+
+
+def _pos_params(e, config):
+    return [Slot(e.prefix, e.out_shape, "trunc")]
+
+
+def _final_norm_params(e, config):
+    return _norm_slots(e.prefix, e.in_shape[0], config.norm)
+
+
+def _head_params(e, config):
+    return _linear_slots(e.prefix + ".fc", e.in_shape[0], e.out_shape[0])
+
+
+# The lambdas look the named block forwards up in this module's globals at
+# call time, so replacing one here (to trace or wrap it) reaches every model.
+LAYERS = {
+    "stem": Layer(_embed_params, lambda x, e, m, t: stem_forward(
+        x, e.spec, m.params, m.buffers, e.prefix, t), _out_macs(_embed_params)),
+    "pool": Layer(lambda e, config: [], _pool, lambda e, config: [(e.prefix, 0)]),
+    "embed": Layer(_embed_params, lambda x, e, m, t: patch_embed_forward(
+        x, e.spec, m.params, m.buffers, e.prefix, t), _out_macs(_embed_params)),
+    "cls": Layer(_cls_params, _cls, _out_macs(_cls_params)),
+    "pos": Layer(_pos_params, _pos, _out_macs(_pos_params)),
+    "attention": Layer(_attention_params, lambda x, e, m, t: attention_block_forward(
+        x, e.spec, m.params, m.buffers, e.prefix, m.config.norm, t), _attention_macs),
+    "mlp": Layer(_mlp_params, lambda x, e, m, t: mlp_forward(
+        x, e.spec, m.params, m.buffers, e.prefix, m.config.norm, t), _out_macs(_mlp_params)),
+    "bottleneck": Layer(_bottleneck_params, lambda x, e, m, t: bottleneck_forward(
+        x, e.spec, m.params, m.buffers, e.prefix, m.config.norm, m.config.conv_block_style,
+        t), _bottleneck_macs),
+    "final_norm": Layer(_final_norm_params, lambda x, e, m, t: norm_forward(
+        x, m.params, m.buffers, e.prefix, m.config.norm, t), _out_macs(_final_norm_params)),
+    "head": Layer(_head_params, lambda x, e, m, t: head_forward(
+        x, m.config.head_mode, m.params, e.prefix), _out_macs(_head_params)),
+}

@@ -17,13 +17,14 @@ round trips are bit-exact for float32 models (the training dtype).
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 
 import numpy as np
 
+from . import blocks as B
 from . import models
-from .tensor import Tensor
 
 MAGIC = b"VSFM"
 VERSION = 1
@@ -80,13 +81,24 @@ def save_bytes(model: models.Model, extra: dict | None = None,
 
 def checkpoint_save(model: models.Model, path, extra: dict | None = None,
                     extra_tensors: dict | None = None) -> None:
-    with open(path, "wb") as f:
-        f.write(save_bytes(model, extra, extra_tensors))
+    """Write through a sibling temp file and os.replace, so a save that fails
+    or is killed part-way leaves any earlier file at `path` intact."""
+    blob = save_bytes(model, extra, extra_tensors)
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_bytes(data: bytes) -> dict:
     """Parse and verify; returns {"config", "extra", "tensors"} with float32
-    arrays keyed by namespaced path."""
+    arrays keyed by namespaced path. The CRC is checked before the header is
+    decoded, so any corrupted byte past the version raises ChecksumError."""
     if len(data) < 4:
         raise ChecksumError("file truncated before the magic bytes")
     if data[:4] != MAGIC:
@@ -96,6 +108,9 @@ def load_bytes(data: bytes) -> dict:
     version, header_len = struct.unpack_from("<HI", data, 4)
     if version != VERSION:
         raise VersionError(f"format version {version}, expected {VERSION}")
+    (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
+    if zlib.crc32(data[:-4]) != stored_crc:
+        raise ChecksumError("CRC32 mismatch")
     if len(data) < 10 + header_len + 4:
         raise ChecksumError("file truncated inside the header")
     header = json.loads(data[10:10 + header_len].decode("utf-8"))
@@ -103,9 +118,6 @@ def load_bytes(data: bytes) -> dict:
     sizes = [int(np.prod(e["dims"], dtype=np.int64)) * 4 for e in header["tensors"]]
     if len(data) != offset + sum(sizes) + 4:
         raise ChecksumError(f"payload length mismatch: file has {len(data)} bytes")
-    (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(data[:-4]) != stored_crc:
-        raise ChecksumError("CRC32 mismatch")
     tensors = {}
     for entry, size in zip(header["tensors"], sizes):
         arr = np.frombuffer(data[offset:offset + size], dtype="<f4")
@@ -121,17 +133,32 @@ def checkpoint_load(path) -> dict:
 
 
 def model_from_checkpoint(loaded: dict) -> models.Model:
-    """Rebuild a Model whose params/buffers are the stored bits."""
-    config = loaded["config"]
-    model = models.build(config, seed=int(loaded["extra"].get("seed", 0)))
-    for path, t in model.params.items():
-        arr = loaded["tensors"][f"param.{path}"]
-        if tuple(arr.shape) != t.data.shape:
-            raise CheckpointError(f"shape mismatch for param '{path}'")
-        t.data = arr.astype(model.dtype)
-    for path in model.buffers:
-        model.buffers[path] = loaded["tensors"][f"buffer.{path}"].astype(model.dtype)
-    return model
+    """Rebuild a float32 Model whose params/buffers are the stored bits.
+
+    The stored param.* and buffer.* tensors must be exactly the config's
+    slots, shape for shape; nothing is drawn at random.
+    """
+    config, tensors = loaded["config"], loaded["tensors"]
+    slots = models.model_slots(config)
+    known = {_key(s) for s in slots}
+    for key in tensors:
+        if key.startswith(("param.", "buffer.")) and key not in known:
+            raise CheckpointError(f"checkpoint has '{key}', which {config.name} does not")
+
+    def stored(slot):
+        arr = tensors.get(_key(slot))
+        if arr is None or arr.shape != slot.shape:
+            found = "nothing" if arr is None else arr.shape
+            raise CheckpointError(f"'{_key(slot)}' must be {slot.shape}, checkpoint has {found}")
+        return arr
+
+    params, buffers = B.allocate(slots, stored, np.float32)
+    return models.Model(config, params, buffers, np.dtype(np.float32),
+                        int(loaded["extra"].get("seed", 0)))
+
+
+def _key(slot) -> str:
+    return ("buffer." if slot.init in B.BUFFER_INITS else "param.") + slot.path
 
 
 def optim_tensors(loaded: dict) -> dict:

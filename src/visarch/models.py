@@ -1,8 +1,9 @@
 """Model catalog, deterministic builder, and the forward pass.
 
-A ModelConfig is the single structural description; one plan walker derives
-the layer list (with shapes) from it, and builder/forward/complexity all
-consume that plan so they cannot drift apart.
+A ModelConfig is the single structural description; layer_plan derives the
+layer list (with shapes) from it. build, the forward pass, checkpoint
+loading and complexity accounting all walk that plan through the one per-kind
+table, blocks.LAYERS, so they cannot drift apart.
 
 The catalog holds the two conv/attention hybrid families (ti/s and the v2
 variants), the eight-step bridge from the isotropic token model (deit_s,
@@ -147,10 +148,6 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
     return entries
 
 
-def validate(config: ModelConfig) -> None:
-    layer_plan(config)
-
-
 # ---------------------------------------------------------------------------
 # builder
 
@@ -164,75 +161,31 @@ class Model:
     seed: int
 
 
+def model_slots(config: ModelConfig) -> list:
+    """Every parameter and buffer of the model as blocks.Slot, in initialization order."""
+    return [s for e in layer_plan(config) for s in B.LAYERS[e.kind].params(e, config)]
+
+
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
     """Allocate and initialize all parameters; identical seeds give identical bits."""
     rng = np.random.default_rng(np.random.PCG64(seed))
-    store = ParamStore()
-    buffers: dict = {}
-    for e in layer_plan(config):
-        cin = e.in_shape[0]
-        if e.kind == "stem":
-            B.init_stem(store, buffers, rng, e.spec, cin, e.prefix, dtype)
-        elif e.kind == "embed":
-            B.init_patch_embed(store, buffers, rng, e.spec, cin, e.prefix, dtype)
-        elif e.kind == "cls":
-            store.add("cls", Tensor(B.trunc_normal(rng, (cin, 1, 1)).astype(dtype)))
-        elif e.kind == "pos":
-            store.add(e.prefix, Tensor(B.trunc_normal(rng, e.out_shape).astype(dtype)))
-        elif e.kind == "attention":
-            B.init_attention_block(store, buffers, rng, e.spec, config.norm, e.prefix,
-                                   config.pos_mode == "relative", e.window, dtype)
-        elif e.kind == "mlp":
-            B.init_mlp(store, buffers, rng, e.spec, config.norm, e.prefix, dtype)
-        elif e.kind == "bottleneck":
-            B.init_bottleneck(store, buffers, rng, e.spec, config.norm, e.prefix,
-                              config.conv_block_style, dtype)
-        elif e.kind == "final_norm":
-            B.init_norm(store, buffers, "final_norm", cin, config.norm, dtype)
-        elif e.kind == "head":
-            B.init_head(store, rng, cin, config.num_classes, "head", dtype)
-    return Model(config, store, buffers, np.dtype(dtype), seed)
+    params, buffers = B.allocate(model_slots(config), lambda s: B.draw(rng, s), dtype)
+    return Model(config, params, buffers, np.dtype(dtype), seed)
 
 
 def model_forward(model: Model, x, training: bool = False) -> Tensor:
-    """Run the network; returns (N, num_classes) logits."""
-    cfg = model.config
+    """Run the network on a square (N, 3, H, H) batch; returns (N, num_classes) logits."""
     if isinstance(x, np.ndarray):
         x = Tensor(x.astype(model.dtype, copy=False))
-    if len(x.dims) != 4 or x.dims[1] != 3:
-        raise ShapeError(f"input must be (N, 3, H, W), got {x.dims}")
-    params, buffers = model.params, model.buffers
-    h = x
-    n = x.dims[0]
-    with tz.layer_scope(cfg.name):
-        for e in layer_plan(cfg, resolution=x.dims[-1]):
-            if e.kind == "stem":
-                h = B.stem_forward(h, e.spec, params, buffers, e.prefix, training)
-            elif e.kind == "pool":
-                with tz.layer_scope(e.prefix):
-                    h = tz.max_pool2d(h, kernel=3, stride=2, padding=1)
-            elif e.kind == "embed":
-                h = B.patch_embed_forward(h, e.spec, params, buffers, e.prefix, training)
-            elif e.kind == "cls":
-                c, t = e.in_shape[0], e.in_shape[1] * e.in_shape[2]
-                h = tz.reshape(h, (n, c, t, 1))
-                h = tz.concat([tz.batch_tile(params["cls"], n), h], axis=2)
-            elif e.kind == "pos":
-                with tz.layer_scope(e.prefix):
-                    h = tz.add(h, params[e.prefix])
-            elif e.kind == "attention":
-                h = B.attention_block_forward(h, e.spec, params, buffers, e.prefix,
-                                              cfg.norm, training)
-            elif e.kind == "mlp":
-                h = B.mlp_forward(h, e.spec, params, buffers, e.prefix, cfg.norm, training)
-            elif e.kind == "bottleneck":
-                h = B.bottleneck_forward(h, e.spec, params, buffers, e.prefix, cfg.norm,
-                                         cfg.conv_block_style, training)
-            elif e.kind == "final_norm":
-                h = B.norm_forward(h, params, buffers, "final_norm", cfg.norm, training)
-            elif e.kind == "head":
-                h = B.head_forward(h, cfg.head_mode, params, "head")
-    return h
+    if len(x.shape) != 4 or x.shape[1] != 3:
+        raise ShapeError(f"input must be (N, 3, H, W), got {x.shape}")
+    height, width = x.shape[2], x.shape[3]
+    if height != width:
+        raise ShapeError(f"input must be square, got H={height} W={width}")
+    with tz.layer_scope(model.config.name):
+        for e in layer_plan(model.config, resolution=width):
+            x = B.LAYERS[e.kind].forward(x, e, model, training)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -482,5 +435,5 @@ def preset(name: str) -> ModelConfig:
     config = _BASE_PRESETS[base]()
     if name.endswith("-micro"):
         config = _micro(config)
-    validate(config)
+    layer_plan(config)
     return config

@@ -72,10 +72,6 @@ class Tensor:
         self._backward = None
 
     @property
-    def dims(self) -> tuple:
-        return self.data.shape
-
-    @property
     def shape(self) -> tuple:
         return self.data.shape
 
@@ -189,14 +185,6 @@ def gelu(x: Tensor) -> Tensor:
     return _result("gelu", 0.5 * xd * (1.0 + t), (x,), bwd)
 
 
-def activation(x: Tensor, kind: str) -> Tensor:
-    if kind == "relu":
-        return relu(x)
-    if kind == "gelu":
-        return gelu(x)
-    raise ValueError(f"unknown activation '{kind}'")
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if len(shape) > 4:
@@ -300,10 +288,6 @@ def sum_all(x: Tensor) -> Tensor:
         return (np.broadcast_to(dout, x.data.shape).copy(),)
 
     return _result("sum_all", np.asarray(x.data.sum()), (x,), bwd)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    return scale(sum_all(x), 1.0 / x.data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +490,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     labels = np.asarray(labels)
     if ld.ndim != 2 or labels.shape != (ld.shape[0],):
         raise ShapeError(f"cross_entropy expects (N, K) logits and (N,) labels, got {ld.shape}, {labels.shape}")
-    N = ld.shape[0]
+    N, K = ld.shape
+    if labels.size and (not np.issubdtype(labels.dtype, np.integer)
+                        or labels.min() < 0 or labels.max() >= K):
+        raise ShapeError(f"cross_entropy labels must be integers in [0, {K}), got "
+                         f"{labels.dtype} labels from {labels.min()} to {labels.max()}")
     m = ld.max(axis=1, keepdims=True)
     z = ld - m
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True)) + m

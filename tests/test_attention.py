@@ -5,7 +5,6 @@ from visarch import tensor as T
 from visarch.attention import (
     AttentionParams,
     RelPosBiasTable,
-    add_position_map,
     attention_logits,
     mhsa_forward,
     rel_pos_index,
@@ -195,19 +194,3 @@ class TestRelPos:
         assert table.grad.sum() == 16
         assert table.grad[4, 0] == 4  # zero offset occurs for the 4 diagonal pairs
 
-
-class TestAbsPos:
-    def test_zero_map_identity(self, rng):
-        x = rng.normal(size=(2, 3, 4, 4))
-        out = add_position_map(Tensor(x, dtype=np.float64), Tensor(np.zeros((3, 4, 4)))).data
-        np.testing.assert_array_equal(out, x)
-
-    def test_grad_counts_batch(self, rng):
-        e = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True, dtype=np.float64)
-        x = Tensor(rng.normal(size=(5, 3, 2, 2)), dtype=np.float64)
-        backward(T.sum_all(add_position_map(x, e)))
-        np.testing.assert_allclose(e.grad, 5.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            add_position_map(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((3, 2, 2))))

@@ -1,23 +1,44 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from visarch import blocks as B
 from visarch import tensor as T
+from visarch.analysis import layer_rows
 from visarch.blocks import BlockSpec, EmbedSpec, conv_mlp_hidden
-from visarch.tensor import ParamStore, ShapeError, Tensor, backward
+from visarch.models import PlanEntry
+from visarch.tensor import ShapeError, Tensor, backward
 
 
-def build_block(spec, norm="batch", style="pre_norm", rel_pos=False, window=None,
-                seed=0, dtype=np.float64):
-    store, buffers = ParamStore(), {}
+def config(norm="batch", style="pre_norm", rel_pos=False):
+    """The ModelConfig fields the layer table reads."""
+    return SimpleNamespace(norm=norm, conv_block_style=style,
+                           pos_mode="relative" if rel_pos else "none")
+
+
+def block_entry(spec, hw=(1, 1)):
+    shape = (spec.in_channels or spec.channels,) + hw
+    return PlanEntry(spec.kind, "b", spec, shape, (spec.channels,) + hw, window=hw)
+
+
+def allocate(entry, cfg, seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    if spec.kind == "bottleneck":
-        B.init_bottleneck(store, buffers, rng, spec, norm, "b", style, dtype)
-    elif spec.kind == "mlp":
-        B.init_mlp(store, buffers, rng, spec, norm, "b", dtype)
-    else:
-        B.init_attention_block(store, buffers, rng, spec, norm, "b", rel_pos, window, dtype)
-    return store, buffers
+    return B.allocate(B.LAYERS[entry.kind].params(entry, cfg), lambda s: B.draw(rng, s), dtype)
+
+
+def build_block(spec, norm="batch", style="pre_norm", rel_pos=False, window=(1, 1),
+                seed=0, dtype=np.float64):
+    return allocate(block_entry(spec, window), config(norm, style, rel_pos), seed, dtype)
+
+
+def embed_entry(kind, spec, cin, res, prefix):
+    out = (res + 2 * spec.padding - spec.kernel) // spec.stride + 1
+    return PlanEntry(kind, prefix, spec, (cin, res, res), (spec.out_channels, out, out))
+
+
+def head_store(cin, classes):
+    return allocate(PlanEntry("head", "head", None, (cin, 1, 1), (classes,)), config())[0]
 
 
 class TestConvMlpHidden:
@@ -37,10 +58,10 @@ class TestConvMlpHidden:
 
     def test_macs_within_five_percent_of_plain(self):
         for c in (192, 384, 768, 48):
-            spec = BlockSpec("mlp", c, hidden=4 * c)
-            plain = sum(m for _, m, _ in B.mlp_rows(spec, 196, "b"))
-            conv = sum(m for _, m, _ in B.mlp_rows(
-                BlockSpec("mlp", c, hidden=4 * c, use_3x3=True), 196, "b"))
+            plain = sum(m for _, m, _ in layer_rows(
+                block_entry(BlockSpec("mlp", c, hidden=4 * c), (14, 14)), config()))
+            conv = sum(m for _, m, _ in layer_rows(
+                block_entry(BlockSpec("mlp", c, hidden=4 * c, use_3x3=True), (14, 14)), config()))
             assert conv <= plain
             assert conv >= 0.95 * plain
 
@@ -48,17 +69,16 @@ class TestConvMlpHidden:
 class TestStemAndEmbed:
     def test_stem_halves_resolution(self, rng):
         spec = EmbedSpec(7, 2, 16, padding=3, norm_after=True)
-        store, buffers = ParamStore(), {}
-        B.init_stem(store, buffers, np.random.default_rng(0), spec, 3, "stem", np.float32)
+        store, buffers = allocate(embed_entry("stem", spec, 3, 224, "stem"), config(),
+                                  dtype=np.float32)
         x = Tensor(rng.normal(size=(1, 3, 224, 224)).astype(np.float32))
         out = B.stem_forward(x, spec, store, buffers, "stem", training=False)
-        assert out.dims == (1, 16, 112, 112)
+        assert out.shape == (1, 16, 112, 112)
         assert (out.data >= 0).all()
 
     def test_patch_embed_equals_flatten_linear(self, rng):
         spec = EmbedSpec(4, 4, 9)
-        store, buffers = ParamStore(), {}
-        B.init_patch_embed(store, buffers, np.random.default_rng(1), spec, 6, "e", np.float64)
+        store, buffers = allocate(embed_entry("embed", spec, 6, 8, "e"), config(), seed=1)
         x = rng.normal(size=(2, 6, 8, 8))
         out = B.patch_embed_forward(Tensor(x, dtype=np.float64), spec, store, buffers,
                                     "e", training=False).data
@@ -72,16 +92,15 @@ class TestStemAndEmbed:
 
     def test_patch_embed_divisibility_error(self, rng):
         spec = EmbedSpec(4, 4, 8)
-        store, buffers = ParamStore(), {}
-        B.init_patch_embed(store, buffers, np.random.default_rng(0), spec, 3, "e", np.float32)
+        store, buffers = allocate(embed_entry("embed", spec, 3, 8, "e"), config(),
+                                  dtype=np.float32)
         with pytest.raises(ShapeError, match="not divisible"):
             B.patch_embed_forward(Tensor(np.zeros((1, 3, 9, 9))), spec, store, buffers,
                                   "e", training=False)
 
     def test_embed_norm_after_has_no_conv_bias(self):
-        store, buffers = ParamStore(), {}
-        B.init_patch_embed(store, buffers, np.random.default_rng(0),
-                           EmbedSpec(2, 2, 8, norm_after=True), 4, "e", np.float32)
+        store, buffers = allocate(embed_entry("embed", EmbedSpec(2, 2, 8, norm_after=True),
+                                              4, 8, "e"), config(), dtype=np.float32)
         assert "e.conv.b" not in store
         assert "e.norm.gamma" in store and "e.norm.mean" in buffers
 
@@ -92,7 +111,7 @@ class TestBottleneck:
         store, buffers = build_block(spec)
         x = Tensor(rng.normal(size=(2, 96, 7, 7)), dtype=np.float64)
         out = B.bottleneck_forward(x, spec, store, buffers, "b", "batch", "pre_norm", True)
-        assert out.dims == (2, 96, 7, 7)
+        assert out.shape == (2, 96, 7, 7)
 
     def test_zero_final_conv_is_identity(self, rng):
         spec = BlockSpec("bottleneck", 8, hidden=16, groups=2)
@@ -114,7 +133,7 @@ class TestBottleneck:
         assert "b.proj.w" in store
         x = Tensor(rng.normal(size=(2, 16, 8, 8)), dtype=np.float64)
         out = B.bottleneck_forward(x, spec, store, buffers, "b", "batch", "post_norm", True)
-        assert out.dims == (2, 32, 4, 4)
+        assert out.shape == (2, 32, 4, 4)
         assert (out.data >= 0).all()
 
     def test_post_norm_identity_block_has_no_proj(self):
@@ -165,8 +184,8 @@ class TestMlpBlock:
         spec = BlockSpec("mlp", 16, hidden=64, use_3x3=True)
         store, _ = build_block(spec)
         m = conv_mlp_hidden(16, 64, 1)
-        assert store["b.conv.w"].dims == (m, m, 3, 3)
-        assert store["b.fc1.w"].dims == (m, 16, 1, 1)
+        assert store["b.conv.w"].shape == (m, m, 3, 3)
+        assert store["b.fc1.w"].shape == (m, 16, 1, 1)
 
     def test_fd_grads_with_conv(self, rng):
         spec = BlockSpec("mlp", 8, hidden=32, use_3x3=True, groups=2)
@@ -193,7 +212,7 @@ class TestAttentionBlock:
     def test_rel_pos_table_created_with_window(self):
         spec = BlockSpec("attention", 8, hidden=16, heads=2, head_dim=4, attn_inner=8)
         store, _ = build_block(spec, rel_pos=True, window=(3, 3))
-        assert store["b.attn.relpos"].dims == (25, 2)
+        assert store["b.attn.relpos"].shape == (25, 2)
 
     def test_fd_grads(self, rng):
         spec = BlockSpec("attention", 6, hidden=12, heads=2, head_dim=3, attn_inner=6)
@@ -209,32 +228,29 @@ class TestAttentionBlock:
     def test_halved_inner_width_runs(self, rng):
         spec = BlockSpec("attention", 16, hidden=64, heads=2, head_dim=4, attn_inner=8)
         store, buffers = build_block(spec)
-        assert store["b.attn.qkv.w"].dims == (24, 16)
+        assert store["b.attn.qkv.w"].shape == (24, 16)
         x = Tensor(rng.normal(size=(1, 16, 2, 2)), dtype=np.float64)
         out = B.attention_block_forward(x, spec, store, buffers, "b", "batch", True)
-        assert out.dims == (1, 16, 2, 2)
+        assert out.shape == (1, 16, 2, 2)
 
 
 class TestHead:
     def test_gap_identity_fc_pools(self, rng):
-        store = ParamStore()
-        B.init_head(store, np.random.default_rng(0), 4, 4, "head", np.float64)
+        store = head_store(4, 4)
         store["head.fc.w"].data[:] = np.eye(4)
         x = rng.normal(size=(2, 4, 3, 3))
         out = B.head_forward(Tensor(x, dtype=np.float64), "gap", store, "head").data
         np.testing.assert_allclose(out, x.mean(axis=(2, 3)), atol=1e-12)
 
     def test_cls_mode_reads_first_token(self, rng):
-        store = ParamStore()
-        B.init_head(store, np.random.default_rng(0), 4, 4, "head", np.float64)
+        store = head_store(4, 4)
         store["head.fc.w"].data[:] = np.eye(4)
         x = rng.normal(size=(2, 4, 5, 1))
         out = B.head_forward(Tensor(x, dtype=np.float64), "cls_token", store, "head").data
         np.testing.assert_allclose(out, x[:, :, 0, 0], atol=1e-12)
 
     def test_gap_spatial_permutation_invariance(self, rng):
-        store = ParamStore()
-        B.init_head(store, np.random.default_rng(0), 3, 10, "head", np.float64)
+        store = head_store(3, 10)
         x = rng.normal(size=(1, 3, 4, 4))
         perm = rng.permutation(16)
         xp = x.reshape(1, 3, 16)[:, :, perm].reshape(1, 3, 4, 4)
@@ -243,21 +259,20 @@ class TestHead:
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_unknown_mode(self):
-        store = ParamStore()
-        B.init_head(store, np.random.default_rng(0), 4, 10, "head", np.float32)
+        store = head_store(4, 10)
         with pytest.raises(ValueError):
             B.head_forward(Tensor(np.zeros((1, 4, 2, 2))), "max", store, "head")
 
 
 class TestRowCounting:
     def test_one_by_one_conv_row(self):
-        rows = B.mlp_rows(BlockSpec("mlp", 64, hidden=128), 196, "b")
+        rows = layer_rows(block_entry(BlockSpec("mlp", 64, hidden=128), (14, 14)), config())
         fc1 = dict((p, (m, n)) for p, m, n in rows)["b.fc1"]
         assert fc1 == (196 * 64 * 128, 64 * 128 + 128)
 
     def test_attention_rows_hand_check(self):
         spec = BlockSpec("attention", 384, hidden=1536, heads=6, head_dim=64, attn_inner=384)
-        rows = dict((p, (m, n)) for p, m, n in B.attention_block_rows(spec, 196, "b"))
+        rows = dict((p, (m, n)) for p, m, n in layer_rows(block_entry(spec, (14, 14)), config()))
         assert rows["b.attn.qkv"] == (196 * 384 * 1152, 1152 * 384 + 1152)
         assert rows["b.attn.scores"] == (196 * 196 * 384, 0)
         assert rows["b.attn.apply"] == (196 * 196 * 384, 0)
@@ -266,7 +281,7 @@ class TestRowCounting:
 
     def test_norms_and_bias_cost_zero_macs(self):
         spec = BlockSpec("attention", 64, hidden=256, heads=2, head_dim=32, attn_inner=64)
-        rows = B.attention_block_rows(spec, 49, "b", rel_pos=True, window=(7, 7))
+        rows = layer_rows(block_entry(spec, (7, 7)), config(rel_pos=True))
         by_path = dict((p, m) for p, m, _ in rows)
         assert by_path["b.norm1"] == 0 and by_path["b.norm2"] == 0
         assert by_path["b.attn.relpos"] == 0

@@ -1,14 +1,19 @@
 """Checkpoint serialization format and error handling."""
 
+import re
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from visarch import (
     BadMagicError,
+    CheckpointError,
     ChecksumError,
+    ModelConfig,
     VersionError,
     build,
     checkpoint_load,
@@ -16,7 +21,10 @@ from visarch import (
     model_from_checkpoint,
     preset,
 )
+from visarch import checkpoint
+from visarch.blocks import EmbedSpec
 from visarch.checkpoint import MAGIC, load_bytes, optim_tensors, save_bytes
+from visarch.models import StageSpec
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +82,57 @@ class TestRoundTrip:
             save_bytes(model, extra_tensors={"velocity": np.ones(2, np.float32)})
 
 
+class TestAtomicSave:
+    def test_rejected_save_keeps_old_file(self, model, tmp_path):
+        p = tmp_path / "m.vsfm"
+        checkpoint_save(model, p, extra={"seed": 4})
+        before = p.read_bytes()
+        with pytest.raises(ValueError, match="optim"):
+            checkpoint_save(model, p, extra_tensors={"bad.path": np.ones(2, np.float32)})
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_failed_replace_keeps_old_file(self, model, tmp_path, monkeypatch):
+        p = tmp_path / "m.vsfm"
+        checkpoint_save(model, p, extra={"seed": 4})
+        before = p.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(checkpoint.os, "replace", fail)
+        with pytest.raises(OSError, match="disk"):
+            checkpoint_save(model, p, extra={"seed": 5})
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
+
+class TestBadContents:
+    """Stored param./buffer. tensors must be exactly the config's, shape for shape."""
+
+    @pytest.mark.parametrize("key,edit", [
+        ("param.head.fc.b", lambda t, k: t.pop(k)),
+        ("buffer.stem.norm.var", lambda t, k: t.pop(k)),
+        ("param.s9.extra.w", lambda t, k: t.__setitem__(k, np.zeros(2, np.float32))),
+        ("buffer.s9.extra.mean", lambda t, k: t.__setitem__(k, np.zeros(2, np.float32))),
+        ("param.head.fc.w", lambda t, k: t.__setitem__(k, t[k][:, :-1].copy())),
+        ("buffer.stem.norm.mean", lambda t, k: t.__setitem__(k, np.zeros(3, np.float32))),
+    ], ids=["missing-param", "missing-buffer", "extra-param", "extra-buffer",
+            "misshaped-param", "misshaped-buffer"])
+    def test_raises_checkpoint_error_naming_the_path(self, blob, key, edit):
+        loaded = load_bytes(blob)
+        edit(loaded["tensors"], key)
+        with pytest.raises(CheckpointError, match=re.escape(key)):
+            model_from_checkpoint(loaded)
+
+    def test_load_draws_nothing(self, blob, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("model_from_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        model_from_checkpoint(load_bytes(blob))
+
+
 class TestCorruption:
     def test_bad_magic(self, blob):
         with pytest.raises(BadMagicError):
@@ -104,8 +163,42 @@ class TestCorruption:
         with pytest.raises(ChecksumError, match="CRC"):
             load_bytes(bytes(corrupt))
 
+    @pytest.mark.parametrize("offset", [12, 20, 40])
+    def test_flipped_header_byte(self, blob, offset):
+        corrupt = bytearray(blob)
+        corrupt[offset] ^= 0xFF
+        with pytest.raises(ChecksumError, match="CRC"):
+            load_bytes(bytes(corrupt))
+
+    def test_every_prologue_and_header_byte_flip(self):
+        # a model with a tiny payload keeps the exhaustive sweep fast
+        stage = StageSpec(EmbedSpec(4, 4, 2), ())
+        config = ModelConfig("tiny", 8, 2, stem=None, stages=(stage,), final_norm=False)
+        tiny = save_bytes(build(config, seed=0), extra={"seed": 0})
+        header_end = 10 + struct.unpack_from("<I", tiny, 6)[0]
+        for i in range(header_end):
+            for mask in (0x01, 0x80, 0xFF):
+                corrupt = bytearray(tiny)
+                corrupt[i] ^= mask
+                with pytest.raises(CheckpointError):
+                    load_bytes(bytes(corrupt))
+
+    @given(where=st.floats(0, 1, exclude_max=True), mask=st.integers(1, 255))
+    @settings(max_examples=30, deadline=None)
+    def test_sampled_payload_flips(self, blob, where, mask):
+        start = 10 + struct.unpack_from("<I", blob, 6)[0]
+        corrupt = bytearray(blob)
+        corrupt[start + int(where * (len(blob) - start))] ^= mask
+        with pytest.raises(ChecksumError):
+            load_bytes(bytes(corrupt))
+
+    @given(where=st.floats(0, 1, exclude_max=True))
+    @settings(max_examples=30, deadline=None)
+    def test_sampled_truncations(self, blob, where):
+        with pytest.raises(CheckpointError):
+            load_bytes(blob[:int(where * len(blob))])
+
     def test_error_types_are_distinct(self):
-        from visarch import CheckpointError
         for sub in (BadMagicError, VersionError, ChecksumError):
             assert issubclass(sub, CheckpointError)
         assert not issubclass(BadMagicError, VersionError)

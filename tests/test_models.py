@@ -170,6 +170,11 @@ class TestForward:
         with pytest.raises(ShapeError, match="3"):
             model_forward(model, np.zeros((2, 1, 32, 32), np.float32))
 
+    @pytest.mark.parametrize("h,w", [(48, 32), (32, 48)])
+    def test_rejects_non_square(self, model, h, w):
+        with pytest.raises(ShapeError, match=f"H={h} W={w}"):
+            model_forward(model, np.zeros((1, 3, h, w), np.float32))
+
     @pytest.mark.parametrize("name", ["deit_s-micro", "net4-micro",
                                       "resnet50_shape-micro",
                                       "visformer_v2_ti-micro"])

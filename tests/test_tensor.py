@@ -324,6 +324,12 @@ class TestBackward:
         p[np.arange(4), labels] -= 1
         np.testing.assert_allclose(store["z"].grad, p / 4, atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [-1, 5, 2.0], ids=["negative", "K", "float"])
+    def test_cross_entropy_rejects_bad_labels(self, bad):
+        labels = np.array([0, 1, 2, bad])
+        with pytest.raises(ShapeError, match=r"labels must be integers in \[0, 5\)"):
+            T.cross_entropy(Tensor(np.zeros((4, 5))), labels)
+
 
 class TestFiniteDiff:
     def test_quadratic_slope(self):
