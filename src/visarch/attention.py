@@ -1,7 +1,8 @@
-"""Multi-head self-attention on NCHW maps, with selectable score scaling.
+"""Multi-head self-attention on NCHW maps, and attention logits with selectable score scaling.
 
 Token sequences reuse the same code path as spatial maps by shaping them as
-(N, C, T, 1). Score modes exist to control the dynamic range of the logits:
+(N, C, T, 1). Models run the standard scores; the other modes of
+attention_logits exist to control the dynamic range of the logits:
 
 - standard: (q . k) / sqrt(d)
 - prenorm:  (q / d^0.25) . (k / d^0.25), same logits with bounded partials
@@ -114,10 +115,8 @@ class RelPosBiasTable:
         return tz.transpose(rows, (2, 0, 1))
 
 
-def mhsa_forward(x: Tensor, p: AttentionParams, *, mode: str = "standard",
-                 bias: Tensor | None = None,
-                 alpha: float = DEFAULT_PB_RELAX_ALPHA) -> Tensor:
-    """Self-attention over the spatial positions of an (N, C, H, W) map."""
+def mhsa_forward(x: Tensor, p: AttentionParams, *, bias: Tensor | None = None) -> Tensor:
+    """Self-attention with standard scores over the spatial positions of an (N, C, H, W) map."""
     n, c, h, w = x.shape
     if c != p.channels:
         raise ShapeError(f"input has {c} channels, attention expects {p.channels}")
@@ -132,7 +131,7 @@ def mhsa_forward(x: Tensor, p: AttentionParams, *, mode: str = "standard",
         return tz.transpose(tz.reshape(out, (n, t, p.heads, p.head_dim)), (0, 2, 1, 3))
 
     q, k, v = project(0), project(1), project(2)
-    logits = attention_logits(q, k, mode, alpha)
+    logits = attention_logits(q, k)
     if bias is not None:
         logits = tz.add(logits, bias)
     attn = tz.softmax(logits, axis=-1)

@@ -242,9 +242,8 @@ def _bottleneck_params(e, config):
 
 def _bottleneck_macs(e, config):
     """A post-norm bottleneck strides in conv2 and proj, after conv1."""
-    hw = e.in_shape[1] * e.in_shape[2]
-    return _macs_rows(_bottleneck_params(e, config), hw // e.spec.stride ** 2,
-                      at={e.prefix + ".conv1": hw})
+    return _macs_rows(_bottleneck_params(e, config), math.prod(e.out_shape[1:]),
+                      at={e.prefix + ".conv1": math.prod(e.in_shape[1:])})
 
 
 def bottleneck_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
@@ -316,7 +315,7 @@ def _attention_params(e, config):
              + _linear_slots(p + ".attn.qkv", c, 3 * inner)
              + _linear_slots(p + ".attn.proj", inner, c))
     if config.pos_mode == "relative":
-        h, w = e.window
+        h, w = e.in_shape[1:]
         slots.append(Slot(p + ".attn.relpos", ((2 * h - 1) * (2 * w - 1), spec.heads), "trunc"))
     return (slots + _norm_slots(p + ".norm2", c, config.norm)
             + _mlp_branch_params(spec, p + ".mlp"))
@@ -324,7 +323,7 @@ def _attention_params(e, config):
 
 def _attention_macs(e, config):
     """Scores and apply each cost tokens^2 * attn_inner MACs, after norm1 and qkv."""
-    tokens = e.window[0] * e.window[1]
+    tokens = math.prod(e.in_shape[1:])
     rows = _macs_rows(_attention_params(e, config), tokens)
     core = tokens * tokens * e.spec.attn_inner
     rows[2:2] = [(e.prefix + ".attn.scores", core), (e.prefix + ".attn.apply", core)]
@@ -332,7 +331,7 @@ def _attention_macs(e, config):
 
 
 def attention_block_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
-                            norm: str, training: bool, score_mode: str = "standard") -> Tensor:
+                            norm: str, training: bool) -> Tensor:
     with tz.layer_scope(prefix):
         ap = AttentionParams(
             w_qkv=params[prefix + ".attn.qkv.w"], b_qkv=params[prefix + ".attn.qkv.b"],
@@ -343,7 +342,7 @@ def attention_block_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix:
             table = RelPosBiasTable(params[prefix + ".attn.relpos"], x.shape[2], x.shape[3])
             bias = table.bias()
         h = norm_forward(x, params, buffers, prefix + ".norm1", norm, training)
-        x = tz.add_residual(x, mhsa_forward(h, ap, mode=score_mode, bias=bias))
+        x = tz.add_residual(x, mhsa_forward(h, ap, bias=bias))
         h = norm_forward(x, params, buffers, prefix + ".norm2", norm, training)
         return tz.add_residual(x, _mlp_branch_forward(h, spec, params, prefix + ".mlp"))
 
@@ -368,9 +367,12 @@ def head_forward(x: Tensor, mode: str, params, prefix: str) -> Tensor:
 # the per-kind table, and the layers without a block function of their own
 
 
+STEM_POOL = dict(kernel=3, stride=2, padding=1)  # the max pool after a stem
+
+
 def _pool(x, e, m, training):
     with tz.layer_scope(e.prefix):
-        return tz.max_pool2d(x, kernel=3, stride=2, padding=1)
+        return tz.max_pool2d(x, **STEM_POOL)
 
 
 def _cls(x, e, m, training):

@@ -17,6 +17,7 @@ round trips are bit-exact for float32 models (the training dtype).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -113,9 +114,9 @@ def load_bytes(data: bytes) -> dict:
         raise ChecksumError("CRC32 mismatch")
     if len(data) < 10 + header_len + 4:
         raise ChecksumError("file truncated inside the header")
-    header = json.loads(data[10:10 + header_len].decode("utf-8"))
+    header = _header(data[10:10 + header_len])
     offset = 10 + header_len
-    sizes = [int(np.prod(e["dims"], dtype=np.int64)) * 4 for e in header["tensors"]]
+    sizes = [math.prod(e["dims"]) * 4 for e in header["tensors"]]
     if len(data) != offset + sum(sizes) + 4:
         raise ChecksumError(f"payload length mismatch: file has {len(data)} bytes")
     tensors = {}
@@ -123,8 +124,29 @@ def load_bytes(data: bytes) -> dict:
         arr = np.frombuffer(data[offset:offset + size], dtype="<f4")
         tensors[entry["path"]] = arr.reshape(entry["dims"]).copy()
         offset += size
-    return {"config": models.config_from_dict(header["config"]),
-            "extra": header["extra"], "tensors": tensors}
+    try:
+        config = models.config_from_dict(header["config"])
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"header 'config' is malformed: {e!r}") from None
+    return {"config": config, "extra": header["extra"], "tensors": tensors}
+
+
+def _header(raw: bytes) -> dict:
+    """The decoded JSON header, with its fields checked for type."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError both
+        raise CheckpointError(f"header is not UTF-8 JSON: {e}") from None
+    for key, kind in (("config", dict), ("extra", dict), ("tensors", list)):
+        if not isinstance(header, dict) or not isinstance(header.get(key), kind):
+            raise CheckpointError(f"header field '{key}' is missing or not a JSON {kind.__name__}")
+    for i, e in enumerate(header["tensors"]):
+        if not (isinstance(e, dict) and isinstance(e.get("path"), str)
+                and isinstance(e.get("dims"), list)
+                and all(type(d) is int and d >= 0 for d in e["dims"])):
+            raise CheckpointError(f"header 'tensors[{i}]' needs a string path and "
+                                  f"non-negative integer dims, got {e!r}")
+    return header
 
 
 def checkpoint_load(path) -> dict:
@@ -145,16 +167,19 @@ def model_from_checkpoint(loaded: dict) -> models.Model:
         if key.startswith(("param.", "buffer.")) and key not in known:
             raise CheckpointError(f"checkpoint has '{key}', which {config.name} does not")
 
-    def stored(slot):
-        arr = tensors.get(_key(slot))
-        if arr is None or arr.shape != slot.shape:
-            found = "nothing" if arr is None else arr.shape
-            raise CheckpointError(f"'{_key(slot)}' must be {slot.shape}, checkpoint has {found}")
-        return arr
-
-    params, buffers = B.allocate(slots, stored, np.float32)
+    params, buffers = B.allocate(
+        slots, lambda slot: stored_tensor(tensors, _key(slot), slot.shape), np.float32)
     return models.Model(config, params, buffers, np.dtype(np.float32),
                         int(loaded["extra"].get("seed", 0)))
+
+
+def stored_tensor(tensors: dict, key: str, shape: tuple) -> np.ndarray:
+    """tensors[key], which a checkpoint must hold with exactly this shape."""
+    arr = tensors.get(key)
+    if arr is None or arr.shape != shape:
+        found = "nothing" if arr is None else arr.shape
+        raise CheckpointError(f"'{key}' must be {shape}, checkpoint has {found}")
+    return arr
 
 
 def _key(slot) -> str:

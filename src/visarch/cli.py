@@ -61,7 +61,10 @@ def cmd_train(args) -> int:
     resume_state = None
     if args.resume:
         loaded = checkpoint.checkpoint_load(args.resume)
-        saved = TrainConfig(**loaded["extra"]["train_config"])
+        if "train_config" not in loaded["extra"]:
+            raise checkpoint.CheckpointError(
+                f"{args.resume} holds no train_config, so it cannot be resumed")
+        saved = TrainConfig.from_dict(loaded["extra"]["train_config"])
         if saved != config:
             print("resume checkpoint was written by a different train config",
                   file=sys.stderr)

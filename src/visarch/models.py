@@ -57,13 +57,6 @@ class PlanEntry:
     spec: object
     in_shape: tuple
     out_shape: tuple
-    window: tuple | None = None
-
-
-def _conv_out(res: int, k: int, s: int, p: int) -> int:
-    if res + 2 * p < k:
-        raise ShapeError(f"kernel {k} larger than padded input {res}")
-    return (res + 2 * p - k) // s + 1
 
 
 def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanEntry]:
@@ -89,11 +82,11 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
     c = 3
     if config.stem is not None:
         st = config.stem
-        out = _conv_out(res, st.kernel, st.stride, st.padding)
+        out = tz.out_size(res, st.kernel, st.stride, st.padding)
         entries.append(PlanEntry("stem", "stem", st, (c, res, res), (st.out_channels, out, out)))
         res, c = out, st.out_channels
         if config.stem_pool:
-            out = _conv_out(res, 3, 2, 1)
+            out = tz.out_size(res, **B.STEM_POOL)
             entries.append(PlanEntry("pool", "stem.pool", None, (c, res, res), (c, out, out)))
             res = out
     elif config.stem_pool:
@@ -108,7 +101,7 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
                 raise ShapeError(f"patch embedding at '{sp}' must have kernel == stride and no padding")
             if res % e.stride:
                 raise ShapeError(f"resolution {res} not divisible by stride {e.stride} at '{sp}.embed'")
-            out = res // e.stride
+            out = tz.out_size(res, e.kernel, e.stride, e.padding)
             entries.append(PlanEntry("embed", f"{sp}.embed", e, (c, res, res), (e.out_channels, out, out)))
             res, c = out, e.out_channels
         elif i == 0 and config.stem is None:
@@ -129,13 +122,14 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
             if b.kind == "attention":
                 if b.attn_inner != b.heads * b.head_dim:
                     raise ShapeError(f"block '{bp}': attn_inner != heads * head_dim")
-                entries.append(PlanEntry("attention", bp, b, (c,) + hw, (b.channels,) + hw, window=hw))
+                entries.append(PlanEntry("attention", bp, b, (c,) + hw, (b.channels,) + hw))
             elif b.kind == "mlp":
                 entries.append(PlanEntry("mlp", bp, b, (c,) + hw, (b.channels,) + hw))
             elif b.kind == "bottleneck":
                 if b.stride != 1 and config.conv_block_style != "post_norm":
                     raise ShapeError(f"block '{bp}': strided bottlenecks require the post_norm style")
-                out = res // b.stride
+                # conv2 (3x3, pad 1) and the 1x1 proj both stride to this size
+                out = tz.out_size(res, 3, b.stride, 1)
                 entries.append(PlanEntry("bottleneck", bp, b, (c, res, res), (b.channels, out, out)))
                 res = out
                 hw = (res, res)

@@ -3,6 +3,10 @@
 Every op checks its forward output for NaN/Inf and raises NonFiniteError naming
 the innermost layer_scope, so a blow-up points at a layer instead of a loss=nan.
 Gradients accumulate into leaf .grad across backward() calls until cleared.
+
+conv2d and max_pool2d share one window rule: out_size (which layer_plan also
+uses for every spatial shape), one padded gather and its adjoint scatter.
+layer_norm and batch_norm share one normalise-and-affine kernel.
 """
 
 from __future__ import annotations
@@ -317,9 +321,38 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _result("linear", data, parents, bwd)
 
 
+def out_size(size: int, kernel: int, stride: int, padding: int) -> int:
+    """Positions a kernel-wide window visits sliding by stride over size cells
+    padded at both ends: the output size of conv2d, max_pool2d and layer_plan."""
+    if size + 2 * padding < kernel:
+        raise ShapeError(f"kernel {kernel} larger than padded input {size + 2 * padding}")
+    return (size + 2 * padding - kernel) // stride + 1
+
+
+def _windows(xd, kh: int, kw: int, s: int, p: int, fill: float):
+    """(N, C, Ho, Wo, kh, kw) read-only view of every window (stride s) of an
+    NCHW array padded by p cells of `fill`: the gather behind conv2d and max_pool2d."""
+    ho = out_size(xd.shape[2], kh, s, p)
+    wo = out_size(xd.shape[3], kw, s, p)
+    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=fill) if p else xd
+    return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, :ho * s:s, :wo * s:s]
+
+
+def _scatter_windows(dwin, height: int, width: int, s: int, p: int):
+    """Adjoint of _windows: sum (..., Ho, Wo, kh, kw) window gradients back onto
+    the (..., height, width) input they were gathered from."""
+    ho, wo, kh, kw = dwin.shape[-4:]
+    dxp = np.zeros(dwin.shape[:-4] + (height + 2 * p, width + 2 * p), dtype=dwin.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[..., i:i + s * ho:s, j:j + s * wo:s] += dwin[..., i, j]
+    return dxp[..., p:p + height, p:p + width] if p else dxp
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """Grouped 2-d convolution on NCHW via im2col."""
+    """Grouped 2-d convolution on NCHW: one batched GEMM over the group axis,
+    (G, N*Ho*Wo, Cpg*kh*kw) @ (G, Cpg*kh*kw, Cout/G)."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 input and weight, got {xd.shape}, {wd.shape}")
@@ -330,42 +363,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     if Cpg != Cin // groups:
         raise ShapeError(f"weight expects {Cpg * groups} input channels, got {Cin} (groups={groups})")
     s, p = int(stride), int(padding)
-    if H + 2 * p < kh or W + 2 * p < kw:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {H + 2 * p}x{W + 2 * p}")
-    Ho = (H + 2 * p - kh) // s + 1
-    Wo = (W + 2 * p - kw) // s + 1
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    opg = Cout // groups
-    out = np.empty((N, Cout, Ho, Wo), dtype=xd.dtype)
-    cols = []
-    for g in range(groups):
-        colg = np.ascontiguousarray(
-            win[:, g * Cpg:(g + 1) * Cpg].transpose(0, 2, 3, 1, 4, 5)).reshape(N * Ho * Wo, -1)
-        cols.append(colg)
-        wg = wd[g * opg:(g + 1) * opg].reshape(opg, -1)
-        out[:, g * opg:(g + 1) * opg] = (colg @ wg.T).reshape(N, Ho, Wo, opg).transpose(0, 3, 1, 2)
+    win = _windows(xd, kh, kw, s, p, 0.0)
+    Ho, Wo = win.shape[2:4]
+    G, opg = groups, Cout // groups
+    # cols[g] is group g's im2col matrix; wg[g] its (opg, Cpg*kh*kw) filters
+    cols = np.ascontiguousarray(win.reshape(N, G, Cpg, Ho, Wo, kh, kw)
+                                .transpose(1, 0, 3, 4, 2, 5, 6)).reshape(G, N * Ho * Wo, -1)
+    wg = wd.reshape(G, opg, -1)
+    out = (cols @ wg.transpose(0, 2, 1)).reshape(G, N, Ho, Wo, opg)
+    out = np.ascontiguousarray(out.transpose(1, 0, 4, 2, 3)).reshape(N, Cout, Ho, Wo)
     if b is not None:
         out += b.data.reshape(1, Cout, 1, 1)
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(dout):
-        dflat = dout.transpose(0, 2, 3, 1).reshape(N * Ho * Wo, Cout)
-        dw = np.empty_like(wd)
-        for g in range(groups):
-            dg = dflat[:, g * opg:(g + 1) * opg]
-            dw[g * opg:(g + 1) * opg] = (dg.T @ cols[g]).reshape(opg, Cpg, kh, kw)
+        dflat = dout.transpose(0, 2, 3, 1).reshape(N * Ho * Wo, G, opg).transpose(1, 0, 2)
+        dw = (dflat.transpose(0, 2, 1) @ cols).reshape(Cout, Cpg, kh, kw)
         dx = None
         if x.requires_grad or x._backward is not None:
-            dxp = np.zeros((N, Cin, H + 2 * p, W + 2 * p), dtype=xd.dtype)
-            for g in range(groups):
-                wg = wd[g * opg:(g + 1) * opg].reshape(opg, -1)
-                dcol = (dflat[:, g * opg:(g + 1) * opg] @ wg).reshape(N, Ho, Wo, Cpg, kh, kw)
-                tgt = dxp[:, g * Cpg:(g + 1) * Cpg]
-                for i in range(kh):
-                    for j in range(kw):
-                        tgt[:, :, i:i + s * Ho:s, j:j + s * Wo:s] += dcol[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            dx = dxp[:, :, p:p + H, p:p + W] if p else dxp
+            dcols = (dflat @ wg).reshape(G, N, Ho, Wo, Cpg, kh, kw).transpose(1, 0, 4, 2, 3, 5, 6)
+            dx = _scatter_windows(dcols, H, W, s, p).reshape(N, Cin, H, W)
         if b is None:
             return dx, dw
         return dx, dw, dout.sum(axis=(0, 2, 3))
@@ -377,23 +394,20 @@ def max_pool2d(x: Tensor, *, kernel: int = 3, stride: int = 2, padding: int = 1)
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"max_pool2d expects rank-4 input, got {xd.shape}")
-    N, C, H, W = xd.shape
+    H, W = xd.shape[2:]
     k, s, p = int(kernel), int(stride), int(padding)
     if p >= k:
         raise ShapeError("max_pool2d padding must be smaller than the kernel")
-    Ho = (H + 2 * p - k) // s + 1
-    Wo = (W + 2 * p - k) // s + 1
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=-np.inf) if p else xd
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    flat = win.reshape(N, C, Ho, Wo, k * k)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    win = _windows(xd, k, k, s, p, -np.inf)
+    shape = win.shape
+    flat = win.reshape(shape[:4] + (k * k,))
+    arg = flat.argmax(axis=-1)[..., None]
+    out = np.take_along_axis(flat, arg, axis=-1)[..., 0]
 
-    def bwd(dout):
-        dxp = np.zeros((N, C, H + 2 * p, W + 2 * p), dtype=xd.dtype)
-        n, c, oy, ox = np.indices(arg.shape)
-        np.add.at(dxp, (n, c, oy * s + arg // k, ox * s + arg % k), dout)
-        return (dxp[:, :, p:p + H, p:p + W] if p else dxp,)
+    def bwd(dout):  # holds arg and shapes only, so the windows are freed
+        dwin = np.zeros(shape[:4] + (k * k,), dtype=xd.dtype)
+        np.put_along_axis(dwin, arg, dout[..., None], axis=-1)
+        return (_scatter_windows(dwin.reshape(shape), H, W, s, p),)
 
     return _result("max_pool2d", np.ascontiguousarray(out), (x,), bwd)
 
@@ -422,66 +436,63 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _result("softmax", y, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, *, eps: float = 1e-5) -> Tensor:
-    """Normalize over the channel axis (axis 1) of an NCHW map."""
+def _norm_input(op: str, x: Tensor, gamma: Tensor, beta: Tensor) -> np.ndarray:
     xd = x.data
     if xd.ndim != 4:
-        raise ShapeError(f"layer_norm expects rank-4 input, got {xd.shape}")
+        raise ShapeError(f"{op} expects rank-4 input, got {xd.shape}")
     C = xd.shape[1]
     if gamma.data.shape != (C,) or beta.data.shape != (C,):
-        raise ShapeError(f"layer_norm affine shape must be ({C},)")
-    mean = xd.mean(axis=1, keepdims=True)
-    var = xd.var(axis=1, keepdims=True)
+        raise ShapeError(f"{op} affine shape must be ({C},)")
+    return xd
+
+
+def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mean, var, eps: float,
+               stat_axes) -> Tensor:
+    """gamma * (x - mean) / sqrt(var + eps) + beta per channel of an NCHW map.
+    mean and var were taken over the stat_axes of x, so the gradient flows
+    through them, or are fixed statistics if stat_axes is None."""
+    C = x.data.shape[1]
     istd = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mean) * istd
+    xhat = (x.data - mean) * istd
     g = gamma.data.reshape(1, C, 1, 1)
 
     def bwd(dout):
         dxh = dout * g
-        dx = istd * (dxh - dxh.mean(axis=1, keepdims=True)
-                     - xhat * (dxh * xhat).mean(axis=1, keepdims=True))
+        if stat_axes is None:
+            dx = dxh * istd
+        else:
+            dx = istd * (dxh - dxh.mean(axis=stat_axes, keepdims=True)
+                         - xhat * (dxh * xhat).mean(axis=stat_axes, keepdims=True))
         return dx, (dout * xhat).sum(axis=(0, 2, 3)), dout.sum(axis=(0, 2, 3))
 
-    return _result("layer_norm", xhat * g + beta.data.reshape(1, C, 1, 1), (x, gamma, beta), bwd)
+    return _result(op, xhat * g + beta.data.reshape(1, C, 1, 1), (x, gamma, beta), bwd)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, *, eps: float = 1e-5) -> Tensor:
+    """Normalize over the channel axis (axis 1) of an NCHW map."""
+    xd = _norm_input("layer_norm", x, gamma, beta)
+    return _normalize("layer_norm", x, gamma, beta, xd.mean(axis=1, keepdims=True),
+                      xd.var(axis=1, keepdims=True), eps, stat_axes=1)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, *,
                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """BatchNorm over (N, H, W) per channel; running buffers are plain arrays
     updated in place during training (unbiased variance in the running estimate)."""
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError(f"batch_norm expects rank-4 input, got {xd.shape}")
-    N, C, H, W = xd.shape
-    if gamma.data.shape != (C,) or beta.data.shape != (C,):
-        raise ShapeError(f"batch_norm affine shape must be ({C},)")
-    g = gamma.data.reshape(1, C, 1, 1)
-    bt = beta.data.reshape(1, C, 1, 1)
-    if training:
-        n = N * H * W
-        if n < 2:
-            raise ShapeError("batch_norm in training mode needs more than one value per channel")
-        mean = xd.mean(axis=(0, 2, 3))
-        var = xd.var(axis=(0, 2, 3))
-        running_mean[:] = (1 - momentum) * running_mean + momentum * mean
-        running_var[:] = (1 - momentum) * running_var + momentum * var * (n / (n - 1))
-        istd = 1.0 / np.sqrt(var + eps).reshape(1, C, 1, 1)
-        xhat = (xd - mean.reshape(1, C, 1, 1)) * istd
-
-        def bwd(dout):
-            dxh = dout * g
-            dx = istd * (dxh - dxh.mean(axis=(0, 2, 3), keepdims=True)
-                         - xhat * (dxh * xhat).mean(axis=(0, 2, 3), keepdims=True))
-            return dx, (dout * xhat).sum(axis=(0, 2, 3)), dout.sum(axis=(0, 2, 3))
-    else:
-        istd = 1.0 / np.sqrt(running_var + eps).reshape(1, C, 1, 1)
-        xhat = (xd - running_mean.reshape(1, C, 1, 1)) * istd
-
-        def bwd(dout):
-            dxh = dout * g
-            return dxh * istd, (dout * xhat).sum(axis=(0, 2, 3)), dout.sum(axis=(0, 2, 3))
-
-    return _result("batch_norm", xhat * g + bt, (x, gamma, beta), bwd)
+    xd = _norm_input("batch_norm", x, gamma, beta)
+    C = xd.shape[1]
+    if not training:
+        return _normalize("batch_norm", x, gamma, beta, running_mean.reshape(1, C, 1, 1),
+                          running_var.reshape(1, C, 1, 1), eps, stat_axes=None)
+    n = xd.size // C
+    if n < 2:
+        raise ShapeError("batch_norm in training mode needs more than one value per channel")
+    mean = xd.mean(axis=(0, 2, 3))
+    var = xd.var(axis=(0, 2, 3))
+    running_mean[:] = (1 - momentum) * running_mean + momentum * mean
+    running_var[:] = (1 - momentum) * running_var + momentum * var * (n / (n - 1))
+    return _normalize("batch_norm", x, gamma, beta, mean.reshape(1, C, 1, 1),
+                      var.reshape(1, C, 1, 1), eps, stat_axes=(0, 2, 3))
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import models
-from . import tensor as tz
+from .checkpoint import CheckpointError, stored_tensor
 from .data import Dataset, augment_batch, synth_dataset
-from .tensor import ParamStore, Tensor, backward, cross_entropy, finite_diff_grad
+from .tensor import ParamStore, backward, cross_entropy, finite_diff_grad
 
 OPTIMIZERS = ("sgd_momentum", "adamw")
 REFERENCE_BATCH = 512
@@ -44,8 +44,11 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.base_lr < 0 or self.lr_floor < 0:
-            raise ValueError("learning rates must be nonnegative")
+        for name in ("base_lr", "lr_floor", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
 
@@ -53,8 +56,16 @@ class TrainConfig:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
+    def from_dict(d) -> "TrainConfig":
+        """A TrainConfig from parsed JSON; a malformed one raises ValueError."""
+        try:
+            return TrainConfig(**d)
+        except TypeError as e:  # not an object, or a field unknown, missing or mistyped
+            raise ValueError(f"bad train config: {e}") from None
+
+    @staticmethod
     def from_json(text: str) -> "TrainConfig":
-        return TrainConfig(**json.loads(text))
+        return TrainConfig.from_dict(json.loads(text))
 
 
 def cosine_lr(config: TrainConfig, epoch: int) -> float:
@@ -69,43 +80,54 @@ def cosine_lr(config: TrainConfig, epoch: int) -> float:
     return floor + (peak - floor) * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
-class SGDMomentum:
+class _SlotState:
+    """Per-parameter optimizer state: each name in slots is an attribute holding
+    {parameter path: array}, saved in checkpoints as optim.<path>.<slot>."""
+
+    slots: tuple = ()
+
+    def state_tensors(self) -> dict:
+        return {f"optim.{p}.{s}": arr for s in self.slots for p, arr in getattr(self, s).items()}
+
+    def scalar_state(self) -> dict:
+        return {}
+
+    def load_state(self, tensors: dict, scalars: dict) -> None:
+        for s in self.slots:
+            state = getattr(self, s)
+            for p, arr in state.items():
+                state[p] = stored_tensor(tensors, f"optim.{p}.{s}", arr.shape).copy()
+
+
+class SGDMomentum(_SlotState):
     """Classical momentum with L2 weight decay folded into the gradient."""
 
     name = "sgd_momentum"
+    slots = ("v",)
 
     def __init__(self, store: ParamStore, momentum: float = 0.9,
                  weight_decay: float = 0.0):
         self.store = store
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = {p: np.zeros_like(t.data) for p, t in store.items()}
+        self.v = {p: np.zeros_like(t.data) for p, t in store.items()}
 
     def step(self, lr: float) -> None:
         for path, t in self.store.items():
             if t.grad is None:
                 continue
             g = t.grad + self.weight_decay * t.data
-            v = self.velocity[path]
+            v = self.v[path]
             v *= self.momentum
             v += g
             t.data -= lr * v
 
-    def state_tensors(self) -> dict:
-        return {f"optim.{p}.v": v for p, v in self.velocity.items()}
 
-    def scalar_state(self) -> dict:
-        return {}
-
-    def load_state(self, tensors: dict, scalars: dict) -> None:
-        for path in self.velocity:
-            self.velocity[path] = tensors[f"optim.{path}.v"].copy()
-
-
-class AdamW:
+class AdamW(_SlotState):
     """Adam with decoupled weight decay."""
 
     name = "adamw"
+    slots = ("m", "v")
 
     def __init__(self, store: ParamStore, betas=(0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
@@ -135,21 +157,18 @@ class AdamW:
             t.data -= lr * ((m / c1) / (np.sqrt(v / c2) + self.eps)
                             + self.weight_decay * t.data)
 
-    def state_tensors(self) -> dict:
-        out = {}
-        for p in self.m:
-            out[f"optim.{p}.m"] = self.m[p]
-            out[f"optim.{p}.v"] = self.v[p]
-        return out
-
     def scalar_state(self) -> dict:
         return {"adam_steps": self.steps}
 
     def load_state(self, tensors: dict, scalars: dict) -> None:
-        self.steps = int(scalars["adam_steps"])
-        for path in self.m:
-            self.m[path] = tensors[f"optim.{path}.m"].copy()
-            self.v[path] = tensors[f"optim.{path}.v"].copy()
+        self.steps = int(_scalar(scalars, "adam_steps"))
+        super().load_state(tensors, scalars)
+
+
+def _scalar(scalars: dict, key: str):
+    if key not in scalars:
+        raise CheckpointError(f"checkpoint extra has no '{key}'")
+    return scalars[key]
 
 
 def make_optimizer(config: TrainConfig, store: ParamStore):
@@ -202,7 +221,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
         model = resume_state["model"]
         optim = make_optimizer(config, model.params)
         optim.load_state(resume_state["tensors"], resume_state["scalars"])
-        start_epoch = int(resume_state["scalars"]["epoch"]) + 1
+        start_epoch = int(_scalar(resume_state["scalars"], "epoch")) + 1
 
     result = TrainResult(config, model, optim, last_epoch=start_epoch - 1)
     end_epoch = config.epochs if stop_after is None else min(stop_after, config.epochs)

@@ -79,6 +79,13 @@ class TestRules:
         rows = shape_table(preset("visformer_s"), resolution=448)
         assert rows[0][1] == (3, 448, 448)
 
+    def test_odd_stage_resolutions_count_the_shapes_the_forward_runs(self):
+        # at 200 the strided stages see 25x25 and 13x13 maps: 3x3 pad-1 stride-2
+        # convs give 13x13 and 7x7, not 25 // 2 and 13 // 2
+        out = {p: o for p, _, o in shape_table(preset("resnet50_shape"), 200)}
+        assert (out["s2.b0"][1], out["s3.b0"][1]) == (13, 7)
+        assert count_macs(preset("resnet50_shape"), 200) == 3_498_822_656
+
     def test_table_footers(self):
         text = complexity_report(preset("visformer_ti")).table()
         assert "total MACs ≈ 1.27G" in text

@@ -19,7 +19,7 @@ def config(norm="batch", style="pre_norm", rel_pos=False):
 
 def block_entry(spec, hw=(1, 1)):
     shape = (spec.in_channels or spec.channels,) + hw
-    return PlanEntry(spec.kind, "b", spec, shape, (spec.channels,) + hw, window=hw)
+    return PlanEntry(spec.kind, "b", spec, shape, (spec.channels,) + hw)
 
 
 def allocate(entry, cfg, seed=0, dtype=np.float64):
@@ -33,7 +33,7 @@ def build_block(spec, norm="batch", style="pre_norm", rel_pos=False, window=(1, 
 
 
 def embed_entry(kind, spec, cin, res, prefix):
-    out = (res + 2 * spec.padding - spec.kernel) // spec.stride + 1
+    out = T.out_size(res, spec.kernel, spec.stride, spec.padding)
     return PlanEntry(kind, prefix, spec, (cin, res, res), (spec.out_channels, out, out))
 
 

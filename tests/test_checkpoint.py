@@ -1,5 +1,6 @@
 """Checkpoint serialization format and error handling."""
 
+import json
 import re
 import struct
 import zlib
@@ -131,6 +132,75 @@ class TestBadContents:
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         model_from_checkpoint(load_bytes(blob))
+
+
+def sealed(header, payload=b""):
+    """A checkpoint around an arbitrary header, with a valid CRC."""
+    raw = header if isinstance(header, bytes) else json.dumps(
+        header, sort_keys=True, separators=(",", ":")).encode()
+    body = MAGIC + struct.pack("<HI", checkpoint.VERSION, len(raw)) + raw + payload
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestMalformedHeader:
+    """A header past a valid CRC is still checked field by field."""
+
+    @pytest.fixture
+    def header(self, blob):
+        n = struct.unpack_from("<I", blob, 6)[0]
+        return json.loads(blob[10:10 + n]), blob[10 + n:-4]
+
+    def test_resealed_header_loads(self, blob, header):
+        assert sealed(*header) == blob
+
+    @pytest.mark.parametrize("raw,match", [
+        (b"\xff\xfe", "not UTF-8 JSON"),
+        (b"{not json", "not UTF-8 JSON"),
+        (b"[1, 2]", "header field 'config'"),
+    ], ids=["not-utf8", "not-json", "not-object"])
+    def test_undecodable(self, raw, match):
+        with pytest.raises(CheckpointError, match=match):
+            load_bytes(sealed(raw))
+
+    @pytest.mark.parametrize("field", ["config", "extra", "tensors"])
+    def test_missing_field(self, header, field):
+        head, payload = header
+        del head[field]
+        with pytest.raises(CheckpointError, match=f"'{field}'"):
+            load_bytes(sealed(head, payload))
+
+    @pytest.mark.parametrize("field,value", [
+        ("config", []), ("extra", 3), ("tensors", {}),
+    ])
+    def test_mistyped_field(self, header, field, value):
+        head, payload = header
+        head[field] = value
+        with pytest.raises(CheckpointError, match=f"'{field}'"):
+            load_bytes(sealed(head, payload))
+
+    @pytest.mark.parametrize("entry", [
+        {"path": "param.x", "rank": 1},
+        {"path": "param.x", "rank": 1, "dims": [-2]},
+        {"path": "param.x", "rank": 1, "dims": ["2"]},
+        {"rank": 1, "dims": [2]},
+        "param.x",
+    ], ids=["no-dims", "negative-dims", "string-dims", "no-path", "not-object"])
+    def test_bad_tensor_entry(self, header, entry):
+        head, payload = header
+        head["tensors"].insert(0, entry)
+        with pytest.raises(CheckpointError, match=re.escape("'tensors[0]'")):
+            load_bytes(sealed(head, payload))
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.pop("stages"),
+        lambda c: c["stages"][0]["blocks"][0].update(bogus=1),
+        lambda c: c.update(stages=7),
+    ], ids=["missing-stages", "unknown-block-field", "mistyped-stages"])
+    def test_bad_config(self, header, edit):
+        head, payload = header
+        edit(head["config"])
+        with pytest.raises(CheckpointError, match="'config'"):
+            load_bytes(sealed(head, payload))
 
 
 class TestCorruption:

@@ -1,10 +1,13 @@
 """Command-line interface behavior via main(argv)."""
 
 import json
+import struct
+import zlib
 
 import pytest
 
-from visarch import TrainConfig, checkpoint_load
+from visarch import TrainConfig, build, checkpoint_load, checkpoint_save, preset
+from visarch.checkpoint import MAGIC, VERSION
 from visarch.cli import main
 
 
@@ -121,6 +124,32 @@ class TestTrain:
                      "--resume", str(resumed)]) == 0
         capsys.readouterr()
         assert straight.read_bytes() == resumed.read_bytes()
+
+    def test_unknown_config_key_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        cfg = json.loads(TrainConfig("visformer_ti-micro", 1, 4).to_json())
+        path.write_text(json.dumps(dict(cfg, lr=0.1)))
+        rc, _, err = run(capsys, "train", "--config", str(path))
+        assert rc == 1
+        assert "unexpected keyword argument 'lr'" in err
+
+    def test_resume_from_model_only_checkpoint_exits_1(self, capsys, tmp_path):
+        model_only = tmp_path / "m.vsfm"
+        checkpoint_save(build(preset("visformer_ti-micro"), seed=0), model_only,
+                        extra={"seed": 0})
+        rc, _, err = run(capsys, "train", "--config", str(write_config(tmp_path)),
+                         "--resume", str(model_only))
+        assert rc == 1
+        assert "no train_config" in err
+
+    def test_resume_from_malformed_header_exits_1(self, capsys, tmp_path):
+        bad = tmp_path / "bad.vsfm"
+        body = MAGIC + struct.pack("<HI", VERSION, 2) + b"{}"
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rc, _, err = run(capsys, "train", "--config", str(write_config(tmp_path)),
+                         "--resume", str(bad))
+        assert rc == 1
+        assert "'config'" in err
 
     def test_missing_config_exits_1(self, capsys, tmp_path):
         rc, _, err = run(capsys, "train", "--config", str(tmp_path / "nope.json"))

@@ -98,6 +98,73 @@ class TestConv:
             T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
 
 
+class TestWindowRule:
+    @pytest.mark.parametrize("size,k,s,p,out", [
+        (224, 7, 2, 3, 112), (112, 3, 2, 1, 56), (5, 3, 2, 1, 3), (3, 3, 2, 1, 2),
+        (3, 1, 2, 0, 2), (32, 4, 4, 0, 8), (3, 3, 1, 0, 1)])
+    def test_out_size(self, size, k, s, p, out):
+        assert T.out_size(size, k, s, p) == out
+
+    def test_out_size_rejects_kernel_larger_than_padded_input(self):
+        with pytest.raises(ShapeError, match="kernel 5 larger than padded input 4"):
+            T.out_size(2, 5, 1, 1)
+
+    @pytest.mark.parametrize("k,s,p", [(1, 1, 0), (1, 2, 0), (2, 2, 0), (3, 1, 1),
+                                       (3, 2, 1), (3, 3, 0), (4, 3, 2)])
+    def test_ops_produce_the_predicted_size(self, rng, k, s, p):
+        for size in range(max(k - 2 * p, 1), 9):
+            x = Tensor(rng.normal(size=(1, 2, size, size)))
+            want = T.out_size(size, k, s, p)
+            conv = T.conv2d(x, Tensor(rng.normal(size=(2, 2, k, k))), stride=s, padding=p)
+            assert conv.shape == (1, 2, want, want)
+            if p < k:
+                pool = T.max_pool2d(x, kernel=k, stride=s, padding=p)
+                assert pool.shape == (1, 2, want, want)
+
+    def test_max_pool_rejects_kernel_larger_than_padded_input(self):
+        with pytest.raises(ShapeError, match="larger than padded input"):
+            T.max_pool2d(Tensor(np.ones((1, 1, 2, 2))), kernel=5, stride=1, padding=1)
+
+    def test_conv_output_is_c_contiguous(self, rng):
+        x = Tensor(rng.normal(size=(2, 8, 5, 5)))
+        out = T.conv2d(x, Tensor(rng.normal(size=(4, 2, 3, 3))), stride=2, padding=1, groups=4)
+        assert out.data.flags.c_contiguous
+
+    def test_grouped_conv_backward_matches_split_convs(self, rng):
+        def grads(x, w, dout, groups):
+            store = ParamStore()
+            param(store, "x", x)
+            param(store, "w", w)
+            out = T.conv2d(store["x"], store["w"], stride=2, padding=1, groups=groups)
+            backward(T.sum_all(T.mul(out, Tensor(dout))))
+            return store["x"].grad, store["w"].grad
+
+        x = rng.normal(size=(2, 6, 7, 7))
+        w = rng.normal(size=(4, 3, 3, 3))
+        dout = rng.normal(size=(2, 4, 4, 4))
+        dx, dw = grads(x, w, dout, groups=2)
+        for g in range(2):
+            dxg, dwg = grads(x[:, 3 * g:3 * g + 3], w[2 * g:2 * g + 2], dout[:, 2 * g:2 * g + 2], 1)
+            np.testing.assert_allclose(dx[:, 3 * g:3 * g + 3], dxg, atol=1e-12)
+            np.testing.assert_allclose(dw[2 * g:2 * g + 2], dwg, atol=1e-12)
+
+    def test_max_pool_backward_routes_to_each_window_max(self, rng):
+        # reference: every output's gradient lands on its window's first maximum
+        x = rng.normal(size=(2, 3, 7, 7))
+        dout = rng.normal(size=(2, 3, 4, 4))
+        store = ParamStore()
+        param(store, "x", x)
+        backward(T.sum_all(T.mul(T.max_pool2d(store["x"], kernel=3, stride=2, padding=1),
+                                 Tensor(dout))))
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
+        want = np.zeros_like(xp)
+        for n, c, oy, ox in np.ndindex(dout.shape):
+            win = xp[n, c, 2 * oy:2 * oy + 3, 2 * ox:2 * ox + 3]
+            i, j = np.unravel_index(win.argmax(), win.shape)
+            want[n, c, 2 * oy + i, 2 * ox + j] += dout[n, c, oy, ox]
+        np.testing.assert_allclose(store["x"].grad, want[:, :, 1:-1, 1:-1], atol=1e-12)
+
+
 class TestLinear:
     def test_matches_one_by_one_conv(self, rng):
         x = rng.normal(size=(3, 5)).astype(np.float32)
@@ -144,6 +211,21 @@ class TestNorms:
         b = Tensor(np.zeros(2))
         with pytest.raises(ShapeError):
             T.batch_norm(Tensor(np.ones((1, 2, 1, 1))), g, b, np.zeros(2), np.ones(2), training=True)
+
+    def test_batch_norm_eval_backward_is_fixed_affine(self, rng):
+        # eval-mode statistics are constants: dx = gamma / sqrt(var + eps) * dout
+        store = ParamStore()
+        param(store, "x", rng.normal(size=(2, 3, 2, 2)))
+        param(store, "g", rng.normal(size=3))
+        param(store, "b", rng.normal(size=3))
+        rm, rv = rng.normal(size=3), 1 + rng.random(3)
+        dout = rng.normal(size=(2, 3, 2, 2))
+        out = T.batch_norm(store["x"], store["g"], store["b"], rm, rv, training=False)
+        backward(T.sum_all(T.mul(out, Tensor(dout))))
+        scale = (store["g"].data / np.sqrt(rv + 1e-5)).reshape(1, 3, 1, 1)
+        np.testing.assert_allclose(store["x"].grad, dout * scale, atol=1e-12)
+        xhat = (store["x"].data - rm.reshape(1, 3, 1, 1)) / np.sqrt(rv + 1e-5).reshape(1, 3, 1, 1)
+        np.testing.assert_allclose(store["g"].grad, (dout * xhat).sum(axis=(0, 2, 3)), atol=1e-12)
 
     def test_layer_norm_normalizes_channels(self, rng):
         x = rng.normal(size=(2, 8, 3, 3))

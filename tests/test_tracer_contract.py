@@ -3,7 +3,8 @@
 perfbench/spans.py replaces the named block forwards on visarch.blocks and
 visarch.models.model_forward while it is installed. The layer table must call
 those module-level names, not hold the function objects, or the traced spans
-miss blocks and the MAC join against complexity_report fails.
+miss blocks and the MAC join against complexity_report fails. The join also
+fails wherever layer_plan predicts a shape the forward does not produce.
 """
 
 import importlib.util
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from visarch import build, models, preset
+from visarch import build, models, preset, shape_table
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -23,12 +24,26 @@ def load_spans():
     return module
 
 
-def test_traced_forward_joins_complexity_report():
+def traced_join(name, res):
     spans = load_spans()
-    model = build(preset("visformer_ti-micro"), seed=0)
-    x = np.random.default_rng(0).normal(size=(2, 3, 32, 32)).astype(np.float32)
+    model = build(preset(name), seed=0)
+    x = np.random.default_rng(0).normal(size=(2, 3, res, res)).astype(np.float32)
     with spans.Tracer() as tracer:
         models.model_forward(model, x)
-    checked, errors, block_macs = spans.mac_join(tracer.spans)
+    return spans.mac_join(tracer.spans)
+
+
+def test_traced_forward_joins_complexity_report():
+    checked, errors, block_macs = traced_join("visformer_ti-micro", 32)
     assert (checked, errors) == (1, [])
     assert block_macs
+
+
+def test_plan_matches_forward_at_odd_stage_resolutions():
+    # at 40 the strided stages of resnet50_shape-micro see 5x5 and 3x3 inputs,
+    # which a 3x3 pad-1 stride-2 conv maps to 3x3 and 2x2
+    checked, errors, _ = traced_join("resnet50_shape-micro", 40)
+    assert (checked, errors) == (1, [])
+    out = {path: o for path, _, o in shape_table(preset("resnet50_shape-micro"), 40)}
+    assert out["s2.b0"][1:] == (3, 3)
+    assert out["s3.b0"][1:] == (2, 2)

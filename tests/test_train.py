@@ -5,6 +5,7 @@ import pytest
 
 import visarch.tensor as vt
 from visarch import (
+    CheckpointError,
     NonFiniteError,
     TrainConfig,
     build,
@@ -46,10 +47,25 @@ class TestConfig:
         dict(base_lr=-0.1),
         dict(lr_floor=-1e-6),
         dict(optimizer="sgd"),
+        dict(momentum=float("nan")),
+        dict(weight_decay=-0.01),
+        dict(base_lr=float("nan")),
+        dict(weight_decay=float("inf")),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             tiny_config(**kw)
+
+    @pytest.mark.parametrize("text,match", [
+        ('{"preset": "visformer_ti-micro", "epochs": 1, "batch_size": 4, "lr": 0.1}',
+         "unexpected keyword argument 'lr'"),
+        ('{"preset": "visformer_ti-micro", "epochs": 1}', "missing .*'batch_size'"),
+        ('{"preset": "visformer_ti-micro", "epochs": "1", "batch_size": 4}', "bad train config"),
+        ('[1, 2]', "must be a mapping"),
+    ], ids=["unknown-key", "missing-key", "mistyped-value", "not-object"])
+    def test_from_json_rejects_malformed(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig.from_json(text)
 
     def test_zero_lr_is_valid(self):
         cfg = tiny_config(base_lr=0.0, lr_floor=0.0)
@@ -138,6 +154,49 @@ class TestOptimizers:
         assert set(SGDMomentum(store).state_tensors()) == {"optim.w.v"}
         assert set(AdamW(store).state_tensors()) == {"optim.w.m", "optim.w.v"}
         assert AdamW(store).scalar_state() == {"adam_steps": 0}
+
+
+class TestOptimizerState:
+    """SGD and AdamW keep per-parameter state in named slots, saved as optim.<path>.<slot>."""
+
+    def make(self, cls):
+        store = ParamStore()
+        store.add("a.w", Tensor(np.array([[1.0, -2.0]])))
+        store.add("b", Tensor(np.array([0.5])))
+        for _, t in store.items():
+            t.grad = np.ones_like(t.data)
+        opt = cls(store)
+        opt.step(0.1)
+        return opt
+
+    @pytest.mark.parametrize("cls,slots", [(SGDMomentum, ("v",)), (AdamW, ("m", "v"))])
+    def test_round_trip(self, cls, slots):
+        opt = self.make(cls)
+        saved = opt.state_tensors()
+        assert set(saved) == {f"optim.{p}.{s}" for p in ("a.w", "b") for s in slots}
+        fresh = cls(opt.store)
+        fresh.load_state(saved, opt.scalar_state())
+        assert fresh.scalar_state() == opt.scalar_state()
+        for key, arr in fresh.state_tensors().items():
+            assert arr.tobytes() == saved[key].tobytes()
+            assert arr is not saved[key]
+
+    @pytest.mark.parametrize("cls", [SGDMomentum, AdamW])
+    @pytest.mark.parametrize("edit", ["missing", "misshaped"])
+    def test_bad_tensor_names_the_key(self, cls, edit):
+        opt = self.make(cls)
+        saved = opt.state_tensors()
+        if edit == "missing":
+            del saved["optim.a.w.v"]
+        else:
+            saved["optim.a.w.v"] = np.zeros(3)
+        with pytest.raises(CheckpointError, match=r"'optim\.a\.w\.v'"):
+            cls(opt.store).load_state(saved, opt.scalar_state())
+
+    def test_adamw_needs_its_step_count(self):
+        opt = self.make(AdamW)
+        with pytest.raises(CheckpointError, match="adam_steps"):
+            AdamW(opt.store).load_state(opt.state_tensors(), {})
 
 
 class TestLoop:
