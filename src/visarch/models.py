@@ -15,6 +15,7 @@ for gradient checking and smoke training.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -168,7 +169,12 @@ def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
 
 
 def model_forward(model: Model, x, training: bool = False) -> Tensor:
-    """Run the network on a square (N, 3, H, H) batch; returns (N, num_classes) logits."""
+    """Run the network on a square (N, 3, H, H) batch; returns (N, num_classes) logits.
+
+    Eval mode (training=False) runs under tz.no_grad: it records no graph, so
+    its logits hold no activations and backward() on a loss built from them
+    raises GraphError. Train mode records the graph for backward().
+    """
     if isinstance(x, np.ndarray):
         x = Tensor(x.astype(model.dtype, copy=False))
     if len(x.shape) != 4 or x.shape[1] != 3:
@@ -176,7 +182,7 @@ def model_forward(model: Model, x, training: bool = False) -> Tensor:
     height, width = x.shape[2], x.shape[3]
     if height != width:
         raise ShapeError(f"input must be square, got H={height} W={width}")
-    with tz.layer_scope(model.config.name):
+    with tz.layer_scope(model.config.name), (nullcontext() if training else tz.no_grad()):
         for e in layer_plan(model.config, resolution=width):
             x = B.LAYERS[e.kind].forward(x, e, model, training)
     return x

@@ -6,7 +6,9 @@ Gradients accumulate into leaf .grad across backward() calls until cleared.
 
 conv2d and max_pool2d share one window rule: out_size (which layer_plan also
 uses for every spatial shape), one padded gather and its adjoint scatter.
-layer_norm and batch_norm share one normalise-and-affine kernel.
+conv2d runs a 1x1, unpadded, ungrouped kernel as one channel GEMM on NCHW
+instead. layer_norm and batch_norm share one normalise-and-affine kernel.
+Under no_grad ops record no graph, so backward() on their result raises.
 """
 
 from __future__ import annotations
@@ -179,12 +181,12 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation gelu: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     xd = x.data
-    u = _GELU_C * (xd + 0.044715 * xd ** 3)
-    t = np.tanh(u)
+    # products, not float pow: a float32 x ** 3 costs ~90x more than x * x * x
+    t = np.tanh(_GELU_C * (xd + 0.044715 * (xd * xd * xd)))
 
     def bwd(dout):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * xd ** 2)
-        return (dout * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t ** 2) * du),)
+        du = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
+        return (dout * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
 
     return _result("gelu", 0.5 * xd * (1.0 + t), (x,), bwd)
 
@@ -349,10 +351,41 @@ def _scatter_windows(dwin, height: int, width: int, s: int, p: int):
     return dxp[..., p:p + height, p:p + width] if p else dxp
 
 
+def _channel_gemm(x: Tensor, w: Tensor, b: Tensor | None, s: int) -> Tensor:
+    """1x1 convolution, no padding, one group, as (Cout, Cin) @ (N, Cin, Ho*Wo)
+    straight on NCHW: no im2col and no transposed copies."""
+    xd = x.data[:, :, ::s, ::s] if s > 1 else x.data
+    N, Cin, Ho, Wo = xd.shape
+    xs = xd.reshape(N, Cin, Ho * Wo)  # copies only a strided or non-contiguous input
+    wm = w.data.reshape(-1, Cin)
+    out = wm @ xs
+    if b is not None:
+        out += b.data.reshape(-1, 1)
+    parents = (x, w) if b is None else (x, w, b)
+
+    def bwd(dout):
+        d = dout.reshape(N, -1, Ho * Wo)
+        dw = np.tensordot(d, xs, axes=([0, 2], [0, 2])).reshape(w.data.shape)
+        dx = None
+        if x.requires_grad or x._backward is not None:
+            dxs = (wm.T @ d).reshape(N, Cin, Ho, Wo)
+            if s == 1:
+                dx = dxs
+            else:
+                dx = np.zeros(x.data.shape, dtype=dxs.dtype)
+                dx[:, :, ::s, ::s] = dxs
+        if b is None:
+            return dx, dw
+        return dx, dw, dout.sum(axis=(0, 2, 3))
+
+    return _result("conv2d", out.reshape(N, -1, Ho, Wo), parents, bwd)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """Grouped 2-d convolution on NCHW: one batched GEMM over the group axis,
-    (G, N*Ho*Wo, Cpg*kh*kw) @ (G, Cpg*kh*kw, Cout/G)."""
+    """2-d convolution on NCHW. A 1x1 kernel with no padding and one group is
+    one channel GEMM (_channel_gemm); any other kernel is one batched GEMM
+    over the group axis, (G, N*Ho*Wo, Cpg*kh*kw) @ (G, Cpg*kh*kw, Cout/G)."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 input and weight, got {xd.shape}, {wd.shape}")
@@ -363,6 +396,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     if Cpg != Cin // groups:
         raise ShapeError(f"weight expects {Cpg * groups} input channels, got {Cin} (groups={groups})")
     s, p = int(stride), int(padding)
+    if kh == kw == 1 and p == 0 and groups == 1:
+        return _channel_gemm(x, w, b, s)
     win = _windows(xd, kh, kw, s, p, 0.0)
     Ho, Wo = win.shape[2:4]
     G, opg = groups, Cout // groups
@@ -527,6 +562,10 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss; accumulates into leaf .grad."""
     if loss.data.shape not in ((), (1,)):
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if loss._backward is None and not loss.requires_grad:
+        raise GraphError("backward: the loss has no recorded graph (it was computed under "
+                         "no_grad, by an eval-mode forward, or from tensors that need no "
+                         "gradient); run model_forward with training=True")
     topo = []
     seen = set()
     stack = [(loss, False)]
@@ -606,9 +645,11 @@ class ParamStore:
 
 
 def finite_diff_grad(f, store: ParamStore, path: str, index: int, h: float = 1e-3) -> float:
-    """Central-difference d f / d store[path].flat[index]; restores the value."""
+    """Central-difference d f / d store[path].flat[index]; restores the value.
+    The probe forwards only read the loss value, so they record no graph."""
     def evaluate():
-        out = f()
+        with no_grad():
+            out = f()
         return float(out.data) if isinstance(out, Tensor) else float(out)
 
     flat = store[path].data.reshape(-1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -20,6 +20,11 @@ from .tensor import ParamStore, backward, cross_entropy, finite_diff_grad
 
 OPTIMIZERS = ("sgd_momentum", "adamw")
 REFERENCE_BATCH = 512
+# TrainConfig field annotation -> (accepted types, how an error names them):
+# the JSON types, so every valid config round-trips through to_json; a bool
+# is only a bool, never an int or a float
+_FIELD_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+                "float": ((int, float), "a number"), "bool": (bool, "true or false")}
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,12 @@ class TrainConfig:
     data_seed: int = 7
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            types, kind = _FIELD_TYPES[f.type]
+            if not isinstance(value, types) or (f.type != "bool" and isinstance(value, bool)):
+                raise ValueError(f"bad train config: {f.name} must be {kind}, "
+                                 f"got {value!r} ({type(value).__name__})")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

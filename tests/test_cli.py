@@ -133,6 +133,17 @@ class TestTrain:
         assert rc == 1
         assert "unexpected keyword argument 'lr'" in err
 
+    @pytest.mark.parametrize("field,value", [("epochs", 1.5), ("flip", "no")])
+    def test_mistyped_config_value_exits_1(self, capsys, tmp_path, field, value):
+        path = tmp_path / "cfg.json"
+        cfg = json.loads(TrainConfig("visformer_ti-micro", 1, 4).to_json())
+        path.write_text(json.dumps(dict(cfg, **{field: value})))
+        rc, out, err = run(capsys, "train", "--config", str(path),
+                           "--out", str(tmp_path / "m.vsfm"))
+        assert rc == 1
+        assert f"{field} must be" in err
+        assert out == ""
+
     def test_resume_from_model_only_checkpoint_exits_1(self, capsys, tmp_path):
         model_only = tmp_path / "m.vsfm"
         checkpoint_save(build(preset("visformer_ti-micro"), seed=0), model_only,

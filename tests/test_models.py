@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from visarch import (
+    GraphError,
+    NonFiniteError,
     ShapeError,
+    backward,
     build,
     config_from_json,
     config_to_json,
@@ -17,6 +20,7 @@ from visarch import (
     preset_names,
     shape_table,
 )
+from visarch.tensor import cross_entropy
 
 FULL_PRESETS = ["deit_s", "net1", "net2", "net3", "net4", "net5", "net6", "net7",
                 "resnet50_shape", "visformer_s", "visformer_ti",
@@ -165,6 +169,24 @@ class TestForward:
         model_forward(model, x, training=True)
         assert any(not np.array_equal(v, before[k])
                    for k, v in model.buffers.items())
+
+    def test_eval_records_no_graph(self, model):
+        x = np.random.default_rng(5).normal(size=(2, 3, 32, 32)).astype(np.float32)
+        logits = model_forward(model, x, training=False)
+        assert logits._backward is None and not logits.requires_grad
+        with pytest.raises(GraphError, match="training=True"):
+            backward(cross_entropy(logits, np.array([0, 1])))
+        assert all(t.grad is None for _, t in model.params.items())
+
+    def test_train_records_graph_after_a_failed_eval(self):
+        model = build(preset("visformer_ti-micro"), seed=0)
+        with pytest.raises(NonFiniteError):
+            model_forward(model, np.full((2, 3, 32, 32), np.nan, np.float32), training=False)
+        x = np.random.default_rng(6).normal(size=(2, 3, 32, 32)).astype(np.float32)
+        logits = model_forward(model, x, training=True)
+        assert logits._backward is not None
+        backward(cross_entropy(logits, np.array([0, 1])))
+        assert all(t.grad is not None for _, t in model.params.items())
 
     def test_rejects_bad_channels(self, model):
         with pytest.raises(ShapeError, match="3"):

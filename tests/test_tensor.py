@@ -98,6 +98,40 @@ class TestConv:
             T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
 
 
+class TestChannelGemm:
+    """conv2d runs 1x1, unpadded, ungrouped kernels as one channel GEMM."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "transposed"])
+    def test_matches_direct_loops(self, rng, stride, bias, contiguous):
+        x = rng.normal(size=(2, 5, 7, 6))
+        if not contiguous:
+            x = rng.normal(size=(2, 5, 6, 7)).transpose(0, 1, 3, 2)
+        w = rng.normal(size=(4, 5, 1, 1))
+        b = rng.normal(size=4) if bias else None
+        store = ParamStore()
+        param(store, "x", x)
+        param(store, "w", w)
+        if bias:
+            param(store, "b", b)
+        assert store["x"].data.flags.c_contiguous == contiguous
+        out = T.conv2d(store["x"], store["w"], store["b"] if bias else None, stride=stride)
+        np.testing.assert_allclose(out.data, conv_ref(x, w, b, stride), atol=1e-12)
+
+        dout = rng.normal(size=out.shape)
+        backward(T.sum_all(T.mul(out, Tensor(dout))))
+        dx, dw = np.zeros_like(x), np.zeros_like(w)
+        for n, o, oy, ox in np.ndindex(dout.shape):
+            d = dout[n, o, oy, ox]
+            dx[n, :, stride * oy, stride * ox] += d * w[o, :, 0, 0]
+            dw[o, :, 0, 0] += d * x[n, :, stride * oy, stride * ox]
+        np.testing.assert_allclose(store["x"].grad, dx, atol=1e-12)
+        np.testing.assert_allclose(store["w"].grad, dw, atol=1e-12)
+        if bias:
+            np.testing.assert_allclose(store["b"].grad, dout.sum(axis=(0, 2, 3)), atol=1e-12)
+
+
 class TestWindowRule:
     @pytest.mark.parametrize("size,k,s,p,out", [
         (224, 7, 2, 3, 112), (112, 3, 2, 1, 56), (5, 3, 2, 1, 3), (3, 3, 2, 1, 2),
@@ -272,6 +306,20 @@ class TestPointwise:
         assert g[0] == 0.0
         assert abs(g[1] - 0.8412) < 5e-4
 
+    def test_gelu_matches_tanh_closed_form(self):
+        x = np.linspace(-6.0, 6.0, 241)
+        c = np.sqrt(2.0 / np.pi)
+        u = c * (x + 0.044715 * np.power(x, 3))
+        want = 0.5 * x * (1.0 + np.tanh(u))
+        # d/dx: 0.5 (1 + tanh u) + 0.5 x sech^2(u) u'
+        dwant = 0.5 * (1.0 + np.tanh(u)) + 0.5 * x * c * (1.0 + 3 * 0.044715 * x ** 2) / np.cosh(u) ** 2
+        store = ParamStore()
+        param(store, "x", x)
+        out = T.gelu(store["x"])
+        backward(T.sum_all(out))
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(store["x"].grad, dwant, rtol=0, atol=1e-12)
+
     def test_overflow_raises_named_scope(self):
         x = Tensor(np.array([1e30], dtype=np.float32))
         with np.errstate(over="ignore"):
@@ -357,6 +405,16 @@ class TestBackward:
         with pytest.raises(GraphError):
             backward(T.mul(w, w))
 
+    def test_graphless_loss_error(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        with T.no_grad():
+            loss = T.sum_all(T.mul(w, w))
+        with pytest.raises(GraphError, match="training=True"):
+            backward(loss)
+        with pytest.raises(GraphError, match="no recorded graph"):
+            backward(T.sum_all(Tensor(np.ones(2))))
+        assert w.grad is None
+
     def test_structural_ops_fd(self, rng):
         store = ParamStore()
         param(store, "a", rng.normal(size=(2, 3, 4, 5)))
@@ -427,6 +485,32 @@ class TestFiniteDiff:
         store = ParamStore()
         param(store, "th", [3.0])
         assert finite_diff_grad(lambda: 7.0, store, "th", 0) == 0.0
+
+    def test_probes_record_no_graph_and_restore_grad_mode(self):
+        store = ParamStore()
+        th = param(store, "th", [3.0])
+        probes = []
+
+        def f():
+            out = T.sum_all(T.mul(th, th))
+            probes.append(out._backward)
+            return out
+
+        assert abs(finite_diff_grad(f, store, "th", 0) - 6.0) < 1e-6
+        assert probes == [None, None]
+        assert T.mul(th, th)._backward is not None
+        with T.no_grad():
+            finite_diff_grad(f, store, "th", 0)
+            assert T.mul(th, th)._backward is None
+        assert T.mul(th, th)._backward is not None
+
+        def broken():
+            raise NonFiniteError("probe")
+
+        with pytest.raises(NonFiniteError):
+            finite_diff_grad(broken, store, "th", 0)
+        assert T.mul(th, th)._backward is not None
+        assert th.data[0] == 3.0
 
 
 class TestParamStore:

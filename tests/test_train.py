@@ -51,9 +51,18 @@ class TestConfig:
         dict(weight_decay=-0.01),
         dict(base_lr=float("nan")),
         dict(weight_decay=float("inf")),
+        dict(epochs=1.5),
+        dict(batch_size=True),
+        dict(seed="3"),
+        dict(seed=np.int64(3)),
+        dict(flip="no"),
+        dict(flip=1),
+        dict(base_lr="0.02"),
+        dict(momentum=None),
+        dict(preset=3),
     ])
     def test_rejects_bad_values(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             tiny_config(**kw)
 
     @pytest.mark.parametrize("text,match", [
@@ -62,7 +71,14 @@ class TestConfig:
         ('{"preset": "visformer_ti-micro", "epochs": 1}', "missing .*'batch_size'"),
         ('{"preset": "visformer_ti-micro", "epochs": "1", "batch_size": 4}', "bad train config"),
         ('[1, 2]', "must be a mapping"),
-    ], ids=["unknown-key", "missing-key", "mistyped-value", "not-object"])
+        ('{"preset": "visformer_ti-micro", "epochs": 1.5, "batch_size": 4}',
+         "epochs must be an integer, got 1.5"),
+        ('{"preset": "visformer_ti-micro", "epochs": 1, "batch_size": 4, "flip": "no"}',
+         "flip must be true or false, got 'no'"),
+        ('{"preset": "visformer_ti-micro", "epochs": 1, "batch_size": 4, "weight_decay": "0"}',
+         "weight_decay must be a number"),
+    ], ids=["unknown-key", "missing-key", "mistyped-value", "not-object", "float-epochs",
+            "string-flip", "string-float"])
     def test_from_json_rejects_malformed(self, text, match):
         with pytest.raises(ValueError, match=match):
             TrainConfig.from_json(text)
