@@ -6,8 +6,12 @@ Gradients accumulate into leaf .grad across backward() calls until cleared.
 
 conv2d and max_pool2d share one window rule: out_size (which layer_plan also
 uses for every spatial shape), one padded gather and its adjoint scatter.
-conv2d runs a 1x1, unpadded, ungrouped kernel as one channel GEMM on NCHW
-instead. layer_norm and batch_norm share one normalise-and-affine kernel.
+conv2d copies every other kernel's windows channel-major, one (Cpg*kh*kw,
+N*Ho*Wo) matrix per group, so filters @ cols is already NCHW at batch 1; it
+runs a 1x1, unpadded, ungrouped kernel as one channel GEMM on NCHW instead.
+max_pool2d is a running maximum over the window slices. layer_norm and
+batch_norm share one normalise-and-affine kernel; with fixed (eval)
+statistics it is one per-channel scale and shift.
 Under no_grad ops record no graph, so backward() on their result raises.
 """
 
@@ -167,12 +171,13 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    """max(x, 0); a NaN input stays NaN, so _result names the scope it reached."""
+    xd = x.data
 
     def bwd(dout):
-        return (dout * mask,)
+        return (dout * (xd > 0),)
 
-    return _result("relu", np.where(mask, x.data, 0), (x,), bwd)
+    return _result("relu", np.maximum(xd, 0), (x,), bwd)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -181,14 +186,23 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation gelu: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     xd = x.data
-    # products, not float pow: a float32 x ** 3 costs ~90x more than x * x * x
-    t = np.tanh(_GELU_C * (xd + 0.044715 * (xd * xd * xd)))
+    # products, not float pow: a float32 x ** 3 costs ~90x more than x * x * x;
+    # the tanh argument is built in one buffer, in the order of the formula
+    t = xd * xd
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= xd
+    out *= 0.5
 
     def bwd(dout):
         du = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
         return (dout * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
 
-    return _result("gelu", 0.5 * xd * (1.0 + t), (x,), bwd)
+    return _result("gelu", out, (x,), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -384,8 +398,10 @@ def _channel_gemm(x: Tensor, w: Tensor, b: Tensor | None, s: int) -> Tensor:
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2-d convolution on NCHW. A 1x1 kernel with no padding and one group is
-    one channel GEMM (_channel_gemm); any other kernel is one batched GEMM
-    over the group axis, (G, N*Ho*Wo, Cpg*kh*kw) @ (G, Cpg*kh*kw, Cout/G)."""
+    one channel GEMM (_channel_gemm); any other kernel, grouped or not, is one
+    batched GEMM over the group axis on a channel-major im2col,
+    (G, Cout/G, Cpg*kh*kw) @ (G, Cpg*kh*kw, N*Ho*Wo) -> (Cout, N, Ho, Wo),
+    which at batch 1 already is the NCHW output."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 input and weight, got {xd.shape}, {wd.shape}")
@@ -401,23 +417,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     win = _windows(xd, kh, kw, s, p, 0.0)
     Ho, Wo = win.shape[2:4]
     G, opg = groups, Cout // groups
-    # cols[g] is group g's im2col matrix; wg[g] its (opg, Cpg*kh*kw) filters
+    # cols[g] is group g's im2col matrix, one row per (channel, ki, kj) and
+    # input rows kept contiguous in the copy; wg[g] its (opg, Cpg*kh*kw) filters
     cols = np.ascontiguousarray(win.reshape(N, G, Cpg, Ho, Wo, kh, kw)
-                                .transpose(1, 0, 3, 4, 2, 5, 6)).reshape(G, N * Ho * Wo, -1)
+                                .transpose(1, 2, 5, 6, 0, 3, 4)).reshape(G, -1, N * Ho * Wo)
     wg = wd.reshape(G, opg, -1)
-    out = (cols @ wg.transpose(0, 2, 1)).reshape(G, N, Ho, Wo, opg)
-    out = np.ascontiguousarray(out.transpose(1, 0, 4, 2, 3)).reshape(N, Cout, Ho, Wo)
+    out = np.ascontiguousarray((wg @ cols).reshape(Cout, N, Ho, Wo).transpose(1, 0, 2, 3))
     if b is not None:
         out += b.data.reshape(1, Cout, 1, 1)
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(dout):
-        dflat = dout.transpose(0, 2, 3, 1).reshape(N * Ho * Wo, G, opg).transpose(1, 0, 2)
-        dw = (dflat.transpose(0, 2, 1) @ cols).reshape(Cout, Cpg, kh, kw)
+        dflat = dout.transpose(1, 0, 2, 3).reshape(G, opg, N * Ho * Wo)
+        dw = (dflat @ cols.transpose(0, 2, 1)).reshape(Cout, Cpg, kh, kw)
         dx = None
         if x.requires_grad or x._backward is not None:
-            dcols = (dflat @ wg).reshape(G, N, Ho, Wo, Cpg, kh, kw).transpose(1, 0, 4, 2, 3, 5, 6)
-            dx = _scatter_windows(dcols, H, W, s, p).reshape(N, Cin, H, W)
+            dcols = (wg.transpose(0, 2, 1) @ dflat).reshape(G, Cpg, kh, kw, N, Ho, Wo)
+            dwin = dcols.transpose(4, 0, 1, 5, 6, 2, 3)  # (N, G, Cpg, Ho, Wo, kh, kw)
+            dx = _scatter_windows(dwin, H, W, s, p).reshape(N, Cin, H, W)
         if b is None:
             return dx, dw
         return dx, dw, dout.sum(axis=(0, 2, 3))
@@ -426,6 +443,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
 
 
 def max_pool2d(x: Tensor, *, kernel: int = 3, stride: int = 2, padding: int = 1) -> Tensor:
+    """Running maximum over the k*k strided slices of the -inf-padded input; the
+    backward routes each output's gradient to its window's first maximum."""
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"max_pool2d expects rank-4 input, got {xd.shape}")
@@ -434,17 +453,21 @@ def max_pool2d(x: Tensor, *, kernel: int = 3, stride: int = 2, padding: int = 1)
     if p >= k:
         raise ShapeError("max_pool2d padding must be smaller than the kernel")
     win = _windows(xd, k, k, s, p, -np.inf)
-    shape = win.shape
-    flat = win.reshape(shape[:4] + (k * k,))
-    arg = flat.argmax(axis=-1)[..., None]
-    out = np.take_along_axis(flat, arg, axis=-1)[..., 0]
+    out = win[..., 0, 0].copy()
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                np.maximum(out, win[..., i, j], out=out)
 
-    def bwd(dout):  # holds arg and shapes only, so the windows are freed
-        dwin = np.zeros(shape[:4] + (k * k,), dtype=xd.dtype)
-        np.put_along_axis(dwin, arg, dout[..., None], axis=-1)
+    def bwd(dout):  # holds no windows: they are gathered again from x
+        win = _windows(xd, k, k, s, p, -np.inf)
+        shape = win.shape
+        flat = win.reshape(shape[:4] + (k * k,))
+        dwin = np.zeros(flat.shape, dtype=xd.dtype)
+        np.put_along_axis(dwin, flat.argmax(axis=-1)[..., None], dout[..., None], axis=-1)
         return (_scatter_windows(dwin.reshape(shape), H, W, s, p),)
 
-    return _result("max_pool2d", np.ascontiguousarray(out), (x,), bwd)
+    return _result("max_pool2d", out, (x,), bwd)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -485,22 +508,30 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, mean, var, eps: 
                stat_axes) -> Tensor:
     """gamma * (x - mean) / sqrt(var + eps) + beta per channel of an NCHW map.
     mean and var were taken over the stat_axes of x, so the gradient flows
-    through them, or are fixed statistics if stat_axes is None."""
+    through them, or are fixed statistics if stat_axes is None: then the map is
+    one per-channel scale a and shift, x * a + (beta - mean * a), two passes."""
     C = x.data.shape[1]
     istd = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * istd
-    g = gamma.data.reshape(1, C, 1, 1)
+    g, b = gamma.data.reshape(1, C, 1, 1), beta.data.reshape(1, C, 1, 1)
+    if stat_axes is None:
+        a = g * istd
+        y = x.data * a
+        y += b - mean * a
+    else:
+        xhat = (x.data - mean) * istd
+        y = xhat * g + b
 
     def bwd(dout):
-        dxh = dout * g
         if stat_axes is None:
-            dx = dxh * istd
+            dx, xh = dout * a, (x.data - mean) * istd
         else:
+            dxh = dout * g
             dx = istd * (dxh - dxh.mean(axis=stat_axes, keepdims=True)
                          - xhat * (dxh * xhat).mean(axis=stat_axes, keepdims=True))
-        return dx, (dout * xhat).sum(axis=(0, 2, 3)), dout.sum(axis=(0, 2, 3))
+            xh = xhat
+        return dx, (dout * xh).sum(axis=(0, 2, 3)), dout.sum(axis=(0, 2, 3))
 
-    return _result(op, xhat * g + beta.data.reshape(1, C, 1, 1), (x, gamma, beta), bwd)
+    return _result(op, y, (x, gamma, beta), bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, *, eps: float = 1e-5) -> Tensor:

@@ -74,6 +74,38 @@ class TestConv:
                            Tensor(b, dtype=np.float64), stride=2, padding=1, groups=groups).data
             np.testing.assert_allclose(got, conv_ref(x, w, b, 2, 1, groups), atol=1e-10)
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_kxk_matches_direct_loops(self, rng, batch, stride, padding, groups):
+        # non-square input; batch 1 is the path whose GEMM output needs no transpose
+        x = rng.normal(size=(batch, 4, 7, 6))
+        w = rng.normal(size=(6, 4 // groups, 3, 3))
+        b = rng.normal(size=6)
+        store = ParamStore()
+        param(store, "x", x)
+        param(store, "w", w)
+        param(store, "b", b)
+        out = T.conv2d(store["x"], store["w"], store["b"], stride=stride, padding=padding,
+                       groups=groups)
+        np.testing.assert_allclose(out.data, conv_ref(x, w, b, stride, padding, groups), atol=1e-12)
+
+        dout = rng.normal(size=out.shape)
+        backward(T.sum_all(T.mul(out, Tensor(dout))))
+        s, p, cpg, opg = stride, padding, 4 // groups, 6 // groups
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+        for n, o, oy, ox in np.ndindex(dout.shape):
+            d = dout[n, o, oy, ox]
+            ch = slice(o // opg * cpg, (o // opg + 1) * cpg)
+            rows, cols = slice(s * oy, s * oy + 3), slice(s * ox, s * ox + 3)
+            dxp[n, ch, rows, cols] += d * w[o]
+            dw[o] += d * xp[n, ch, rows, cols]
+        np.testing.assert_allclose(store["x"].grad, dxp[:, :, p:p + 7, p:p + 6], atol=1e-12)
+        np.testing.assert_allclose(store["w"].grad, dw, atol=1e-12)
+        np.testing.assert_allclose(store["b"].grad, dout.sum(axis=(0, 2, 3)), atol=1e-12)
+
     def test_grouped_equals_split_convs(self, rng):
         x = rng.normal(size=(2, 6, 5, 5)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
@@ -240,6 +272,16 @@ class TestNorms:
                            training=False, eps=0.0).data
         np.testing.assert_allclose(out, x, atol=1e-12)
 
+    def test_batch_norm_eval_matches_closed_form(self, rng):
+        x = rng.normal(loc=2.0, scale=3.0, size=(3, 4, 5, 2))
+        g, b = rng.normal(size=4), rng.normal(size=4)
+        rm, rv = rng.normal(size=4), 0.5 + rng.random(4)
+        out = T.batch_norm(Tensor(x, dtype=np.float64), Tensor(g, dtype=np.float64),
+                           Tensor(b, dtype=np.float64), rm, rv, training=False).data
+        c = (1, 4, 1, 1)
+        want = g.reshape(c) * (x - rm.reshape(c)) / np.sqrt(rv.reshape(c) + 1e-5) + b.reshape(c)
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
     def test_batch_norm_single_element_error(self):
         g = Tensor(np.ones(2))
         b = Tensor(np.zeros(2))
@@ -305,6 +347,13 @@ class TestPointwise:
         g = T.gelu(Tensor(np.array([0.0, 1.0]), dtype=np.float64)).data
         assert g[0] == 0.0
         assert abs(g[1] - 0.8412) < 5e-4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_relu_rejects_non_finite_input_naming_scope(self, bad):
+        x = Tensor(np.array([1.0, bad, -1.0]))
+        with T.layer_scope("s0"), T.layer_scope("b1"):
+            with pytest.raises(NonFiniteError, match="relu .*'s0.b1'"):
+                T.relu(x)
 
     def test_gelu_matches_tanh_closed_form(self):
         x = np.linspace(-6.0, 6.0, 241)
