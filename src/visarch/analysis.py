@@ -3,13 +3,12 @@
 One MAC = one multiply + one accumulate (a 1x1 conv over T positions from C
 to K channels costs T*C*K). Norms, activations, softmax, pooling, position
 adds, and bias adds cost zero MACs; their parameters are still counted.
-Counts are per sample (batch 1). MACs come from each layer's blocks.LAYERS
-entry and parameter counts from the same Slot lists that build allocates.
+Counts are per sample (batch 1). Both come from each layer's blocks.LAYERS
+rows, which walk the same Slot lists that build allocates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import blocks as B
@@ -61,20 +60,8 @@ class ComplexityReport:
 
 
 def layer_rows(entry, config: ModelConfig) -> list:
-    """(path, MACs, params) rows of one plan entry, one per blocks.LAYERS macs row.
-
-    A parameter counts toward the row whose path is the longest dotted prefix
-    of its own path (".qkv.w" and ".qkv.b" toward ".qkv"); buffers count nothing.
-    """
-    layer = B.LAYERS[entry.kind]
-    macs = layer.macs(entry, config)
-    params = dict.fromkeys((path for path, _ in macs), 0)
-    for slot in layer.params(entry, config):
-        if slot.init not in B.BUFFER_INITS:
-            owner = max((p for p in params if slot.path == p or slot.path.startswith(p + ".")),
-                        key=len)
-            params[owner] += math.prod(slot.shape)
-    return [(path, m, params[path]) for path, m in macs]
+    """(path, MACs, params) rows of one plan entry, from its blocks.LAYERS entry."""
+    return B.LAYERS[entry.kind].rows(entry, config)
 
 
 def complexity_report(config: ModelConfig, resolution: int | None = None) -> ComplexityReport:

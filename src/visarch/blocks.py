@@ -2,10 +2,11 @@
 
 LAYERS maps each layer_plan kind to one Layer of three functions sharing one
 parameter naming scheme: params (the entry's parameters and buffers as Slots,
-in initialization order), forward (run the entry), and macs ((path, MACs)
-complexity rows). Building, loading a checkpoint and counting parameters all
-read the same Slot lists, and MAC rows are derived from them too (a weight
-costs its element count per output position), so none of them can disagree.
+in initialization order), forward (run the entry), and rows ((path, MACs,
+params) complexity rows). Building, loading a checkpoint and counting
+parameters all read the same Slot lists, and the rows are derived from them in
+one walk (a weight costs its element count per output position), so none of
+them can disagree.
 MACs are multiply-accumulates at batch 1; norms, activations, softmax,
 pooling, and bias adds count zero.
 """
@@ -146,19 +147,26 @@ def _norm_slots(prefix, c, kind):
 
 
 def _macs_rows(slots, positions, at=None):
-    """(path, MACs) per layer of slots, in slot order. A weight (.w) is applied
-    once per output position, so it costs its element count times positions
-    (at[path] where given); norms (.gamma) and learned tables cost nothing."""
-    rows = []
+    """(path, MACs, params) per layer of slots, in slot order. A weight (.w) is
+    applied once per output position, so it costs its element count times
+    positions (at[path] where given); norms (.gamma) and learned tables cost
+    nothing. A bias (.b, .beta) adds its params to its layer's row; buffers add
+    nothing."""
+    rows = {}
     for slot in slots:
+        if slot.init in BUFFER_INITS:
+            continue
+        n = math.prod(slot.shape)
         layer, _, leaf = slot.path.rpartition(".")
         if leaf == "w":
-            rows.append((layer, math.prod(slot.shape) * (at or {}).get(layer, positions)))
+            rows[layer] = [n * (at or {}).get(layer, positions), n]
         elif leaf == "gamma":
-            rows.append((layer, 0))
-        elif leaf not in ("b", "beta", "mean", "var"):
-            rows.append((slot.path, 0))
-    return rows
+            rows[layer] = [0, n]
+        elif leaf in ("b", "beta"):
+            rows[layer][1] += n
+        else:
+            rows[slot.path] = [0, n]
+    return [(path, m, n) for path, (m, n) in rows.items()]
 
 
 def norm_forward(x: Tensor, params: ParamStore, buffers: dict, prefix: str,
@@ -326,7 +334,7 @@ def _attention_macs(e, config):
     tokens = math.prod(e.in_shape[1:])
     rows = _macs_rows(_attention_params(e, config), tokens)
     core = tokens * tokens * e.spec.attn_inner
-    rows[2:2] = [(e.prefix + ".attn.scores", core), (e.prefix + ".attn.apply", core)]
+    rows[2:2] = [(e.prefix + ".attn.scores", core, 0), (e.prefix + ".attn.apply", core, 0)]
     return rows
 
 
@@ -391,11 +399,11 @@ class Layer(NamedTuple):
 
     params: Callable  # (entry, config) -> [Slot], in initialization order
     forward: Callable  # (x, entry, model, training) -> Tensor
-    macs: Callable  # (entry, config) -> [(path, MACs)], one per complexity row
+    rows: Callable  # (entry, config) -> [(path, MACs, params)], the complexity rows
 
 
 def _out_macs(params):
-    """macs for a layer whose weights all run at its output resolution."""
+    """rows for a layer whose weights all run at its output resolution."""
     return lambda e, config: _macs_rows(params(e, config), math.prod(e.out_shape[1:]))
 
 
@@ -420,7 +428,7 @@ def _head_params(e, config):
 LAYERS = {
     "stem": Layer(_embed_params, lambda x, e, m, t: stem_forward(
         x, e.spec, m.params, m.buffers, e.prefix, t), _out_macs(_embed_params)),
-    "pool": Layer(lambda e, config: [], _pool, lambda e, config: [(e.prefix, 0)]),
+    "pool": Layer(lambda e, config: [], _pool, lambda e, config: [(e.prefix, 0, 0)]),
     "embed": Layer(_embed_params, lambda x, e, m, t: patch_embed_forward(
         x, e.spec, m.params, m.buffers, e.prefix, t), _out_macs(_embed_params)),
     "cls": Layer(_cls_params, _cls, _out_macs(_cls_params)),

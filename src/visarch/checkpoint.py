@@ -170,7 +170,7 @@ def model_from_checkpoint(loaded: dict) -> models.Model:
     params, buffers = B.allocate(
         slots, lambda slot: stored_tensor(tensors, _key(slot), slot.shape), np.float32)
     return models.Model(config, params, buffers, np.dtype(np.float32),
-                        int(loaded["extra"].get("seed", 0)))
+                        stored_int(loaded["extra"], "seed", default=0))
 
 
 def stored_tensor(tensors: dict, key: str, shape: tuple) -> np.ndarray:
@@ -180,6 +180,19 @@ def stored_tensor(tensors: dict, key: str, shape: tuple) -> np.ndarray:
         found = "nothing" if arr is None else arr.shape
         raise CheckpointError(f"'{key}' must be {shape}, checkpoint has {found}")
     return arr
+
+
+def stored_int(extra: dict, key: str, default: int | None = None) -> int:
+    """extra[key], which a checkpoint must hold as a JSON integer; default when
+    the key is absent, which is an error if no default is given."""
+    if key not in extra:
+        if default is None:
+            raise CheckpointError(f"checkpoint extra has no '{key}'")
+        return default
+    value = extra[key]
+    if type(value) is not int:  # a bool is not a count
+        raise CheckpointError(f"checkpoint extra '{key}' must be an integer, got {value!r}")
+    return value
 
 
 def _key(slot) -> str:

@@ -103,6 +103,9 @@ def _report_text(rep) -> str:
 
 
 def cmd_fp16(args) -> int:
+    for flag, value in (("--d", args.d), ("--tokens", args.tokens)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     rng = np.random.default_rng(args.seed)
     if args.random:
         q = rng.uniform(-args.mag, args.mag, (args.tokens, args.d))

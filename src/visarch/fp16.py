@@ -6,21 +6,20 @@ reproduces half-precision behavior exactly (round-to-nearest-even on every
 intermediate, sequential accumulation in ascending index order) so the four
 score scalings can be compared without half-precision hardware.
 
-The scalar encoder f16_round works on the bit level; the array pipeline uses
-the same rounding via a vectorized routine, and the two are cross-checked in
-the tests.
+Every rounding, scalar (f16_round) or array (the score pipeline), is the one
+numpy float16 cast in _cast16.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .attention import DEFAULT_PB_RELAX_ALPHA, SCORE_MODES
 
 F16_MAX = 65504.0
-_MIN_SUBNORMAL = 2.0 ** -24
 
 
 @dataclass(frozen=True)
@@ -33,77 +32,37 @@ class F16Sample:
     underflowed: bool
 
 
-def f16_round(x: float) -> F16Sample:
-    """Round a finite float to the nearest binary16 (ties to even), bit by bit.
+def _cast16(x):
+    """x cast to binary16: nearest, ties to even, and +-inf from |x| >= 65520 on."""
+    with np.errstate(over="ignore"):
+        return np.float16(x)
 
-    Values at or beyond 65520 (the midpoint above the largest finite half)
-    become infinity with the overflow flag; nonzero values rounding to zero
-    set the underflow flag.
+
+def f16_round(x: float) -> F16Sample:
+    """Round a float to the nearest binary16 through the cast the emulator runs.
+
+    Finite values at or beyond 65520 (the midpoint above the largest finite
+    half) become infinity with the overflow flag; nonzero values rounding to
+    zero set the underflow flag. Every NaN becomes the quiet NaN 0x7E00.
     """
     x = float(x)
-    if np.isnan(x):
+    if math.isnan(x):
         return F16Sample(0x7E00, float("nan"), False, False)
-    sign = 0x8000 if (x < 0 or (x == 0 and np.signbit(x))) else 0
-    a = abs(x)
-    if np.isinf(a):
-        return F16Sample(sign | 0x7C00, np.copysign(np.inf, x), False, False)
-    if a == 0.0:
-        return F16Sample(sign, np.copysign(0.0, x), False, False)
-
-    mant, exp = np.frexp(a)  # a = mant * 2**exp with mant in [0.5, 1)
-    exp = int(exp)
-    if exp > 16:  # a >= 2**16 > 65520
-        return F16Sample(sign | 0x7C00, np.copysign(np.inf, x), True, False)
-    if exp >= -13:
-        # normal candidate: 10 fractional mantissa bits
-        scaled = float(mant) * 2048.0  # mant * 2**11, in [1024, 2048)
-        q = _round_half_even(scaled)
-        if q == 2048:
-            q, exp = 1024, exp + 1
-        if exp > 16 or (exp == 16 and q > 2047):
-            return F16Sample(sign | 0x7C00, np.copysign(np.inf, x), True, False)
-        value = q * 2.0 ** (exp - 11)
-        if value > F16_MAX:
-            return F16Sample(sign | 0x7C00, np.copysign(np.inf, x), True, False)
-        bits = sign | ((exp + 14) << 10) | (q - 1024)
-        return F16Sample(bits, np.copysign(value, x), False, False)
-    # subnormal candidate: quantum is 2**-24
-    q = _round_half_even(a / _MIN_SUBNORMAL)
-    if q == 0:
-        return F16Sample(sign, np.copysign(0.0, x), False, True)
-    if q >= 1024:
-        bits = sign | (1 << 10) | (q - 1024)  # rounded up into the normal range
-    else:
-        bits = sign | q
-    return F16Sample(bits, np.copysign(q * _MIN_SUBNORMAL, x), False, False)
-
-
-def _round_half_even(v: float) -> int:
-    lo = int(np.floor(v))
-    frac = v - lo
-    if frac > 0.5:
-        return lo + 1
-    if frac < 0.5:
-        return lo
-    return lo if lo % 2 == 0 else lo + 1
+    half = _cast16(x)
+    value = float(half)
+    return F16Sample(int(half.view(np.uint16)), value,
+                     overflowed=math.isinf(value) and math.isfinite(x),
+                     underflowed=value == 0.0 and x != 0.0)
 
 
 def f16_decode(bits: int) -> float:
     """Value of a binary16 bit pattern."""
-    sign = -1.0 if bits & 0x8000 else 1.0
-    exp = (bits >> 10) & 0x1F
-    mant = bits & 0x3FF
-    if exp == 0x1F:
-        return sign * (float("nan") if mant else float("inf"))
-    if exp == 0:
-        return sign * mant * _MIN_SUBNORMAL
-    return sign * (1024 + mant) * 2.0 ** (exp - 25)
+    return float(np.uint16(bits).view(np.float16))
 
 
 def _rne16(arr: np.ndarray) -> np.ndarray:
     """Vectorized round-to-nearest binary16, returned as float64 (inf on overflow)."""
-    with np.errstate(over="ignore"):
-        return np.float16(arr).astype(np.float64)
+    return _cast16(arr).astype(np.float64)
 
 
 @dataclass
@@ -117,11 +76,7 @@ class OverflowReport:
     softmax_valid: bool
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "d": self.d, "tokens": self.tokens,
-            "max_abs_input": self.max_abs_input, "max_abs_logit": self.max_abs_logit,
-            "overflow_count": self.overflow_count, "softmax_valid": self.softmax_valid,
-        }
+        return asdict(self)
 
 
 def _dot_f16(q: np.ndarray, kt: np.ndarray) -> np.ndarray:
@@ -153,7 +108,9 @@ def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard",
 
     Returns (logits, softmax_or_None, OverflowReport). Logits are float64
     values exactly representable in binary16, infinite where the pipeline
-    overflowed. softmax_valid is False iff any logit is non-finite.
+    overflowed. softmax_valid is False iff any logit is non-finite. q and k
+    must be finite with at least one token and one channel; alpha must be
+    finite and > 0 in every mode.
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"unknown score mode '{mode}'")
@@ -162,6 +119,13 @@ def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard",
     if q.ndim != 2 or q.shape != k.shape:
         raise ValueError(f"expected matching (T, d) arrays, got {q.shape} and {k.shape}")
     t, d = q.shape
+    if t < 1 or d < 1:
+        raise ValueError(f"q and k need at least one token and one channel, got {q.shape}")
+    for name, arr in (("q", q), ("k", k)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has a non-finite entry")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if mode == "standard":
         qs, ks = _rne16(q), _rne16(k)
         logits = _rne16(_dot_f16(qs, ks.T) * _rne16(np.float64(1.0 / np.sqrt(d))))

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import models
-from .checkpoint import CheckpointError, stored_tensor
+from .checkpoint import stored_int, stored_tensor
 from .data import Dataset, augment_batch, synth_dataset
 from .tensor import ParamStore, backward, cross_entropy, finite_diff_grad
 
@@ -172,14 +172,8 @@ class AdamW(_SlotState):
         return {"adam_steps": self.steps}
 
     def load_state(self, tensors: dict, scalars: dict) -> None:
-        self.steps = int(_scalar(scalars, "adam_steps"))
+        self.steps = stored_int(scalars, "adam_steps")
         super().load_state(tensors, scalars)
-
-
-def _scalar(scalars: dict, key: str):
-    if key not in scalars:
-        raise CheckpointError(f"checkpoint extra has no '{key}'")
-    return scalars[key]
 
 
 def make_optimizer(config: TrainConfig, store: ParamStore):
@@ -232,7 +226,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
         model = resume_state["model"]
         optim = make_optimizer(config, model.params)
         optim.load_state(resume_state["tensors"], resume_state["scalars"])
-        start_epoch = int(_scalar(resume_state["scalars"], "epoch")) + 1
+        start_epoch = stored_int(resume_state["scalars"], "epoch") + 1
 
     result = TrainResult(config, model, optim, last_epoch=start_epoch - 1)
     end_epoch = config.epochs if stop_after is None else min(stop_after, config.epochs)
@@ -312,8 +306,16 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     Entries missing tolerance at the first step size are retried at the
     others: relu-kink straddles shrink with h, near-zero derivatives need a
     larger h to rise above the rounding-noise floor (which grows as 1/h), and
-    a wrong analytic gradient fails at every h.
+    a wrong analytic gradient fails at every h. samples_per_param and batch
+    must be >= 1 and tolerance a finite number > 0, so a check cannot pass
+    without comparing anything.
     """
+    if samples_per_param < 1:
+        raise ValueError(f"samples_per_param must be >= 1, got {samples_per_param}")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
     cfg = models.preset(preset_name)
     model = models.build(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(123)

@@ -133,6 +133,13 @@ class TestBadContents:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         model_from_checkpoint(load_bytes(blob))
 
+    @pytest.mark.parametrize("seed", [[1], None, 1.7, "1", True])
+    def test_seed_must_be_an_integer(self, blob, seed):
+        loaded = load_bytes(blob)
+        loaded["extra"]["seed"] = seed
+        with pytest.raises(CheckpointError, match="'seed'"):
+            model_from_checkpoint(loaded)
+
 
 def sealed(header, payload=b""):
     """A checkpoint around an arbitrary header, with a valid CRC."""

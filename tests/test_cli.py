@@ -3,12 +3,14 @@
 import json
 import struct
 import zlib
+from dataclasses import asdict
 
 import pytest
 
 from visarch import TrainConfig, build, checkpoint_load, checkpoint_save, preset
 from visarch.checkpoint import MAGIC, VERSION
 from visarch.cli import main
+from visarch.train import make_optimizer
 
 
 def run(capsys, *argv):
@@ -88,6 +90,20 @@ class TestFp16:
             assert mode in out
         assert "softmax_divergence" in out
 
+    @pytest.mark.parametrize("argv,named", [
+        (["--d", "0"], "--d"),
+        (["--tokens", "0"], "--tokens"),
+        (["--tokens", "-1"], "--tokens"),
+        (["--mag", "nan"], "non-finite"),
+        (["--mode", "pb_relax", "--alpha", "0"], "alpha"),
+        (["--alpha", "-2"], "alpha"),
+    ], ids=["d0", "tokens0", "tokens-1", "mag-nan", "alpha0", "alpha-2"])
+    def test_bad_input_exits_1_naming_it(self, capsys, argv, named):
+        rc, out, err = run(capsys, "fp16", "--d", "4", "--mag", "1", *argv)
+        assert rc == 1
+        assert out == ""
+        assert named in err
+
 
 class TestTrain:
     def test_end_to_end_writes_checkpoint(self, capsys, tmp_path):
@@ -162,6 +178,22 @@ class TestTrain:
         assert rc == 1
         assert "'config'" in err
 
+    @pytest.mark.parametrize("key,value", [("seed", [1]), ("epoch", "0")])
+    def test_resume_with_mistyped_scalar_exits_1(self, capsys, tmp_path, key, value):
+        cfg_path = write_config(tmp_path, epochs=2)
+        cfg = TrainConfig.from_json(cfg_path.read_text())
+        model = build(preset(cfg.preset), seed=cfg.seed)
+        optim = make_optimizer(cfg, model.params)
+        extra = {"seed": cfg.seed, "epoch": 0, "train_config": asdict(cfg),
+                 **optim.scalar_state(), key: value}
+        bad = tmp_path / "bad.vsfm"
+        checkpoint_save(model, bad, extra=extra, extra_tensors=optim.state_tensors())
+        rc, out, err = run(capsys, "train", "--config", str(cfg_path),
+                           "--resume", str(bad), "--out", str(tmp_path / "out.vsfm"))
+        assert rc == 1
+        assert f"'{key}'" in err
+        assert out == ""
+
     def test_missing_config_exits_1(self, capsys, tmp_path):
         rc, _, err = run(capsys, "train", "--config", str(tmp_path / "nope.json"))
         assert rc == 1
@@ -174,3 +206,13 @@ class TestGradcheck:
         assert rc == 0
         assert out.strip().endswith("PASS")
         assert "worst" in out
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--samples", "0", "samples_per_param"),
+        ("--tolerance", "nan", "tolerance"),
+    ])
+    def test_check_that_compares_nothing_exits_1(self, capsys, flag, value, named):
+        rc, out, err = run(capsys, "gradcheck", "deit_s-micro", flag, value)
+        assert rc == 1
+        assert out == ""
+        assert named in err

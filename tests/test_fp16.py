@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from visarch.fp16 import (
     F16_MAX,
+    _rne16,
     compare_modes,
     exact_logits,
     f16_decode,
@@ -90,6 +91,33 @@ class TestRound:
         assert f16_round(float(x)).bits == oracle_bits(x)
 
 
+def boundary_inputs():
+    """Rounding boundaries of every binade, both signs: binary16 values, the
+    midpoints between neighbours, one double ulp either side of each midpoint,
+    and the named edges (top finite value, overflow midpoint, subnormal ties)."""
+    mant = np.array([0, 1, 2, 3, 255, 256, 511, 512, 513, 767, 768, 1020, 1021, 1022, 1023],
+                    dtype=np.uint16)
+    bits = ((np.arange(31, dtype=np.uint16)[:, None] << 10) | mant).ravel()
+    lo = bits.view(np.float16).astype(np.float64)
+    hi = (bits + 1).view(np.float16).astype(np.float64)  # the next binary16 up
+    hi[np.isinf(hi)] = 65536.0  # the step above 65504, were the exponent unbounded
+    mids = (lo + hi) / 2  # exact in float64; the top one is the overflow midpoint 65520
+    near = np.concatenate([np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf)])
+    edges = [65504.0, 65519.999, 65520.0, 2.0 ** -25, 0.75 * 2.0 ** -24, -0.0]
+    xs = np.concatenate([lo, mids, near, edges])
+    return np.concatenate([xs, -xs])
+
+
+class TestArrayPath:
+    def test_array_cast_matches_scalar_round_at_boundaries(self):
+        xs = boundary_inputs()
+        assert xs.size > 2000
+        rounded = _rne16(xs)
+        want = np.array([f16_round(x).bits for x in xs.tolist()], dtype=np.uint16)
+        np.testing.assert_array_equal(rounded.astype(np.float16).view(np.uint16), want)
+        assert np.isinf(rounded).any() and (rounded == 0).any()  # both ends are reached
+
+
 class TestScores:
     def test_standard_overflows_at_mag_32(self):
         # raw dot is 32*32*64 = 65536, past the largest finite half
@@ -171,6 +199,24 @@ class TestScores:
             scores_f16(q, q, "sigmoid")
         with pytest.raises(ValueError):
             scores_f16(q, np.ones((3, 4)))
+
+    @pytest.mark.parametrize("q,k,alpha,match", [
+        (np.ones((0, 4)), np.ones((0, 4)), 32.0, "one token"),
+        (np.ones((2, 0)), np.ones((2, 0)), 32.0, "one channel"),
+        (np.full((2, 4), np.nan), np.ones((2, 4)), 32.0, "q has a non-finite"),
+        (np.ones((2, 4)), np.array([[1.0, 2.0, -np.inf, 0.0]] * 2), 32.0, "k has a non-finite"),
+        (np.ones((2, 4)), np.ones((2, 4)), 0.0, "alpha"),
+        (np.ones((2, 4)), np.ones((2, 4)), -2.0, "alpha"),
+        (np.ones((2, 4)), np.ones((2, 4)), float("nan"), "alpha"),
+        (np.ones((2, 4)), np.ones((2, 4)), float("inf"), "alpha"),
+    ], ids=["no-tokens", "no-width", "nan-q", "inf-k", "alpha0", "alpha-neg",
+            "alpha-nan", "alpha-inf"])
+    def test_rejects_inputs_with_no_meaningful_scores(self, q, k, alpha, match):
+        for mode in SCORE_MODES:
+            with pytest.raises(ValueError, match=match):
+                scores_f16(q, k, mode, alpha)
+        with pytest.raises(ValueError, match=match):
+            compare_modes(q, k, alpha)
 
     def test_softmax_valid_iff_no_overflow(self, rng):
         for mag in (1.0, 30.0, 33.0, 100.0):

@@ -214,6 +214,12 @@ class TestOptimizerState:
         with pytest.raises(CheckpointError, match="adam_steps"):
             AdamW(opt.store).load_state(opt.state_tensors(), {})
 
+    @pytest.mark.parametrize("steps", [None, "1", 1.0, 1.5, True, [1]])
+    def test_adamw_step_count_must_be_an_integer(self, steps):
+        opt = self.make(AdamW)
+        with pytest.raises(CheckpointError, match="'adam_steps'"):
+            AdamW(opt.store).load_state(opt.state_tensors(), {"adam_steps": steps})
+
 
 class TestLoop:
     def test_loss_decreases(self):
@@ -255,6 +261,16 @@ class TestLoop:
         assert param_bytes(resumed.model) == param_bytes(full.model)
         for k, v in resumed.model.buffers.items():
             assert v.tobytes() == full.model.buffers[k].tobytes()
+
+    @pytest.mark.parametrize("epoch", ["0", 0.5, True, None])
+    def test_resume_epoch_must_be_an_integer(self, epoch):
+        cfg = tiny_config(epochs=2)
+        model = build(preset(cfg.preset), seed=cfg.seed)
+        optim = make_optimizer(cfg, model.params)
+        state = {"model": model, "tensors": optim.state_tensors(),
+                 "scalars": {"epoch": epoch, **optim.scalar_state()}}
+        with pytest.raises(CheckpointError, match="'epoch'"):
+            train(cfg, tiny_dataset(), resume_state=state)
 
     def test_rejects_dataset_with_too_many_classes(self):
         ds = synth_dataset(12, 1, 32, seed=0)
@@ -299,3 +315,12 @@ class TestGradcheck:
         assert "FAIL" in rep.table()
         worst = max(rep.failures, key=lambda e: e.rel)
         assert worst.rel > 0.01
+
+    @pytest.mark.parametrize("name,value", [
+        ("samples_per_param", 0), ("samples_per_param", -1), ("batch", 0), ("batch", -2),
+        ("tolerance", 0.0), ("tolerance", -1e-4), ("tolerance", float("nan")),
+        ("tolerance", float("inf")),
+    ])
+    def test_rejects_arguments_that_check_nothing(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            gradcheck("deit_s-micro", **{name: value})
