@@ -59,14 +59,9 @@ class ComplexityReport:
         return "\n".join(lines)
 
 
-def layer_rows(entry, config: ModelConfig) -> list:
-    """(path, MACs, params) rows of one plan entry, from its blocks.LAYERS entry."""
-    return B.LAYERS[entry.kind].rows(entry, config)
-
-
 def complexity_report(config: ModelConfig, resolution: int | None = None) -> ComplexityReport:
     res = resolution if resolution is not None else config.input_resolution
-    rows = [r for e in layer_plan(config, resolution=res) for r in layer_rows(e, config)]
+    rows = [r for e in layer_plan(config, resolution=res) for r in B.LAYERS[e.kind].rows(e, config)]
     return ComplexityReport(config.name, res, rows)
 
 

@@ -13,8 +13,6 @@ attention_logits exist to control the dynamic range of the logits:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as tz
@@ -22,45 +20,6 @@ from .tensor import ShapeError, Tensor
 
 SCORE_MODES = ("standard", "prenorm", "fullnorm", "pb_relax")
 DEFAULT_PB_RELAX_ALPHA = 32.0
-
-
-@dataclass
-class AttentionParams:
-    """Projection weights for one attention layer.
-
-    w_qkv stacks the query/key/value projections row-wise: (3*inner, C) where
-    inner = heads * head_dim. inner == C in the main presets; the halved
-    attention stages use inner == C // 2.
-    """
-
-    w_qkv: Tensor
-    b_qkv: Tensor
-    w_proj: Tensor
-    b_proj: Tensor
-    heads: int
-    head_dim: int
-
-    def __post_init__(self):
-        inner = self.heads * self.head_dim
-        c = self.w_qkv.shape[1]
-        if self.heads < 1 or self.head_dim < 1:
-            raise ShapeError("heads and head_dim must be positive")
-        if self.w_qkv.shape != (3 * inner, c):
-            raise ShapeError(f"w_qkv must be (3*{inner}, {c}), got {self.w_qkv.shape}")
-        if self.b_qkv.shape != (3 * inner,):
-            raise ShapeError(f"b_qkv must be ({3 * inner},), got {self.b_qkv.shape}")
-        if self.w_proj.shape != (c, inner):
-            raise ShapeError(f"w_proj must be ({c}, {inner}), got {self.w_proj.shape}")
-        if self.b_proj.shape != (c,):
-            raise ShapeError(f"b_proj must be ({c},), got {self.b_proj.shape}")
-
-    @property
-    def channels(self) -> int:
-        return self.w_qkv.shape[1]
-
-    @property
-    def inner(self) -> int:
-        return self.heads * self.head_dim
 
 
 def attention_logits(q: Tensor, k: Tensor, mode: str = "standard",
@@ -92,43 +51,37 @@ def rel_pos_index(height: int, width: int) -> np.ndarray:
     return dy * (2 * width - 1) + dx
 
 
-@dataclass
-class RelPosBiasTable:
-    """Learned bias per relative (dy, dx) offset and head, for one window size."""
-
-    table: Tensor
-    height: int
-    width: int
-
-    def __post_init__(self):
-        rows = (2 * self.height - 1) * (2 * self.width - 1)
-        if len(self.table.shape) != 2 or self.table.shape[0] != rows:
-            raise ShapeError(f"bias table must have {rows} rows, got {self.table.shape}")
-
-    @property
-    def heads(self) -> int:
-        return self.table.shape[1]
-
-    def bias(self) -> Tensor:
-        """(heads, T, T) additive logit bias."""
-        rows = tz.gather_rows(self.table, rel_pos_index(self.height, self.width))
-        return tz.transpose(rows, (2, 0, 1))
+def rel_pos_bias(table: Tensor, height: int, width: int) -> Tensor:
+    """(heads, T, T) additive logit bias from a ((2H-1)(2W-1), heads) table of
+    learned biases, one row per relative (dy, dx) offset."""
+    rows = (2 * height - 1) * (2 * width - 1)
+    if len(table.shape) != 2 or table.shape[0] != rows:
+        raise ShapeError(f"bias table must have {rows} rows, got {table.shape}")
+    return tz.transpose(tz.gather_rows(table, rel_pos_index(height, width)), (2, 0, 1))
 
 
-def mhsa_forward(x: Tensor, p: AttentionParams, *, bias: Tensor | None = None) -> Tensor:
-    """Self-attention with standard scores over the spatial positions of an (N, C, H, W) map."""
+def mhsa_forward(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, w_proj: Tensor, b_proj: Tensor,
+                 heads: int, *, bias: Tensor | None = None) -> Tensor:
+    """Self-attention with standard scores over the spatial positions of an (N, C, H, W) map.
+
+    w_qkv stacks the query/key/value projections row-wise: (3*inner, C), with
+    inner = heads * head_dim; w_proj is (C, inner). linear checks the rest.
+    """
     n, c, h, w = x.shape
-    if c != p.channels:
-        raise ShapeError(f"input has {c} channels, attention expects {p.channels}")
+    rows = w_qkv.shape[0]
+    if heads < 1 or rows < 3 * heads or rows % (3 * heads):
+        raise ShapeError(f"w_qkv rows must be a positive multiple of 3*{heads} heads, got {w_qkv.shape}")
+    if b_qkv.shape != (rows,):
+        raise ShapeError(f"b_qkv must be ({rows},), got {b_qkv.shape}")
     t = h * w
-    inner = p.inner
+    inner = rows // 3
     tokens = tz.transpose(tz.reshape(x, (n, c, t)), (0, 2, 1))
 
     def project(part):
-        wp = tz.narrow(p.w_qkv, 0, part * inner, inner)
-        bp = tz.narrow(p.b_qkv, 0, part * inner, inner)
+        wp = tz.narrow(w_qkv, 0, part * inner, inner)
+        bp = tz.narrow(b_qkv, 0, part * inner, inner)
         out = tz.linear(tokens, wp, bp)
-        return tz.transpose(tz.reshape(out, (n, t, p.heads, p.head_dim)), (0, 2, 1, 3))
+        return tz.transpose(tz.reshape(out, (n, t, heads, inner // heads)), (0, 2, 1, 3))
 
     q, k, v = project(0), project(1), project(2)
     logits = attention_logits(q, k)
@@ -137,5 +90,5 @@ def mhsa_forward(x: Tensor, p: AttentionParams, *, bias: Tensor | None = None) -
     attn = tz.softmax(logits, axis=-1)
     out = tz.matmul(attn, v)
     out = tz.reshape(tz.transpose(out, (0, 2, 1, 3)), (n, t, inner))
-    out = tz.linear(out, p.w_proj, p.b_proj)
+    out = tz.linear(out, w_proj, b_proj)
     return tz.reshape(tz.transpose(out, (0, 2, 1)), (n, c, h, w))

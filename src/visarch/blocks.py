@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import tensor as tz
-from .attention import AttentionParams, RelPosBiasTable, mhsa_forward
+from .attention import mhsa_forward, rel_pos_bias
 from .tensor import ParamStore, ShapeError, Tensor
 
 
@@ -341,16 +341,14 @@ def _attention_macs(e, config):
 def attention_block_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
                             norm: str, training: bool) -> Tensor:
     with tz.layer_scope(prefix):
-        ap = AttentionParams(
-            w_qkv=params[prefix + ".attn.qkv.w"], b_qkv=params[prefix + ".attn.qkv.b"],
-            w_proj=params[prefix + ".attn.proj.w"], b_proj=params[prefix + ".attn.proj.b"],
-            heads=spec.heads, head_dim=spec.head_dim)
+        a = prefix + ".attn"
         bias = None
-        if (prefix + ".attn.relpos") in params:
-            table = RelPosBiasTable(params[prefix + ".attn.relpos"], x.shape[2], x.shape[3])
-            bias = table.bias()
+        if a + ".relpos" in params:
+            bias = rel_pos_bias(params[a + ".relpos"], x.shape[2], x.shape[3])
         h = norm_forward(x, params, buffers, prefix + ".norm1", norm, training)
-        x = tz.add_residual(x, mhsa_forward(h, ap, bias=bias))
+        x = tz.add_residual(x, mhsa_forward(h, params[a + ".qkv.w"], params[a + ".qkv.b"],
+                                            params[a + ".proj.w"], params[a + ".proj.b"],
+                                            spec.heads, bias=bias))
         h = norm_forward(x, params, buffers, prefix + ".norm2", norm, training)
         return tz.add_residual(x, _mlp_branch_forward(h, spec, params, prefix + ".mlp"))
 

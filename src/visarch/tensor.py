@@ -17,6 +17,7 @@ Under no_grad ops record no graph, so backward() on their result raises.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -210,6 +211,8 @@ def reshape(x: Tensor, shape) -> Tensor:
     if len(shape) > 4:
         raise ShapeError("reshape target exceeds rank 4")
     old = x.data.shape
+    if math.prod(shape) != x.data.size:
+        raise ShapeError(f"cannot reshape {old} to {shape}")
 
     def bwd(dout):
         return (dout.reshape(old),)
@@ -321,6 +324,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear expects rank-2/3 input and rank-2 weight, got {xd.shape}, {wd.shape}")
     if xd.shape[-1] != wd.shape[1]:
         raise ShapeError(f"linear feature mismatch: input {xd.shape[-1]} vs weight {wd.shape}")
+    if b is not None and b.shape != (wd.shape[0],):
+        raise ShapeError(f"linear bias must be ({wd.shape[0]},), got {b.shape}")
     data = xd @ wd.T
     if b is not None:
         data = data + b.data
@@ -411,6 +416,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
         raise ShapeError(f"channels ({Cin} in, {Cout} out) not divisible by groups={groups}")
     if Cpg != Cin // groups:
         raise ShapeError(f"weight expects {Cpg * groups} input channels, got {Cin} (groups={groups})")
+    if b is not None and b.shape != (Cout,):
+        raise ShapeError(f"conv2d bias must be ({Cout},), got {b.shape}")
     s, p = int(stride), int(padding)
     if kh == kw == 1 and p == 0 and groups == 1:
         return _channel_gemm(x, w, b, s)

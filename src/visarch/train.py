@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import models
-from .checkpoint import stored_int, stored_tensor
+from .checkpoint import CheckpointError, stored_int, stored_tensor
 from .data import Dataset, augment_batch, synth_dataset
 from .tensor import ParamStore, backward, cross_entropy, finite_diff_grad
 
@@ -55,6 +55,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for name in ("seed", "crop_pad", "data_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"bad train config: {name} must be >= 0, got {getattr(self, name)}")
         for name in ("base_lr", "lr_floor", "weight_decay"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
@@ -172,7 +175,10 @@ class AdamW(_SlotState):
         return {"adam_steps": self.steps}
 
     def load_state(self, tensors: dict, scalars: dict) -> None:
-        self.steps = stored_int(scalars, "adam_steps")
+        steps = stored_int(scalars, "adam_steps")
+        if steps < 0:
+            raise CheckpointError(f"checkpoint extra 'adam_steps' must be >= 0, got {steps}")
+        self.steps = steps
         super().load_state(tensors, scalars)
 
 
@@ -226,7 +232,11 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
         model = resume_state["model"]
         optim = make_optimizer(config, model.params)
         optim.load_state(resume_state["tensors"], resume_state["scalars"])
-        start_epoch = stored_int(resume_state["scalars"], "epoch") + 1
+        epoch = stored_int(resume_state["scalars"], "epoch")
+        if not -1 <= epoch < config.epochs:
+            raise CheckpointError(f"checkpoint extra 'epoch' must be in -1..{config.epochs - 1}, "
+                                  f"got {epoch}")
+        start_epoch = epoch + 1
 
     result = TrainResult(config, model, optim, last_epoch=start_epoch - 1)
     end_epoch = config.epochs if stop_after is None else min(stop_after, config.epochs)

@@ -2,36 +2,29 @@ import numpy as np
 import pytest
 
 from visarch import tensor as T
-from visarch.attention import (
-    AttentionParams,
-    RelPosBiasTable,
-    attention_logits,
-    mhsa_forward,
-    rel_pos_index,
-)
+from visarch.attention import attention_logits, mhsa_forward, rel_pos_bias, rel_pos_index
 from visarch.tensor import ParamStore, ShapeError, Tensor, backward
 
 
 def make_params(rng, c, heads, head_dim, dtype=np.float64, zero_qk=False):
+    """mhsa_forward's weight arguments (w_qkv, b_qkv, w_proj, b_proj, heads)."""
     inner = heads * head_dim
     w_qkv = rng.normal(size=(3 * inner, c)) * 0.2
     if zero_qk:
         w_qkv[:2 * inner] = 0.0
-    return AttentionParams(
-        w_qkv=Tensor(w_qkv, dtype=dtype),
-        b_qkv=Tensor(np.zeros(3 * inner), dtype=dtype),
-        w_proj=Tensor(rng.normal(size=(c, inner)) * 0.2, dtype=dtype),
-        b_proj=Tensor(np.zeros(c), dtype=dtype),
-        heads=heads, head_dim=head_dim)
+    return (Tensor(w_qkv, dtype=dtype), Tensor(np.zeros(3 * inner), dtype=dtype),
+            Tensor(rng.normal(size=(c, inner)) * 0.2, dtype=dtype),
+            Tensor(np.zeros(c), dtype=dtype), heads)
 
 
 def naive_mhsa(x, p, bias=None):
     """Loop-free reference attention in plain numpy (independent of the engine)."""
     n, c, h, w = x.shape
-    heads, d = p.heads, p.head_dim
-    inner = heads * d
+    w_qkv, b_qkv, w_proj, b_proj, heads = (getattr(a, "data", a) for a in p)
+    inner = w_qkv.shape[0] // 3
+    d = inner // heads
     tokens = x.reshape(n, c, h * w).transpose(0, 2, 1)
-    qkv = tokens @ p.w_qkv.data.T + p.b_qkv.data
+    qkv = tokens @ w_qkv.T + b_qkv
     q, k, v = [qkv[..., i * inner:(i + 1) * inner].reshape(n, -1, heads, d).transpose(0, 2, 1, 3)
                for i in range(3)]
     logits = q @ k.transpose(0, 1, 3, 2) / np.sqrt(d)
@@ -40,7 +33,7 @@ def naive_mhsa(x, p, bias=None):
     e = np.exp(logits - logits.max(-1, keepdims=True))
     attn = e / e.sum(-1, keepdims=True)
     out = (attn @ v).transpose(0, 2, 1, 3).reshape(n, -1, inner)
-    out = out @ p.w_proj.data.T + p.b_proj.data
+    out = out @ w_proj.T + b_proj
     return out.transpose(0, 2, 1).reshape(n, c, h, w)
 
 
@@ -83,18 +76,19 @@ class TestMhsa:
     def test_matches_naive_reference(self, rng):
         p = make_params(rng, c=12, heads=3, head_dim=4)
         x = rng.normal(size=(2, 12, 3, 4))
-        got = mhsa_forward(Tensor(x, dtype=np.float64), p).data
+        got = mhsa_forward(Tensor(x, dtype=np.float64), *p).data
         np.testing.assert_allclose(got, naive_mhsa(x, p), atol=1e-10)
 
     def test_zero_queries_average_values(self, rng):
         # zero q/k -> uniform attention -> every token becomes the token mean
         c = 8
         p = make_params(rng, c, heads=2, head_dim=4, zero_qk=True)
-        p.w_proj.data[:] = np.eye(c)
+        w_qkv, _, w_proj, _, _ = p
+        w_proj.data[:] = np.eye(c)
         x = rng.normal(size=(1, c, 2, 3))
-        out = mhsa_forward(Tensor(x, dtype=np.float64), p).data
+        out = mhsa_forward(Tensor(x, dtype=np.float64), *p).data
         tokens = x.reshape(1, c, 6)
-        v = p.w_qkv.data[2 * c:] @ tokens[0]
+        v = w_qkv.data[2 * c:] @ tokens[0]
         expect = np.repeat(v.mean(axis=1, keepdims=True), 6, axis=1).reshape(1, c, 2, 3)
         np.testing.assert_allclose(out, expect, atol=1e-10)
 
@@ -109,14 +103,14 @@ class TestMhsa:
         p = make_params(rng, c=8, heads=2, head_dim=4)
         x = rng.normal(size=(1, 8, 1, 6))
         perm = rng.permutation(6)
-        out = mhsa_forward(Tensor(x, dtype=np.float64), p).data
-        out_p = mhsa_forward(Tensor(x[:, :, :, perm], dtype=np.float64), p).data
+        out = mhsa_forward(Tensor(x, dtype=np.float64), *p).data
+        out_p = mhsa_forward(Tensor(x[:, :, :, perm], dtype=np.float64), *p).data
         np.testing.assert_allclose(out[:, :, :, perm], out_p, atol=1e-6)
 
     def test_channel_mismatch(self, rng):
         p = make_params(rng, c=8, heads=2, head_dim=4)
         with pytest.raises(ShapeError):
-            mhsa_forward(Tensor(np.zeros((1, 6, 2, 2))), p)
+            mhsa_forward(Tensor(np.zeros((1, 6, 2, 2))), *p)
 
     def test_grad_flows_fd(self, rng):
         store = ParamStore()
@@ -128,9 +122,9 @@ class TestMhsa:
         x = Tensor(rng.normal(size=(1, 6, 2, 2)), dtype=np.float64)
 
         def loss():
-            p = AttentionParams(store["qkv.w"], store["qkv.b"], store["proj.w"],
-                                store["proj.b"], heads=2, head_dim=3)
-            return T.sum_all(T.gelu(mhsa_forward(x, p)))
+            out = mhsa_forward(x, store["qkv.w"], store["qkv.b"], store["proj.w"],
+                               store["proj.b"], 2)
+            return T.sum_all(T.gelu(out))
 
         store.zero_grads()
         backward(loss())
@@ -141,20 +135,43 @@ class TestMhsa:
                 ana = t.grad.reshape(-1)[int(i)]
                 assert abs(ana - num) / max(abs(ana), abs(num), 1e-3) < 1e-4
 
+    def test_relative_bias_matches_naive_reference(self, rng):
+        p = make_params(rng, c=8, heads=2, head_dim=4)
+        p[1].data[:] = rng.normal(size=24) * 0.1
+        p[3].data[:] = rng.normal(size=8) * 0.1
+        table = Tensor(rng.normal(size=(15, 2)), dtype=np.float64)
+        bias = rel_pos_bias(table, 2, 3)
+        x = rng.normal(size=(2, 8, 2, 3))
+        got = mhsa_forward(Tensor(x, dtype=np.float64), *p, bias=bias).data
+        expect = naive_mhsa(x, p, table.data[rel_pos_index(2, 3)].transpose(2, 0, 1))
+        np.testing.assert_allclose(got, expect, atol=1e-10)
+        assert np.abs(got - naive_mhsa(x, p)).max() > 1e-3
+
+
+def attention_args(inner=8, c=8, **override):
+    """Consistent mhsa_forward arguments for a (1, c, 2, 2) input, with overrides."""
+    args = dict(w_qkv=Tensor(np.zeros((3 * inner, c))), b_qkv=Tensor(np.zeros(3 * inner)),
+                w_proj=Tensor(np.zeros((c, inner))), b_proj=Tensor(np.zeros(c)), heads=2)
+    return {**args, **override}
+
 
 class TestParamsValidation:
-    def test_shape_checks(self, rng):
-        inner = 8
-        good = dict(w_qkv=Tensor(np.zeros((3 * inner, 8))), b_qkv=Tensor(np.zeros(3 * inner)),
-                    w_proj=Tensor(np.zeros((8, inner))), b_proj=Tensor(np.zeros(8)),
-                    heads=2, head_dim=4)
-        AttentionParams(**good)
-        with pytest.raises(ShapeError):
-            AttentionParams(**{**good, "w_qkv": Tensor(np.zeros((3 * inner + 1, 8)))})
-        with pytest.raises(ShapeError):
-            AttentionParams(**{**good, "heads": 3})
-        with pytest.raises(ShapeError):
-            AttentionParams(**{**good, "w_proj": Tensor(np.zeros((8, inner + 2)))})
+    def test_shape_checks(self):
+        x = Tensor(np.zeros((1, 8, 2, 2)))
+        assert mhsa_forward(x, **attention_args()).shape == (1, 8, 2, 2)
+        for bad in (dict(w_qkv=Tensor(np.zeros((25, 8)))),
+                    dict(heads=3),
+                    dict(heads=0),
+                    dict(w_qkv=Tensor(np.zeros((0, 8))), b_qkv=Tensor(np.zeros(0))),
+                    dict(w_qkv=Tensor(np.zeros((24, 9)))),
+                    dict(w_proj=Tensor(np.zeros((8, 10)))),
+                    dict(w_proj=Tensor(np.zeros((9, 8))), b_proj=Tensor(np.zeros(9))),
+                    dict(b_qkv=Tensor(np.zeros(23))),
+                    dict(b_qkv=Tensor(np.zeros((24, 1)))),
+                    dict(b_proj=Tensor(np.zeros(9))),
+                    dict(b_proj=Tensor(np.zeros((1, 8))))):
+            with pytest.raises(ShapeError):
+                mhsa_forward(x, **attention_args(**bad))
 
 
 class TestRelPos:
@@ -170,13 +187,13 @@ class TestRelPos:
 
     def test_single_token_window(self, rng):
         table = Tensor(rng.normal(size=(1, 4)), dtype=np.float64)
-        bias = RelPosBiasTable(table, 1, 1).bias().data
+        bias = rel_pos_bias(table, 1, 1).data
         assert bias.shape == (4, 1, 1)
         np.testing.assert_allclose(bias[:, 0, 0], table.data[0])
 
     def test_equal_offsets_share_bias(self, rng):
         table = Tensor(rng.normal(size=(9, 2)), dtype=np.float64)
-        bias = RelPosBiasTable(table, 2, 2).bias().data
+        bias = rel_pos_bias(table, 2, 2).data
         # token pairs (0,1) and (2,3) both have offset (0,-1)
         np.testing.assert_array_equal(bias[:, 0, 1], bias[:, 2, 3])
         # (0,3) and nothing else shares offset (-1,-1) in a 2x2 window
@@ -184,12 +201,12 @@ class TestRelPos:
 
     def test_wrong_table_rows(self):
         with pytest.raises(ShapeError):
-            RelPosBiasTable(Tensor(np.zeros((8, 2))), 2, 2)
+            rel_pos_bias(Tensor(np.zeros((8, 2))), 2, 2)
 
     def test_table_grad_accumulates_by_offset(self, rng):
         store = ParamStore()
         table = store.add("t", Tensor(np.zeros((9, 1)), dtype=np.float64))
-        backward(T.sum_all(RelPosBiasTable(table, 2, 2).bias()))
+        backward(T.sum_all(rel_pos_bias(table, 2, 2)))
         # each of the 16 token pairs contributes once to its offset row
         assert table.grad.sum() == 16
         assert table.grad[4, 0] == 4  # zero offset occurs for the 4 diagonal pairs

@@ -5,7 +5,6 @@ import pytest
 
 from visarch import blocks as B
 from visarch import tensor as T
-from visarch.analysis import layer_rows
 from visarch.blocks import BlockSpec, EmbedSpec, conv_mlp_hidden
 from visarch.models import PlanEntry
 from visarch.tensor import ShapeError, Tensor, backward
@@ -58,9 +57,9 @@ class TestConvMlpHidden:
 
     def test_macs_within_five_percent_of_plain(self):
         for c in (192, 384, 768, 48):
-            plain = sum(m for _, m, _ in layer_rows(
+            plain = sum(m for _, m, _ in B.LAYERS["mlp"].rows(
                 block_entry(BlockSpec("mlp", c, hidden=4 * c), (14, 14)), config()))
-            conv = sum(m for _, m, _ in layer_rows(
+            conv = sum(m for _, m, _ in B.LAYERS["mlp"].rows(
                 block_entry(BlockSpec("mlp", c, hidden=4 * c, use_3x3=True), (14, 14)), config()))
             assert conv <= plain
             assert conv >= 0.95 * plain
@@ -266,13 +265,14 @@ class TestHead:
 
 class TestRowCounting:
     def test_one_by_one_conv_row(self):
-        rows = layer_rows(block_entry(BlockSpec("mlp", 64, hidden=128), (14, 14)), config())
+        rows = B.LAYERS["mlp"].rows(block_entry(BlockSpec("mlp", 64, hidden=128), (14, 14)), config())
         fc1 = dict((p, (m, n)) for p, m, n in rows)["b.fc1"]
         assert fc1 == (196 * 64 * 128, 64 * 128 + 128)
 
     def test_attention_rows_hand_check(self):
         spec = BlockSpec("attention", 384, hidden=1536, heads=6, head_dim=64, attn_inner=384)
-        rows = dict((p, (m, n)) for p, m, n in layer_rows(block_entry(spec, (14, 14)), config()))
+        entry = block_entry(spec, (14, 14))
+        rows = dict((p, (m, n)) for p, m, n in B.LAYERS["attention"].rows(entry, config()))
         assert rows["b.attn.qkv"] == (196 * 384 * 1152, 1152 * 384 + 1152)
         assert rows["b.attn.scores"] == (196 * 196 * 384, 0)
         assert rows["b.attn.apply"] == (196 * 196 * 384, 0)
@@ -281,7 +281,7 @@ class TestRowCounting:
 
     def test_norms_and_bias_cost_zero_macs(self):
         spec = BlockSpec("attention", 64, hidden=256, heads=2, head_dim=32, attn_inner=64)
-        rows = layer_rows(block_entry(spec, (7, 7)), config(rel_pos=True))
+        rows = B.LAYERS["attention"].rows(block_entry(spec, (7, 7)), config(rel_pos=True))
         by_path = dict((p, m) for p, m, _ in rows)
         assert by_path["b.norm1"] == 0 and by_path["b.norm2"] == 0
         assert by_path["b.attn.relpos"] == 0

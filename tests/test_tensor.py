@@ -129,6 +129,16 @@ class TestConv:
         with pytest.raises(ShapeError):
             T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
 
+    # 1x1 runs the channel GEMM, 3x3 and grouped 1x1 the im2col GEMM
+    @pytest.mark.parametrize("kernel,groups", [(1, 1), (3, 1), (1, 2)], ids=["1x1", "3x3", "grouped"])
+    @pytest.mark.parametrize("bias_shape", [(3,), (5,), (4, 1), ()], ids=["3", "5", "4x1", "scalar"])
+    def test_bias_must_be_one_per_output_channel(self, kernel, groups, bias_shape):
+        x = Tensor(np.ones((1, 4, 3, 3)))
+        w = Tensor(np.ones((4, 4 // groups, kernel, kernel)))
+        assert T.conv2d(x, w, Tensor(np.ones(4)), groups=groups).shape[1] == 4
+        with pytest.raises(ShapeError, match="bias must be"):
+            T.conv2d(x, w, Tensor(np.ones(bias_shape)), groups=groups)
+
 
 class TestChannelGemm:
     """conv2d runs 1x1, unpadded, ungrouped kernels as one channel GEMM."""
@@ -249,6 +259,13 @@ class TestLinear:
     def test_feature_mismatch_error(self):
         with pytest.raises(ShapeError):
             T.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+
+    @pytest.mark.parametrize("bias_shape", [(2, 4), (3,), (1, 4), ()],
+                             ids=["per-row", "short", "1x4", "scalar"])
+    def test_bias_must_be_one_per_output(self, bias_shape):
+        # a (2, 4) bias used to be added row by row to the (2, 4) output
+        with pytest.raises(ShapeError, match="bias must be"):
+            T.linear(Tensor(np.ones((2, 5))), Tensor(np.ones((4, 5))), Tensor(np.ones(bias_shape)))
 
 
 class TestNorms:
@@ -587,6 +604,10 @@ class TestTensorBasics:
     def test_rank_limit(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros((1, 1, 1, 1, 1)))
+
+    def test_reshape_size_mismatch_error(self):
+        with pytest.raises(ShapeError, match="cannot reshape"):
+            T.reshape(Tensor(np.zeros((1, 9, 4))), (1, 8, 2, 2))
 
     def test_default_dtype_is_float32(self):
         assert Tensor([1, 2, 3]).dtype == np.float32

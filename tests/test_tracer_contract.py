@@ -34,9 +34,11 @@ def traced_join(name, res):
 
 
 def test_traced_forward_joins_complexity_report():
-    checked, errors, block_macs = traced_join("visformer_ti-micro", 32)
-    assert (checked, errors) == (1, [])
-    assert block_macs
+    # visformer_v2_ti-micro adds the relative-position attention path
+    for name in ("visformer_ti-micro", "visformer_v2_ti-micro"):
+        checked, errors, block_macs = traced_join(name, preset(name).input_resolution)
+        assert (checked, errors) == (1, []), name
+        assert block_macs, name
 
 
 def test_plan_matches_forward_at_odd_stage_resolutions():

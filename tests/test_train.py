@@ -60,6 +60,9 @@ class TestConfig:
         dict(base_lr="0.02"),
         dict(momentum=None),
         dict(preset=3),
+        dict(seed=-1),
+        dict(data_seed=-1),
+        dict(crop_pad=-1),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
@@ -220,6 +223,11 @@ class TestOptimizerState:
         with pytest.raises(CheckpointError, match="'adam_steps'"):
             AdamW(opt.store).load_state(opt.state_tensors(), {"adam_steps": steps})
 
+    def test_adamw_step_count_must_not_be_negative(self):
+        opt = self.make(AdamW)
+        with pytest.raises(CheckpointError, match="'adam_steps' must be >= 0, got -4"):
+            AdamW(opt.store).load_state(opt.state_tensors(), {"adam_steps": -4})
+
 
 class TestLoop:
     def test_loss_decreases(self):
@@ -264,13 +272,27 @@ class TestLoop:
 
     @pytest.mark.parametrize("epoch", ["0", 0.5, True, None])
     def test_resume_epoch_must_be_an_integer(self, epoch):
+        with pytest.raises(CheckpointError, match="'epoch'"):
+            self.resume_at(epoch)
+
+    @staticmethod
+    def resume_at(epoch):
+        """Resume a fresh 2-epoch run whose checkpoint says it finished epoch."""
         cfg = tiny_config(epochs=2)
         model = build(preset(cfg.preset), seed=cfg.seed)
         optim = make_optimizer(cfg, model.params)
         state = {"model": model, "tensors": optim.state_tensors(),
                  "scalars": {"epoch": epoch, **optim.scalar_state()}}
-        with pytest.raises(CheckpointError, match="'epoch'"):
-            train(cfg, tiny_dataset(), resume_state=state)
+        return train(cfg, tiny_dataset(), resume_state=state)
+
+    @pytest.mark.parametrize("epoch", [-3, -2, 2, 5])
+    def test_resume_epoch_must_be_in_range(self, epoch):
+        with pytest.raises(CheckpointError, match=r"'epoch' must be in -1\.\.1"):
+            self.resume_at(epoch)
+
+    def test_resume_after_the_last_epoch_runs_none(self):
+        r = self.resume_at(1)
+        assert (r.losses, r.last_epoch) == ([], 1)
 
     def test_rejects_dataset_with_too_many_classes(self):
         ds = synth_dataset(12, 1, 32, seed=0)
