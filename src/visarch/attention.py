@@ -66,6 +66,7 @@ def mhsa_forward(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, w_proj: Tensor, b_proj
 
     w_qkv stacks the query/key/value projections row-wise: (3*inner, C), with
     inner = heads * head_dim; w_proj is (C, inner). linear checks the rest.
+    bias, if given, is added to the logits and must be (heads, T, T), T = H*W.
     """
     n, c, h, w = x.shape
     rows = w_qkv.shape[0]
@@ -74,6 +75,8 @@ def mhsa_forward(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, w_proj: Tensor, b_proj
     if b_qkv.shape != (rows,):
         raise ShapeError(f"b_qkv must be ({rows},), got {b_qkv.shape}")
     t = h * w
+    if bias is not None and bias.shape != (heads, t, t):
+        raise ShapeError(f"attention bias must be ({heads}, {t}, {t}), got {bias.shape}")
     inner = rows // 3
     tokens = tz.transpose(tz.reshape(x, (n, c, t)), (0, 2, 1))
 

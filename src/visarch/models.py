@@ -168,11 +168,25 @@ def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
     return Model(config, params, buffers, np.dtype(dtype), seed)
 
 
+def run_plan(model: Model, plan: list[PlanEntry], x: Tensor, start: int,
+             training: bool) -> Tensor:
+    """Run plan[start:] on x, the input of entry start, inside the model's layer scope.
+
+    A parameter of entry k cannot change the outputs of entries 0..k-1, so a
+    gradient probe of that parameter resumes here from entry k's saved input.
+    """
+    with tz.layer_scope(model.config.name):
+        for e in plan[start:]:
+            x = B.LAYERS[e.kind].forward(x, e, model, training)
+    return x
+
+
 def model_forward(model: Model, x, training: bool = False) -> Tensor:
     """Run the network on a square (N, 3, H, H) batch; returns (N, num_classes) logits.
 
-    Eval mode (training=False) runs under tz.no_grad: it records no graph, so
-    its logits hold no activations and backward() on a loss built from them
+    Checks the input, then runs the whole layer_plan through run_plan. Eval
+    mode (training=False) runs under tz.no_grad: it records no graph, so its
+    logits hold no activations and backward() on a loss built from them
     raises GraphError. Train mode records the graph for backward().
     """
     if isinstance(x, np.ndarray):
@@ -182,10 +196,8 @@ def model_forward(model: Model, x, training: bool = False) -> Tensor:
     height, width = x.shape[2], x.shape[3]
     if height != width:
         raise ShapeError(f"input must be square, got H={height} W={width}")
-    with tz.layer_scope(model.config.name), (nullcontext() if training else tz.no_grad()):
-        for e in layer_plan(model.config, resolution=width):
-            x = B.LAYERS[e.kind].forward(x, e, model, training)
-    return x
+    with nullcontext() if training else tz.no_grad():
+        return run_plan(model, layer_plan(model.config, resolution=width), x, 0, training)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """NCHW tensor core: float32/float64 storage, reverse-mode autodiff, layer ops.
 
-Every op checks its forward output for NaN/Inf and raises NonFiniteError naming
-the innermost layer_scope, so a blow-up points at a layer instead of a loss=nan.
+Every compute op checks its forward output for NaN/Inf and raises NonFiniteError
+naming the innermost layer_scope, so a blow-up points at a layer instead of a
+loss=nan. The shape ops (reshape, transpose, narrow, concat, batch_tile) only
+move values, so they skip the check: a non-finite leaf they carry raises at the
+next compute op.
 Gradients accumulate into leaf .grad across backward() calls until cleared.
 
 conv2d and max_pool2d share one window rule: out_size (which layer_plan also
@@ -98,12 +101,19 @@ class Tensor:
 
 
 def _check_finite(arr, op: str):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced a non-finite value at '{current_scope()}'")
 
 
 def _result(op, data, parents, backward_fn):
+    """A compute op's output: checked for NaN/Inf, then recorded."""
     _check_finite(data, op)
+    return _record(data, parents, backward_fn)
+
+
+def _record(data, parents, backward_fn):
+    """An op's output with its graph node; shape ops call this directly, since
+    they only move values the op that made them already checked."""
     out = Tensor(data)
     if _GRAD_ENABLED[0] and any(p.requires_grad or p._backward is not None for p in parents):
         out.requires_grad = True
@@ -217,7 +227,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def bwd(dout):
         return (dout.reshape(old),)
 
-    return _result("reshape", x.data.reshape(shape), (x,), bwd)
+    return _record(x.data.reshape(shape), (x,), bwd)
 
 
 def transpose(x: Tensor, perm) -> Tensor:
@@ -227,7 +237,7 @@ def transpose(x: Tensor, perm) -> Tensor:
     def bwd(dout):
         return (dout.transpose(inv),)
 
-    return _result("transpose", x.data.transpose(perm), (x,), bwd)
+    return _record(x.data.transpose(perm), (x,), bwd)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -238,7 +248,7 @@ def concat(tensors, axis: int) -> Tensor:
     def bwd(dout):
         return tuple(np.split(dout, splits, axis=axis))
 
-    return _result("concat", np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
+    return _record(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -253,7 +263,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         dx[idx] = dout
         return (dx,)
 
-    return _result("narrow", x.data[idx].copy(), (x,), bwd)
+    return _record(x.data[idx].copy(), (x,), bwd)
 
 
 def batch_tile(x: Tensor, n: int) -> Tensor:
@@ -264,7 +274,7 @@ def batch_tile(x: Tensor, n: int) -> Tensor:
     def bwd(dout):
         return (dout.sum(axis=0),)
 
-    return _result("batch_tile", np.broadcast_to(x.data, (n,) + x.data.shape).copy(), (x,), bwd)
+    return _record(np.broadcast_to(x.data, (n,) + x.data.shape).copy(), (x,), bwd)
 
 
 def gather_rows(table: Tensor, index) -> Tensor:

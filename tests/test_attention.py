@@ -159,6 +159,8 @@ class TestParamsValidation:
     def test_shape_checks(self):
         x = Tensor(np.zeros((1, 8, 2, 2)))
         assert mhsa_forward(x, **attention_args()).shape == (1, 8, 2, 2)
+        head_bias = Tensor(np.zeros((2, 4, 4)))
+        assert mhsa_forward(x, **attention_args(bias=head_bias)).shape == (1, 8, 2, 2)
         for bad in (dict(w_qkv=Tensor(np.zeros((25, 8)))),
                     dict(heads=3),
                     dict(heads=0),
@@ -169,7 +171,12 @@ class TestParamsValidation:
                     dict(b_qkv=Tensor(np.zeros(23))),
                     dict(b_qkv=Tensor(np.zeros((24, 1)))),
                     dict(b_proj=Tensor(np.zeros(9))),
-                    dict(b_proj=Tensor(np.zeros((1, 8))))):
+                    dict(b_proj=Tensor(np.zeros((1, 8)))),
+                    # 2 heads over T=4 tokens take a (2, 4, 4) bias: the first two
+                    # would broadcast silently, the third fail inside numpy
+                    dict(bias=Tensor(np.zeros((1, 4, 4)))),
+                    dict(bias=Tensor(np.zeros((1, 2, 4, 4)))),
+                    dict(bias=Tensor(np.zeros((3, 4, 4))))):
             with pytest.raises(ShapeError):
                 mhsa_forward(x, **attention_args(**bad))
 

@@ -20,6 +20,8 @@ from visarch import (
     preset_names,
     shape_table,
 )
+from visarch.blocks import BUFFER_INITS, LAYERS
+from visarch.models import model_slots
 from visarch.tensor import cross_entropy
 
 FULL_PRESETS = ["deit_s", "net1", "net2", "net3", "net4", "net5", "net6", "net7",
@@ -119,6 +121,15 @@ class TestPlan:
         for (_, _, out), (_, nxt, _) in zip(rows, rows[1:]):
             assert out == nxt
 
+    @pytest.mark.parametrize("name", preset_names())
+    def test_every_parameter_belongs_to_one_plan_entry(self, name):
+        # gradcheck resumes a parameter's probes at the one entry that owns it
+        config = preset(name)
+        owners = Counter(s.path for e in layer_plan(config)
+                         for s in LAYERS[e.kind].params(e, config))
+        params = [s.path for s in model_slots(config) if s.init not in BUFFER_INITS]
+        assert params and all(owners[p] == 1 for p in params)
+
     def test_indivisible_resolution(self):
         with pytest.raises(ShapeError, match="divisible"):
             layer_plan(preset("visformer_s"), resolution=225)
@@ -187,6 +198,14 @@ class TestForward:
         assert logits._backward is not None
         backward(cross_entropy(logits, np.array([0, 1])))
         assert all(t.grad is not None for _, t in model.params.items())
+
+    def test_nan_leaf_through_shape_ops_names_next_compute_op(self):
+        # the cls token passes batch_tile and concat unchecked; the pos add checks it
+        model = build(preset("deit_s-micro"), seed=0)
+        model.params["cls"].data[0, 0, 0] = np.nan
+        x = np.zeros((2, 3, 32, 32), np.float32)
+        with pytest.raises(NonFiniteError, match="add .*'deit_s-micro.s0.pos'"):
+            model_forward(model, x)
 
     def test_rejects_bad_channels(self, model):
         with pytest.raises(ShapeError, match="3"):

@@ -16,8 +16,10 @@ from visarch import (
     synth_dataset,
     train,
 )
-from visarch.tensor import ParamStore, Tensor
-from visarch.train import REFERENCE_BATCH, AdamW, SGDMomentum
+from visarch.blocks import BUFFER_INITS, LAYERS
+from visarch.models import layer_plan, model_forward
+from visarch.tensor import ParamStore, Tensor, cross_entropy, finite_diff_grad
+from visarch.train import REFERENCE_BATCH, AdamW, SGDMomentum, _probe_losses
 
 
 def tiny_dataset():
@@ -341,8 +343,50 @@ class TestGradcheck:
     @pytest.mark.parametrize("name,value", [
         ("samples_per_param", 0), ("samples_per_param", -1), ("batch", 0), ("batch", -2),
         ("tolerance", 0.0), ("tolerance", -1e-4), ("tolerance", float("nan")),
-        ("tolerance", float("inf")),
+        ("tolerance", float("inf")), ("seed", -1), ("seed", 1.5), ("seed", True),
     ])
     def test_rejects_arguments_that_check_nothing(self, name, value):
         with pytest.raises(ValueError, match=name):
             gradcheck("deit_s-micro", **{name: value})
+
+
+def probed_slot(entry, config):
+    """The parameter a test probes in a plan entry: its relative-position table,
+    unless that has one offset only (over one token it shifts a softmax row
+    evenly, so its gradient is 0), else its first parameter; None for an entry
+    without any."""
+    params = [s for s in LAYERS[entry.kind].params(entry, config) if s.init not in BUFFER_INITS]
+    tables = [s for s in params if s.path.endswith(".relpos") and s.shape[0] > 1]
+    return (tables + params + [None])[0]
+
+
+class TestResumedProbes:
+    # deit_s: cls and pos entries; resnet50_shape: stem, pool and strided
+    # bottlenecks; visformer_v2_ti: relative position bias
+    @pytest.mark.parametrize("name", ["deit_s-micro", "resnet50_shape-micro",
+                                      "visformer_v2_ti-micro"])
+    def test_probe_resumed_at_its_entry_equals_whole_forward_probe(self, name):
+        config = preset(name)
+        model = build(config, seed=0, dtype=np.float64)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(4, 3, 32, 32))
+        y = rng.integers(0, config.num_classes, 4)
+        saved = {k: v.copy() for k, v in model.buffers.items()}
+
+        def whole():
+            for k, v in saved.items():
+                model.buffers[k][...] = v
+            return cross_entropy(model_forward(model, x, training=True), y)
+
+        losses = _probe_losses(model, x, y)
+        probed = []
+        for e in layer_plan(config):
+            slot = probed_slot(e, config)
+            if slot is None:
+                continue
+            i = int(np.prod(slot.shape)) // 2
+            resumed = finite_diff_grad(losses[slot.path], model.params, slot.path, i, h=1e-6)
+            full = finite_diff_grad(whole, model.params, slot.path, i, h=1e-6)
+            assert resumed == full, (slot.path, resumed, full)
+            probed.append(full)
+        assert len(probed) >= 15 and np.count_nonzero(probed) == len(probed)
