@@ -1,5 +1,7 @@
-"""Building blocks: stems, patch embeddings, conv bottlenecks, MLPs, attention blocks, heads.
+"""Building blocks: stems, patch embeddings, conv bottlenecks, attention blocks, heads.
 
+The block forwards only compute: models.layer_plan has already checked the
+structure they run, and models.run_plan opens each plan entry's layer_scope.
 LAYERS maps each layer_plan kind to one Layer of three functions sharing one
 parameter naming scheme: params (the entry's parameters and buffers as Slots,
 in initialization order), forward (run the entry), and rows ((path, MACs,
@@ -14,14 +16,32 @@ pooling, and bias adds count zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import tensor as tz
 from .attention import mhsa_forward, rel_pos_bias
-from .tensor import ParamStore, ShapeError, Tensor
+from .tensor import ParamStore, Tensor
+
+# Annotation of a scalar config field -> (accepted types, how an error names
+# them): the JSON types, so every valid config round-trips through JSON; a
+# bool is only a bool, never an int or a float
+_FIELD_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
+                "float": ((int, float), "a number"), "bool": (bool, "true or false")}
+
+
+def check_fields(obj, what: str) -> None:
+    """Raise ValueError naming the first scalar field of the dataclass obj that
+    does not hold its annotated type; other fields are left to their owner."""
+    for f in fields(obj):
+        if f.type in _FIELD_TYPES:
+            types, kind = _FIELD_TYPES[f.type]
+            value = getattr(obj, f.name)
+            if not isinstance(value, types) or (f.type != "bool" and isinstance(value, bool)):
+                raise ValueError(f"bad {what}: {f.name} must be {kind}, "
+                                 f"got {value!r} ({type(value).__name__})")
 
 
 @dataclass(frozen=True)
@@ -34,13 +54,17 @@ class EmbedSpec:
     padding: int = 0
     norm_after: bool = False
 
+    def __post_init__(self):
+        check_fields(self, "embedding spec")
+
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """One residual block. kind is 'bottleneck', 'mlp', or 'attention'.
+    """One residual block. kind is 'bottleneck' or 'attention'.
 
-    hidden is the reference expansion width (for use_3x3 MLPs the actual conv
-    width is recomputed so MACs never exceed the plain two-layer MLP).
+    hidden is the reference expansion width (for an attention block's use_3x3
+    MLP branch the actual conv width is recomputed so MACs never exceed the
+    plain two-layer MLP).
     attention blocks set heads/head_dim/attn_inner; stride/in_channels exist
     for post-norm bottlenecks whose residual changes shape.
     """
@@ -55,6 +79,9 @@ class BlockSpec:
     attn_inner: int = 0
     stride: int = 1
     in_channels: int = 0
+
+    def __post_init__(self):
+        check_fields(self, "block spec")
 
 
 def conv_mlp_hidden(channels: int, hidden: int, groups: int = 1) -> int:
@@ -174,10 +201,8 @@ def norm_forward(x: Tensor, params: ParamStore, buffers: dict, prefix: str,
     gamma, beta = params[prefix + ".gamma"], params[prefix + ".beta"]
     if kind == "layer":
         return tz.layer_norm(x, gamma, beta)
-    if kind == "batch":
-        return tz.batch_norm(x, gamma, beta, buffers[prefix + ".mean"],
-                             buffers[prefix + ".var"], training=training)
-    raise ValueError(f"unknown norm kind '{kind}'")
+    return tz.batch_norm(x, gamma, beta, buffers[prefix + ".mean"],
+                         buffers[prefix + ".var"], training=training)
 
 
 def _conv(x, params, prefix, *, stride=1, padding=0, groups=1):
@@ -200,25 +225,18 @@ def _embed_params(e, config):
 
 def stem_forward(x: Tensor, spec: EmbedSpec, params, buffers, prefix: str,
                  training: bool) -> Tensor:
-    with tz.layer_scope(prefix):
-        out = _conv(x, params, prefix + ".conv", stride=spec.stride, padding=spec.padding)
-        if spec.norm_after:
-            out = norm_forward(out, params, buffers, prefix + ".norm", "batch", training)
-        return tz.relu(out)
+    out = _conv(x, params, prefix + ".conv", stride=spec.stride, padding=spec.padding)
+    if spec.norm_after:
+        out = norm_forward(out, params, buffers, prefix + ".norm", "batch", training)
+    return tz.relu(out)
 
 
 def patch_embed_forward(x: Tensor, spec: EmbedSpec, params, buffers, prefix: str,
                         training: bool) -> Tensor:
-    if spec.kernel != spec.stride or spec.padding:
-        raise ShapeError(f"patch embedding at '{prefix}' must have kernel == stride and no padding")
-    h, w = x.shape[2], x.shape[3]
-    if h % spec.stride or w % spec.stride:
-        raise ShapeError(f"resolution {h}x{w} not divisible by patch stride {spec.stride} at '{prefix}'")
-    with tz.layer_scope(prefix):
-        out = _conv(x, params, prefix + ".conv", stride=spec.stride)
-        if spec.norm_after:
-            out = norm_forward(out, params, buffers, prefix + ".norm", "batch", training)
-        return out
+    out = _conv(x, params, prefix + ".conv", stride=spec.stride)
+    if spec.norm_after:
+        out = norm_forward(out, params, buffers, prefix + ".norm", "batch", training)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +246,6 @@ def patch_embed_forward(x: Tensor, spec: EmbedSpec, params, buffers, prefix: str
 def _bottleneck_params(e, config):
     spec, p, norm = e.spec, e.prefix, config.norm
     c, h, g = spec.channels, spec.hidden, spec.groups
-    if h % g:
-        raise ShapeError(f"bottleneck hidden width {h} not divisible by groups {g}")
     if config.conv_block_style == "pre_norm":
         return (_norm_slots(p + ".norm", c, norm)
                 + _conv_slots(p + ".conv1", c, h, 1)
@@ -256,30 +272,29 @@ def _bottleneck_macs(e, config):
 
 def bottleneck_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
                        norm: str, style: str, training: bool) -> Tensor:
-    with tz.layer_scope(prefix):
-        if style == "pre_norm":
-            h = norm_forward(x, params, buffers, prefix + ".norm", norm, training)
-            h = tz.relu(_conv(h, params, prefix + ".conv1"))
-            h = tz.relu(_conv(h, params, prefix + ".conv2", padding=1, groups=spec.groups))
-            h = _conv(h, params, prefix + ".conv3")
-            return tz.add_residual(x, h)
-        s = spec.stride
-        h = _conv(x, params, prefix + ".conv1")
-        h = tz.relu(norm_forward(h, params, buffers, prefix + ".norm1", norm, training))
-        h = _conv(h, params, prefix + ".conv2", stride=s, padding=1, groups=spec.groups)
-        h = tz.relu(norm_forward(h, params, buffers, prefix + ".norm2", norm, training))
+    if style == "pre_norm":
+        h = norm_forward(x, params, buffers, prefix + ".norm", norm, training)
+        h = tz.relu(_conv(h, params, prefix + ".conv1"))
+        h = tz.relu(_conv(h, params, prefix + ".conv2", padding=1, groups=spec.groups))
         h = _conv(h, params, prefix + ".conv3")
-        h = norm_forward(h, params, buffers, prefix + ".norm3", norm, training)
-        if (prefix + ".proj.w") in params:
-            sc = _conv(x, params, prefix + ".proj", stride=s)
-            sc = norm_forward(sc, params, buffers, prefix + ".proj_norm", norm, training)
-        else:
-            sc = x
-        return tz.relu(tz.add_residual(sc, h))
+        return tz.add_residual(x, h)
+    s = spec.stride
+    h = _conv(x, params, prefix + ".conv1")
+    h = tz.relu(norm_forward(h, params, buffers, prefix + ".norm1", norm, training))
+    h = _conv(h, params, prefix + ".conv2", stride=s, padding=1, groups=spec.groups)
+    h = tz.relu(norm_forward(h, params, buffers, prefix + ".norm2", norm, training))
+    h = _conv(h, params, prefix + ".conv3")
+    h = norm_forward(h, params, buffers, prefix + ".norm3", norm, training)
+    if (prefix + ".proj.w") in params:
+        sc = _conv(x, params, prefix + ".proj", stride=s)
+        sc = norm_forward(sc, params, buffers, prefix + ".proj_norm", norm, training)
+    else:
+        sc = x
+    return tz.relu(tz.add_residual(sc, h))
 
 
 # ---------------------------------------------------------------------------
-# MLP branch (shared by standalone mlp blocks and attention blocks)
+# attention block (pre-norm attention + pre-norm MLP branch, both residual)
 
 
 def _mlp_branch_params(spec: BlockSpec, prefix: str):
@@ -298,22 +313,6 @@ def _mlp_branch_forward(x, spec: BlockSpec, params, prefix):
     if spec.use_3x3:
         h = tz.gelu(_conv(h, params, prefix + ".conv", padding=1, groups=spec.groups))
     return _conv(h, params, prefix + ".fc2")
-
-
-def _mlp_params(e, config):
-    return (_norm_slots(e.prefix + ".norm", e.spec.channels, config.norm)
-            + _mlp_branch_params(e.spec, e.prefix))
-
-
-def mlp_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
-                norm: str, training: bool) -> Tensor:
-    with tz.layer_scope(prefix):
-        h = norm_forward(x, params, buffers, prefix + ".norm", norm, training)
-        return tz.add_residual(x, _mlp_branch_forward(h, spec, params, prefix))
-
-
-# ---------------------------------------------------------------------------
-# attention block (pre-norm attention + pre-norm MLP, both residual)
 
 
 def _attention_params(e, config):
@@ -340,17 +339,16 @@ def _attention_macs(e, config):
 
 def attention_block_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
                             norm: str, training: bool) -> Tensor:
-    with tz.layer_scope(prefix):
-        a = prefix + ".attn"
-        bias = None
-        if a + ".relpos" in params:
-            bias = rel_pos_bias(params[a + ".relpos"], x.shape[2], x.shape[3])
-        h = norm_forward(x, params, buffers, prefix + ".norm1", norm, training)
-        x = tz.add_residual(x, mhsa_forward(h, params[a + ".qkv.w"], params[a + ".qkv.b"],
-                                            params[a + ".proj.w"], params[a + ".proj.b"],
-                                            spec.heads, bias=bias))
-        h = norm_forward(x, params, buffers, prefix + ".norm2", norm, training)
-        return tz.add_residual(x, _mlp_branch_forward(h, spec, params, prefix + ".mlp"))
+    a = prefix + ".attn"
+    bias = None
+    if a + ".relpos" in params:
+        bias = rel_pos_bias(params[a + ".relpos"], x.shape[2], x.shape[3])
+    h = norm_forward(x, params, buffers, prefix + ".norm1", norm, training)
+    x = tz.add_residual(x, mhsa_forward(h, params[a + ".qkv.w"], params[a + ".qkv.b"],
+                                        params[a + ".proj.w"], params[a + ".proj.b"],
+                                        spec.heads, bias=bias))
+    h = norm_forward(x, params, buffers, prefix + ".norm2", norm, training)
+    return tz.add_residual(x, _mlp_branch_forward(h, spec, params, prefix + ".mlp"))
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +356,11 @@ def attention_block_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix:
 
 
 def head_forward(x: Tensor, mode: str, params, prefix: str) -> Tensor:
-    with tz.layer_scope(prefix):
-        if mode == "gap":
-            feat = tz.global_avg_pool(x)
-        elif mode == "cls_token":
-            tok = tz.narrow(x, 2, 0, 1)
-            feat = tz.reshape(tok, (x.shape[0], x.shape[1]))
-        else:
-            raise ValueError(f"unknown head mode '{mode}'")
-        return tz.linear(feat, params[prefix + ".fc.w"], params[prefix + ".fc.b"])
+    if mode == "gap":
+        feat = tz.global_avg_pool(x)
+    else:  # cls_token: the first token
+        feat = tz.reshape(tz.narrow(x, 2, 0, 1), (x.shape[0], x.shape[1]))
+    return tz.linear(feat, params[prefix + ".fc.w"], params[prefix + ".fc.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -376,20 +370,10 @@ def head_forward(x: Tensor, mode: str, params, prefix: str) -> Tensor:
 STEM_POOL = dict(kernel=3, stride=2, padding=1)  # the max pool after a stem
 
 
-def _pool(x, e, m, training):
-    with tz.layer_scope(e.prefix):
-        return tz.max_pool2d(x, **STEM_POOL)
-
-
 def _cls(x, e, m, training):
     n, c, h, w = x.shape
     tokens = tz.reshape(x, (n, c, h * w, 1))
     return tz.concat([tz.batch_tile(m.params[e.prefix], n), tokens], axis=2)
-
-
-def _pos(x, e, m, training):
-    with tz.layer_scope(e.prefix):
-        return tz.add(x, m.params[e.prefix])
 
 
 class Layer(NamedTuple):
@@ -426,15 +410,15 @@ def _head_params(e, config):
 LAYERS = {
     "stem": Layer(_embed_params, lambda x, e, m, t: stem_forward(
         x, e.spec, m.params, m.buffers, e.prefix, t), _out_macs(_embed_params)),
-    "pool": Layer(lambda e, config: [], _pool, lambda e, config: [(e.prefix, 0, 0)]),
+    "pool": Layer(lambda e, config: [], lambda x, e, m, t: tz.max_pool2d(x, **STEM_POOL),
+                  lambda e, config: [(e.prefix, 0, 0)]),
     "embed": Layer(_embed_params, lambda x, e, m, t: patch_embed_forward(
         x, e.spec, m.params, m.buffers, e.prefix, t), _out_macs(_embed_params)),
     "cls": Layer(_cls_params, _cls, _out_macs(_cls_params)),
-    "pos": Layer(_pos_params, _pos, _out_macs(_pos_params)),
+    "pos": Layer(_pos_params, lambda x, e, m, t: tz.add(x, m.params[e.prefix]),
+                 _out_macs(_pos_params)),
     "attention": Layer(_attention_params, lambda x, e, m, t: attention_block_forward(
         x, e.spec, m.params, m.buffers, e.prefix, m.config.norm, t), _attention_macs),
-    "mlp": Layer(_mlp_params, lambda x, e, m, t: mlp_forward(
-        x, e.spec, m.params, m.buffers, e.prefix, m.config.norm, t), _out_macs(_mlp_params)),
     "bottleneck": Layer(_bottleneck_params, lambda x, e, m, t: bottleneck_forward(
         x, e.spec, m.params, m.buffers, e.prefix, m.config.norm, m.config.conv_block_style,
         t), _bottleneck_macs),

@@ -126,6 +126,7 @@ def load_bytes(data: bytes) -> dict:
         offset += size
     try:
         config = models.config_from_dict(header["config"])
+        models.layer_plan(config)
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"header 'config' is malformed: {e!r}") from None
     return {"config": config, "extra": header["extra"], "tensors": tensors}

@@ -50,6 +50,9 @@ class ModelConfig:
     final_norm: bool = True
     conv_block_style: str = "pre_norm"
 
+    def __post_init__(self):
+        B.check_fields(self, "model config")
+
 
 @dataclass(frozen=True)
 class PlanEntry:
@@ -61,7 +64,11 @@ class PlanEntry:
 
 
 def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanEntry]:
-    """Flatten a config into ordered layer entries; validates the structure."""
+    """Flatten a config into ordered layer entries.
+
+    This is the one structural check: the block forwards check nothing, so
+    every rule they rely on at this resolution is enforced here.
+    """
     if config.norm not in NORM_KINDS:
         raise ShapeError(f"unknown norm kind '{config.norm}'")
     if config.pos_mode not in POS_MODES:
@@ -124,9 +131,10 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
                 if b.attn_inner != b.heads * b.head_dim:
                     raise ShapeError(f"block '{bp}': attn_inner != heads * head_dim")
                 entries.append(PlanEntry("attention", bp, b, (c,) + hw, (b.channels,) + hw))
-            elif b.kind == "mlp":
-                entries.append(PlanEntry("mlp", bp, b, (c,) + hw, (b.channels,) + hw))
             elif b.kind == "bottleneck":
+                if b.hidden % b.groups:
+                    raise ShapeError(f"block '{bp}': hidden width {b.hidden} not divisible "
+                                     f"by groups {b.groups}")
                 if b.stride != 1 and config.conv_block_style != "post_norm":
                     raise ShapeError(f"block '{bp}': strided bottlenecks require the post_norm style")
                 # conv2 (3x3, pad 1) and the 1x1 proj both stride to this size
@@ -170,21 +178,25 @@ def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
 
 def run_plan(model: Model, plan: list[PlanEntry], x: Tensor, start: int,
              training: bool) -> Tensor:
-    """Run plan[start:] on x, the input of entry start, inside the model's layer scope.
+    """Run plan[start:] on x, the input of entry start.
 
-    A parameter of entry k cannot change the outputs of entries 0..k-1, so a
-    gradient probe of that parameter resumes here from entry k's saved input.
+    Each entry runs inside the layer scope '<model name>.<entry prefix>', so
+    a non-finite value names the entry that made it. A parameter of entry k
+    cannot change the outputs of entries 0..k-1, so a gradient probe of that
+    parameter resumes here from entry k's saved input.
     """
     with tz.layer_scope(model.config.name):
         for e in plan[start:]:
-            x = B.LAYERS[e.kind].forward(x, e, model, training)
+            with tz.layer_scope(e.prefix):
+                x = B.LAYERS[e.kind].forward(x, e, model, training)
     return x
 
 
 def model_forward(model: Model, x, training: bool = False) -> Tensor:
     """Run the network on a square (N, 3, H, H) batch; returns (N, num_classes) logits.
 
-    Checks the input, then runs the whole layer_plan through run_plan. Eval
+    Checks the input, then runs the whole layer_plan, which checks the
+    structure at the input's resolution, through run_plan. Eval
     mode (training=False) runs under tz.no_grad: it records no graph, so its
     logits hold no activations and backward() on a loss built from them
     raises GraphError. Train mode records the graph for backward().

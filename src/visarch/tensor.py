@@ -6,6 +6,8 @@ loss=nan. The shape ops (reshape, transpose, narrow, concat, batch_tile) only
 move values, so they skip the check: a non-finite leaf they carry raises at the
 next compute op.
 Gradients accumulate into leaf .grad across backward() calls until cleared.
+requires_grad is the one needs-a-gradient test: leaves (ParamStore entries)
+set it, and every recorded node, the only kind with a _backward, has it.
 
 conv2d and max_pool2d share one window rule: out_size (which layer_plan also
 uses for every spatial shape), one padded gather and its adjoint scatter.
@@ -115,7 +117,7 @@ def _record(data, parents, backward_fn):
     """An op's output with its graph node; shape ops call this directly, since
     they only move values the op that made them already checked."""
     out = Tensor(data)
-    if _GRAD_ENABLED[0] and any(p.requires_grad or p._backward is not None for p in parents):
+    if _GRAD_ENABLED[0] and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -343,7 +345,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def bwd(dout):
         dflat = dout.reshape(-1, wd.shape[0])
-        dx = (dout @ wd) if (x.requires_grad or x._backward) else None
+        dx = (dout @ wd) if x.requires_grad else None
         dw = dflat.T @ xd.reshape(-1, wd.shape[1])
         if b is None:
             return dx, dw
@@ -396,7 +398,7 @@ def _channel_gemm(x: Tensor, w: Tensor, b: Tensor | None, s: int) -> Tensor:
         d = dout.reshape(N, -1, Ho * Wo)
         dw = np.tensordot(d, xs, axes=([0, 2], [0, 2])).reshape(w.data.shape)
         dx = None
-        if x.requires_grad or x._backward is not None:
+        if x.requires_grad:
             dxs = (wm.T @ d).reshape(N, Cin, Ho, Wo)
             if s == 1:
                 dx = dxs
@@ -448,7 +450,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
         dflat = dout.transpose(1, 0, 2, 3).reshape(G, opg, N * Ho * Wo)
         dw = (dflat @ cols.transpose(0, 2, 1)).reshape(Cout, Cpg, kh, kw)
         dx = None
-        if x.requires_grad or x._backward is not None:
+        if x.requires_grad:
             dcols = (wg.transpose(0, 2, 1) @ dflat).reshape(G, Cpg, kh, kw, N, Ho, Wo)
             dwin = dcols.transpose(4, 0, 1, 5, 6, 2, 3)  # (N, G, Cpg, Ho, Wo, kh, kw)
             dx = _scatter_windows(dwin, H, W, s, p).reshape(N, Cin, H, W)
@@ -610,7 +612,7 @@ def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss; accumulates into leaf .grad."""
     if loss.data.shape not in ((), (1,)):
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if loss._backward is None and not loss.requires_grad:
+    if not loss.requires_grad:
         raise GraphError("backward: the loss has no recorded graph (it was computed under "
                          "no_grad, by an eval-mode forward, or from tensors that need no "
                          "gradient); run model_forward with training=True")

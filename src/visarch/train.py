@@ -9,23 +9,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import models
 from .checkpoint import CheckpointError, stored_int, stored_tensor
 from .data import Dataset, augment_batch, synth_dataset
-from .blocks import BUFFER_INITS, LAYERS
+from .blocks import BUFFER_INITS, LAYERS, check_fields
 from .tensor import ParamStore, Tensor, backward, cross_entropy, finite_diff_grad, no_grad
 
 OPTIMIZERS = ("sgd_momentum", "adamw")
 REFERENCE_BATCH = 512
-# TrainConfig field annotation -> (accepted types, how an error names them):
-# the JSON types, so every valid config round-trips through to_json; a bool
-# is only a bool, never an int or a float
-_FIELD_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
-                "float": ((int, float), "a number"), "bool": (bool, "true or false")}
 
 
 @dataclass(frozen=True)
@@ -46,12 +41,7 @@ class TrainConfig:
     data_seed: int = 7
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            types, kind = _FIELD_TYPES[f.type]
-            if not isinstance(value, types) or (f.type != "bool" and isinstance(value, bool)):
-                raise ValueError(f"bad train config: {f.name} must be {kind}, "
-                                 f"got {value!r} ({type(value).__name__})")
+        check_fields(self, "train config")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

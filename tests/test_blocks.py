@@ -1,13 +1,13 @@
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 from visarch import blocks as B
 from visarch import tensor as T
+from visarch.attention import mhsa_forward
 from visarch.blocks import BlockSpec, EmbedSpec, conv_mlp_hidden
 from visarch.models import PlanEntry
-from visarch.tensor import ShapeError, Tensor, backward
+from visarch.tensor import Tensor, backward
 
 
 def config(norm="batch", style="pre_norm", rel_pos=False):
@@ -36,6 +36,17 @@ def embed_entry(kind, spec, cin, res, prefix):
     return PlanEntry(kind, prefix, spec, (cin, res, res), (spec.out_channels, out, out))
 
 
+def attn_spec(c, hidden, **kw):
+    """An attention block of c channels, 2 heads, whose MLP branch is hidden wide."""
+    return BlockSpec("attention", c, hidden=hidden, heads=2, head_dim=c // 2, attn_inner=c, **kw)
+
+
+def mlp_macs(spec, hw=(14, 14)):
+    """MACs of an attention block's MLP branch."""
+    rows = B.LAYERS["attention"].rows(block_entry(spec, hw), config())
+    return sum(m for p, m, _ in rows if p.startswith("b.mlp."))
+
+
 def head_store(cin, classes):
     return allocate(PlanEntry("head", "head", None, (cin, 1, 1), (classes,)), config())[0]
 
@@ -57,10 +68,9 @@ class TestConvMlpHidden:
 
     def test_macs_within_five_percent_of_plain(self):
         for c in (192, 384, 768, 48):
-            plain = sum(m for _, m, _ in B.LAYERS["mlp"].rows(
-                block_entry(BlockSpec("mlp", c, hidden=4 * c), (14, 14)), config()))
-            conv = sum(m for _, m, _ in B.LAYERS["mlp"].rows(
-                block_entry(BlockSpec("mlp", c, hidden=4 * c, use_3x3=True), (14, 14)), config()))
+            plain = mlp_macs(attn_spec(c, 4 * c))
+            conv = mlp_macs(attn_spec(c, 4 * c, use_3x3=True))
+            assert plain == 196 * 2 * c * 4 * c
             assert conv <= plain
             assert conv >= 0.95 * plain
 
@@ -89,14 +99,6 @@ class TestStemAndEmbed:
                 patch = x[:, :, 4 * i:4 * i + 4, 4 * j:4 * j + 4].reshape(2, -1)
                 np.testing.assert_allclose(out[:, :, i, j], patch @ w.T + b, atol=1e-10)
 
-    def test_patch_embed_divisibility_error(self, rng):
-        spec = EmbedSpec(4, 4, 8)
-        store, buffers = allocate(embed_entry("embed", spec, 3, 8, "e"), config(),
-                                  dtype=np.float32)
-        with pytest.raises(ShapeError, match="not divisible"):
-            B.patch_embed_forward(Tensor(np.zeros((1, 3, 9, 9))), spec, store, buffers,
-                                  "e", training=False)
-
     def test_embed_norm_after_has_no_conv_bias(self):
         store, buffers = allocate(embed_entry("embed", EmbedSpec(2, 2, 8, norm_after=True),
                                               4, 8, "e"), config(), dtype=np.float32)
@@ -121,10 +123,6 @@ class TestBottleneck:
         out = B.bottleneck_forward(Tensor(x, dtype=np.float64), spec, store, buffers,
                                    "b", "batch", "pre_norm", True)
         np.testing.assert_array_equal(out.data, x)
-
-    def test_group_width_error(self):
-        with pytest.raises(ShapeError):
-            build_block(BlockSpec("bottleneck", 8, hidden=15, groups=2))
 
     def test_post_norm_strided_downsamples(self, rng):
         spec = BlockSpec("bottleneck", 32, hidden=8, groups=1, stride=2, in_channels=16)
@@ -170,29 +168,38 @@ def assert_fd(loss, store, samples=3, tol=1e-4):
 
 
 class TestMlpBlock:
+    """The MLP branch of an attention block (b.mlp.*), plain and with use_3x3."""
+
     def test_plain_shapes_and_identity(self, rng):
-        spec = BlockSpec("mlp", 12, hidden=48)
+        spec = attn_spec(12, 48)
         store, buffers = build_block(spec, norm="layer")
-        store["b.fc2.w"].data[:] = 0.0
-        store["b.fc2.b"].data[:] = 0.0
-        x = rng.normal(size=(1, 12, 4, 4))
-        out = B.mlp_forward(Tensor(x, dtype=np.float64), spec, store, buffers, "b", "layer", False)
-        np.testing.assert_array_equal(out.data, x)
+        assert store["b.mlp.fc1.w"].shape == (48, 12, 1, 1)
+        assert "b.mlp.conv.w" not in store
+        store["b.mlp.fc2.w"].data[:] = 0.0
+        store["b.mlp.fc2.b"].data[:] = 0.0
+        x = Tensor(rng.normal(size=(1, 12, 4, 4)), dtype=np.float64)
+        out = B.attention_block_forward(x, spec, store, buffers, "b", "layer", False)
+        # a zeroed fc2 leaves only the attention residual
+        h = B.norm_forward(x, store, buffers, "b.norm1", "layer", False)
+        attn = mhsa_forward(h, store["b.attn.qkv.w"], store["b.attn.qkv.b"],
+                            store["b.attn.proj.w"], store["b.attn.proj.b"], 2)
+        np.testing.assert_array_equal(out.data, x.data + attn.data)
 
     def test_use_3x3_param_paths(self):
-        spec = BlockSpec("mlp", 16, hidden=64, use_3x3=True)
-        store, _ = build_block(spec)
+        store, _ = build_block(attn_spec(16, 64, use_3x3=True))
         m = conv_mlp_hidden(16, 64, 1)
-        assert store["b.conv.w"].shape == (m, m, 3, 3)
-        assert store["b.fc1.w"].shape == (m, 16, 1, 1)
+        assert store["b.mlp.conv.w"].shape == (m, m, 3, 3)
+        assert store["b.mlp.fc1.w"].shape == (m, 16, 1, 1)
 
     def test_fd_grads_with_conv(self, rng):
-        spec = BlockSpec("mlp", 8, hidden=32, use_3x3=True, groups=2)
+        spec = attn_spec(8, 32, use_3x3=True, groups=2)
         store, buffers = build_block(spec)
+        assert store["b.mlp.conv.w"].shape[1] == conv_mlp_hidden(8, 32, 2) // 2
         x = Tensor(rng.normal(size=(1, 8, 3, 3)), dtype=np.float64)
 
         def loss():
-            return T.sum_all(B.mlp_forward(x, spec, store, buffers, "b", "batch", True))
+            out = B.attention_block_forward(x, spec, store, buffers, "b", "batch", True)
+            return T.sum_all(T.mul(out, out))
 
         assert_fd(loss, store)
 
@@ -257,16 +264,11 @@ class TestHead:
         b = B.head_forward(Tensor(xp, dtype=np.float64), "gap", store, "head").data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_unknown_mode(self):
-        store = head_store(4, 10)
-        with pytest.raises(ValueError):
-            B.head_forward(Tensor(np.zeros((1, 4, 2, 2))), "max", store, "head")
-
 
 class TestRowCounting:
     def test_one_by_one_conv_row(self):
-        rows = B.LAYERS["mlp"].rows(block_entry(BlockSpec("mlp", 64, hidden=128), (14, 14)), config())
-        fc1 = dict((p, (m, n)) for p, m, n in rows)["b.fc1"]
+        rows = B.LAYERS["attention"].rows(block_entry(attn_spec(64, 128), (14, 14)), config())
+        fc1 = dict((p, (m, n)) for p, m, n in rows)["b.mlp.fc1"]
         assert fc1 == (196 * 64 * 128, 64 * 128 + 128)
 
     def test_attention_rows_hand_check(self):

@@ -198,15 +198,22 @@ class TestMalformedHeader:
         with pytest.raises(CheckpointError, match=re.escape("'tensors[0]'")):
             load_bytes(sealed(head, payload))
 
-    @pytest.mark.parametrize("edit", [
-        lambda c: c.pop("stages"),
-        lambda c: c["stages"][0]["blocks"][0].update(bogus=1),
-        lambda c: c.update(stages=7),
-    ], ids=["missing-stages", "unknown-block-field", "mistyped-stages"])
-    def test_bad_config(self, header, edit):
+    @pytest.mark.parametrize("edit,named", [
+        (lambda c: c.pop("stages"), "'stages'"),
+        (lambda c: c["stages"][0]["blocks"][0].update(bogus=1), "'bogus'"),
+        (lambda c: c.update(stages=7), "not iterable"),
+        (lambda c: c.update(input_resolution="32"), "input_resolution must be an integer"),
+        (lambda c: c["stem"].update(kernel=None), "kernel must be an integer"),
+        (lambda c: c["stages"][0]["blocks"][0].update(channels="24"),
+         "channels must be an integer"),
+        (lambda c: c.update(norm="group"), "unknown norm kind 'group'"),
+    ], ids=["missing-stages", "unknown-block-field", "mistyped-stages", "string-resolution",
+            "null-stem-kernel", "string-channels", "unknown-norm"])
+    def test_bad_config(self, header, edit, named):
+        # a loaded config must also be one layer_plan accepts
         head, payload = header
         edit(head["config"])
-        with pytest.raises(CheckpointError, match="'config'"):
+        with pytest.raises(CheckpointError, match="'config' is malformed: .*" + re.escape(named)):
             load_bytes(sealed(head, payload))
 
 

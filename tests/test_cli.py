@@ -29,6 +29,18 @@ def write_config(tmp_path, name="cfg.json", **kw):
     return path
 
 
+def save_resumable(path, cfg_path, **extra):
+    """A checkpoint that `train --resume` accepts after epoch 0 of the config
+    at cfg_path, with the given extra entries overridden."""
+    cfg = TrainConfig.from_json(cfg_path.read_text())
+    model = build(preset(cfg.preset), seed=cfg.seed)
+    optim = make_optimizer(cfg, model.params)
+    extra = {"seed": cfg.seed, "epoch": 0, "train_config": asdict(cfg),
+             **optim.scalar_state(), **extra}
+    checkpoint_save(model, path, extra=extra, extra_tensors=optim.state_tensors())
+    return path
+
+
 class TestDescribe:
     def test_param_total_footer(self, capsys):
         rc, out, _ = run(capsys, "describe", "visformer_ti")
@@ -178,16 +190,26 @@ class TestTrain:
         assert rc == 1
         assert "'config'" in err
 
+    @pytest.mark.parametrize("field,value", [("input_resolution", "32"), ("norm", "group")])
+    def test_resume_with_config_that_cannot_run_exits_1(self, capsys, tmp_path, field, value):
+        cfg_path = write_config(tmp_path, epochs=2)
+        blob = save_resumable(tmp_path / "good.vsfm", cfg_path).read_bytes()
+        n = struct.unpack_from("<I", blob, 6)[0]
+        head = json.loads(blob[10:10 + n])
+        head["config"][field] = value
+        raw = json.dumps(head).encode()
+        body = MAGIC + struct.pack("<HI", VERSION, len(raw)) + raw + blob[10 + n:-4]
+        bad = tmp_path / "bad.vsfm"
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rc, out, err = run(capsys, "train", "--config", str(cfg_path), "--resume", str(bad))
+        assert rc == 1
+        assert "'config'" in err and field in err
+        assert out == ""
+
     @pytest.mark.parametrize("key,value", [("seed", [1]), ("epoch", "0")])
     def test_resume_with_mistyped_scalar_exits_1(self, capsys, tmp_path, key, value):
         cfg_path = write_config(tmp_path, epochs=2)
-        cfg = TrainConfig.from_json(cfg_path.read_text())
-        model = build(preset(cfg.preset), seed=cfg.seed)
-        optim = make_optimizer(cfg, model.params)
-        extra = {"seed": cfg.seed, "epoch": 0, "train_config": asdict(cfg),
-                 **optim.scalar_state(), key: value}
-        bad = tmp_path / "bad.vsfm"
-        checkpoint_save(model, bad, extra=extra, extra_tensors=optim.state_tensors())
+        bad = save_resumable(tmp_path / "bad.vsfm", cfg_path, **{key: value})
         rc, out, err = run(capsys, "train", "--config", str(cfg_path),
                            "--resume", str(bad), "--out", str(tmp_path / "out.vsfm"))
         assert rc == 1

@@ -1,6 +1,8 @@
 """Model configs, presets, builder determinism, and forward shapes."""
 
+import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from visarch import (
     preset_names,
     shape_table,
 )
-from visarch.blocks import BUFFER_INITS, LAYERS
+from visarch.blocks import BUFFER_INITS, LAYERS, EmbedSpec
 from visarch.models import model_slots
 from visarch.tensor import cross_entropy
 
@@ -31,6 +33,53 @@ FULL_PRESETS = ["deit_s", "net1", "net2", "net3", "net4", "net5", "net6", "net7"
 
 def kinds(name):
     return Counter(e.kind for e in layer_plan(preset(name)))
+
+
+def edit_stage(config, i=0, **kw):
+    """config with stage i's fields replaced."""
+    stages = list(config.stages)
+    stages[i] = replace(stages[i], **kw)
+    return replace(config, stages=tuple(stages))
+
+
+def edit_block(config, i=0, **kw):
+    """config with the first block of stage i's fields replaced."""
+    blocks = config.stages[i].blocks
+    return edit_stage(config, i, blocks=(replace(blocks[0], **kw),) + blocks[1:])
+
+
+# (id, config layer_plan must reject at its input resolution, message)
+REJECTED = [
+    ("norm", lambda: replace(preset("net4-micro"), norm="group"), "unknown norm kind 'group'"),
+    ("pos-mode", lambda: replace(preset("net4-micro"), pos_mode="learned"),
+     "unknown position mode"),
+    ("head-mode", lambda: replace(preset("net1-micro"), head_mode="max"), "unknown head mode"),
+    ("cls-token-stem", lambda: replace(preset("deit_s-micro"), stem=EmbedSpec(3, 1, 3, padding=1)),
+     "single stemless stage"),
+    ("cls-token-relative", lambda: replace(preset("deit_s-micro"), pos_mode="relative"),
+     "relative position bias"),
+    ("cls-token-conv", lambda: edit_block(preset("deit_s-micro"), use_3x3=True),
+     "conv blocks cannot run"),
+    ("pool-without-stem", lambda: replace(preset("net1-micro"), stem_pool=True),
+     "stem_pool set without a stem"),
+    ("embed-kernel", lambda: edit_stage(preset("net3-micro"), 1, embed=EmbedSpec(3, 2, 96)),
+     "kernel == stride"),
+    ("embed-padding", lambda: edit_stage(preset("net3-micro"), 1, embed=EmbedSpec(2, 2, 96, 1)),
+     "no padding"),
+    ("embed-indivisible", lambda: replace(preset("deit_s-micro"), input_resolution=36),
+     "36 not divisible by stride 16 at 's0.embed'"),
+    ("no-first-embed", lambda: edit_stage(preset("net1-micro"), embed=None),
+     "the first stage needs an embedding"),
+    ("block-channels", lambda: edit_block(preset("net1-micro"), channels=48),
+     "block 's0.b0' expects 48 input channels, gets 96"),
+    ("attn-inner", lambda: edit_block(preset("net1-micro"), attn_inner=64),
+     "block 's0.b0': attn_inner != heads"),
+    ("strided-pre-norm", lambda: edit_block(preset("visformer_ti-micro"), stride=2),
+     "strided bottlenecks require the post_norm style"),
+    ("block-kind", lambda: edit_block(preset("net1-micro"), kind="mlp"), "unknown block kind 'mlp'"),
+    ("bottleneck-groups", lambda: edit_block(preset("visformer_ti-micro"), hidden=44),
+     "block 's0.b0': hidden width 44 not divisible by groups 8"),
+]
 
 
 class TestPresets:
@@ -134,6 +183,12 @@ class TestPlan:
         with pytest.raises(ShapeError, match="divisible"):
             layer_plan(preset("visformer_s"), resolution=225)
 
+    @pytest.mark.parametrize("make,match", [r[1:] for r in REJECTED], ids=[r[0] for r in REJECTED])
+    def test_rejects_config_that_cannot_run(self, make, match):
+        # the block forwards check none of this, so layer_plan must
+        with pytest.raises(ShapeError, match=re.escape(match)):
+            layer_plan(make())
+
 
 class TestBuild:
     def test_same_seed_bit_identical(self):
@@ -205,6 +260,14 @@ class TestForward:
         model.params["cls"].data[0, 0, 0] = np.nan
         x = np.zeros((2, 3, 32, 32), np.float32)
         with pytest.raises(NonFiniteError, match="add .*'deit_s-micro.s0.pos'"):
+            model_forward(model, x)
+
+    def test_nan_names_the_plan_entry_that_made_it(self):
+        # run_plan scopes every entry, final_norm included
+        model = build(preset("visformer_ti-micro"), seed=0)
+        model.params["final_norm.gamma"].data[3] = np.nan
+        x = np.zeros((2, 3, 32, 32), np.float32)
+        with pytest.raises(NonFiniteError, match="batch_norm .*'visformer_ti-micro.final_norm'$"):
             model_forward(model, x)
 
     def test_rejects_bad_channels(self, model):

@@ -486,6 +486,8 @@ class TestBackward:
         param(store, "a", rng.normal(size=(2, 3, 4, 5)))
         param(store, "b", rng.normal(size=(2, 3, 5, 4)))
         param(store, "t", rng.normal(size=(6, 3)))
+        # each softmax row sums to 1, so an unweighted sum has gradient 0
+        weight = Tensor(rng.normal(size=(2, 3, 12)))
 
         def loss():
             m = T.matmul(store["a"], store["b"])
@@ -494,7 +496,7 @@ class TestBackward:
             m = T.concat([m, m], axis=1)
             m = T.narrow(m, 1, 2, 3)
             g = T.gather_rows(store["t"], np.array([[0, 5], [2, 2]]))
-            return T.add(T.sum_all(T.softmax(m)), T.sum_all(g))
+            return T.add(T.sum_all(T.mul(T.softmax(m), weight)), T.sum_all(g))
 
         assert numeric_grads(loss, store, samples=5) < 1e-4
 
