@@ -34,19 +34,33 @@ _FIELD_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
 
 def check_fields(obj, what: str) -> None:
     """Raise ValueError naming the first scalar field of the dataclass obj that
-    does not hold its annotated type; other fields are left to their owner."""
+    breaks its rule: it holds its annotated type; a number is finite and >= 0,
+    or >= 1 if the class lists it in POSITIVE; a string the class lists in
+    CHOICES is one of the values given there. Other fields, and how the fields
+    fit together, are left to their owner."""
+    choices = getattr(obj, "CHOICES", {})
     for f in fields(obj):
-        if f.type in _FIELD_TYPES:
-            types, kind = _FIELD_TYPES[f.type]
-            value = getattr(obj, f.name)
-            if not isinstance(value, types) or (f.type != "bool" and isinstance(value, bool)):
-                raise ValueError(f"bad {what}: {f.name} must be {kind}, "
-                                 f"got {value!r} ({type(value).__name__})")
+        if f.type not in _FIELD_TYPES:
+            continue
+        types, kind = _FIELD_TYPES[f.type]
+        value = getattr(obj, f.name)
+        floor = 1 if f.name in obj.POSITIVE else 0
+        if not isinstance(value, types) or (f.type != "bool" and isinstance(value, bool)):
+            rule = f"{kind}, got {value!r} ({type(value).__name__})"
+        elif f.type in ("int", "float") and not floor <= value < math.inf:
+            rule = f"{'finite and ' if f.type == 'float' else ''}>= {floor}, got {value!r}"
+        elif value not in choices.get(f.name, (value,)):
+            rule = f"one of {choices[f.name]}, got {value!r}"
+        else:
+            continue
+        raise ValueError(f"bad {what}: {f.name} must be {rule}")
 
 
 @dataclass(frozen=True)
 class EmbedSpec:
     """A convolutional downsampling/embedding layer (kernel == stride for patches)."""
+
+    POSITIVE = ("kernel", "stride", "out_channels")
 
     kernel: int
     stride: int
@@ -66,12 +80,16 @@ class BlockSpec:
     MLP branch the actual conv width is recomputed so MACs never exceed the
     plain two-layer MLP).
     attention blocks set heads/head_dim/attn_inner; stride/in_channels exist
-    for post-norm bottlenecks whose residual changes shape.
+    for post-norm bottlenecks whose residual changes shape. Each value is
+    checked at construction, how they fit together by models.layer_plan.
     """
+
+    POSITIVE = ("channels", "hidden", "groups", "stride")
+    CHOICES = {"kind": ("attention", "bottleneck")}
 
     kind: str
     channels: int
-    hidden: int = 0
+    hidden: int
     groups: int = 1
     use_3x3: bool = False
     heads: int = 0

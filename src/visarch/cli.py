@@ -17,6 +17,7 @@ import numpy as np
 from . import analysis, checkpoint, models
 from .fp16 import compare_modes, scores_f16
 from .attention import DEFAULT_PB_RELAX_ALPHA, SCORE_MODES
+from .blocks import LAYERS
 from .tensor import NonFiniteError, ShapeError
 from .train import TrainConfig, gradcheck, train
 
@@ -27,21 +28,15 @@ def _fmt_shape(shape) -> str:
 
 def cmd_describe(args) -> int:
     config = models.preset(args.preset)
-    report = analysis.complexity_report(config)
-    rows = report.rows
-
-    def params_under(prefix):
-        return sum(n for p, _, n in rows
-                   if p == prefix or p.startswith(prefix + "."))
-
-    table = analysis.shape_table(config)
-    width = max(len(p) for p, _, _ in table)
+    plan = models.layer_plan(config)
+    counts = [sum(n for _, _, n in LAYERS[e.kind].rows(e, config)) for e in plan]
+    width = max(len(e.prefix) for e in plan)
     print(f"{config.name}: {config.input_resolution}x{config.input_resolution} input, "
           f"{config.num_classes} classes")
-    for prefix, in_shape, out_shape in table:
-        print(f"{prefix.ljust(width)}  {_fmt_shape(in_shape):>12} -> "
-              f"{_fmt_shape(out_shape):<12}  {params_under(prefix):>12,}")
-    print(f"total params ≈ {report.total_params / 1e6:.1f}M")
+    for e, n in zip(plan, counts):
+        print(f"{e.prefix.ljust(width)}  {_fmt_shape(e.in_shape):>12} -> "
+              f"{_fmt_shape(e.out_shape):<12}  {n:>12,}")
+    print(f"total params ≈ {sum(counts) / 1e6:.1f}M")
     return 0
 
 

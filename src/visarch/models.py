@@ -25,10 +25,6 @@ from . import tensor as tz
 from .blocks import BlockSpec, EmbedSpec
 from .tensor import ParamStore, ShapeError, Tensor
 
-NORM_KINDS = ("batch", "layer")
-POS_MODES = ("none", "absolute", "relative")
-HEAD_MODES = ("gap", "cls_token")
-
 
 @dataclass(frozen=True)
 class StageSpec:
@@ -38,6 +34,10 @@ class StageSpec:
 
 @dataclass(frozen=True)
 class ModelConfig:
+    POSITIVE = ("input_resolution", "num_classes")
+    CHOICES = {"norm": ("batch", "layer"), "pos_mode": ("none", "absolute", "relative"),
+               "head_mode": ("gap", "cls_token"), "conv_block_style": ("pre_norm", "post_norm")}
+
     name: str
     input_resolution: int
     num_classes: int
@@ -66,15 +66,10 @@ class PlanEntry:
 def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanEntry]:
     """Flatten a config into ordered layer entries.
 
-    This is the one structural check: the block forwards check nothing, so
-    every rule they rely on at this resolution is enforced here.
+    This is the one structural check: each field's value was checked when its
+    config was constructed, and the block forwards check nothing, so every
+    rule on how the fields fit together at this resolution is enforced here.
     """
-    if config.norm not in NORM_KINDS:
-        raise ShapeError(f"unknown norm kind '{config.norm}'")
-    if config.pos_mode not in POS_MODES:
-        raise ShapeError(f"unknown position mode '{config.pos_mode}'")
-    if config.head_mode not in HEAD_MODES:
-        raise ShapeError(f"unknown head mode '{config.head_mode}'")
     tokens_mode = config.head_mode == "cls_token"
     if tokens_mode:
         if len(config.stages) != 1 or config.stem is not None or config.stages[0].embed is None:
@@ -127,23 +122,24 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
             cin = b.in_channels or b.channels
             if cin != c:
                 raise ShapeError(f"block '{bp}' expects {cin} input channels, gets {c}")
+            post_norm = b.kind == "bottleneck" and config.conv_block_style == "post_norm"
+            if (cin != b.channels or b.stride != 1) and not post_norm:
+                raise ShapeError(f"block '{bp}': only a post_norm bottleneck may change width or stride")
             if b.kind == "attention":
+                if b.heads < 1 or b.head_dim < 1:
+                    raise ShapeError(f"block '{bp}': heads and head_dim must be >= 1")
                 if b.attn_inner != b.heads * b.head_dim:
                     raise ShapeError(f"block '{bp}': attn_inner != heads * head_dim")
                 entries.append(PlanEntry("attention", bp, b, (c,) + hw, (b.channels,) + hw))
-            elif b.kind == "bottleneck":
+            else:
                 if b.hidden % b.groups:
                     raise ShapeError(f"block '{bp}': hidden width {b.hidden} not divisible "
                                      f"by groups {b.groups}")
-                if b.stride != 1 and config.conv_block_style != "post_norm":
-                    raise ShapeError(f"block '{bp}': strided bottlenecks require the post_norm style")
                 # conv2 (3x3, pad 1) and the 1x1 proj both stride to this size
                 out = tz.out_size(res, 3, b.stride, 1)
                 entries.append(PlanEntry("bottleneck", bp, b, (c, res, res), (b.channels, out, out)))
                 res = out
                 hw = (res, res)
-            else:
-                raise ShapeError(f"unknown block kind '{b.kind}'")
             c = b.channels
     if config.final_norm:
         entries.append(PlanEntry("final_norm", "final_norm", None, (c,) + hw, (c,) + hw))
@@ -226,9 +222,7 @@ def config_from_dict(d: dict) -> ModelConfig:
         StageSpec(embed=EmbedSpec(**s["embed"]) if s.get("embed") else None,
                   blocks=tuple(BlockSpec(**b) for b in s["blocks"]))
         for s in d["stages"])
-    keys = ("name", "input_resolution", "num_classes", "norm", "pos_mode", "head_mode",
-            "stem_pool", "final_norm", "conv_block_style")
-    return ModelConfig(stem=stem, stages=stages, **{k: d[k] for k in keys})
+    return ModelConfig(**{**d, "stem": stem, "stages": stages})
 
 
 def config_to_json(config: ModelConfig) -> str:

@@ -140,8 +140,6 @@ def _unbroadcast(grad, shape):
 
 def add(x: Tensor, y: Tensor) -> Tensor:
     data = x.data + y.data
-    if data.ndim > 4:
-        raise ShapeError("add result exceeds rank 4")
 
     def bwd(dout):
         return _unbroadcast(dout, x.data.shape), _unbroadcast(dout, y.data.shape)
@@ -220,8 +218,6 @@ def gelu(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if len(shape) > 4:
-        raise ShapeError("reshape target exceeds rank 4")
     old = x.data.shape
     if math.prod(shape) != x.data.size:
         raise ShapeError(f"cannot reshape {old} to {shape}")
@@ -270,8 +266,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def batch_tile(x: Tensor, n: int) -> Tensor:
     """Tile a parameter over a new leading batch axis of size n."""
-    if x.data.ndim >= 4:
-        raise ShapeError("batch_tile input must have rank <= 3")
 
     def bwd(dout):
         return (dout.sum(axis=0),)

@@ -206,15 +206,28 @@ class TestMalformedHeader:
         (lambda c: c["stem"].update(kernel=None), "kernel must be an integer"),
         (lambda c: c["stages"][0]["blocks"][0].update(channels="24"),
          "channels must be an integer"),
-        (lambda c: c.update(norm="group"), "unknown norm kind 'group'"),
+        (lambda c: c.update(norm="group"), "norm must be one of"),
+        (lambda c: c.update(bogus=1), "'bogus'"),
+        (lambda c: c["stages"][0]["blocks"][0].update(groups=0), "groups must be >= 1, got 0"),
+        (lambda c: c["stem"].update(stride=0), "stride must be >= 1, got 0"),
+        (lambda c: c.update(conv_block_style="bogus"), "conv_block_style must be one of"),
+        (lambda c: c.update(num_classes=0), "num_classes must be >= 1, got 0"),
+        (lambda c: c["stages"][0]["blocks"][0].update(stride=2), "only a post_norm bottleneck"),
     ], ids=["missing-stages", "unknown-block-field", "mistyped-stages", "string-resolution",
-            "null-stem-kernel", "string-channels", "unknown-norm"])
+            "null-stem-kernel", "string-channels", "unknown-norm", "unknown-config-field",
+            "zero-groups", "zero-stem-stride", "unknown-block-style", "zero-classes",
+            "strided-pre-norm"])
     def test_bad_config(self, header, edit, named):
         # a loaded config must also be one layer_plan accepts
         head, payload = header
         edit(head["config"])
         with pytest.raises(CheckpointError, match="'config' is malformed: .*" + re.escape(named)):
             load_bytes(sealed(head, payload))
+
+    def test_config_without_defaulted_field_takes_default(self, model, header):
+        head, payload = header
+        del head["config"]["conv_block_style"]
+        assert load_bytes(sealed(head, payload))["config"] == model.config
 
 
 class TestCorruption:

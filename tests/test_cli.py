@@ -190,7 +190,8 @@ class TestTrain:
         assert rc == 1
         assert "'config'" in err
 
-    @pytest.mark.parametrize("field,value", [("input_resolution", "32"), ("norm", "group")])
+    @pytest.mark.parametrize("field,value", [("input_resolution", "32"), ("norm", "group"),
+                                             ("conv_block_style", "bogus"), ("num_classes", 0)])
     def test_resume_with_config_that_cannot_run_exits_1(self, capsys, tmp_path, field, value):
         cfg_path = write_config(tmp_path, epochs=2)
         blob = save_resumable(tmp_path / "good.vsfm", cfg_path).read_bytes()

@@ -22,9 +22,10 @@ from visarch import (
     preset_names,
     shape_table,
 )
-from visarch.blocks import BUFFER_INITS, LAYERS, EmbedSpec
+from visarch.blocks import BUFFER_INITS, LAYERS, BlockSpec, EmbedSpec
 from visarch.models import model_slots
 from visarch.tensor import cross_entropy
+from visarch.train import TrainConfig
 
 FULL_PRESETS = ["deit_s", "net1", "net2", "net3", "net4", "net5", "net6", "net7",
                 "resnet50_shape", "visformer_s", "visformer_ti",
@@ -48,38 +49,102 @@ def edit_block(config, i=0, **kw):
     return edit_stage(config, i, blocks=(replace(blocks[0], **kw),) + blocks[1:])
 
 
-# (id, config layer_plan must reject at its input resolution, message)
+# (id, error, config that must be rejected, message). A field's own value is
+# checked when its config is constructed (ValueError); how the fields fit
+# together, by layer_plan at the input resolution (ShapeError)
 REJECTED = [
-    ("norm", lambda: replace(preset("net4-micro"), norm="group"), "unknown norm kind 'group'"),
-    ("pos-mode", lambda: replace(preset("net4-micro"), pos_mode="learned"),
-     "unknown position mode"),
-    ("head-mode", lambda: replace(preset("net1-micro"), head_mode="max"), "unknown head mode"),
-    ("cls-token-stem", lambda: replace(preset("deit_s-micro"), stem=EmbedSpec(3, 1, 3, padding=1)),
+    ("norm", ValueError, lambda: replace(preset("net4-micro"), norm="group"),
+     "bad model config: norm must be one of ('batch', 'layer'), got 'group'"),
+    ("pos-mode", ValueError, lambda: replace(preset("net4-micro"), pos_mode="learned"),
+     "pos_mode must be one of"),
+    ("head-mode", ValueError, lambda: replace(preset("net1-micro"), head_mode="max"),
+     "head_mode must be one of"),
+    ("cls-token-stem", ShapeError,
+     lambda: replace(preset("deit_s-micro"), stem=EmbedSpec(3, 1, 3, padding=1)),
      "single stemless stage"),
-    ("cls-token-relative", lambda: replace(preset("deit_s-micro"), pos_mode="relative"),
+    ("cls-token-relative", ShapeError, lambda: replace(preset("deit_s-micro"), pos_mode="relative"),
      "relative position bias"),
-    ("cls-token-conv", lambda: edit_block(preset("deit_s-micro"), use_3x3=True),
+    ("cls-token-conv", ShapeError, lambda: edit_block(preset("deit_s-micro"), use_3x3=True),
      "conv blocks cannot run"),
-    ("pool-without-stem", lambda: replace(preset("net1-micro"), stem_pool=True),
+    ("pool-without-stem", ShapeError, lambda: replace(preset("net1-micro"), stem_pool=True),
      "stem_pool set without a stem"),
-    ("embed-kernel", lambda: edit_stage(preset("net3-micro"), 1, embed=EmbedSpec(3, 2, 96)),
-     "kernel == stride"),
-    ("embed-padding", lambda: edit_stage(preset("net3-micro"), 1, embed=EmbedSpec(2, 2, 96, 1)),
-     "no padding"),
-    ("embed-indivisible", lambda: replace(preset("deit_s-micro"), input_resolution=36),
+    ("embed-kernel", ShapeError,
+     lambda: edit_stage(preset("net3-micro"), 1, embed=EmbedSpec(3, 2, 96)), "kernel == stride"),
+    ("embed-padding", ShapeError,
+     lambda: edit_stage(preset("net3-micro"), 1, embed=EmbedSpec(2, 2, 96, 1)), "no padding"),
+    ("embed-indivisible", ShapeError, lambda: replace(preset("deit_s-micro"), input_resolution=36),
      "36 not divisible by stride 16 at 's0.embed'"),
-    ("no-first-embed", lambda: edit_stage(preset("net1-micro"), embed=None),
+    ("no-first-embed", ShapeError, lambda: edit_stage(preset("net1-micro"), embed=None),
      "the first stage needs an embedding"),
-    ("block-channels", lambda: edit_block(preset("net1-micro"), channels=48),
+    ("block-channels", ShapeError, lambda: edit_block(preset("net1-micro"), channels=48),
      "block 's0.b0' expects 48 input channels, gets 96"),
-    ("attn-inner", lambda: edit_block(preset("net1-micro"), attn_inner=64),
+    ("attn-inner", ShapeError, lambda: edit_block(preset("net1-micro"), attn_inner=64),
      "block 's0.b0': attn_inner != heads"),
-    ("strided-pre-norm", lambda: edit_block(preset("visformer_ti-micro"), stride=2),
-     "strided bottlenecks require the post_norm style"),
-    ("block-kind", lambda: edit_block(preset("net1-micro"), kind="mlp"), "unknown block kind 'mlp'"),
-    ("bottleneck-groups", lambda: edit_block(preset("visformer_ti-micro"), hidden=44),
+    ("attn-heads", ShapeError,
+     lambda: edit_block(preset("net1-micro"), heads=0, head_dim=0, attn_inner=0),
+     "block 's0.b0': heads and head_dim must be >= 1"),
+    ("strided-pre-norm", ShapeError, lambda: edit_block(preset("visformer_ti-micro"), stride=2),
+     "block 's0.b0': only a post_norm bottleneck may change width or stride"),
+    ("widening-pre-norm", ShapeError,
+     lambda: edit_block(preset("visformer_ti-micro"), channels=48, in_channels=24),
+     "block 's0.b0': only a post_norm bottleneck may change width"),
+    ("strided-attention", ShapeError, lambda: edit_block(preset("net1-micro"), stride=2),
+     "block 's0.b0': only a post_norm bottleneck may change width or stride"),
+    ("widening-attention", ShapeError,
+     lambda: edit_block(preset("net1-micro"), channels=48, in_channels=96),
+     "block 's0.b0': only a post_norm bottleneck may change width"),
+    ("block-kind", ValueError, lambda: edit_block(preset("net1-micro"), kind="mlp"),
+     "bad block spec: kind must be one of ('attention', 'bottleneck'), got 'mlp'"),
+    ("bottleneck-groups", ShapeError, lambda: edit_block(preset("visformer_ti-micro"), hidden=44),
      "block 's0.b0': hidden width 44 not divisible by groups 8"),
 ]
+
+# a valid instance of each config class, keyed by what its messages call it
+VALID = {
+    "embedding spec": lambda: EmbedSpec(4, 4, 8),
+    "block spec": lambda: BlockSpec("bottleneck", 8, hidden=16),
+    "model config": lambda: preset("visformer_ti-micro"),
+    "train config": lambda: TrainConfig("visformer_ti-micro", 1, 4),
+}
+# (class, field, a value its rule rejects): every number field below its floor
+# or not finite, every choice field off its list
+BAD_FIELDS = [
+    ("embedding spec", "kernel", 0), ("embedding spec", "stride", 0),
+    ("embedding spec", "out_channels", -8), ("embedding spec", "padding", -1),
+    ("block spec", "kind", "mlp"), ("block spec", "channels", 0), ("block spec", "hidden", 0),
+    ("block spec", "groups", 0), ("block spec", "heads", -1), ("block spec", "head_dim", -1),
+    ("block spec", "attn_inner", -1), ("block spec", "stride", 0),
+    ("block spec", "in_channels", -1),
+    ("model config", "input_resolution", 0), ("model config", "num_classes", 0),
+    ("model config", "norm", "group"), ("model config", "pos_mode", "learned"),
+    ("model config", "head_mode", "max"), ("model config", "conv_block_style", "bogus"),
+    ("train config", "optimizer", "sgd"), ("train config", "epochs", 0),
+    ("train config", "batch_size", 0), ("train config", "base_lr", -0.1),
+    ("train config", "lr_floor", float("nan")), ("train config", "weight_decay", float("inf")),
+    ("train config", "momentum", -0.5), ("train config", "seed", -1),
+    ("train config", "crop_pad", -1), ("train config", "data_classes", -1),
+    ("train config", "data_per_class", 0), ("train config", "data_seed", -1),
+]
+
+
+class TestFieldRules:
+    @pytest.mark.parametrize("what,field,value", BAD_FIELDS,
+                             ids=[f"{w.split()[0]}-{f}" for w, f, _ in BAD_FIELDS])
+    def test_rejects_value_at_construction(self, what, field, value):
+        with pytest.raises(ValueError, match=f"^bad {what}: {field} must be "):
+            replace(VALID[what](), **{field: value})
+
+    def test_message_names_rule_and_value(self):
+        with pytest.raises(ValueError, match=re.escape("bad block spec: groups must be >= 1, got 0")):
+            BlockSpec("bottleneck", 8, hidden=16, groups=0)
+        with pytest.raises(ValueError, match=re.escape(
+                "bad model config: conv_block_style must be one of ('pre_norm', 'post_norm'), "
+                "got 'bogus'")):
+            replace(preset("net7-micro"), conv_block_style="bogus")
+
+    def test_floor_itself_is_valid(self):
+        replace(VALID["embedding spec"](), padding=0)
+        replace(VALID["train config"](), base_lr=0.0, seed=0, data_per_class=1)
 
 
 class TestPresets:
@@ -183,11 +248,13 @@ class TestPlan:
         with pytest.raises(ShapeError, match="divisible"):
             layer_plan(preset("visformer_s"), resolution=225)
 
-    @pytest.mark.parametrize("make,match", [r[1:] for r in REJECTED], ids=[r[0] for r in REJECTED])
-    def test_rejects_config_that_cannot_run(self, make, match):
-        # the block forwards check none of this, so layer_plan must
-        with pytest.raises(ShapeError, match=re.escape(match)):
+    @pytest.mark.parametrize("error,make,match", [r[1:] for r in REJECTED],
+                             ids=[r[0] for r in REJECTED])
+    def test_rejects_config_that_cannot_run(self, error, make, match):
+        # the block forwards check none of this
+        with pytest.raises(error, match=re.escape(match)) as caught:
             layer_plan(make())
+        assert caught.type is error
 
 
 class TestBuild:

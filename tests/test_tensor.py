@@ -607,6 +607,13 @@ class TestTensorBasics:
         with pytest.raises(ShapeError):
             Tensor(np.zeros((1, 1, 1, 1, 1)))
 
+    def test_ops_keep_the_rank_limit(self):
+        # the ops rely on Tensor's own rank check for their outputs
+        with pytest.raises(ShapeError, match="rank 5"):
+            T.reshape(Tensor(np.zeros((2, 2, 2, 2))), (1, 2, 2, 2, 2))
+        with pytest.raises(ShapeError, match="rank 5"):
+            T.batch_tile(Tensor(np.zeros((1, 2, 2, 2))), 2)
+
     def test_reshape_size_mismatch_error(self):
         with pytest.raises(ShapeError, match="cannot reshape"):
             T.reshape(Tensor(np.zeros((1, 9, 4))), (1, 8, 2, 2))

@@ -65,6 +65,7 @@ class TestConfig:
         dict(seed=-1),
         dict(data_seed=-1),
         dict(crop_pad=-1),
+        dict(momentum=1.0),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
