@@ -8,7 +8,7 @@ in initialization order), forward (run the entry), and rows ((path, MACs,
 params) complexity rows). Building, loading a checkpoint and counting
 parameters all read the same Slot lists, and the rows are derived from them in
 one walk (a weight costs its element count per output position), so none of
-them can disagree.
+them can disagree. A block spec holds only the fields its kind reads.
 MACs are multiply-accumulates at batch 1; norms, activations, softmax,
 pooling, and bias adds count zero.
 """
@@ -16,7 +16,7 @@ pooling, and bias adds count zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -73,33 +73,40 @@ class EmbedSpec:
 
 
 @dataclass(frozen=True)
-class BlockSpec:
-    """One residual block. kind is 'bottleneck' or 'attention'.
+class AttentionSpec:
+    """Pre-norm attention (heads * head_dim wide), then a pre-norm MLP hidden
+    wide, both residual. use_3x3 adds a groups-grouped 3x3 conv to the MLP,
+    whose width conv_mlp_hidden recomputes to stay within the plain MLP's MACs."""
 
-    hidden is the reference expansion width (for an attention block's use_3x3
-    MLP branch the actual conv width is recomputed so MACs never exceed the
-    plain two-layer MLP).
-    attention blocks set heads/head_dim/attn_inner; stride/in_channels exist
-    for post-norm bottlenecks whose residual changes shape. Each value is
-    checked at construction, how they fit together by models.layer_plan.
-    """
+    POSITIVE = ("channels", "hidden", "heads", "head_dim", "groups")
+
+    kind: str = field(default="attention", init=False)
+    channels: int
+    hidden: int
+    heads: int
+    head_dim: int
+    groups: int = 1
+    use_3x3: bool = False
+
+    def __post_init__(self):
+        check_fields(self, "attention spec")
+
+
+@dataclass(frozen=True)
+class BottleneckSpec:
+    """A 1x1 -> 3x3 (groups-grouped) -> 1x1 conv bottleneck through hidden
+    channels, fed the width coming in; a post-norm one may change width or stride."""
 
     POSITIVE = ("channels", "hidden", "groups", "stride")
-    CHOICES = {"kind": ("attention", "bottleneck")}
 
-    kind: str
+    kind: str = field(default="bottleneck", init=False)
     channels: int
     hidden: int
     groups: int = 1
-    use_3x3: bool = False
-    heads: int = 0
-    head_dim: int = 0
-    attn_inner: int = 0
     stride: int = 1
-    in_channels: int = 0
 
     def __post_init__(self):
-        check_fields(self, "block spec")
+        check_fields(self, "bottleneck spec")
 
 
 def conv_mlp_hidden(channels: int, hidden: int, groups: int = 1) -> int:
@@ -269,7 +276,7 @@ def _bottleneck_params(e, config):
                 + _conv_slots(p + ".conv1", c, h, 1)
                 + _conv_slots(p + ".conv2", h, h, 3, groups=g)
                 + _conv_slots(p + ".conv3", h, c, 1))
-    cin = spec.in_channels or c
+    cin = e.in_shape[0]
     slots = (_conv_slots(p + ".conv1", cin, h, 1, bias=False)
              + _norm_slots(p + ".norm1", h, norm)
              + _conv_slots(p + ".conv2", h, h, 3, groups=g, bias=False)
@@ -288,7 +295,7 @@ def _bottleneck_macs(e, config):
                       at={e.prefix + ".conv1": math.prod(e.in_shape[1:])})
 
 
-def bottleneck_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
+def bottleneck_forward(x: Tensor, spec: BottleneckSpec, params, buffers, prefix: str,
                        norm: str, style: str, training: bool) -> Tensor:
     if style == "pre_norm":
         h = norm_forward(x, params, buffers, prefix + ".norm", norm, training)
@@ -315,7 +322,7 @@ def bottleneck_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
 # attention block (pre-norm attention + pre-norm MLP branch, both residual)
 
 
-def _mlp_branch_params(spec: BlockSpec, prefix: str):
+def _mlp_branch_params(spec: AttentionSpec, prefix: str):
     c = spec.channels
     if spec.use_3x3:
         m = conv_mlp_hidden(c, spec.hidden, spec.groups)
@@ -326,7 +333,7 @@ def _mlp_branch_params(spec: BlockSpec, prefix: str):
             + _conv_slots(prefix + ".fc2", spec.hidden, c, 1))
 
 
-def _mlp_branch_forward(x, spec: BlockSpec, params, prefix):
+def _mlp_branch_forward(x, spec: AttentionSpec, params, prefix):
     h = tz.gelu(_conv(x, params, prefix + ".fc1"))
     if spec.use_3x3:
         h = tz.gelu(_conv(h, params, prefix + ".conv", padding=1, groups=spec.groups))
@@ -335,7 +342,7 @@ def _mlp_branch_forward(x, spec: BlockSpec, params, prefix):
 
 def _attention_params(e, config):
     spec, p = e.spec, e.prefix
-    c, inner = spec.channels, spec.attn_inner
+    c, inner = spec.channels, spec.heads * spec.head_dim
     slots = (_norm_slots(p + ".norm1", c, config.norm)
              + _linear_slots(p + ".attn.qkv", c, 3 * inner)
              + _linear_slots(p + ".attn.proj", inner, c))
@@ -347,15 +354,15 @@ def _attention_params(e, config):
 
 
 def _attention_macs(e, config):
-    """Scores and apply each cost tokens^2 * attn_inner MACs, after norm1 and qkv."""
+    """Scores and apply each cost tokens^2 * heads * head_dim MACs, after norm1 and qkv."""
     tokens = math.prod(e.in_shape[1:])
     rows = _macs_rows(_attention_params(e, config), tokens)
-    core = tokens * tokens * e.spec.attn_inner
+    core = tokens * tokens * e.spec.heads * e.spec.head_dim
     rows[2:2] = [(e.prefix + ".attn.scores", core, 0), (e.prefix + ".attn.apply", core, 0)]
     return rows
 
 
-def attention_block_forward(x: Tensor, spec: BlockSpec, params, buffers, prefix: str,
+def attention_block_forward(x: Tensor, spec: AttentionSpec, params, buffers, prefix: str,
                             norm: str, training: bool) -> Tensor:
     a = prefix + ".attn"
     bias = None

@@ -28,7 +28,7 @@ from . import blocks as B
 from . import models
 
 MAGIC = b"VSFM"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(Exception):

@@ -22,14 +22,14 @@ import numpy as np
 
 from . import blocks as B
 from . import tensor as tz
-from .blocks import BlockSpec, EmbedSpec
+from .blocks import AttentionSpec, BottleneckSpec, EmbedSpec
 from .tensor import ParamStore, ShapeError, Tensor
 
 
 @dataclass(frozen=True)
 class StageSpec:
     embed: EmbedSpec | None
-    blocks: tuple[BlockSpec, ...]
+    blocks: tuple[AttentionSpec | BottleneckSpec, ...]
 
 
 @dataclass(frozen=True)
@@ -119,19 +119,12 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
             entries.append(PlanEntry("pos", f"{sp}.pos", None, shape, shape))
         for j, b in enumerate(stage.blocks):
             bp = f"{sp}.b{j}"
-            cin = b.in_channels or b.channels
-            if cin != c:
-                raise ShapeError(f"block '{bp}' expects {cin} input channels, gets {c}")
-            post_norm = b.kind == "bottleneck" and config.conv_block_style == "post_norm"
-            if (cin != b.channels or b.stride != 1) and not post_norm:
-                raise ShapeError(f"block '{bp}': only a post_norm bottleneck may change width or stride")
-            if b.kind == "attention":
-                if b.heads < 1 or b.head_dim < 1:
-                    raise ShapeError(f"block '{bp}': heads and head_dim must be >= 1")
-                if b.attn_inner != b.heads * b.head_dim:
-                    raise ShapeError(f"block '{bp}': attn_inner != heads * head_dim")
-                entries.append(PlanEntry("attention", bp, b, (c,) + hw, (b.channels,) + hw))
-            else:
+            bottleneck = b.kind == "bottleneck"
+            if ((b.channels != c or bottleneck and b.stride != 1)
+                    and not (bottleneck and config.conv_block_style == "post_norm")):
+                raise ShapeError(f"block '{bp}': only a post_norm bottleneck may change width or "
+                                 f"stride, got {c} -> {b.channels} channels")
+            if bottleneck:
                 if b.hidden % b.groups:
                     raise ShapeError(f"block '{bp}': hidden width {b.hidden} not divisible "
                                      f"by groups {b.groups}")
@@ -140,6 +133,11 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
                 entries.append(PlanEntry("bottleneck", bp, b, (c, res, res), (b.channels, out, out)))
                 res = out
                 hw = (res, res)
+            else:
+                if b.use_3x3 and B.conv_mlp_hidden(b.channels, b.hidden, b.groups) == 0:
+                    raise ShapeError(f"block '{bp}': use_3x3 MLP width is 0 for {b.channels} "
+                                     f"channels, hidden {b.hidden}, groups {b.groups}")
+                entries.append(PlanEntry("attention", bp, b, (c,) + hw, (b.channels,) + hw))
             c = b.channels
     if config.final_norm:
         entries.append(PlanEntry("final_norm", "final_norm", None, (c,) + hw, (c,) + hw))
@@ -218,9 +216,11 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 def config_from_dict(d: dict) -> ModelConfig:
     stem = EmbedSpec(**d["stem"]) if d.get("stem") else None
+    kinds = {"attention": AttentionSpec, "bottleneck": BottleneckSpec}
     stages = tuple(
         StageSpec(embed=EmbedSpec(**s["embed"]) if s.get("embed") else None,
-                  blocks=tuple(BlockSpec(**b) for b in s["blocks"]))
+                  blocks=tuple(kinds[b["kind"]](**{k: v for k, v in b.items() if k != "kind"})
+                               for b in s["blocks"]))
         for s in d["stages"])
     return ModelConfig(**{**d, "stem": stem, "stages": stages})
 
@@ -237,15 +237,11 @@ def config_from_json(text: str) -> ModelConfig:
 # structural diff
 
 
-def _flat_blocks(config: ModelConfig) -> list[BlockSpec]:
-    return [b for s in config.stages for b in s.blocks]
-
-
 def diff_configs(a: ModelConfig, b: ModelConfig) -> set:
     """Names of the structural components that differ between two configs.
 
-    Block lists differing only in their use_3x3 flags report 'mlp_conv'
-    rather than 'blocks', so rewiring MLPs is distinguishable from
+    Block lists differing only in attention blocks' use_3x3 flags report
+    'mlp_conv' rather than 'blocks', so rewiring MLPs is distinguishable from
     recomposing the network.
     """
     touched = set()
@@ -265,10 +261,11 @@ def diff_configs(a: ModelConfig, b: ModelConfig) -> set:
         touched.add("input")
     if a.final_norm != b.final_norm:
         touched.add("final_norm")
-    ab, bb = _flat_blocks(a), _flat_blocks(b)
+    ab, bb = ([blk for s in c.stages for blk in s.blocks] for c in (a, b))
     if ab != bb:
         if len(ab) == len(bb) and all(
-                x == replace(y, use_3x3=x.use_3x3) for x, y in zip(ab, bb)):
+                x == y or x.kind == y.kind == "attention" and x == replace(y, use_3x3=x.use_3x3)
+                for x, y in zip(ab, bb)):
             touched.add("mlp_conv")
         else:
             touched.add("blocks")
@@ -279,17 +276,13 @@ def diff_configs(a: ModelConfig, b: ModelConfig) -> set:
 # preset catalog
 
 
-def _attn(c: int, heads: int, *, head_dim: int = 64, inner: int | None = None,
-          use_3x3: bool = False) -> BlockSpec:
-    inner = heads * head_dim if inner is None else inner
-    return BlockSpec("attention", c, hidden=4 * c, use_3x3=use_3x3,
-                     heads=heads, head_dim=head_dim, attn_inner=inner)
+def _attn(c: int, heads: int, *, head_dim: int = 64, use_3x3: bool = False) -> AttentionSpec:
+    return AttentionSpec(c, 4 * c, heads, head_dim, use_3x3=use_3x3)
 
 
-def _bneck(c: int, *, groups: int = 8, hidden: int | None = None, stride: int = 1,
-           in_channels: int = 0) -> BlockSpec:
-    return BlockSpec("bottleneck", c, hidden=2 * c if hidden is None else hidden,
-                     groups=groups, stride=stride, in_channels=in_channels)
+def _bneck(c: int, *, groups: int = 8, hidden: int | None = None,
+           stride: int = 1) -> BottleneckSpec:
+    return BottleneckSpec(c, 2 * c if hidden is None else hidden, groups, stride)
 
 
 def _deit_s() -> ModelConfig:
@@ -314,11 +307,11 @@ def _net2() -> ModelConfig:
 
 def _ladder_stages(depths: tuple, use_3x3: bool = False) -> tuple:
     """Staged attention bodies for net3..net6: the high-resolution stage runs
-    half-width attention (inner C/2, head_dim 32) to keep its cost in line."""
+    half-width attention (3 heads of 32, C/2 wide) to keep its cost in line."""
     d1, d2, d3 = depths
     return (
         StageSpec(EmbedSpec(4, 4, 192),
-                  tuple(_attn(192, 3, head_dim=32, inner=96, use_3x3=use_3x3) for _ in range(d1))),
+                  tuple(_attn(192, 3, head_dim=32, use_3x3=use_3x3) for _ in range(d1))),
         StageSpec(EmbedSpec(2, 2, 384),
                   tuple(_attn(384, 6, use_3x3=use_3x3) for _ in range(d2))),
         StageSpec(EmbedSpec(2, 2, 768),
@@ -386,16 +379,16 @@ def _visformer_v2(name: str, stem_c: int, chans: tuple, depths: tuple,
 
 
 def _resnet50_shape() -> ModelConfig:
-    def stage(cin, c, depth, stride):
-        first = _bneck(c, groups=1, hidden=c // 4, stride=stride, in_channels=cin)
+    def stage(c, depth, stride):
+        first = _bneck(c, groups=1, hidden=c // 4, stride=stride)
         rest = tuple(_bneck(c, groups=1, hidden=c // 4) for _ in range(depth - 1))
         return StageSpec(None, (first,) + rest)
 
     stages = (
-        stage(64, 256, 3, 1),
-        stage(256, 512, 4, 2),
-        stage(512, 1024, 6, 2),
-        stage(1024, 2048, 3, 2),
+        stage(256, 3, 1),
+        stage(512, 4, 2),
+        stage(1024, 6, 2),
+        stage(2048, 3, 2),
     )
     return ModelConfig("resnet50_shape", 224, 1000,
                        stem=EmbedSpec(7, 2, 64, padding=3, norm_after=True), stages=stages,
@@ -409,12 +402,8 @@ def _micro(config: ModelConfig) -> ModelConfig:
         return None if e is None else replace(e, out_channels=e.out_channels // 4)
 
     def shrink_block(b):
-        nb = replace(b, channels=b.channels // 4, hidden=b.hidden // 4,
-                     in_channels=b.in_channels // 4)
-        if b.kind == "attention":
-            inner = b.attn_inner // 4
-            nb = replace(nb, attn_inner=inner, head_dim=inner // b.heads)
-        return nb
+        nb = replace(b, channels=b.channels // 4, hidden=b.hidden // 4)
+        return replace(nb, head_dim=b.head_dim // 4) if b.kind == "attention" else nb
 
     stages = tuple(StageSpec(shrink_embed(s.embed), tuple(shrink_block(b) for b in s.blocks))
                    for s in config.stages)

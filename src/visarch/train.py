@@ -193,12 +193,14 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
           log=None) -> TrainResult:
     """Run the loop; returns per-epoch mean loss and train accuracy.
 
-    stop_after interrupts the run after that many total epochs while keeping
+    stop_after (>= 0) interrupts the run after that many total epochs, keeping
     the full schedule, so a resumed run replays the exact remaining epochs.
     resume_state carries {model, tensors, scalars} as produced by checkpoint
     loading; a non-finite forward anywhere aborts with the offending layer
     path in the exception message.
     """
+    if stop_after is not None and stop_after < 0:
+        raise ValueError(f"stop_after must be >= 0, got {stop_after}")
     model_cfg = models.preset(config.preset)
     if dataset is None:
         dataset = default_dataset(config, model_cfg.input_resolution)

@@ -5,7 +5,7 @@ import numpy as np
 from visarch import blocks as B
 from visarch import tensor as T
 from visarch.attention import mhsa_forward
-from visarch.blocks import BlockSpec, EmbedSpec, conv_mlp_hidden
+from visarch.blocks import AttentionSpec, BottleneckSpec, EmbedSpec, conv_mlp_hidden
 from visarch.models import PlanEntry
 from visarch.tensor import Tensor, backward
 
@@ -16,8 +16,9 @@ def config(norm="batch", style="pre_norm", rel_pos=False):
                            pos_mode="relative" if rel_pos else "none")
 
 
-def block_entry(spec, hw=(1, 1)):
-    shape = (spec.in_channels or spec.channels,) + hw
+def block_entry(spec, hw=(1, 1), cin=None):
+    """The plan entry of a block fed cin channels (default: its own width)."""
+    shape = (cin or spec.channels,) + hw
     return PlanEntry(spec.kind, "b", spec, shape, (spec.channels,) + hw)
 
 
@@ -27,8 +28,8 @@ def allocate(entry, cfg, seed=0, dtype=np.float64):
 
 
 def build_block(spec, norm="batch", style="pre_norm", rel_pos=False, window=(1, 1),
-                seed=0, dtype=np.float64):
-    return allocate(block_entry(spec, window), config(norm, style, rel_pos), seed, dtype)
+                seed=0, dtype=np.float64, cin=None):
+    return allocate(block_entry(spec, window, cin), config(norm, style, rel_pos), seed, dtype)
 
 
 def embed_entry(kind, spec, cin, res, prefix):
@@ -38,7 +39,7 @@ def embed_entry(kind, spec, cin, res, prefix):
 
 def attn_spec(c, hidden, **kw):
     """An attention block of c channels, 2 heads, whose MLP branch is hidden wide."""
-    return BlockSpec("attention", c, hidden=hidden, heads=2, head_dim=c // 2, attn_inner=c, **kw)
+    return AttentionSpec(c, hidden, heads=2, head_dim=c // 2, **kw)
 
 
 def mlp_macs(spec, hw=(14, 14)):
@@ -108,14 +109,14 @@ class TestStemAndEmbed:
 
 class TestBottleneck:
     def test_preserves_shape(self, rng):
-        spec = BlockSpec("bottleneck", 96, hidden=192, groups=8)
+        spec = BottleneckSpec(96, hidden=192, groups=8)
         store, buffers = build_block(spec)
         x = Tensor(rng.normal(size=(2, 96, 7, 7)), dtype=np.float64)
         out = B.bottleneck_forward(x, spec, store, buffers, "b", "batch", "pre_norm", True)
         assert out.shape == (2, 96, 7, 7)
 
     def test_zero_final_conv_is_identity(self, rng):
-        spec = BlockSpec("bottleneck", 8, hidden=16, groups=2)
+        spec = BottleneckSpec(8, hidden=16, groups=2)
         store, buffers = build_block(spec)
         store["b.conv3.w"].data[:] = 0.0
         store["b.conv3.b"].data[:] = 0.0
@@ -125,21 +126,23 @@ class TestBottleneck:
         np.testing.assert_array_equal(out.data, x)
 
     def test_post_norm_strided_downsamples(self, rng):
-        spec = BlockSpec("bottleneck", 32, hidden=8, groups=1, stride=2, in_channels=16)
-        store, buffers = build_block(spec, style="post_norm")
-        assert "b.proj.w" in store
+        spec = BottleneckSpec(32, hidden=8, groups=1, stride=2)
+        store, buffers = build_block(spec, style="post_norm", cin=16)
+        # conv1 and proj read the width coming in
+        assert store["b.conv1.w"].shape == (8, 16, 1, 1)
+        assert store["b.proj.w"].shape == (32, 16, 1, 1)
         x = Tensor(rng.normal(size=(2, 16, 8, 8)), dtype=np.float64)
         out = B.bottleneck_forward(x, spec, store, buffers, "b", "batch", "post_norm", True)
         assert out.shape == (2, 32, 4, 4)
         assert (out.data >= 0).all()
 
     def test_post_norm_identity_block_has_no_proj(self):
-        spec = BlockSpec("bottleneck", 16, hidden=4, groups=1)
+        spec = BottleneckSpec(16, hidden=4, groups=1)
         store, _ = build_block(spec, style="post_norm")
         assert "b.proj.w" not in store
 
     def test_fd_grads(self, rng):
-        spec = BlockSpec("bottleneck", 6, hidden=12, groups=2)
+        spec = BottleneckSpec(6, hidden=12, groups=2)
         store, buffers = build_block(spec)
         x = Tensor(rng.normal(size=(2, 6, 3, 3)), dtype=np.float64)
 
@@ -206,7 +209,7 @@ class TestMlpBlock:
 
 class TestAttentionBlock:
     def test_zeroed_projections_are_identity(self, rng):
-        spec = BlockSpec("attention", 12, hidden=24, heads=2, head_dim=6, attn_inner=12)
+        spec = AttentionSpec(12, hidden=24, heads=2, head_dim=6)
         store, buffers = build_block(spec, norm="layer")
         for p in ("b.attn.proj.w", "b.attn.proj.b", "b.mlp.fc2.w", "b.mlp.fc2.b"):
             store[p].data[:] = 0.0
@@ -216,12 +219,12 @@ class TestAttentionBlock:
         np.testing.assert_array_equal(out.data, x)
 
     def test_rel_pos_table_created_with_window(self):
-        spec = BlockSpec("attention", 8, hidden=16, heads=2, head_dim=4, attn_inner=8)
+        spec = AttentionSpec(8, hidden=16, heads=2, head_dim=4)
         store, _ = build_block(spec, rel_pos=True, window=(3, 3))
         assert store["b.attn.relpos"].shape == (25, 2)
 
     def test_fd_grads(self, rng):
-        spec = BlockSpec("attention", 6, hidden=12, heads=2, head_dim=3, attn_inner=6)
+        spec = AttentionSpec(6, hidden=12, heads=2, head_dim=3)
         store, buffers = build_block(spec, norm="batch", rel_pos=True, window=(2, 2))
         x = Tensor(rng.normal(size=(2, 6, 2, 2)), dtype=np.float64)
 
@@ -232,7 +235,7 @@ class TestAttentionBlock:
         assert_fd(loss, store)
 
     def test_halved_inner_width_runs(self, rng):
-        spec = BlockSpec("attention", 16, hidden=64, heads=2, head_dim=4, attn_inner=8)
+        spec = AttentionSpec(16, hidden=64, heads=2, head_dim=4)
         store, buffers = build_block(spec)
         assert store["b.attn.qkv.w"].shape == (24, 16)
         x = Tensor(rng.normal(size=(1, 16, 2, 2)), dtype=np.float64)
@@ -272,7 +275,7 @@ class TestRowCounting:
         assert fc1 == (196 * 64 * 128, 64 * 128 + 128)
 
     def test_attention_rows_hand_check(self):
-        spec = BlockSpec("attention", 384, hidden=1536, heads=6, head_dim=64, attn_inner=384)
+        spec = AttentionSpec(384, hidden=1536, heads=6, head_dim=64)
         entry = block_entry(spec, (14, 14))
         rows = dict((p, (m, n)) for p, m, n in B.LAYERS["attention"].rows(entry, config()))
         assert rows["b.attn.qkv"] == (196 * 384 * 1152, 1152 * 384 + 1152)
@@ -282,7 +285,7 @@ class TestRowCounting:
         assert rows["b.norm1"] == (0, 768)
 
     def test_norms_and_bias_cost_zero_macs(self):
-        spec = BlockSpec("attention", 64, hidden=256, heads=2, head_dim=32, attn_inner=64)
+        spec = AttentionSpec(64, hidden=256, heads=2, head_dim=32)
         rows = B.LAYERS["attention"].rows(block_entry(spec, (7, 7)), config(rel_pos=True))
         by_path = dict((p, m) for p, m, _ in rows)
         assert by_path["b.norm1"] == 0 and by_path["b.norm2"] == 0

@@ -149,6 +149,12 @@ def sealed(header, payload=b""):
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def resealed_as(blob, version):
+    """blob with its format version replaced and its CRC recomputed."""
+    body = blob[:4] + struct.pack("<H", version) + blob[6:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 class TestMalformedHeader:
     """A header past a valid CRC is still checked field by field."""
 
@@ -213,10 +219,16 @@ class TestMalformedHeader:
         (lambda c: c.update(conv_block_style="bogus"), "conv_block_style must be one of"),
         (lambda c: c.update(num_classes=0), "num_classes must be >= 1, got 0"),
         (lambda c: c["stages"][0]["blocks"][0].update(stride=2), "only a post_norm bottleneck"),
+        # s0.b0 is a bottleneck and s1.b0 an attention block
+        (lambda c: c["stages"][0]["blocks"][0].update(use_3x3=True), "'use_3x3'"),
+        (lambda c: c["stages"][1]["blocks"][0].update(attn_inner=48), "'attn_inner'"),
+        (lambda c: c["stages"][1]["blocks"][0].update(kind="mlp"), "'mlp'"),
+        (lambda c: c["stages"][1]["blocks"][0].pop("kind"), "'kind'"),
     ], ids=["missing-stages", "unknown-block-field", "mistyped-stages", "string-resolution",
             "null-stem-kernel", "string-channels", "unknown-norm", "unknown-config-field",
             "zero-groups", "zero-stem-stride", "unknown-block-style", "zero-classes",
-            "strided-pre-norm"])
+            "strided-pre-norm", "bottleneck-use_3x3", "attention-attn_inner", "unknown-kind",
+            "no-kind"])
     def test_bad_config(self, header, edit, named):
         # a loaded config must also be one layer_plan accepts
         head, payload = header
@@ -236,9 +248,15 @@ class TestCorruption:
             load_bytes(b"XXXX" + blob[4:])
 
     def test_unknown_version(self, blob):
-        tweaked = blob[:4] + struct.pack("<H", 2) + blob[6:]
+        tweaked = blob[:4] + struct.pack("<H", checkpoint.VERSION + 1) + blob[6:]
         with pytest.raises(VersionError):
             load_bytes(tweaked)
+
+    def test_version_1_is_rejected(self, blob):
+        # version 1 headers carried every block field on every block kind
+        assert checkpoint.VERSION == 2
+        with pytest.raises(VersionError, match="format version 1, expected 2"):
+            load_bytes(resealed_as(blob, 1))
 
     def test_truncated_tail(self, blob):
         with pytest.raises(ChecksumError):

@@ -153,6 +153,14 @@ class TestTrain:
         capsys.readouterr()
         assert straight.read_bytes() == resumed.read_bytes()
 
+    def test_negative_stop_after_exits_1(self, capsys, tmp_path):
+        out_path = tmp_path / "m.vsfm"
+        rc, out, err = run(capsys, "train", "--config", str(write_config(tmp_path)),
+                           "--out", str(out_path), "--stop-after", "-3")
+        assert rc == 1
+        assert "stop_after must be >= 0, got -3" in err
+        assert out == "" and not out_path.exists()
+
     def test_unknown_config_key_exits_1(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         cfg = json.loads(TrainConfig("visformer_ti-micro", 1, 4).to_json())

@@ -22,7 +22,7 @@ from visarch import (
     preset_names,
     shape_table,
 )
-from visarch.blocks import BUFFER_INITS, LAYERS, BlockSpec, EmbedSpec
+from visarch.blocks import BUFFER_INITS, LAYERS, AttentionSpec, BottleneckSpec, EmbedSpec
 from visarch.models import model_slots
 from visarch.tensor import cross_entropy
 from visarch.train import TrainConfig
@@ -49,9 +49,10 @@ def edit_block(config, i=0, **kw):
     return edit_stage(config, i, blocks=(replace(blocks[0], **kw),) + blocks[1:])
 
 
-# (id, error, config that must be rejected, message). A field's own value is
-# checked when its config is constructed (ValueError); how the fields fit
-# together, by layer_plan at the input resolution (ShapeError)
+# (id, error, config that must be rejected, message). A field foreign to a
+# block's kind cannot be set (TypeError) and a field's own value is checked
+# when its config is constructed (ValueError); how the fields fit together,
+# by layer_plan at the input resolution (ShapeError)
 REJECTED = [
     ("norm", ValueError, lambda: replace(preset("net4-micro"), norm="group"),
      "bad model config: norm must be one of ('batch', 'layer'), got 'group'"),
@@ -77,32 +78,41 @@ REJECTED = [
     ("no-first-embed", ShapeError, lambda: edit_stage(preset("net1-micro"), embed=None),
      "the first stage needs an embedding"),
     ("block-channels", ShapeError, lambda: edit_block(preset("net1-micro"), channels=48),
-     "block 's0.b0' expects 48 input channels, gets 96"),
-    ("attn-inner", ShapeError, lambda: edit_block(preset("net1-micro"), attn_inner=64),
-     "block 's0.b0': attn_inner != heads"),
-    ("attn-heads", ShapeError,
-     lambda: edit_block(preset("net1-micro"), heads=0, head_dim=0, attn_inner=0),
-     "block 's0.b0': heads and head_dim must be >= 1"),
+     "block 's0.b0': only a post_norm bottleneck may change width or stride, "
+     "got 96 -> 48 channels"),
+    ("attn-heads", ValueError, lambda: edit_block(preset("net1-micro"), heads=0),
+     "bad attention spec: heads must be >= 1, got 0"),
     ("strided-pre-norm", ShapeError, lambda: edit_block(preset("visformer_ti-micro"), stride=2),
      "block 's0.b0': only a post_norm bottleneck may change width or stride"),
-    ("widening-pre-norm", ShapeError,
-     lambda: edit_block(preset("visformer_ti-micro"), channels=48, in_channels=24),
+    ("widening-pre-norm", ShapeError, lambda: edit_block(preset("visformer_ti-micro"), channels=48),
      "block 's0.b0': only a post_norm bottleneck may change width"),
-    ("strided-attention", ShapeError, lambda: edit_block(preset("net1-micro"), stride=2),
-     "block 's0.b0': only a post_norm bottleneck may change width or stride"),
     ("widening-attention", ShapeError,
-     lambda: edit_block(preset("net1-micro"), channels=48, in_channels=96),
-     "block 's0.b0': only a post_norm bottleneck may change width"),
-    ("block-kind", ValueError, lambda: edit_block(preset("net1-micro"), kind="mlp"),
-     "bad block spec: kind must be one of ('attention', 'bottleneck'), got 'mlp'"),
+     lambda: edit_block(preset("visformer_ti-micro"), 1, channels=96),
+     "block 's1.b0': only a post_norm bottleneck may change width"),
+    ("block-kind", TypeError, lambda: AttentionSpec(24, 96, 1, 24, kind="bottleneck"),
+     "unexpected keyword argument 'kind'"),
     ("bottleneck-groups", ShapeError, lambda: edit_block(preset("visformer_ti-micro"), hidden=44),
      "block 's0.b0': hidden width 44 not divisible by groups 8"),
-]
+    ("use-3x3-zero-width", ShapeError,
+     lambda: edit_block(preset("net5-micro"), hidden=1, groups=1),
+     "block 's0.b0': use_3x3 MLP width is 0"),
+    # each block kind takes only its own fields
+    ("attn-inner", TypeError, lambda: edit_block(preset("net1-micro"), attn_inner=64),
+     "unexpected keyword argument 'attn_inner'"),
+    ("strided-attention", TypeError, lambda: edit_block(preset("net1-micro"), stride=2),
+     "unexpected keyword argument 'stride'"),
+] + [(f"{field}-on-{kind}", TypeError,
+      lambda i=i, field=field: edit_block(preset("visformer_ti-micro"), i, **{field: 1}),
+      f"unexpected keyword argument '{field}'")
+     for kind, i, fields in [("bottleneck", 0, ("use_3x3", "heads", "head_dim", "attn_inner")),
+                             ("attention", 1, ("in_channels",))]
+     for field in fields]
 
 # a valid instance of each config class, keyed by what its messages call it
 VALID = {
     "embedding spec": lambda: EmbedSpec(4, 4, 8),
-    "block spec": lambda: BlockSpec("bottleneck", 8, hidden=16),
+    "attention spec": lambda: AttentionSpec(8, 16, heads=2, head_dim=4),
+    "bottleneck spec": lambda: BottleneckSpec(8, 16),
     "model config": lambda: preset("visformer_ti-micro"),
     "train config": lambda: TrainConfig("visformer_ti-micro", 1, 4),
 }
@@ -111,10 +121,11 @@ VALID = {
 BAD_FIELDS = [
     ("embedding spec", "kernel", 0), ("embedding spec", "stride", 0),
     ("embedding spec", "out_channels", -8), ("embedding spec", "padding", -1),
-    ("block spec", "kind", "mlp"), ("block spec", "channels", 0), ("block spec", "hidden", 0),
-    ("block spec", "groups", 0), ("block spec", "heads", -1), ("block spec", "head_dim", -1),
-    ("block spec", "attn_inner", -1), ("block spec", "stride", 0),
-    ("block spec", "in_channels", -1),
+    ("attention spec", "channels", 0), ("attention spec", "hidden", 0),
+    ("attention spec", "heads", 0), ("attention spec", "head_dim", 0),
+    ("attention spec", "groups", 0),
+    ("bottleneck spec", "channels", 0), ("bottleneck spec", "hidden", 0),
+    ("bottleneck spec", "groups", 0), ("bottleneck spec", "stride", 0),
     ("model config", "input_resolution", 0), ("model config", "num_classes", 0),
     ("model config", "norm", "group"), ("model config", "pos_mode", "learned"),
     ("model config", "head_mode", "max"), ("model config", "conv_block_style", "bogus"),
@@ -135,8 +146,9 @@ class TestFieldRules:
             replace(VALID[what](), **{field: value})
 
     def test_message_names_rule_and_value(self):
-        with pytest.raises(ValueError, match=re.escape("bad block spec: groups must be >= 1, got 0")):
-            BlockSpec("bottleneck", 8, hidden=16, groups=0)
+        with pytest.raises(ValueError, match=re.escape(
+                "bad bottleneck spec: groups must be >= 1, got 0")):
+            BottleneckSpec(8, hidden=16, groups=0)
         with pytest.raises(ValueError, match=re.escape(
                 "bad model config: conv_block_style must be one of ('pre_norm', 'post_norm'), "
                 "got 'bogus'")):
@@ -223,6 +235,12 @@ class TestLadder:
     def test_diff_is_symmetric(self):
         a, b = preset("net3"), preset("net4")
         assert diff_configs(a, b) == diff_configs(b, a)
+
+    def test_kind_switch_reports_blocks(self):
+        # only an attention pair can differ by its MLP conv alone
+        a = preset("net5-micro")
+        b = edit_stage(a, blocks=(BottleneckSpec(48, 96),) + a.stages[0].blocks[1:])
+        assert diff_configs(a, b) == diff_configs(b, a) == {"blocks"}
 
     def test_identical_configs_diff_empty(self):
         assert diff_configs(preset("net2"), preset("net2")) == set()

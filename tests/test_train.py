@@ -297,6 +297,16 @@ class TestLoop:
         r = self.resume_at(1)
         assert (r.losses, r.last_epoch) == ([], 1)
 
+    def test_stop_after_zero_returns_initial_state(self):
+        cfg = tiny_config()
+        r = train(cfg, tiny_dataset(), stop_after=0)
+        assert (r.losses, r.last_epoch) == ([], -1)
+        assert param_bytes(r.model) == param_bytes(build(preset(cfg.preset), seed=cfg.seed))
+
+    def test_negative_stop_after_rejected(self):
+        with pytest.raises(ValueError, match="stop_after must be >= 0, got -3"):
+            train(tiny_config(), tiny_dataset(), stop_after=-3)
+
     def test_rejects_dataset_with_too_many_classes(self):
         ds = synth_dataset(12, 1, 32, seed=0)
         with pytest.raises(ValueError, match="classes"):
