@@ -10,10 +10,15 @@ requires_grad is the one needs-a-gradient test: leaves (ParamStore entries)
 set it, and every recorded node, the only kind with a _backward, has it.
 
 conv2d and max_pool2d share one window rule: out_size (which layer_plan also
-uses for every spatial shape), one padded gather and its adjoint scatter.
-conv2d copies every other kernel's windows channel-major, one (Cpg*kh*kw,
-N*Ho*Wo) matrix per group, so filters @ cols is already NCHW at batch 1; it
-runs a 1x1, unpadded, ungrouped kernel as one channel GEMM on NCHW instead.
+uses for every spatial shape, and which rejects a stride below 1 or a negative
+padding), one gather over a padded (C, H, W, n) map and its adjoint scatter.
+conv2d runs a 1x1, unpadded, ungrouped kernel as one channel GEMM on NCHW.
+Every other kernel runs in batch tiles, each as many images as keep its im2col
+under _TILE_BYTES: the tile is copied with the batch axis innermost, so each
+window row moves n contiguous values, and its windows channel-major, one
+(Cpg*kh*kw, Ho*Wo*n) matrix per group; a 1-image tile's GEMM writes straight
+into its NCHW slice, so batch 1 makes no extra copy. The backward frees each
+tile's im2col once used, so a second backward() through that conv raises.
 max_pool2d is a running maximum over the window slices. layer_norm and
 batch_norm share one normalise-and-affine kernel; with fixed (eval)
 statistics it is one per-channel scale and shift.
@@ -113,11 +118,17 @@ def _result(op, data, parents, backward_fn):
     return _record(data, parents, backward_fn)
 
 
+def _recording(parents) -> bool:
+    """Whether an op on these parents records a graph node (and so must keep
+    what its backward reads)."""
+    return _GRAD_ENABLED[0] and any(p.requires_grad for p in parents)
+
+
 def _record(data, parents, backward_fn):
     """An op's output with its graph node; shape ops call this directly, since
     they only move values the op that made them already checked."""
     out = Tensor(data)
-    if _GRAD_ENABLED[0] and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -351,29 +362,51 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 def out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Positions a kernel-wide window visits sliding by stride over size cells
     padded at both ends: the output size of conv2d, max_pool2d and layer_plan."""
+    if stride < 1:
+        raise ShapeError(f"stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ShapeError(f"padding must be >= 0, got {padding}")
     if size + 2 * padding < kernel:
         raise ShapeError(f"kernel {kernel} larger than padded input {size + 2 * padding}")
     return (size + 2 * padding - kernel) // stride + 1
 
 
-def _windows(xd, kh: int, kw: int, s: int, p: int, fill: float):
-    """(N, C, Ho, Wo, kh, kw) read-only view of every window (stride s) of an
-    NCHW array padded by p cells of `fill`: the gather behind conv2d and max_pool2d."""
-    ho = out_size(xd.shape[2], kh, s, p)
-    wo = out_size(xd.shape[3], kw, s, p)
-    xp = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=fill) if p else xd
-    return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, :ho * s:s, :wo * s:s]
+# Bytes of im2col one k x k conv tile holds: conv2d splits the batch into tiles
+# of as many images as fit, and at least one. With 8 MiB the 224 stems, 56x56
+# 3x3s and the 28x28 grouped 3x3 tile per image, and a 32x32 train batch of 50
+# is one tile per conv; of 1-32 MiB it gave the fastest batch-8 eval convs and
+# train steps on a 2-core Xeon. Smaller tiles also mean more, smaller
+# allocations, whose fresh pages cost faults.
+_TILE_BYTES = 1 << 23
+
+
+def _padded(xs, p: int, fill: float):
+    """A (C, H, W, n) map padded by p cells of `fill` on H and W, as one C-contiguous
+    buffer: copied once, unless it already is one and p is 0."""
+    if p == 0 and xs.flags.c_contiguous:
+        return xs
+    C, H, W, n = xs.shape
+    xp = np.full((C, H + 2 * p, W + 2 * p, n), fill, dtype=xs.dtype)
+    xp[:, p:p + H, p:p + W] = xs
+    return xp
+
+
+def _windows(xp, kh: int, kw: int, s: int, ho: int, wo: int):
+    """(C, Ho, Wo, n, kh, kw) read-only view of every window (stride s) of a padded
+    (C, Hp, Wp, n) map: the gather behind conv2d and max_pool2d. With the batch
+    innermost, each window row is Wo*n contiguous values at stride 1, n at stride 2."""
+    return sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, :ho * s:s, :wo * s:s]
 
 
 def _scatter_windows(dwin, height: int, width: int, s: int, p: int):
-    """Adjoint of _windows: sum (..., Ho, Wo, kh, kw) window gradients back onto
-    the (..., height, width) input they were gathered from."""
-    ho, wo, kh, kw = dwin.shape[-4:]
-    dxp = np.zeros(dwin.shape[:-4] + (height + 2 * p, width + 2 * p), dtype=dwin.dtype)
+    """Adjoint of _windows: sum (C, Ho, Wo, n, kh, kw) window gradients back onto
+    the unpadded (C, height, width, n) map they were gathered from."""
+    C, ho, wo, n, kh, kw = dwin.shape
+    dxp = np.zeros((C, height + 2 * p, width + 2 * p, n), dtype=dwin.dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[..., i:i + s * ho:s, j:j + s * wo:s] += dwin[..., i, j]
-    return dxp[..., p:p + height, p:p + width] if p else dxp
+            dxp[:, i:i + s * ho:s, j:j + s * wo:s] += dwin[..., i, j]
+    return dxp[:, p:p + height, p:p + width] if p else dxp
 
 
 def _channel_gemm(x: Tensor, w: Tensor, b: Tensor | None, s: int) -> Tensor:
@@ -409,10 +442,14 @@ def _channel_gemm(x: Tensor, w: Tensor, b: Tensor | None, s: int) -> Tensor:
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2-d convolution on NCHW. A 1x1 kernel with no padding and one group is
-    one channel GEMM (_channel_gemm); any other kernel, grouped or not, is one
-    batched GEMM over the group axis on a channel-major im2col,
-    (G, Cout/G, Cpg*kh*kw) @ (G, Cpg*kh*kw, N*Ho*Wo) -> (Cout, N, Ho, Wo),
-    which at batch 1 already is the NCHW output."""
+    one channel GEMM (_channel_gemm). Any other kernel, grouped or not, runs in
+    batch tiles, each as many images as keep its im2col under _TILE_BYTES (at
+    least one). A tile of n images is padded
+    into a (Cin, Hp, Wp, n) copy with the batch innermost, its windows copied
+    channel-major as cols, one (Cpg*kh*kw, Ho*Wo*n) matrix per group, and one
+    batched GEMM over the group axis gives (Cout, Ho, Wo, n); a 1-image tile is
+    written straight into its NCHW slice. The backward sums dW over the tiles
+    and scatters each tile's dX in the same layout, dropping its cols when used."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 input and weight, got {xd.shape}, {wd.shape}")
@@ -425,29 +462,44 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     if b is not None and b.shape != (Cout,):
         raise ShapeError(f"conv2d bias must be ({Cout},), got {b.shape}")
     s, p = int(stride), int(padding)
+    Ho, Wo = out_size(H, kh, s, p), out_size(W, kw, s, p)
     if kh == kw == 1 and p == 0 and groups == 1:
         return _channel_gemm(x, w, b, s)
-    win = _windows(xd, kh, kw, s, p, 0.0)
-    Ho, Wo = win.shape[2:4]
     G, opg = groups, Cout // groups
-    # cols[g] is group g's im2col matrix, one row per (channel, ki, kj) and
-    # input rows kept contiguous in the copy; wg[g] its (opg, Cpg*kh*kw) filters
-    cols = np.ascontiguousarray(win.reshape(N, G, Cpg, Ho, Wo, kh, kw)
-                                .transpose(1, 2, 5, 6, 0, 3, 4)).reshape(G, -1, N * Ho * Wo)
     wg = wd.reshape(G, opg, -1)
-    out = np.ascontiguousarray((wg @ cols).reshape(Cout, N, Ho, Wo).transpose(1, 0, 2, 3))
+    step = max(1, _TILE_BYTES // (Cin * kh * kw * Ho * Wo * xd.itemsize))
+    tiles = [(a, min(a + step, N)) for a in range(0, N, step)]
+    parents = (x, w) if b is None else (x, w, b)
+    keep = _recording(parents)
+    out = np.empty((N, Cout, Ho, Wo), dtype=np.result_type(xd, wd))
+    cols = []
+    for a, z in tiles:
+        # cols[g] is group g's im2col matrix, one row per (channel, ki, kj)
+        win = _windows(_padded(xd[a:z].transpose(1, 2, 3, 0), p, 0.0), kh, kw, s, Ho, Wo)
+        c = np.ascontiguousarray(win.reshape(G, Cpg, Ho, Wo, z - a, kh, kw)
+                                 .transpose(0, 1, 5, 6, 2, 3, 4)).reshape(G, -1, Ho * Wo * (z - a))
+        if z - a == 1:
+            np.matmul(wg, c, out=out[a].reshape(G, opg, Ho * Wo))
+        else:
+            out[a:z] = (wg @ c).reshape(Cout, Ho, Wo, z - a).transpose(3, 0, 1, 2)
+        if keep:
+            cols.append(c)
     if b is not None:
         out += b.data.reshape(1, Cout, 1, 1)
-    parents = (x, w) if b is None else (x, w, b)
 
     def bwd(dout):
-        dflat = dout.transpose(1, 0, 2, 3).reshape(G, opg, N * Ho * Wo)
-        dw = (dflat @ cols.transpose(0, 2, 1)).reshape(Cout, Cpg, kh, kw)
-        dx = None
-        if x.requires_grad:
-            dcols = (wg.transpose(0, 2, 1) @ dflat).reshape(G, Cpg, kh, kw, N, Ho, Wo)
-            dwin = dcols.transpose(4, 0, 1, 5, 6, 2, 3)  # (N, G, Cpg, Ho, Wo, kh, kw)
-            dx = _scatter_windows(dwin, H, W, s, p).reshape(N, Cin, H, W)
+        if len(cols) != len(tiles):
+            raise GraphError("conv2d's backward already ran on this graph, which freed its im2col")
+        dw = np.zeros(wg.shape, dtype=np.result_type(dout, xd))
+        dx = np.empty(xd.shape, dtype=np.result_type(dout, wd)) if x.requires_grad else None
+        for a, z in tiles:
+            d = np.ascontiguousarray(dout[a:z].transpose(1, 2, 3, 0)).reshape(G, opg, -1)
+            dw += d @ cols.pop(0).transpose(0, 2, 1)
+            if dx is not None:
+                dwin = ((wg.transpose(0, 2, 1) @ d).reshape(Cin, kh, kw, Ho, Wo, z - a)
+                        .transpose(0, 3, 4, 5, 1, 2))
+                dx[a:z] = _scatter_windows(dwin, H, W, s, p).transpose(3, 0, 1, 2)
+        dw = dw.reshape(wd.shape)
         if b is None:
             return dx, dw
         return dx, dw, dout.sum(axis=(0, 2, 3))
@@ -457,15 +509,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
 
 def max_pool2d(x: Tensor, *, kernel: int = 3, stride: int = 2, padding: int = 1) -> Tensor:
     """Running maximum over the k*k strided slices of the -inf-padded input; the
-    backward routes each output's gradient to its window's first maximum."""
+    backward routes each output's gradient to its window's first maximum. The
+    window gather and scatter are conv2d's, on the map viewed as (N*C, H, W, 1)."""
     xd = x.data
     if xd.ndim != 4:
         raise ShapeError(f"max_pool2d expects rank-4 input, got {xd.shape}")
-    H, W = xd.shape[2:]
+    N, C, H, W = xd.shape
     k, s, p = int(kernel), int(stride), int(padding)
     if p >= k:
         raise ShapeError("max_pool2d padding must be smaller than the kernel")
-    win = _windows(xd, k, k, s, p, -np.inf)
+    Ho, Wo = out_size(H, k, s, p), out_size(W, k, s, p)
+
+    def windows():
+        return _windows(_padded(xd.reshape(N * C, H, W, 1), p, -np.inf), k, k, s, Ho, Wo)
+
+    win = windows()
     out = win[..., 0, 0].copy()
     for i in range(k):
         for j in range(k):
@@ -473,14 +531,14 @@ def max_pool2d(x: Tensor, *, kernel: int = 3, stride: int = 2, padding: int = 1)
                 np.maximum(out, win[..., i, j], out=out)
 
     def bwd(dout):  # holds no windows: they are gathered again from x
-        win = _windows(xd, k, k, s, p, -np.inf)
-        shape = win.shape
-        flat = win.reshape(shape[:4] + (k * k,))
+        win = windows()
+        flat = win.reshape(win.shape[:4] + (k * k,))
         dwin = np.zeros(flat.shape, dtype=xd.dtype)
-        np.put_along_axis(dwin, flat.argmax(axis=-1)[..., None], dout[..., None], axis=-1)
-        return (_scatter_windows(dwin.reshape(shape), H, W, s, p),)
+        np.put_along_axis(dwin, flat.argmax(axis=-1)[..., None],
+                          dout.reshape(N * C, Ho, Wo, 1, 1), axis=-1)
+        return (_scatter_windows(dwin.reshape(win.shape), H, W, s, p).reshape(N, C, H, W),)
 
-    return _result("max_pool2d", out, (x,), bwd)
+    return _result("max_pool2d", out.reshape(N, C, Ho, Wo), (x,), bwd)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -57,6 +57,41 @@ def param(store, path, arr):
     return store.add(path, Tensor(np.asarray(arr, dtype=np.float64)))
 
 
+def conv_grads_ref(x, w, dout, stride, padding, groups):
+    """dX and dW of sum(conv2d(x, w) * dout) by a direct loop over every output."""
+    H, W = x.shape[2:]
+    Cout, Cpg, kh, kw = w.shape
+    s, p, opg = stride, padding, Cout // groups
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for n, o, oy, ox in np.ndindex(dout.shape):
+        d = dout[n, o, oy, ox]
+        ch = slice(o // opg * Cpg, (o // opg + 1) * Cpg)
+        rows, cols = slice(s * oy, s * oy + kh), slice(s * ox, s * ox + kw)
+        dxp[n, ch, rows, cols] += d * w[o]
+        dw[o] += d * xp[n, ch, rows, cols]
+    return dxp[:, :, p:p + H, p:p + W], dw
+
+
+def conv_and_grads(x, w, b, dout, **kw):
+    """float64 conv2d output and the x, w and b gradients of sum(out * dout)."""
+    store = ParamStore()
+    for path, arr in (("x", x), ("w", w), ("b", b)):
+        param(store, path, arr)
+    out = T.conv2d(store["x"], store["w"], store["b"], **kw)
+    backward(T.sum_all(T.mul(out, Tensor(dout))))
+    return out.data, store["x"].grad, store["w"].grad, store["b"].grad
+
+
+def tile_images(monkeypatch, x, w, stride, padding, images):
+    """Budget conv2d's im2col at `images` images of x per batch tile."""
+    H, W = x.shape[2:]
+    Cin, kh, kw = x.shape[1], w.shape[2], w.shape[3]
+    per_image = (Cin * kh * kw * T.out_size(H, kh, stride, padding)
+                 * T.out_size(W, kw, stride, padding) * x.itemsize)
+    monkeypatch.setattr(T, "_TILE_BYTES", images * per_image)
+
+
 class TestConv:
     def test_identity_kernel_keeps_interior(self, rng):
         x = rng.normal(size=(1, 1, 6, 6)).astype(np.float32)
@@ -105,6 +140,52 @@ class TestConv:
         np.testing.assert_allclose(store["x"].grad, dxp[:, :, p:p + 7, p:p + 6], atol=1e-12)
         np.testing.assert_allclose(store["w"].grad, dw, atol=1e-12)
         np.testing.assert_allclose(store["b"].grad, dout.sum(axis=(0, 2, 3)), atol=1e-12)
+
+    # every 3x3 stride/padding/groups case, then patch embeds: kernel == stride,
+    # so their windows do not overlap
+    @pytest.mark.parametrize("k,stride,padding,groups", [
+        (3, s, p, g) for s in (1, 2) for p in (0, 1) for g in (1, 2)] + [
+        (2, 2, 0, 1), (2, 2, 0, 2), (3, 3, 0, 1)])
+    def test_batch_tiles_match_direct_loops(self, rng, monkeypatch, k, stride, padding, groups):
+        # tiles of 2 images split the batch of 5 as 2 + 2 + 1
+        x = rng.normal(size=(5, 4, 7, 6))
+        w = rng.normal(size=(6, 4 // groups, k, k))
+        b = rng.normal(size=6)
+        tile_images(monkeypatch, x, w, stride, padding, 2)
+        dout = rng.normal(size=(5, 6, T.out_size(7, k, stride, padding),
+                                T.out_size(6, k, stride, padding)))
+        out, dx, dw, db = conv_and_grads(x, w, b, dout, stride=stride, padding=padding,
+                                         groups=groups)
+        np.testing.assert_allclose(out, conv_ref(x, w, b, stride, padding, groups), atol=1e-12)
+        want_dx, want_dw = conv_grads_ref(x, w, dout, stride, padding, groups)
+        np.testing.assert_allclose(dx, want_dx, atol=1e-12)
+        np.testing.assert_allclose(dw, want_dw, atol=1e-12)
+        np.testing.assert_allclose(db, dout.sum(axis=(0, 2, 3)), atol=1e-12)
+
+    @pytest.mark.parametrize("stride,padding,groups", [(1, 1, 4), (2, 1, 1), (2, 0, 2)])
+    def test_tile_size_does_not_change_results(self, rng, monkeypatch, stride, padding, groups):
+        x = rng.normal(size=(5, 8, 9, 9))
+        w = rng.normal(size=(8, 8 // groups, 3, 3))
+        b = rng.normal(size=8)
+        dout = rng.normal(size=(5, 8, T.out_size(9, 3, stride, padding),
+                                T.out_size(9, 3, stride, padding)))
+        runs = []
+        for images in (1, 2, 5):
+            tile_images(monkeypatch, x, w, stride, padding, images)
+            runs.append(conv_and_grads(x, w, b, dout, stride=stride, padding=padding,
+                                       groups=groups))
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_second_backward_through_one_conv_raises(self, rng):
+        # each tile's im2col is freed once the backward has used it
+        store = ParamStore()
+        x = param(store, "x", rng.normal(size=(2, 2, 5, 5)))
+        loss = T.sum_all(T.conv2d(x, param(store, "w", rng.normal(size=(2, 2, 3, 3)))))
+        backward(loss)
+        with pytest.raises(GraphError, match="already ran"):
+            backward(loss)
 
     def test_grouped_equals_split_convs(self, rng):
         x = rng.normal(size=(2, 6, 5, 5)).astype(np.float32)
@@ -184,6 +265,35 @@ class TestWindowRule:
     def test_out_size_rejects_kernel_larger_than_padded_input(self):
         with pytest.raises(ShapeError, match="kernel 5 larger than padded input 4"):
             T.out_size(2, 5, 1, 1)
+
+    @pytest.mark.parametrize("size,k,s,p,message", [
+        (5, 3, 0, 0, "stride must be >= 1, got 0"), (5, 3, -1, 1, "stride must be >= 1, got -1"),
+        (5, 3, 1, -1, "padding must be >= 0, got -1")])
+    def test_out_size_rejects_bad_stride_and_padding(self, size, k, s, p, message):
+        with pytest.raises(ShapeError, match=message):
+            T.out_size(size, k, s, p)
+
+    # before the rule: a bare ZeroDivisionError (stride 0), a bare numpy
+    # ValueError (padding -1), a (1, 2, 1, 1) map (3x3, stride -1), and stride 1
+    # (1x1, stride 0 or -1)
+    @pytest.mark.parametrize("op,kw,message", [
+        ("conv3x3", {"stride": 0}, "stride must be >= 1, got 0"),
+        ("pool", {"stride": 0}, "stride must be >= 1, got 0"),
+        ("conv3x3", {"padding": -1}, "padding must be >= 0, got -1"),
+        ("pool", {"padding": -1}, "padding must be >= 0, got -1"),
+        ("conv3x3", {"stride": -1}, "stride must be >= 1, got -1"),
+        ("conv1x1", {"stride": 0}, "stride must be >= 1, got 0"),
+        ("conv1x1", {"stride": -1}, "stride must be >= 1, got -1"),
+    ], ids=["conv-stride-0", "pool-stride-0", "conv-padding--1", "pool-padding--1",
+            "conv3x3-stride--1", "conv1x1-stride-0", "conv1x1-stride--1"])
+    def test_ops_reject_bad_stride_and_padding(self, rng, op, kw, message):
+        x = Tensor(rng.normal(size=(1, 2, 5, 5)))
+        with pytest.raises(ShapeError, match=message):
+            if op == "pool":
+                T.max_pool2d(x, kernel=3, **kw)
+            else:
+                k = 3 if op == "conv3x3" else 1
+                T.conv2d(x, Tensor(rng.normal(size=(2, 2, k, k))), **kw)
 
     @pytest.mark.parametrize("k,s,p", [(1, 1, 0), (1, 2, 0), (2, 2, 0), (3, 1, 1),
                                        (3, 2, 1), (3, 3, 0), (4, 3, 2)])
