@@ -1,8 +1,10 @@
 """Multi-head self-attention on NCHW maps, and attention logits with selectable score scaling.
 
 Token sequences reuse the same code path as spatial maps by shaping them as
-(N, C, T, 1). Models run the standard scores; the other modes of
-attention_logits exist to control the dynamic range of the logits:
+(N, C, T, 1). mhsa_forward projects queries, keys and values in one linear
+through the stacked w_qkv and narrows each from its output. Models run the
+standard scores; the other modes of attention_logits exist to control the
+dynamic range of the logits:
 
 - standard: (q . k) / sqrt(d)
 - prenorm:  (q / d^0.25) . (k / d^0.25), same logits with bounded partials
@@ -79,14 +81,10 @@ def mhsa_forward(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, w_proj: Tensor, b_proj
         raise ShapeError(f"attention bias must be ({heads}, {t}, {t}), got {bias.shape}")
     inner = rows // 3
     tokens = tz.transpose(tz.reshape(x, (n, c, t)), (0, 2, 1))
-
-    def project(part):
-        wp = tz.narrow(w_qkv, 0, part * inner, inner)
-        bp = tz.narrow(b_qkv, 0, part * inner, inner)
-        out = tz.linear(tokens, wp, bp)
-        return tz.transpose(tz.reshape(out, (n, t, heads, inner // heads)), (0, 2, 1, 3))
-
-    q, k, v = project(0), project(1), project(2)
+    # w_qkv's rows are the q, k and v heads in turn: split one projection by head
+    qkv = tz.linear(tokens, w_qkv, b_qkv)
+    qkv = tz.transpose(tz.reshape(qkv, (n, t, 3 * heads, inner // heads)), (0, 2, 1, 3))
+    q, k, v = (tz.narrow(qkv, 1, part * heads, heads) for part in range(3))
     logits = attention_logits(q, k)
     if bias is not None:
         logits = tz.add(logits, bias)

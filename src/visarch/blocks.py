@@ -58,14 +58,14 @@ def check_fields(obj, what: str) -> None:
 
 @dataclass(frozen=True)
 class EmbedSpec:
-    """A convolutional downsampling/embedding layer (kernel == stride for patches)."""
+    """A convolutional downsampling/embedding layer. As a stem it pads
+    kernel // 2; as a patch embedding it has kernel == stride and no padding."""
 
     POSITIVE = ("kernel", "stride", "out_channels")
 
     kernel: int
     stride: int
     out_channels: int
-    padding: int = 0
     norm_after: bool = False
 
     def __post_init__(self):
@@ -75,17 +75,16 @@ class EmbedSpec:
 @dataclass(frozen=True)
 class AttentionSpec:
     """Pre-norm attention (heads * head_dim wide), then a pre-norm MLP hidden
-    wide, both residual. use_3x3 adds a groups-grouped 3x3 conv to the MLP,
-    whose width conv_mlp_hidden recomputes to stay within the plain MLP's MACs."""
+    wide, both residual. use_3x3 adds a 3x3 conv to the MLP, whose width
+    conv_mlp_hidden recomputes to stay within the plain MLP's MACs."""
 
-    POSITIVE = ("channels", "hidden", "heads", "head_dim", "groups")
+    POSITIVE = ("channels", "hidden", "heads", "head_dim")
 
     kind: str = field(default="attention", init=False)
     channels: int
     hidden: int
     heads: int
     head_dim: int
-    groups: int = 1
     use_3x3: bool = False
 
     def __post_init__(self):
@@ -109,20 +108,17 @@ class BottleneckSpec:
         check_fields(self, "bottleneck spec")
 
 
-def conv_mlp_hidden(channels: int, hidden: int, groups: int = 1) -> int:
-    """Widest 1x1 -> 3x3(grouped) -> 1x1 stack not exceeding the plain MLP's MACs.
+def conv_mlp_hidden(channels: int, hidden: int) -> int:
+    """Widest 1x1 -> 3x3 -> 1x1 stack not exceeding the plain MLP's MACs.
 
-    Largest multiple m of groups with 2*C*m + 9*m^2/groups <= 2*C*hidden.
+    Largest m with 2*C*m + 9*m^2 <= 2*C*hidden.
     """
     budget = 2 * channels * hidden
-    a = 9.0 / groups
-    b = 2.0 * channels
-    m = int((-b + math.sqrt(b * b + 4 * a * budget)) / (2 * a))
-    m -= m % groups
-    while m > 0 and 2 * channels * m + 9 * m * m // groups > budget:
-        m -= groups
-    while 2 * channels * (m + groups) + 9 * (m + groups) ** 2 // groups <= budget:
-        m += groups
+    m = int((math.sqrt(channels * channels + 9 * budget) - channels) / 9)
+    while m > 0 and 2 * channels * m + 9 * m * m > budget:
+        m -= 1
+    while 2 * channels * (m + 1) + 9 * (m + 1) ** 2 <= budget:
+        m += 1
     return m
 
 
@@ -236,7 +232,7 @@ def _conv(x, params, prefix, *, stride=1, padding=0, groups=1):
 
 
 # ---------------------------------------------------------------------------
-# stem / patch embedding (same parameters and rows; the stem may pad and ends in relu)
+# stem / patch embedding (same parameters and rows; the stem pads and ends in relu)
 
 
 def _embed_params(e, config):
@@ -250,7 +246,7 @@ def _embed_params(e, config):
 
 def stem_forward(x: Tensor, spec: EmbedSpec, params, buffers, prefix: str,
                  training: bool) -> Tensor:
-    out = _conv(x, params, prefix + ".conv", stride=spec.stride, padding=spec.padding)
+    out = _conv(x, params, prefix + ".conv", stride=spec.stride, padding=spec.kernel // 2)
     if spec.norm_after:
         out = norm_forward(out, params, buffers, prefix + ".norm", "batch", training)
     return tz.relu(out)
@@ -325,9 +321,9 @@ def bottleneck_forward(x: Tensor, spec: BottleneckSpec, params, buffers, prefix:
 def _mlp_branch_params(spec: AttentionSpec, prefix: str):
     c = spec.channels
     if spec.use_3x3:
-        m = conv_mlp_hidden(c, spec.hidden, spec.groups)
+        m = conv_mlp_hidden(c, spec.hidden)
         return (_conv_slots(prefix + ".fc1", c, m, 1)
-                + _conv_slots(prefix + ".conv", m, m, 3, groups=spec.groups)
+                + _conv_slots(prefix + ".conv", m, m, 3)
                 + _conv_slots(prefix + ".fc2", m, c, 1))
     return (_conv_slots(prefix + ".fc1", c, spec.hidden, 1)
             + _conv_slots(prefix + ".fc2", spec.hidden, c, 1))
@@ -336,7 +332,7 @@ def _mlp_branch_params(spec: AttentionSpec, prefix: str):
 def _mlp_branch_forward(x, spec: AttentionSpec, params, prefix):
     h = tz.gelu(_conv(x, params, prefix + ".fc1"))
     if spec.use_3x3:
-        h = tz.gelu(_conv(h, params, prefix + ".conv", padding=1, groups=spec.groups))
+        h = tz.gelu(_conv(h, params, prefix + ".conv", padding=1))
     return _conv(h, params, prefix + ".fc2")
 
 

@@ -28,7 +28,7 @@ from . import blocks as B
 from . import models
 
 MAGIC = b"VSFM"
-VERSION = 2
+VERSION = 3
 
 
 class CheckpointError(Exception):

@@ -47,7 +47,6 @@ class ModelConfig:
     pos_mode: str = "none"
     head_mode: str = "gap"
     stem_pool: bool = False
-    final_norm: bool = True
     conv_block_style: str = "pre_norm"
 
     def __post_init__(self):
@@ -69,7 +68,11 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
     This is the one structural check: each field's value was checked when its
     config was constructed, and the block forwards check nothing, so every
     rule on how the fields fit together at this resolution is enforced here.
+    It also works out what no config holds: a stem pads kernel // 2, and a final
+    norm closes every model whose last layer is not a post-norm bottleneck.
     """
+    if not config.stages:
+        raise ShapeError("a model needs at least one stage")
     tokens_mode = config.head_mode == "cls_token"
     if tokens_mode:
         if len(config.stages) != 1 or config.stem is not None or config.stages[0].embed is None:
@@ -85,7 +88,7 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
     c = 3
     if config.stem is not None:
         st = config.stem
-        out = tz.out_size(res, st.kernel, st.stride, st.padding)
+        out = tz.out_size(res, st.kernel, st.stride, st.kernel // 2)
         entries.append(PlanEntry("stem", "stem", st, (c, res, res), (st.out_channels, out, out)))
         res, c = out, st.out_channels
         if config.stem_pool:
@@ -95,16 +98,15 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
     elif config.stem_pool:
         raise ShapeError("stem_pool set without a stem")
 
-    hw = None
     for i, stage in enumerate(config.stages):
         sp = f"s{i}"
         if stage.embed is not None:
             e = stage.embed
-            if e.kernel != e.stride or e.padding:
-                raise ShapeError(f"patch embedding at '{sp}' must have kernel == stride and no padding")
+            if e.kernel != e.stride:
+                raise ShapeError(f"patch embedding at '{sp}' must have kernel == stride")
             if res % e.stride:
                 raise ShapeError(f"resolution {res} not divisible by stride {e.stride} at '{sp}.embed'")
-            out = tz.out_size(res, e.kernel, e.stride, e.padding)
+            out = res // e.stride
             entries.append(PlanEntry("embed", f"{sp}.embed", e, (c, res, res), (e.out_channels, out, out)))
             res, c = out, e.out_channels
         elif i == 0 and config.stem is None:
@@ -134,12 +136,13 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
                 res = out
                 hw = (res, res)
             else:
-                if b.use_3x3 and B.conv_mlp_hidden(b.channels, b.hidden, b.groups) == 0:
+                if b.use_3x3 and B.conv_mlp_hidden(b.channels, b.hidden) == 0:
                     raise ShapeError(f"block '{bp}': use_3x3 MLP width is 0 for {b.channels} "
-                                     f"channels, hidden {b.hidden}, groups {b.groups}")
+                                     f"channels, hidden {b.hidden}")
                 entries.append(PlanEntry("attention", bp, b, (c,) + hw, (b.channels,) + hw))
             c = b.channels
-    if config.final_norm:
+    # a post-norm bottleneck already ends in a norm; every other layer does not
+    if not (entries[-1].kind == "bottleneck" and config.conv_block_style == "post_norm"):
         entries.append(PlanEntry("final_norm", "final_norm", None, (c,) + hw, (c,) + hw))
     entries.append(PlanEntry("head", "head", None, (c,) + hw, (config.num_classes,)))
     return entries
@@ -259,8 +262,6 @@ def diff_configs(a: ModelConfig, b: ModelConfig) -> set:
         touched.add("block_style")
     if a.input_resolution != b.input_resolution:
         touched.add("input")
-    if a.final_norm != b.final_norm:
-        touched.add("final_norm")
     ab, bb = ([blk for s in c.stages for blk in s.blocks] for c in (a, b))
     if ab != bb:
         if len(ab) == len(bb) and all(
@@ -301,7 +302,7 @@ def _net2() -> ModelConfig:
         StageSpec(EmbedSpec(2, 2, 384), tuple(_attn(384, 6) for _ in range(12))),
         StageSpec(EmbedSpec(2, 2, 768), ()),
     )
-    return ModelConfig("net2", 224, 1000, stem=EmbedSpec(7, 2, 32, padding=3, norm_after=True),
+    return ModelConfig("net2", 224, 1000, stem=EmbedSpec(7, 2, 32, norm_after=True),
                        stages=stages, norm="layer", pos_mode="absolute")
 
 
@@ -320,7 +321,7 @@ def _ladder_stages(depths: tuple, use_3x3: bool = False) -> tuple:
 
 
 def _net3() -> ModelConfig:
-    return ModelConfig("net3", 224, 1000, stem=EmbedSpec(7, 2, 32, padding=3, norm_after=True),
+    return ModelConfig("net3", 224, 1000, stem=EmbedSpec(7, 2, 32, norm_after=True),
                        stages=_ladder_stages((4, 4, 4)), norm="layer", pos_mode="absolute")
 
 
@@ -339,7 +340,7 @@ def _net6() -> ModelConfig:
 def _net7() -> ModelConfig:
     # attention dropped; depths grow round-robin until MACs reach net6's level
     def stage(c, depth):
-        hidden = B.conv_mlp_hidden(c, 4 * c, 1)
+        hidden = B.conv_mlp_hidden(c, 4 * c)
         return tuple(_bneck(c, groups=1, hidden=hidden) for _ in range(depth))
 
     stages = (
@@ -347,7 +348,7 @@ def _net7() -> ModelConfig:
         StageSpec(EmbedSpec(2, 2, 384), stage(384, 7)),
         StageSpec(EmbedSpec(2, 2, 768), stage(768, 6)),
     )
-    return ModelConfig("net7", 224, 1000, stem=EmbedSpec(7, 2, 32, padding=3, norm_after=True),
+    return ModelConfig("net7", 224, 1000, stem=EmbedSpec(7, 2, 32, norm_after=True),
                        stages=stages, norm="batch", pos_mode="none")
 
 
@@ -360,7 +361,7 @@ def _visformer(name: str, stem_c: int, chans: tuple, depths: tuple,
         StageSpec(EmbedSpec(2, 2, c2, norm_after=True), tuple(_attn(c2, heads[0]) for _ in range(d2))),
         StageSpec(EmbedSpec(2, 2, c3, norm_after=True), tuple(_attn(c3, heads[1]) for _ in range(d3))),
     )
-    return ModelConfig(name, 224, 1000, stem=EmbedSpec(7, 2, stem_c, padding=3, norm_after=True),
+    return ModelConfig(name, 224, 1000, stem=EmbedSpec(7, 2, stem_c, norm_after=True),
                        stages=stages, norm="batch", pos_mode="absolute")
 
 
@@ -374,7 +375,7 @@ def _visformer_v2(name: str, stem_c: int, chans: tuple, depths: tuple,
         StageSpec(EmbedSpec(2, 2, c3, norm_after=True), tuple(_attn(c3, heads[0]) for _ in range(d3))),
         StageSpec(EmbedSpec(2, 2, c4, norm_after=True), tuple(_attn(c4, heads[1]) for _ in range(d4))),
     )
-    return ModelConfig(name, 224, 1000, stem=EmbedSpec(7, 2, stem_c, padding=3, norm_after=True),
+    return ModelConfig(name, 224, 1000, stem=EmbedSpec(7, 2, stem_c, norm_after=True),
                        stages=stages, norm="batch", pos_mode="relative")
 
 
@@ -391,9 +392,8 @@ def _resnet50_shape() -> ModelConfig:
         stage(2048, 3, 2),
     )
     return ModelConfig("resnet50_shape", 224, 1000,
-                       stem=EmbedSpec(7, 2, 64, padding=3, norm_after=True), stages=stages,
-                       norm="batch", pos_mode="none", stem_pool=True, final_norm=False,
-                       conv_block_style="post_norm")
+                       stem=EmbedSpec(7, 2, 64, norm_after=True), stages=stages,
+                       norm="batch", pos_mode="none", stem_pool=True, conv_block_style="post_norm")
 
 
 def _micro(config: ModelConfig) -> ModelConfig:

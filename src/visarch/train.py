@@ -213,6 +213,9 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
         start_epoch = 0
     else:
         model = resume_state["model"]
+        if model.config != model_cfg:
+            raise CheckpointError(f"checkpoint holds a '{model.config.name}' model, but the "
+                                  f"train config names preset '{config.preset}'")
         optim = make_optimizer(config, model.params)
         optim.load_state(resume_state["tensors"], resume_state["scalars"])
         epoch = stored_int(resume_state["scalars"], "epoch")

@@ -33,7 +33,7 @@ def build_block(spec, norm="batch", style="pre_norm", rel_pos=False, window=(1, 
 
 
 def embed_entry(kind, spec, cin, res, prefix):
-    out = T.out_size(res, spec.kernel, spec.stride, spec.padding)
+    out = T.out_size(res, spec.kernel, spec.stride, spec.kernel // 2 if kind == "stem" else 0)
     return PlanEntry(kind, prefix, spec, (cin, res, res), (spec.out_channels, out, out))
 
 
@@ -59,13 +59,12 @@ class TestConvMlpHidden:
         assert conv_mlp_hidden(768, 3072) == 643
 
     def test_maximal_under_budget(self):
-        for c, g in [(192, 1), (384, 1), (768, 1), (96, 8), (48, 1), (256, 4)]:
+        for c in (192, 384, 768, 96, 48, 256):
             hid = 4 * c
-            m = conv_mlp_hidden(c, hid, g)
+            m = conv_mlp_hidden(c, hid)
             budget = 2 * c * hid
-            assert m % g == 0
-            assert 2 * c * m + 9 * m * m // g <= budget
-            assert 2 * c * (m + g) + 9 * (m + g) ** 2 // g > budget
+            assert 2 * c * m + 9 * m * m <= budget
+            assert 2 * c * (m + 1) + 9 * (m + 1) ** 2 > budget
 
     def test_macs_within_five_percent_of_plain(self):
         for c in (192, 384, 768, 48):
@@ -78,7 +77,7 @@ class TestConvMlpHidden:
 
 class TestStemAndEmbed:
     def test_stem_halves_resolution(self, rng):
-        spec = EmbedSpec(7, 2, 16, padding=3, norm_after=True)
+        spec = EmbedSpec(7, 2, 16, norm_after=True)
         store, buffers = allocate(embed_entry("stem", spec, 3, 224, "stem"), config(),
                                   dtype=np.float32)
         x = Tensor(rng.normal(size=(1, 3, 224, 224)).astype(np.float32))
@@ -190,14 +189,14 @@ class TestMlpBlock:
 
     def test_use_3x3_param_paths(self):
         store, _ = build_block(attn_spec(16, 64, use_3x3=True))
-        m = conv_mlp_hidden(16, 64, 1)
+        m = conv_mlp_hidden(16, 64)
         assert store["b.mlp.conv.w"].shape == (m, m, 3, 3)
         assert store["b.mlp.fc1.w"].shape == (m, 16, 1, 1)
 
     def test_fd_grads_with_conv(self, rng):
-        spec = attn_spec(8, 32, use_3x3=True, groups=2)
+        spec = attn_spec(8, 32, use_3x3=True)
         store, buffers = build_block(spec)
-        assert store["b.mlp.conv.w"].shape[1] == conv_mlp_hidden(8, 32, 2) // 2
+        assert store["b.mlp.conv.w"].shape[1] == conv_mlp_hidden(8, 32)
         x = Tensor(rng.normal(size=(1, 8, 3, 3)), dtype=np.float64)
 
         def loss():

@@ -224,11 +224,15 @@ class TestMalformedHeader:
         (lambda c: c["stages"][1]["blocks"][0].update(attn_inner=48), "'attn_inner'"),
         (lambda c: c["stages"][1]["blocks"][0].update(kind="mlp"), "'mlp'"),
         (lambda c: c["stages"][1]["blocks"][0].pop("kind"), "'kind'"),
+        # fields a version-2 header carried
+        (lambda c: c["stem"].update(padding=3), "'padding'"),
+        (lambda c: c["stages"][1]["blocks"][0].update(groups=1), "'groups'"),
+        (lambda c: c.update(final_norm=True), "'final_norm'"),
     ], ids=["missing-stages", "unknown-block-field", "mistyped-stages", "string-resolution",
             "null-stem-kernel", "string-channels", "unknown-norm", "unknown-config-field",
             "zero-groups", "zero-stem-stride", "unknown-block-style", "zero-classes",
             "strided-pre-norm", "bottleneck-use_3x3", "attention-attn_inner", "unknown-kind",
-            "no-kind"])
+            "no-kind", "stem-padding", "attention-groups", "final-norm"])
     def test_bad_config(self, header, edit, named):
         # a loaded config must also be one layer_plan accepts
         head, payload = header
@@ -254,9 +258,14 @@ class TestCorruption:
 
     def test_version_1_is_rejected(self, blob):
         # version 1 headers carried every block field on every block kind
-        assert checkpoint.VERSION == 2
-        with pytest.raises(VersionError, match="format version 1, expected 2"):
+        assert checkpoint.VERSION == 3
+        with pytest.raises(VersionError, match="format version 1, expected 3"):
             load_bytes(resealed_as(blob, 1))
+
+    def test_version_2_is_rejected(self, blob):
+        # version 2 headers carried stem padding, attention groups and final_norm
+        with pytest.raises(VersionError, match="format version 2, expected 3"):
+            load_bytes(resealed_as(blob, 2))
 
     def test_truncated_tail(self, blob):
         with pytest.raises(ChecksumError):
@@ -288,7 +297,7 @@ class TestCorruption:
     def test_every_prologue_and_header_byte_flip(self):
         # a model with a tiny payload keeps the exhaustive sweep fast
         stage = StageSpec(EmbedSpec(4, 4, 2), ())
-        config = ModelConfig("tiny", 8, 2, stem=None, stages=(stage,), final_norm=False)
+        config = ModelConfig("tiny", 8, 2, stem=None, stages=(stage,))
         tiny = save_bytes(build(config, seed=0), extra={"seed": 0})
         header_end = 10 + struct.unpack_from("<I", tiny, 6)[0]
         for i in range(header_end):

@@ -29,11 +29,12 @@ def write_config(tmp_path, name="cfg.json", **kw):
     return path
 
 
-def save_resumable(path, cfg_path, **extra):
+def save_resumable(path, cfg_path, model_preset=None, **extra):
     """A checkpoint that `train --resume` accepts after epoch 0 of the config
-    at cfg_path, with the given extra entries overridden."""
+    at cfg_path, with the given extra entries overridden; model_preset, if
+    given, replaces the model the config names."""
     cfg = TrainConfig.from_json(cfg_path.read_text())
-    model = build(preset(cfg.preset), seed=cfg.seed)
+    model = build(preset(model_preset or cfg.preset), seed=cfg.seed)
     optim = make_optimizer(cfg, model.params)
     extra = {"seed": cfg.seed, "epoch": 0, "train_config": asdict(cfg),
              **optim.scalar_state(), **extra}
@@ -224,6 +225,16 @@ class TestTrain:
         assert rc == 1
         assert f"'{key}'" in err
         assert out == ""
+
+    def test_resume_of_another_presets_model_exits_1(self, capsys, tmp_path):
+        cfg_path = write_config(tmp_path, epochs=2)
+        bad = save_resumable(tmp_path / "bad.vsfm", cfg_path, model_preset="deit_s-micro")
+        out_path = tmp_path / "out.vsfm"
+        rc, out, err = run(capsys, "train", "--config", str(cfg_path),
+                           "--resume", str(bad), "--out", str(out_path))
+        assert rc == 1
+        assert "'deit_s-micro'" in err and "'visformer_ti-micro'" in err
+        assert out == "" and not out_path.exists()
 
     def test_missing_config_exits_1(self, capsys, tmp_path):
         rc, _, err = run(capsys, "train", "--config", str(tmp_path / "nope.json"))

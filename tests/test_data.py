@@ -73,6 +73,16 @@ class TestSynth:
         with pytest.raises(ValueError):
             Dataset(good, np.zeros(3, dtype=np.int64))
 
+    def test_empty_dataset_is_rejected(self):
+        with pytest.raises(ValueError, match=r"N >= 1, got \(0, 3, 4, 4\)"):
+            Dataset(np.zeros((0, 3, 4, 4), dtype=np.float32), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("labels", [[0, 1], np.zeros(2, dtype=np.float32)],
+                             ids=["list", "float"])
+    def test_labels_must_be_an_integer_ndarray(self, labels):
+        with pytest.raises(ValueError, match="labels must be an integer ndarray"):
+            Dataset(np.zeros((2, 3, 4, 4), dtype=np.float32), labels)
+
 
 class TestAugment:
     def test_disabled_is_identity(self):

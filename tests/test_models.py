@@ -2,7 +2,7 @@
 
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from visarch import (
     ShapeError,
     backward,
     build,
+    complexity_report,
     config_from_json,
     config_to_json,
     diff_configs,
@@ -61,7 +62,7 @@ REJECTED = [
     ("head-mode", ValueError, lambda: replace(preset("net1-micro"), head_mode="max"),
      "head_mode must be one of"),
     ("cls-token-stem", ShapeError,
-     lambda: replace(preset("deit_s-micro"), stem=EmbedSpec(3, 1, 3, padding=1)),
+     lambda: replace(preset("deit_s-micro"), stem=EmbedSpec(3, 1, 3)),
      "single stemless stage"),
     ("cls-token-relative", ShapeError, lambda: replace(preset("deit_s-micro"), pos_mode="relative"),
      "relative position bias"),
@@ -71,8 +72,8 @@ REJECTED = [
      "stem_pool set without a stem"),
     ("embed-kernel", ShapeError,
      lambda: edit_stage(preset("net3-micro"), 1, embed=EmbedSpec(3, 2, 96)), "kernel == stride"),
-    ("embed-padding", ShapeError,
-     lambda: edit_stage(preset("net3-micro"), 1, embed=EmbedSpec(2, 2, 96, 1)), "no padding"),
+    ("embed-padding", TypeError, lambda: EmbedSpec(2, 2, 96, padding=1),
+     "unexpected keyword argument 'padding'"),
     ("embed-indivisible", ShapeError, lambda: replace(preset("deit_s-micro"), input_resolution=36),
      "36 not divisible by stride 16 at 's0.embed'"),
     ("no-first-embed", ShapeError, lambda: edit_stage(preset("net1-micro"), embed=None),
@@ -94,19 +95,61 @@ REJECTED = [
     ("bottleneck-groups", ShapeError, lambda: edit_block(preset("visformer_ti-micro"), hidden=44),
      "block 's0.b0': hidden width 44 not divisible by groups 8"),
     ("use-3x3-zero-width", ShapeError,
-     lambda: edit_block(preset("net5-micro"), hidden=1, groups=1),
+     lambda: edit_block(preset("net5-micro"), hidden=1),
      "block 's0.b0': use_3x3 MLP width is 0"),
     # each block kind takes only its own fields
     ("attn-inner", TypeError, lambda: edit_block(preset("net1-micro"), attn_inner=64),
      "unexpected keyword argument 'attn_inner'"),
     ("strided-attention", TypeError, lambda: edit_block(preset("net1-micro"), stride=2),
      "unexpected keyword argument 'stride'"),
+    # the MLP conv is never grouped, and the plan works out where a final norm goes
+    ("attention-groups", TypeError, lambda: edit_block(preset("net5-micro"), groups=2),
+     "unexpected keyword argument 'groups'"),
+    ("final-norm", TypeError, lambda: replace(preset("net5-micro"), final_norm=False),
+     "unexpected keyword argument 'final_norm'"),
+    ("no-stages", ShapeError, lambda: replace(preset("net1-micro"), stages=()),
+     "a model needs at least one stage"),
 ] + [(f"{field}-on-{kind}", TypeError,
       lambda i=i, field=field: edit_block(preset("visformer_ti-micro"), i, **{field: 1}),
       f"unexpected keyword argument '{field}'")
      for kind, i, fields in [("bottleneck", 0, ("use_3x3", "heads", "head_dim", "attn_inner")),
                              ("attention", 1, ("in_channels",))]
      for field in fields]
+
+# (preset, layer) sites where each field of the layer's spec class can show:
+# every spec class, a stem and a patch embedding, pre- and post-norm
+# bottlenecks, and attention with and without the MLP conv or relative bias
+FIELD_SITES = [
+    ("visformer_ti-micro", "stem"), ("resnet50_shape-micro", "stem"),
+    ("deit_s-micro", "s0.embed"), ("visformer_ti-micro", "s1.embed"),
+    ("deit_s-micro", "s0.b0"), ("net5-micro", "s0.b0"),
+    ("visformer_ti-micro", "s1.b0"), ("visformer_v2_ti-micro", "s2.b0"),
+    ("visformer_ti-micro", "s0.b0"), ("net7-micro", "s0.b0"),
+    # s1.b0 strides an 8x8 map; a stride on a 2x2 map could not show
+    ("resnet50_shape-micro", "s1.b0"),
+]
+
+
+def layer_at(config, site):
+    """The spec at 'stem', 's<i>.embed' or 's<i>.b0'."""
+    if site == "stem":
+        return config.stem
+    stage = config.stages[int(site[1])]
+    return stage.embed if site.endswith("embed") else stage.blocks[0]
+
+
+def edit_layer(config, site, **kw):
+    """config with the spec at site's fields replaced."""
+    if site == "stem":
+        return replace(config, stem=replace(config.stem, **kw))
+    i = int(site[1])
+    if site.endswith("embed"):
+        return edit_stage(config, i, embed=replace(config.stages[i].embed, **kw))
+    return edit_block(config, i, **kw)
+
+
+FIELD_EDITS = [(name, site, f.name) for name, site in FIELD_SITES
+               for f in fields(layer_at(preset(name), site)) if f.init]
 
 # a valid instance of each config class, keyed by what its messages call it
 VALID = {
@@ -120,10 +163,9 @@ VALID = {
 # or not finite, every choice field off its list
 BAD_FIELDS = [
     ("embedding spec", "kernel", 0), ("embedding spec", "stride", 0),
-    ("embedding spec", "out_channels", -8), ("embedding spec", "padding", -1),
+    ("embedding spec", "out_channels", -8),
     ("attention spec", "channels", 0), ("attention spec", "hidden", 0),
     ("attention spec", "heads", 0), ("attention spec", "head_dim", 0),
-    ("attention spec", "groups", 0),
     ("bottleneck spec", "channels", 0), ("bottleneck spec", "hidden", 0),
     ("bottleneck spec", "groups", 0), ("bottleneck spec", "stride", 0),
     ("model config", "input_resolution", 0), ("model config", "num_classes", 0),
@@ -155,7 +197,7 @@ class TestFieldRules:
             replace(preset("net7-micro"), conv_block_style="bogus")
 
     def test_floor_itself_is_valid(self):
-        replace(VALID["embedding spec"](), padding=0)
+        replace(VALID["embedding spec"](), kernel=1, stride=1)
         replace(VALID["train config"](), base_lr=0.0, seed=0, data_per_class=1)
 
 
@@ -190,7 +232,7 @@ class TestPresets:
         assert c.head_mode == "gap"
         k = kinds("visformer_s")
         assert k["bottleneck"] == 7 and k["attention"] == 8
-        assert k["pos"] == 3
+        assert k["pos"] == 3 and k["final_norm"] == 1
 
     def test_four_stage_variant_depths(self):
         assert [len(s.blocks) for s in preset("visformer_v2_s").stages] == [1, 10, 14, 3]
@@ -203,7 +245,8 @@ class TestPresets:
         k = kinds("resnet50_shape")
         assert k["bottleneck"] == 16
         assert k["pool"] == 1
-        assert "attention" not in k and "pos" not in k
+        # its last post-norm bottleneck ends in a norm, so no final norm follows
+        assert "attention" not in k and "pos" not in k and "final_norm" not in k
 
     def test_micro_variants_are_small(self):
         for n in FULL_PRESETS:
@@ -273,6 +316,31 @@ class TestPlan:
         with pytest.raises(error, match=re.escape(match)) as caught:
             layer_plan(make())
         assert caught.type is error
+
+
+class TestFieldsShow:
+    @staticmethod
+    def eval_logits(config):
+        x = np.random.default_rng(0).normal(size=(2, 3, config.input_resolution,
+                                                  config.input_resolution))
+        return model_forward(build(config, seed=0), x.astype(np.float32)).data
+
+    @pytest.mark.parametrize("name,site,field", FIELD_EDITS,
+                             ids=[f"{n}-{s}-{f}" for n, s, f in FIELD_EDITS])
+    def test_every_layer_field_changes_the_model_or_is_rejected(self, name, site, field):
+        # doubling an int or flipping a bool is an edit of the network: it is
+        # rejected, or it shows in the complexity rows or the logits
+        base = preset(name)
+        value = getattr(layer_at(base, site), field)
+        value = (not value) if isinstance(value, bool) else 2 * value or 1
+        try:
+            edited = edit_layer(base, site, **{field: value})
+            rows = complexity_report(edited).rows
+        except (ValueError, TypeError, ShapeError):
+            return
+        if rows == complexity_report(base).rows:
+            assert not np.array_equal(self.eval_logits(edited), self.eval_logits(base)), \
+                f"{field}={value!r} at {name} {site} builds the same model"
 
 
 class TestBuild:

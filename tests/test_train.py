@@ -293,6 +293,15 @@ class TestLoop:
         with pytest.raises(CheckpointError, match=r"'epoch' must be in -1\.\.1"):
             self.resume_at(epoch)
 
+    def test_resume_of_another_presets_model_raises(self):
+        cfg = tiny_config(epochs=2)
+        model = build(preset("deit_s-micro"), seed=cfg.seed)
+        optim = make_optimizer(cfg, model.params)
+        state = {"model": model, "tensors": optim.state_tensors(),
+                 "scalars": {"epoch": 0, **optim.scalar_state()}}
+        with pytest.raises(CheckpointError, match="'deit_s-micro' model.*'visformer_ti-micro'"):
+            train(cfg, tiny_dataset(), resume_state=state)
+
     def test_resume_after_the_last_epoch_runs_none(self):
         r = self.resume_at(1)
         assert (r.losses, r.last_epoch) == ([], 1)
