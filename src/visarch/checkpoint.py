@@ -168,8 +168,12 @@ def model_from_checkpoint(loaded: dict) -> models.Model:
         if key.startswith(("param.", "buffer.")) and key not in known:
             raise CheckpointError(f"checkpoint has '{key}', which {config.name} does not")
 
-    params, buffers = B.allocate(
-        slots, lambda slot: stored_tensor(tensors, _key(slot), slot.shape), np.float32)
+    def stored(slot):
+        if slot.init in B.BUFFER_INITS:
+            return stored_state(tensors, _key(slot), slot.shape, slot.init == "running_var")
+        return stored_tensor(tensors, _key(slot), slot.shape)
+
+    params, buffers = B.allocate(slots, stored, np.float32)
     return models.Model(config, params, buffers, np.dtype(np.float32),
                         stored_int(loaded["extra"], "seed", default=0))
 
@@ -180,6 +184,20 @@ def stored_tensor(tensors: dict, key: str, shape: tuple) -> np.ndarray:
     if arr is None or arr.shape != shape:
         found = "nothing" if arr is None else arr.shape
         raise CheckpointError(f"'{key}' must be {shape}, checkpoint has {found}")
+    return arr
+
+
+def stored_state(tensors: dict, key: str, shape: tuple, nonnegative: bool = False) -> np.ndarray:
+    """stored_tensor for training state (a batch-norm buffer or an optimizer
+    slot), which must also be finite, and >= 0 where nonnegative (a running
+    variance, AdamW's second moment): a bad value would otherwise surface as a
+    NaN update or a non-finite eval forward later. Parameters are not scanned,
+    so a load makes no pass over a full-size model's weights."""
+    arr = stored_tensor(tensors, key, shape)
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"'{key}' holds a non-finite value")
+    if nonnegative and (arr < 0).any():
+        raise CheckpointError(f"'{key}' holds a negative value, {float(arr.min()):g}")
     return arr
 
 

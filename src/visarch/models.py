@@ -141,6 +141,13 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
                                      f"channels, hidden {b.hidden}")
                 entries.append(PlanEntry("attention", bp, b, (c,) + hw, (b.channels,) + hw))
             c = b.channels
+    # a model-wide field that no layer of this model reads would change nothing
+    kinds = {e.kind for e in entries}
+    for field, value, kind, layer in (("conv_block_style", "post_norm", "bottleneck", "a bottleneck"),
+                                      ("pos_mode", "relative", "attention", "an attention block"),
+                                      ("pos_mode", "absolute", "pos", "a stage embedding")):
+        if getattr(config, field) == value and kind not in kinds:
+            raise ShapeError(f"{field}={value!r} needs {layer}, and this model has none")
     # a post-norm bottleneck already ends in a norm; every other layer does not
     if not (entries[-1].kind == "bottleneck" and config.conv_block_style == "post_norm"):
         entries.append(PlanEntry("final_norm", "final_norm", None, (c,) + hw, (c,) + hw))

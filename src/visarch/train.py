@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import models
-from .checkpoint import CheckpointError, stored_int, stored_tensor
+from .checkpoint import CheckpointError, stored_int, stored_state
 from .data import Dataset, augment_batch, synth_dataset
 from .blocks import BUFFER_INITS, LAYERS, check_fields
 from .tensor import ParamStore, Tensor, backward, cross_entropy, finite_diff_grad, no_grad
@@ -80,6 +80,7 @@ class _SlotState:
     {parameter path: array}, saved in checkpoints as optim.<path>.<slot>."""
 
     slots: tuple = ()
+    nonnegative: tuple = ()  # slots that hold a sum of squares
 
     def state_tensors(self) -> dict:
         return {f"optim.{p}.{s}": arr for s in self.slots for p, arr in getattr(self, s).items()}
@@ -91,7 +92,8 @@ class _SlotState:
         for s in self.slots:
             state = getattr(self, s)
             for p, arr in state.items():
-                state[p] = stored_tensor(tensors, f"optim.{p}.{s}", arr.shape).copy()
+                state[p] = stored_state(tensors, f"optim.{p}.{s}", arr.shape,
+                                        s in self.nonnegative).copy()
 
 
 class SGDMomentum(_SlotState):
@@ -123,6 +125,7 @@ class AdamW(_SlotState):
 
     name = "adamw"
     slots = ("m", "v")
+    nonnegative = ("v",)
 
     def __init__(self, store: ParamStore, betas=(0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):

@@ -22,7 +22,7 @@ from visarch import (
     model_from_checkpoint,
     preset,
 )
-from visarch import checkpoint
+from visarch import checkpoint, models
 from visarch.blocks import EmbedSpec
 from visarch.checkpoint import MAGIC, load_bytes, optim_tensors, save_bytes
 from visarch.models import StageSpec
@@ -125,6 +125,22 @@ class TestBadContents:
         edit(loaded["tensors"], key)
         with pytest.raises(CheckpointError, match=re.escape(key)):
             model_from_checkpoint(loaded)
+
+    @pytest.mark.parametrize("key,value", [
+        ("buffer.stem.norm.var", -1e-3), ("buffer.stem.norm.var", np.nan),
+        ("buffer.stem.norm.mean", np.inf), ("buffer.s1.b0.norm1.mean", -np.inf),
+    ], ids=["negative-var", "nan-var", "inf-mean", "minus-inf-mean"])
+    def test_bad_buffer_value_names_the_path(self, blob, key, value):
+        # before, a negative running variance failed only at the first eval forward
+        loaded = load_bytes(blob)
+        loaded["tensors"][key][0] = value
+        with pytest.raises(CheckpointError, match=re.escape(f"'{key}' holds a")):
+            model_from_checkpoint(loaded)
+
+    def test_negative_running_mean_loads(self, blob):
+        loaded = load_bytes(blob)
+        loaded["tensors"]["buffer.stem.norm.mean"][0] = -3.0
+        assert model_from_checkpoint(loaded).buffers["stem.norm.mean"][0] == -3.0
 
     def test_load_draws_nothing(self, blob, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -238,6 +254,17 @@ class TestMalformedHeader:
         head, payload = header
         edit(head["config"])
         with pytest.raises(CheckpointError, match="'config' is malformed: .*" + re.escape(named)):
+            load_bytes(sealed(head, payload))
+
+    @pytest.mark.parametrize("name,field,value", [
+        ("net5-micro", "conv_block_style", "post_norm"),
+        ("net7-micro", "pos_mode", "relative"),
+        ("resnet50_shape-micro", "pos_mode", "absolute"),
+    ])
+    def test_model_wide_field_no_layer_reads(self, header, name, field, value):
+        head, payload = header
+        head["config"] = {**models.config_to_dict(preset(name)), field: value}
+        with pytest.raises(CheckpointError, match="'config' is malformed: .*" + field):
             load_bytes(sealed(head, payload))
 
     def test_config_without_defaulted_field_takes_default(self, model, header):

@@ -24,7 +24,7 @@ from visarch import (
     shape_table,
 )
 from visarch.blocks import BUFFER_INITS, LAYERS, AttentionSpec, BottleneckSpec, EmbedSpec
-from visarch.models import model_slots
+from visarch.models import ModelConfig, model_slots
 from visarch.tensor import cross_entropy
 from visarch.train import TrainConfig
 
@@ -109,6 +109,16 @@ REJECTED = [
      "unexpected keyword argument 'final_norm'"),
     ("no-stages", ShapeError, lambda: replace(preset("net1-micro"), stages=()),
      "a model needs at least one stage"),
+    # a model-wide field must have a layer that reads it
+    ("post-norm-without-bottleneck", ShapeError,
+     lambda: replace(preset("net5-micro"), conv_block_style="post_norm"),
+     "conv_block_style='post_norm' needs a bottleneck"),
+    ("relative-without-attention", ShapeError,
+     lambda: replace(preset("net7-micro"), pos_mode="relative"),
+     "pos_mode='relative' needs an attention block"),
+    ("absolute-without-embedding", ShapeError,
+     lambda: replace(preset("resnet50_shape-micro"), pos_mode="absolute"),
+     "pos_mode='absolute' needs a stage embedding"),
 ] + [(f"{field}-on-{kind}", TypeError,
       lambda i=i, field=field: edit_block(preset("visformer_ti-micro"), i, **{field: 1}),
       f"unexpected keyword argument '{field}'")
@@ -150,6 +160,11 @@ def edit_layer(config, site, **kw):
 
 FIELD_EDITS = [(name, site, f.name) for name, site in FIELD_SITES
                for f in fields(layer_at(preset(name), site)) if f.init]
+
+# every other value of each model-wide style field on every micro preset
+MODEL_EDITS = [(name, field, value) for name in preset_names() if name.endswith("-micro")
+               for field in ("conv_block_style", "pos_mode")
+               for value in ModelConfig.CHOICES[field] if value != getattr(preset(name), field)]
 
 # a valid instance of each config class, keyed by what its messages call it
 VALID = {
@@ -325,22 +340,33 @@ class TestFieldsShow:
                                                   config.input_resolution))
         return model_forward(build(config, seed=0), x.astype(np.float32)).data
 
-    @pytest.mark.parametrize("name,site,field", FIELD_EDITS,
-                             ids=[f"{n}-{s}-{f}" for n, s, f in FIELD_EDITS])
-    def test_every_layer_field_changes_the_model_or_is_rejected(self, name, site, field):
-        # doubling an int or flipping a bool is an edit of the network: it is
-        # rejected, or it shows in the complexity rows or the logits
-        base = preset(name)
-        value = getattr(layer_at(base, site), field)
-        value = (not value) if isinstance(value, bool) else 2 * value or 1
+    def assert_shows(self, base, edit, what):
+        """edit() is rejected, or it shows in the complexity rows or the logits."""
         try:
-            edited = edit_layer(base, site, **{field: value})
+            edited = edit()
             rows = complexity_report(edited).rows
         except (ValueError, TypeError, ShapeError):
             return
         if rows == complexity_report(base).rows:
             assert not np.array_equal(self.eval_logits(edited), self.eval_logits(base)), \
-                f"{field}={value!r} at {name} {site} builds the same model"
+                f"{what} builds the same model"
+
+    @pytest.mark.parametrize("name,site,field", FIELD_EDITS,
+                             ids=[f"{n}-{s}-{f}" for n, s, f in FIELD_EDITS])
+    def test_every_layer_field_changes_the_model_or_is_rejected(self, name, site, field):
+        # doubling an int or flipping a bool is an edit of the network
+        base = preset(name)
+        value = getattr(layer_at(base, site), field)
+        value = (not value) if isinstance(value, bool) else 2 * value or 1
+        self.assert_shows(base, lambda: edit_layer(base, site, **{field: value}),
+                          f"{field}={value!r} at {name} {site}")
+
+    @pytest.mark.parametrize("name,field,value", MODEL_EDITS,
+                             ids=[f"{n}-{f}-{v}" for n, f, v in MODEL_EDITS])
+    def test_every_model_style_changes_the_model_or_is_rejected(self, name, field, value):
+        base = preset(name)
+        self.assert_shows(base, lambda: replace(base, **{field: value}),
+                          f"{field}={value!r} on {name}")
 
 
 class TestBuild:

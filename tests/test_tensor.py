@@ -447,6 +447,68 @@ class TestNorms:
         np.testing.assert_allclose(a, c, atol=1e-6)
 
 
+def norm_ref(x, g, b, w, axes, eps=1e-5):
+    """Direct float64 normalise-and-affine over axes, and the gradients of
+    sum(w * y) for x, gamma and beta by the textbook closed form."""
+    c = (1, -1, 1, 1)
+    mean = x.mean(axis=axes, keepdims=True)
+    var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
+    xhat = (x - mean) / np.sqrt(var + eps)
+    dxhat = w * g.reshape(c)
+    dx = (dxhat - dxhat.mean(axis=axes, keepdims=True)
+          - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True)) / np.sqrt(var + eps)
+    return xhat * g.reshape(c) + b.reshape(c), dx, (w * xhat).sum(axis=(0, 2, 3)), w.sum(axis=(0, 2, 3))
+
+
+# N*H*W = 2, 1x1 maps, (N, C, T, 1) token maps, H != W
+NORM_SHAPES = [(2, 3, 1, 1), (1, 3, 2, 1), (1, 2, 1, 2), (4, 3, 1, 1), (2, 5, 7, 1), (3, 4, 2, 5)]
+
+
+class TestNormKernel:
+    """Train-mode batch_norm and layer_norm in float64 against norm_ref."""
+
+    def run(self, rng, op, shape):
+        x = rng.normal(loc=1.5, scale=2.0, size=shape)
+        g, b = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+        w = rng.normal(size=shape)
+        store = ParamStore()
+        for path, arr in (("x", x), ("g", g), ("b", b)):
+            param(store, path, arr)
+        out = op(store["x"], store["g"], store["b"])
+        backward(T.sum_all(T.mul(out, Tensor(w))))
+        return (x, g, b, w), (out.data, store["x"].grad, store["g"].grad, store["b"].grad)
+
+    @pytest.mark.parametrize("shape", NORM_SHAPES, ids=str)
+    def test_batch_norm(self, rng, shape):
+        C = shape[1]
+        rm, rv = rng.normal(size=C), 0.5 + rng.random(C)
+        rm0, rv0 = rm.copy(), rv.copy()
+        (x, g, b, w), got = self.run(
+            rng, lambda x, g, b: T.batch_norm(x, g, b, rm, rv, training=True), shape)
+        for have, want in zip(got, norm_ref(x, g, b, w, (0, 2, 3))):
+            np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
+        # the running variance is the unbiased one
+        np.testing.assert_allclose(rm, 0.9 * rm0 + 0.1 * x.mean(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rv, 0.9 * rv0 + 0.1 * x.var(axis=(0, 2, 3), ddof=1),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", NORM_SHAPES + [(2, 1, 3, 4)], ids=str)
+    def test_layer_norm(self, rng, shape):
+        (x, g, b, w), got = self.run(rng, T.layer_norm, shape)
+        for have, want in zip(got, norm_ref(x, g, b, w, 1)):
+            np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
+
+    def test_channel_sums_of_non_contiguous_maps(self, rng):
+        a = rng.normal(size=(5, 4, 3, 6)).transpose(2, 1, 0, 3)
+        b = rng.normal(size=(3, 8, 5, 6))[:, ::2]
+        assert not (a.flags.c_contiguous or b.flags.c_contiguous)
+        for got, want in ((T._csum(a), a.sum(axis=(0, 2, 3))),
+                          (T._csum(a, b), (a * b).sum(axis=(0, 2, 3))),
+                          (T._csum(a, keep="nhw"), a.sum(axis=1)),
+                          (T._csum(a, b, keep="nhw"), (a * b).sum(axis=1))):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 class TestPointwise:
     def test_softmax_uniform_and_two_logit(self):
         out = T.softmax(Tensor(np.zeros((1, 5)))).data
@@ -467,6 +529,33 @@ class TestPointwise:
         x = Tensor(np.array([[0.0, np.nan]]))
         with pytest.raises(NonFiniteError):
             T.softmax(x)
+
+    @pytest.mark.parametrize("row", [[np.inf, 0.0], [-np.inf, -np.inf]], ids=["inf", "all-minus-inf"])
+    def test_softmax_rejects_rows_without_a_finite_maximum(self, row):
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="softmax"):
+            T.softmax(Tensor(np.array([row])))
+
+    def test_softmax_row_with_minus_inf(self):
+        # a masked entry gets probability 0 and no gradient
+        store = ParamStore()
+        param(store, "x", np.array([[0.0, -np.inf, np.log(3.0)]]))
+        out = T.softmax(store["x"])
+        np.testing.assert_allclose(out.data, [[0.25, 0.0, 0.75]], rtol=0, atol=1e-15)
+        backward(T.sum_all(T.mul(out, Tensor(np.array([[1.0, 5.0, -1.0]])))))
+        np.testing.assert_allclose(store["x"].grad, [[0.375, 0.0, -0.375]], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_softmax_backward_matches_closed_form(self, rng, axis):
+        # d sum(w * y) / dx = y * (w - sum(w * y)) along the axis
+        x, w = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, 4, 5))
+        store = ParamStore()
+        param(store, "x", x)
+        out = T.softmax(store["x"], axis=axis)
+        backward(T.sum_all(T.mul(out, Tensor(w))))
+        y = np.exp(x) / np.exp(x).sum(axis=axis, keepdims=True)
+        np.testing.assert_allclose(out.data, y, rtol=0, atol=1e-15)
+        want = y * (w - (w * y).sum(axis=axis, keepdims=True))
+        np.testing.assert_allclose(store["x"].grad, want, rtol=0, atol=1e-15)
 
     def test_relu_gelu_values(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]))
@@ -489,12 +578,13 @@ class TestPointwise:
         want = 0.5 * x * (1.0 + np.tanh(u))
         # d/dx: 0.5 (1 + tanh u) + 0.5 x sech^2(u) u'
         dwant = 0.5 * (1.0 + np.tanh(u)) + 0.5 * x * c * (1.0 + 3 * 0.044715 * x ** 2) / np.cosh(u) ** 2
+        w = np.random.default_rng(1).normal(size=x.shape)
         store = ParamStore()
         param(store, "x", x)
         out = T.gelu(store["x"])
-        backward(T.sum_all(out))
+        backward(T.sum_all(T.mul(out, Tensor(w))))
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(store["x"].grad, dwant, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(store["x"].grad, dwant * w, rtol=0, atol=1e-12)
 
     def test_overflow_raises_named_scope(self):
         x = Tensor(np.array([1e30], dtype=np.float32))
