@@ -58,12 +58,11 @@ def check_fields(obj, what: str) -> None:
 
 @dataclass(frozen=True)
 class EmbedSpec:
-    """A convolutional downsampling/embedding layer. As a stem it pads
-    kernel // 2; as a patch embedding it has kernel == stride and no padding."""
+    """A patch embedding: a stride x stride conv with no padding (its kernel is its
+    stride) to out_channels, then batch norm if norm_after, else a conv bias."""
 
-    POSITIVE = ("kernel", "stride", "out_channels")
+    POSITIVE = ("stride", "out_channels")
 
-    kernel: int
     stride: int
     out_channels: int
     norm_after: bool = False
@@ -235,21 +234,25 @@ def _conv(x, params, prefix, *, stride=1, padding=0, groups=1):
 # stem / patch embedding (same parameters and rows; the stem pads and ends in relu)
 
 
+# Every stem: this conv (no bias) to the config's stem width, batch norm and
+# relu; then the max pool, when no patch embedding follows
+STEM = dict(kernel=7, stride=2, padding=3)
+STEM_POOL = dict(kernel=3, stride=2, padding=1)
+
+
 def _embed_params(e, config):
-    spec = e.spec
-    slots = _conv_slots(e.prefix + ".conv", e.in_shape[0], spec.out_channels, spec.kernel,
-                        bias=not spec.norm_after)
-    if spec.norm_after:
-        slots += _norm_slots(e.prefix + ".norm", spec.out_channels, "batch")
-    return slots
+    """The stem's conv, or a patch embedding's stride x stride one, to the
+    entry's width; then batch norm (always after the stem), else a conv bias."""
+    stem, c = e.kind == "stem", e.out_shape[0]
+    norm_after = stem or e.spec.norm_after
+    slots = _conv_slots(e.prefix + ".conv", e.in_shape[0], c,
+                        STEM["kernel"] if stem else e.spec.stride, bias=not norm_after)
+    return slots + _norm_slots(e.prefix + ".norm", c, "batch") if norm_after else slots
 
 
-def stem_forward(x: Tensor, spec: EmbedSpec, params, buffers, prefix: str,
-                 training: bool) -> Tensor:
-    out = _conv(x, params, prefix + ".conv", stride=spec.stride, padding=spec.kernel // 2)
-    if spec.norm_after:
-        out = norm_forward(out, params, buffers, prefix + ".norm", "batch", training)
-    return tz.relu(out)
+def stem_forward(x: Tensor, params, buffers, training: bool, prefix: str) -> Tensor:
+    out = _conv(x, params, prefix + ".conv", stride=STEM["stride"], padding=STEM["padding"])
+    return tz.relu(norm_forward(out, params, buffers, prefix + ".norm", "batch", training))
 
 
 def patch_embed_forward(x: Tensor, spec: EmbedSpec, params, buffers, prefix: str,
@@ -388,9 +391,6 @@ def head_forward(x: Tensor, mode: str, params, prefix: str) -> Tensor:
 # the per-kind table, and the layers without a block function of their own
 
 
-STEM_POOL = dict(kernel=3, stride=2, padding=1)  # the max pool after a stem
-
-
 def _cls(x, e, m, training):
     n, c, h, w = x.shape
     tokens = tz.reshape(x, (n, c, h * w, 1))
@@ -430,7 +430,7 @@ def _head_params(e, config):
 # call time, so replacing one here (to trace or wrap it) reaches every model.
 LAYERS = {
     "stem": Layer(_embed_params, lambda x, e, m, t: stem_forward(
-        x, e.spec, m.params, m.buffers, e.prefix, t), _out_macs(_embed_params)),
+        x, m.params, m.buffers, t, e.prefix), _out_macs(_embed_params)),
     "pool": Layer(lambda e, config: [], lambda x, e, m, t: tz.max_pool2d(x, **STEM_POOL),
                   lambda e, config: [(e.prefix, 0, 0)]),
     "embed": Layer(_embed_params, lambda x, e, m, t: patch_embed_forward(

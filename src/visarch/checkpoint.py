@@ -9,7 +9,7 @@ Layout, all integers little-endian:
     payloads    one per directory entry, float32 little-endian, in order
     trailer     CRC32 (u32) over every preceding byte
 
-Directory entries are {"path", "rank", "dims"} sorted by path; paths are
+Directory entries are {"path", "dims"} sorted by path; paths are
 namespaced "param.", "buffer.", "optim.". Tensors are stored as float32, so
 round trips are bit-exact for float32 models (the training dtype).
 """
@@ -28,7 +28,7 @@ from . import blocks as B
 from . import models
 
 MAGIC = b"VSFM"
-VERSION = 3
+VERSION = 4
 
 
 class CheckpointError(Exception):
@@ -67,7 +67,7 @@ def save_bytes(model: models.Model, extra: dict | None = None,
     payloads = []
     for path in sorted(tensors):
         arr = np.ascontiguousarray(tensors[path], dtype="<f4")
-        directory.append({"path": path, "rank": arr.ndim, "dims": list(arr.shape)})
+        directory.append({"path": path, "dims": list(arr.shape)})
         payloads.append(arr.tobytes())
     header = json.dumps(
         {"config": models.config_to_dict(model.config),

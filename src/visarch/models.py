@@ -3,7 +3,8 @@
 A ModelConfig is the single structural description; layer_plan derives the
 layer list (with shapes) from it. build, the forward pass, checkpoint
 loading and complexity accounting all walk that plan through the one per-kind
-table, blocks.LAYERS, so they cannot drift apart.
+table, blocks.LAYERS, so they cannot drift apart. A config gives only a
+stem's width (every stem is blocks.STEM) and a patch embedding's stride (its kernel).
 
 The catalog holds the two conv/attention hybrid families (ti/s and the v2
 variants), the eight-step bridge from the isotropic token model (deit_s,
@@ -41,12 +42,11 @@ class ModelConfig:
     name: str
     input_resolution: int
     num_classes: int
-    stem: EmbedSpec | None
+    stem: int  # the stem's width; 0 for no stem
     stages: tuple[StageSpec, ...]
     norm: str = "batch"
     pos_mode: str = "none"
     head_mode: str = "gap"
-    stem_pool: bool = False
     conv_block_style: str = "pre_norm"
 
     def __post_init__(self):
@@ -68,14 +68,17 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
     This is the one structural check: each field's value was checked when its
     config was constructed, and the block forwards check nothing, so every
     rule on how the fields fit together at this resolution is enforced here.
-    It also works out what no config holds: a stem pads kernel // 2, and a final
-    norm closes every model whose last layer is not a post-norm bottleneck.
+    It also works out what no config holds: a stem pool when no embedding follows
+    the stem, and a final norm unless a post-norm bottleneck (ending in a norm) is last.
     """
+    res = resolution if resolution is not None else config.input_resolution
+    if res < 1:
+        raise ShapeError(f"input resolution must be >= 1, got {res}")
     if not config.stages:
         raise ShapeError("a model needs at least one stage")
     tokens_mode = config.head_mode == "cls_token"
     if tokens_mode:
-        if len(config.stages) != 1 or config.stem is not None or config.stages[0].embed is None:
+        if len(config.stages) != 1 or config.stem or config.stages[0].embed is None:
             raise ShapeError("a cls_token head requires a single stemless stage with one embedding")
         if config.pos_mode == "relative":
             raise ShapeError("relative position bias is not defined for the cls_token layout")
@@ -84,32 +87,26 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
                 raise ShapeError("conv blocks cannot run on the cls_token layout")
 
     entries = []
-    res = resolution if resolution is not None else config.input_resolution
     c = 3
-    if config.stem is not None:
-        st = config.stem
-        out = tz.out_size(res, st.kernel, st.stride, st.kernel // 2)
-        entries.append(PlanEntry("stem", "stem", st, (c, res, res), (st.out_channels, out, out)))
-        res, c = out, st.out_channels
-        if config.stem_pool:
+    if config.stem:
+        out = tz.out_size(res, **B.STEM)
+        entries.append(PlanEntry("stem", "stem", None, (c, res, res), (config.stem, out, out)))
+        res, c = out, config.stem
+        if config.stages[0].embed is None:
             out = tz.out_size(res, **B.STEM_POOL)
             entries.append(PlanEntry("pool", "stem.pool", None, (c, res, res), (c, out, out)))
             res = out
-    elif config.stem_pool:
-        raise ShapeError("stem_pool set without a stem")
 
     for i, stage in enumerate(config.stages):
         sp = f"s{i}"
         if stage.embed is not None:
             e = stage.embed
-            if e.kernel != e.stride:
-                raise ShapeError(f"patch embedding at '{sp}' must have kernel == stride")
             if res % e.stride:
                 raise ShapeError(f"resolution {res} not divisible by stride {e.stride} at '{sp}.embed'")
             out = res // e.stride
             entries.append(PlanEntry("embed", f"{sp}.embed", e, (c, res, res), (e.out_channels, out, out)))
             res, c = out, e.out_channels
-        elif i == 0 and config.stem is None:
+        elif i == 0 and not config.stem:
             raise ShapeError("the first stage needs an embedding when there is no stem")
         hw = (res, res)
         if tokens_mode:
@@ -207,8 +204,8 @@ def model_forward(model: Model, x, training: bool = False) -> Tensor:
     """
     if isinstance(x, np.ndarray):
         x = Tensor(x.astype(model.dtype, copy=False))
-    if len(x.shape) != 4 or x.shape[1] != 3:
-        raise ShapeError(f"input must be (N, 3, H, W), got {x.shape}")
+    if len(x.shape) != 4 or x.shape[1] != 3 or x.shape[0] < 1:
+        raise ShapeError(f"input must be (N, 3, H, W) with N >= 1, got {x.shape}")
     height, width = x.shape[2], x.shape[3]
     if height != width:
         raise ShapeError(f"input must be square, got H={height} W={width}")
@@ -225,14 +222,13 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ModelConfig:
-    stem = EmbedSpec(**d["stem"]) if d.get("stem") else None
     kinds = {"attention": AttentionSpec, "bottleneck": BottleneckSpec}
     stages = tuple(
         StageSpec(embed=EmbedSpec(**s["embed"]) if s.get("embed") else None,
                   blocks=tuple(kinds[b["kind"]](**{k: v for k, v in b.items() if k != "kind"})
                                for b in s["blocks"]))
         for s in d["stages"])
-    return ModelConfig(**{**d, "stem": stem, "stages": stages})
+    return ModelConfig(**{**d, "stages": stages})
 
 
 def config_to_json(config: ModelConfig) -> str:
@@ -257,7 +253,7 @@ def diff_configs(a: ModelConfig, b: ModelConfig) -> set:
     touched = set()
     if a.head_mode != b.head_mode or a.num_classes != b.num_classes:
         touched.add("head")
-    if a.stem != b.stem or a.stem_pool != b.stem_pool:
+    if a.stem != b.stem:
         touched.add("stem")
     if [s.embed for s in a.stages] != [s.embed for s in b.stages]:
         touched.add("embeddings")
@@ -294,8 +290,8 @@ def _bneck(c: int, *, groups: int = 8, hidden: int | None = None,
 
 
 def _deit_s() -> ModelConfig:
-    stage = StageSpec(EmbedSpec(16, 16, 384), tuple(_attn(384, 6) for _ in range(12)))
-    return ModelConfig("deit_s", 224, 1000, stem=None, stages=(stage,), norm="layer",
+    stage = StageSpec(EmbedSpec(16, 384), tuple(_attn(384, 6) for _ in range(12)))
+    return ModelConfig("deit_s", 224, 1000, stem=0, stages=(stage,), norm="layer",
                        pos_mode="absolute", head_mode="cls_token")
 
 
@@ -305,12 +301,12 @@ def _net1() -> ModelConfig:
 
 def _net2() -> ModelConfig:
     stages = (
-        StageSpec(EmbedSpec(4, 4, 192), ()),
-        StageSpec(EmbedSpec(2, 2, 384), tuple(_attn(384, 6) for _ in range(12))),
-        StageSpec(EmbedSpec(2, 2, 768), ()),
+        StageSpec(EmbedSpec(4, 192), ()),
+        StageSpec(EmbedSpec(2, 384), tuple(_attn(384, 6) for _ in range(12))),
+        StageSpec(EmbedSpec(2, 768), ()),
     )
-    return ModelConfig("net2", 224, 1000, stem=EmbedSpec(7, 2, 32, norm_after=True),
-                       stages=stages, norm="layer", pos_mode="absolute")
+    return ModelConfig("net2", 224, 1000, stem=32, stages=stages,
+                       norm="layer", pos_mode="absolute")
 
 
 def _ladder_stages(depths: tuple, use_3x3: bool = False) -> tuple:
@@ -318,18 +314,18 @@ def _ladder_stages(depths: tuple, use_3x3: bool = False) -> tuple:
     half-width attention (3 heads of 32, C/2 wide) to keep its cost in line."""
     d1, d2, d3 = depths
     return (
-        StageSpec(EmbedSpec(4, 4, 192),
+        StageSpec(EmbedSpec(4, 192),
                   tuple(_attn(192, 3, head_dim=32, use_3x3=use_3x3) for _ in range(d1))),
-        StageSpec(EmbedSpec(2, 2, 384),
+        StageSpec(EmbedSpec(2, 384),
                   tuple(_attn(384, 6, use_3x3=use_3x3) for _ in range(d2))),
-        StageSpec(EmbedSpec(2, 2, 768),
+        StageSpec(EmbedSpec(2, 768),
                   tuple(_attn(768, 12, use_3x3=use_3x3) for _ in range(d3))),
     )
 
 
 def _net3() -> ModelConfig:
-    return ModelConfig("net3", 224, 1000, stem=EmbedSpec(7, 2, 32, norm_after=True),
-                       stages=_ladder_stages((4, 4, 4)), norm="layer", pos_mode="absolute")
+    return ModelConfig("net3", 224, 1000, stem=32, stages=_ladder_stages((4, 4, 4)),
+                       norm="layer", pos_mode="absolute")
 
 
 def _net4() -> ModelConfig:
@@ -351,12 +347,12 @@ def _net7() -> ModelConfig:
         return tuple(_bneck(c, groups=1, hidden=hidden) for _ in range(depth))
 
     stages = (
-        StageSpec(EmbedSpec(4, 4, 192), stage(192, 7)),
-        StageSpec(EmbedSpec(2, 2, 384), stage(384, 7)),
-        StageSpec(EmbedSpec(2, 2, 768), stage(768, 6)),
+        StageSpec(EmbedSpec(4, 192), stage(192, 7)),
+        StageSpec(EmbedSpec(2, 384), stage(384, 7)),
+        StageSpec(EmbedSpec(2, 768), stage(768, 6)),
     )
-    return ModelConfig("net7", 224, 1000, stem=EmbedSpec(7, 2, 32, norm_after=True),
-                       stages=stages, norm="batch", pos_mode="none")
+    return ModelConfig("net7", 224, 1000, stem=32, stages=stages, norm="batch",
+                       pos_mode="none")
 
 
 def _visformer(name: str, stem_c: int, chans: tuple, depths: tuple,
@@ -364,12 +360,12 @@ def _visformer(name: str, stem_c: int, chans: tuple, depths: tuple,
     c1, c2, c3 = chans
     d1, d2, d3 = depths
     stages = (
-        StageSpec(EmbedSpec(4, 4, c1, norm_after=True), tuple(_bneck(c1) for _ in range(d1))),
-        StageSpec(EmbedSpec(2, 2, c2, norm_after=True), tuple(_attn(c2, heads[0]) for _ in range(d2))),
-        StageSpec(EmbedSpec(2, 2, c3, norm_after=True), tuple(_attn(c3, heads[1]) for _ in range(d3))),
+        StageSpec(EmbedSpec(4, c1, norm_after=True), tuple(_bneck(c1) for _ in range(d1))),
+        StageSpec(EmbedSpec(2, c2, norm_after=True), tuple(_attn(c2, heads[0]) for _ in range(d2))),
+        StageSpec(EmbedSpec(2, c3, norm_after=True), tuple(_attn(c3, heads[1]) for _ in range(d3))),
     )
-    return ModelConfig(name, 224, 1000, stem=EmbedSpec(7, 2, stem_c, norm_after=True),
-                       stages=stages, norm="batch", pos_mode="absolute")
+    return ModelConfig(name, 224, 1000, stem=stem_c, stages=stages, norm="batch",
+                       pos_mode="absolute")
 
 
 def _visformer_v2(name: str, stem_c: int, chans: tuple, depths: tuple,
@@ -377,13 +373,13 @@ def _visformer_v2(name: str, stem_c: int, chans: tuple, depths: tuple,
     c1, c2, c3, c4 = chans
     d1, d2, d3, d4 = depths
     stages = (
-        StageSpec(EmbedSpec(2, 2, c1, norm_after=True), tuple(_bneck(c1) for _ in range(d1))),
-        StageSpec(EmbedSpec(2, 2, c2, norm_after=True), tuple(_bneck(c2) for _ in range(d2))),
-        StageSpec(EmbedSpec(2, 2, c3, norm_after=True), tuple(_attn(c3, heads[0]) for _ in range(d3))),
-        StageSpec(EmbedSpec(2, 2, c4, norm_after=True), tuple(_attn(c4, heads[1]) for _ in range(d4))),
+        StageSpec(EmbedSpec(2, c1, norm_after=True), tuple(_bneck(c1) for _ in range(d1))),
+        StageSpec(EmbedSpec(2, c2, norm_after=True), tuple(_bneck(c2) for _ in range(d2))),
+        StageSpec(EmbedSpec(2, c3, norm_after=True), tuple(_attn(c3, heads[0]) for _ in range(d3))),
+        StageSpec(EmbedSpec(2, c4, norm_after=True), tuple(_attn(c4, heads[1]) for _ in range(d4))),
     )
-    return ModelConfig(name, 224, 1000, stem=EmbedSpec(7, 2, stem_c, norm_after=True),
-                       stages=stages, norm="batch", pos_mode="relative")
+    return ModelConfig(name, 224, 1000, stem=stem_c, stages=stages, norm="batch",
+                       pos_mode="relative")
 
 
 def _resnet50_shape() -> ModelConfig:
@@ -398,9 +394,8 @@ def _resnet50_shape() -> ModelConfig:
         stage(1024, 6, 2),
         stage(2048, 3, 2),
     )
-    return ModelConfig("resnet50_shape", 224, 1000,
-                       stem=EmbedSpec(7, 2, 64, norm_after=True), stages=stages,
-                       norm="batch", pos_mode="none", stem_pool=True, conv_block_style="post_norm")
+    return ModelConfig("resnet50_shape", 224, 1000, stem=64, stages=stages, norm="batch",
+                       pos_mode="none", conv_block_style="post_norm")
 
 
 def _micro(config: ModelConfig) -> ModelConfig:
@@ -415,7 +410,7 @@ def _micro(config: ModelConfig) -> ModelConfig:
     stages = tuple(StageSpec(shrink_embed(s.embed), tuple(shrink_block(b) for b in s.blocks))
                    for s in config.stages)
     return replace(config, name=config.name + "-micro", input_resolution=32, num_classes=10,
-                   stem=shrink_embed(config.stem), stages=stages)
+                   stem=config.stem // 4, stages=stages)
 
 
 _BASE_PRESETS = {

@@ -484,6 +484,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
         raise ShapeError(f"conv2d expects rank-4 input and weight, got {xd.shape}, {wd.shape}")
     N, Cin, H, W = xd.shape
     Cout, Cpg, kh, kw = wd.shape
+    if groups < 1:
+        raise ShapeError(f"groups must be >= 1, got {groups}")
     if Cin % groups or Cout % groups:
         raise ShapeError(f"channels ({Cin} in, {Cout} out) not divisible by groups={groups}")
     if Cpg != Cin // groups:
@@ -693,11 +695,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean softmax cross-entropy; labels is an integer array of shape (N,)."""
     ld = logits.data
     labels = np.asarray(labels)
-    if ld.ndim != 2 or labels.shape != (ld.shape[0],):
-        raise ShapeError(f"cross_entropy expects (N, K) logits and (N,) labels, got {ld.shape}, {labels.shape}")
+    if ld.ndim != 2 or labels.shape != (ld.shape[0],) or ld.shape[0] < 1:
+        raise ShapeError(f"cross_entropy expects (N, K) logits with N >= 1 and (N,) labels, got {ld.shape}, {labels.shape}")
     N, K = ld.shape
-    if labels.size and (not np.issubdtype(labels.dtype, np.integer)
-                        or labels.min() < 0 or labels.max() >= K):
+    if not np.issubdtype(labels.dtype, np.integer) or labels.min() < 0 or labels.max() >= K:
         raise ShapeError(f"cross_entropy labels must be integers in [0, {K}), got "
                          f"{labels.dtype} labels from {labels.min()} to {labels.max()}")
     m = ld.max(axis=1, keepdims=True)

@@ -32,9 +32,9 @@ def build_block(spec, norm="batch", style="pre_norm", rel_pos=False, window=(1, 
     return allocate(block_entry(spec, window, cin), config(norm, style, rel_pos), seed, dtype)
 
 
-def embed_entry(kind, spec, cin, res, prefix):
-    out = T.out_size(res, spec.kernel, spec.stride, spec.kernel // 2 if kind == "stem" else 0)
-    return PlanEntry(kind, prefix, spec, (cin, res, res), (spec.out_channels, out, out))
+def embed_entry(spec, cin, res, prefix):
+    out = res // spec.stride
+    return PlanEntry("embed", prefix, spec, (cin, res, res), (spec.out_channels, out, out))
 
 
 def attn_spec(c, hidden, **kw):
@@ -77,17 +77,37 @@ class TestConvMlpHidden:
 
 class TestStemAndEmbed:
     def test_stem_halves_resolution(self, rng):
-        spec = EmbedSpec(7, 2, 16, norm_after=True)
-        store, buffers = allocate(embed_entry("stem", spec, 3, 224, "stem"), config(),
-                                  dtype=np.float32)
+        entry = PlanEntry("stem", "stem", None, (3, 224, 224), (16, 112, 112))
+        store, buffers = allocate(entry, config(), dtype=np.float32)
+        assert store["stem.conv.w"].shape == (16, 3, 7, 7) and "stem.conv.b" not in store
+        assert "stem.norm.gamma" in store and "stem.norm.mean" in buffers
         x = Tensor(rng.normal(size=(1, 3, 224, 224)).astype(np.float32))
-        out = B.stem_forward(x, spec, store, buffers, "stem", training=False)
+        out = B.stem_forward(x, store, buffers, False, "stem")
         assert out.shape == (1, 16, 112, 112)
         assert (out.data >= 0).all()
 
+    def test_stem_is_a_padded_7x7_stride_2_conv_bn_relu(self, rng):
+        entry = PlanEntry("stem", "stem", None, (3, 9, 9), (4, 5, 5))
+        store, buffers = allocate(entry, config(), seed=2)
+        buffers["stem.norm.mean"][:] = rng.normal(size=4)
+        buffers["stem.norm.var"][:] = rng.uniform(0.5, 2.0, size=4)
+        x = rng.normal(size=(2, 3, 9, 9))
+        out = B.stem_forward(Tensor(x, dtype=np.float64), store, buffers, False, "stem").data
+        # oracle: zero-pad by 3, take every second 7x7 window, then eval BN and relu
+        w = store["stem.conv.w"].data
+        xp = np.pad(x, ((0, 0), (0, 0), (3, 3), (3, 3)))
+        conv = np.array([[[[np.sum(xp[n, :, 2 * i:2 * i + 7, 2 * j:2 * j + 7] * w[o])
+                            for j in range(5)] for i in range(5)] for o in range(4)]
+                         for n in range(2)])
+        mean, var = buffers["stem.norm.mean"], buffers["stem.norm.var"]
+        gamma, beta = store["stem.norm.gamma"].data, store["stem.norm.beta"].data
+        bn = ((conv - mean[:, None, None]) / np.sqrt(var[:, None, None] + 1e-5)
+              * gamma[:, None, None] + beta[:, None, None])
+        np.testing.assert_allclose(out, np.maximum(bn, 0.0), atol=1e-10)
+
     def test_patch_embed_equals_flatten_linear(self, rng):
-        spec = EmbedSpec(4, 4, 9)
-        store, buffers = allocate(embed_entry("embed", spec, 6, 8, "e"), config(), seed=1)
+        spec = EmbedSpec(4, 9)
+        store, buffers = allocate(embed_entry(spec, 6, 8, "e"), config(), seed=1)
         x = rng.normal(size=(2, 6, 8, 8))
         out = B.patch_embed_forward(Tensor(x, dtype=np.float64), spec, store, buffers,
                                     "e", training=False).data
@@ -100,8 +120,8 @@ class TestStemAndEmbed:
                 np.testing.assert_allclose(out[:, :, i, j], patch @ w.T + b, atol=1e-10)
 
     def test_embed_norm_after_has_no_conv_bias(self):
-        store, buffers = allocate(embed_entry("embed", EmbedSpec(2, 2, 8, norm_after=True),
-                                              4, 8, "e"), config(), dtype=np.float32)
+        store, buffers = allocate(embed_entry(EmbedSpec(2, 8, norm_after=True), 4, 8, "e"),
+                                  config(), dtype=np.float32)
         assert "e.conv.b" not in store
         assert "e.norm.gamma" in store and "e.norm.mean" in buffers
 

@@ -182,6 +182,10 @@ class TestMalformedHeader:
     def test_resealed_header_loads(self, blob, header):
         assert sealed(*header) == blob
 
+    def test_tensor_entries_hold_path_and_dims(self, header):
+        # dims gives the rank, so version 4 entries store no "rank"
+        assert all(set(e) == {"path", "dims"} for e in header[0]["tensors"])
+
     @pytest.mark.parametrize("raw,match", [
         (b"\xff\xfe", "not UTF-8 JSON"),
         (b"{not json", "not UTF-8 JSON"),
@@ -208,10 +212,10 @@ class TestMalformedHeader:
             load_bytes(sealed(head, payload))
 
     @pytest.mark.parametrize("entry", [
-        {"path": "param.x", "rank": 1},
-        {"path": "param.x", "rank": 1, "dims": [-2]},
-        {"path": "param.x", "rank": 1, "dims": ["2"]},
-        {"rank": 1, "dims": [2]},
+        {"path": "param.x"},
+        {"path": "param.x", "dims": [-2]},
+        {"path": "param.x", "dims": ["2"]},
+        {"dims": [2]},
         "param.x",
     ], ids=["no-dims", "negative-dims", "string-dims", "no-path", "not-object"])
     def test_bad_tensor_entry(self, header, entry):
@@ -225,13 +229,14 @@ class TestMalformedHeader:
         (lambda c: c["stages"][0]["blocks"][0].update(bogus=1), "'bogus'"),
         (lambda c: c.update(stages=7), "not iterable"),
         (lambda c: c.update(input_resolution="32"), "input_resolution must be an integer"),
-        (lambda c: c["stem"].update(kernel=None), "kernel must be an integer"),
+        (lambda c: c.update(stem=None), "stem must be an integer"),
         (lambda c: c["stages"][0]["blocks"][0].update(channels="24"),
          "channels must be an integer"),
         (lambda c: c.update(norm="group"), "norm must be one of"),
         (lambda c: c.update(bogus=1), "'bogus'"),
         (lambda c: c["stages"][0]["blocks"][0].update(groups=0), "groups must be >= 1, got 0"),
-        (lambda c: c["stem"].update(stride=0), "stride must be >= 1, got 0"),
+        (lambda c: c.update(stem=-4), "stem must be >= 0, got -4"),
+        (lambda c: c["stages"][1]["embed"].update(stride=0), "stride must be >= 1, got 0"),
         (lambda c: c.update(conv_block_style="bogus"), "conv_block_style must be one of"),
         (lambda c: c.update(num_classes=0), "num_classes must be >= 1, got 0"),
         (lambda c: c["stages"][0]["blocks"][0].update(stride=2), "only a post_norm bottleneck"),
@@ -241,14 +246,20 @@ class TestMalformedHeader:
         (lambda c: c["stages"][1]["blocks"][0].update(kind="mlp"), "'mlp'"),
         (lambda c: c["stages"][1]["blocks"][0].pop("kind"), "'kind'"),
         # fields a version-2 header carried
-        (lambda c: c["stem"].update(padding=3), "'padding'"),
         (lambda c: c["stages"][1]["blocks"][0].update(groups=1), "'groups'"),
         (lambda c: c.update(final_norm=True), "'final_norm'"),
+        # fields a version-3 header carried: the stem as an embedding spec, the
+        # stem pool flag, and a patch embedding's kernel
+        (lambda c: c.update(stem={"kernel": 7, "stride": 2, "out_channels": 4,
+                                  "norm_after": True}), "stem must be an integer, got {"),
+        (lambda c: c.update(stem_pool=False), "'stem_pool'"),
+        (lambda c: c["stages"][1]["embed"].update(kernel=2), "'kernel'"),
     ], ids=["missing-stages", "unknown-block-field", "mistyped-stages", "string-resolution",
-            "null-stem-kernel", "string-channels", "unknown-norm", "unknown-config-field",
-            "zero-groups", "zero-stem-stride", "unknown-block-style", "zero-classes",
-            "strided-pre-norm", "bottleneck-use_3x3", "attention-attn_inner", "unknown-kind",
-            "no-kind", "stem-padding", "attention-groups", "final-norm"])
+            "null-stem", "string-channels", "unknown-norm", "unknown-config-field",
+            "zero-groups", "negative-stem", "zero-embed-stride", "unknown-block-style",
+            "zero-classes", "strided-pre-norm", "bottleneck-use_3x3", "attention-attn_inner",
+            "unknown-kind", "no-kind", "attention-groups", "final-norm", "stem-object",
+            "stem-pool", "embed-kernel"])
     def test_bad_config(self, header, edit, named):
         # a loaded config must also be one layer_plan accepts
         head, payload = header
@@ -285,14 +296,20 @@ class TestCorruption:
 
     def test_version_1_is_rejected(self, blob):
         # version 1 headers carried every block field on every block kind
-        assert checkpoint.VERSION == 3
-        with pytest.raises(VersionError, match="format version 1, expected 3"):
+        assert checkpoint.VERSION == 4
+        with pytest.raises(VersionError, match="format version 1, expected 4"):
             load_bytes(resealed_as(blob, 1))
 
     def test_version_2_is_rejected(self, blob):
         # version 2 headers carried stem padding, attention groups and final_norm
-        with pytest.raises(VersionError, match="format version 2, expected 3"):
+        with pytest.raises(VersionError, match="format version 2, expected 4"):
             load_bytes(resealed_as(blob, 2))
+
+    def test_version_3_is_rejected(self, blob):
+        # version 3 headers carried the stem as an embedding spec, stem_pool, a
+        # kernel on every patch embedding and a rank on every tensor entry
+        with pytest.raises(VersionError, match="format version 3, expected 4"):
+            load_bytes(resealed_as(blob, 3))
 
     def test_truncated_tail(self, blob):
         with pytest.raises(ChecksumError):
@@ -323,8 +340,8 @@ class TestCorruption:
 
     def test_every_prologue_and_header_byte_flip(self):
         # a model with a tiny payload keeps the exhaustive sweep fast
-        stage = StageSpec(EmbedSpec(4, 4, 2), ())
-        config = ModelConfig("tiny", 8, 2, stem=None, stages=(stage,))
+        stage = StageSpec(EmbedSpec(4, 2), ())
+        config = ModelConfig("tiny", 8, 2, stem=0, stages=(stage,))
         tiny = save_bytes(build(config, seed=0), extra={"seed": 0})
         header_end = 10 + struct.unpack_from("<I", tiny, 6)[0]
         for i in range(header_end):

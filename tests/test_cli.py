@@ -86,6 +86,13 @@ class TestFlops:
         assert rc == 1
         assert "divisible" in err
 
+    @pytest.mark.parametrize("res", ["-16", "0"])
+    def test_resolution_below_1_exits_1(self, capsys, res):
+        # deit_s has no stem, whose window rule would catch it
+        rc, out, err = run(capsys, "flops", "deit_s", "--res", res)
+        assert (rc, out) == (1, "")
+        assert f"input resolution must be >= 1, got {res}" in err
+
 
 class TestFp16:
     def test_single_mode_json(self, capsys):

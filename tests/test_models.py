@@ -61,18 +61,22 @@ REJECTED = [
      "pos_mode must be one of"),
     ("head-mode", ValueError, lambda: replace(preset("net1-micro"), head_mode="max"),
      "head_mode must be one of"),
-    ("cls-token-stem", ShapeError,
-     lambda: replace(preset("deit_s-micro"), stem=EmbedSpec(3, 1, 3)),
+    ("cls-token-stem", ShapeError, lambda: replace(preset("deit_s-micro"), stem=8),
      "single stemless stage"),
     ("cls-token-relative", ShapeError, lambda: replace(preset("deit_s-micro"), pos_mode="relative"),
      "relative position bias"),
     ("cls-token-conv", ShapeError, lambda: edit_block(preset("deit_s-micro"), use_3x3=True),
      "conv blocks cannot run"),
-    ("pool-without-stem", ShapeError, lambda: replace(preset("net1-micro"), stem_pool=True),
-     "stem_pool set without a stem"),
-    ("embed-kernel", ShapeError,
-     lambda: edit_stage(preset("net3-micro"), 1, embed=EmbedSpec(3, 2, 96)), "kernel == stride"),
-    ("embed-padding", TypeError, lambda: EmbedSpec(2, 2, 96, padding=1),
+    ("stem-spec", ValueError,
+     lambda: replace(preset("net3-micro"), stem=EmbedSpec(2, 8, norm_after=True)),
+     "bad model config: stem must be an integer, got EmbedSpec("),
+    # the stem is fixed but for its width, its max pool runs exactly when no
+    # patch embedding follows it, and a patch embedding's kernel is its stride
+    ("pool-without-stem", TypeError, lambda: replace(preset("net1-micro"), stem_pool=True),
+     "unexpected keyword argument 'stem_pool'"),
+    ("embed-kernel", TypeError, lambda: EmbedSpec(2, 96, kernel=3),
+     "unexpected keyword argument 'kernel'"),
+    ("embed-padding", TypeError, lambda: EmbedSpec(2, 96, padding=1),
      "unexpected keyword argument 'padding'"),
     ("embed-indivisible", ShapeError, lambda: replace(preset("deit_s-micro"), input_resolution=36),
      "36 not divisible by stride 16 at 's0.embed'"),
@@ -141,9 +145,10 @@ FIELD_SITES = [
 
 
 def layer_at(config, site):
-    """The spec at 'stem', 's<i>.embed' or 's<i>.b0'."""
+    """The spec at 's<i>.embed' or 's<i>.b0'; at 'stem', the config, whose
+    stem field (the stem's width) is all a config sets of its stem."""
     if site == "stem":
-        return config.stem
+        return config
     stage = config.stages[int(site[1])]
     return stage.embed if site.endswith("embed") else stage.blocks[0]
 
@@ -151,15 +156,16 @@ def layer_at(config, site):
 def edit_layer(config, site, **kw):
     """config with the spec at site's fields replaced."""
     if site == "stem":
-        return replace(config, stem=replace(config.stem, **kw))
+        return replace(config, **kw)
     i = int(site[1])
     if site.endswith("embed"):
         return edit_stage(config, i, embed=replace(config.stages[i].embed, **kw))
     return edit_block(config, i, **kw)
 
 
-FIELD_EDITS = [(name, site, f.name) for name, site in FIELD_SITES
-               for f in fields(layer_at(preset(name), site)) if f.init]
+FIELD_EDITS = [(name, site, field) for name, site in FIELD_SITES
+               for field in (["stem"] if site == "stem" else
+                             [f.name for f in fields(layer_at(preset(name), site)) if f.init])]
 
 # every other value of each model-wide style field on every micro preset
 MODEL_EDITS = [(name, field, value) for name in preset_names() if name.endswith("-micro")
@@ -168,7 +174,7 @@ MODEL_EDITS = [(name, field, value) for name in preset_names() if name.endswith(
 
 # a valid instance of each config class, keyed by what its messages call it
 VALID = {
-    "embedding spec": lambda: EmbedSpec(4, 4, 8),
+    "embedding spec": lambda: EmbedSpec(4, 8),
     "attention spec": lambda: AttentionSpec(8, 16, heads=2, head_dim=4),
     "bottleneck spec": lambda: BottleneckSpec(8, 16),
     "model config": lambda: preset("visformer_ti-micro"),
@@ -177,13 +183,13 @@ VALID = {
 # (class, field, a value its rule rejects): every number field below its floor
 # or not finite, every choice field off its list
 BAD_FIELDS = [
-    ("embedding spec", "kernel", 0), ("embedding spec", "stride", 0),
-    ("embedding spec", "out_channels", -8),
+    ("embedding spec", "stride", 0), ("embedding spec", "out_channels", -8),
     ("attention spec", "channels", 0), ("attention spec", "hidden", 0),
     ("attention spec", "heads", 0), ("attention spec", "head_dim", 0),
     ("bottleneck spec", "channels", 0), ("bottleneck spec", "hidden", 0),
     ("bottleneck spec", "groups", 0), ("bottleneck spec", "stride", 0),
     ("model config", "input_resolution", 0), ("model config", "num_classes", 0),
+    ("model config", "stem", -1),
     ("model config", "norm", "group"), ("model config", "pos_mode", "learned"),
     ("model config", "head_mode", "max"), ("model config", "conv_block_style", "bogus"),
     ("train config", "optimizer", "sgd"), ("train config", "epochs", 0),
@@ -212,7 +218,8 @@ class TestFieldRules:
             replace(preset("net7-micro"), conv_block_style="bogus")
 
     def test_floor_itself_is_valid(self):
-        replace(VALID["embedding spec"](), kernel=1, stride=1)
+        replace(VALID["embedding spec"](), stride=1)
+        replace(VALID["model config"](), stem=0)
         replace(VALID["train config"](), base_lr=0.0, seed=0, data_per_class=1)
 
 
@@ -231,7 +238,7 @@ class TestPresets:
     def test_isotropic_transformer_structure(self):
         c = preset("deit_s")
         assert [len(s.blocks) for s in c.stages] == [12]
-        assert c.stem is None
+        assert c.stem == 0
         assert c.norm == "layer"
         assert c.head_mode == "cls_token"
         k = kinds("deit_s")
@@ -242,7 +249,7 @@ class TestPresets:
     def test_three_stage_hybrid_structure(self):
         c = preset("visformer_s")
         assert [len(s.blocks) for s in c.stages] == [7, 4, 4]
-        assert c.stem is not None
+        assert c.stem == 32
         assert c.norm == "batch"
         assert c.head_mode == "gap"
         k = kinds("visformer_s")
@@ -323,6 +330,13 @@ class TestPlan:
     def test_indivisible_resolution(self):
         with pytest.raises(ShapeError, match="divisible"):
             layer_plan(preset("visformer_s"), resolution=225)
+
+    @pytest.mark.parametrize("name", ["deit_s", "net1"])
+    @pytest.mark.parametrize("res", [-16, 0])
+    def test_resolution_below_1(self, name, res):
+        # a stemless model has no window rule to catch it
+        with pytest.raises(ShapeError, match=f"input resolution must be >= 1, got {res}"):
+            complexity_report(preset(name), res)
 
     @pytest.mark.parametrize("error,make,match", [r[1:] for r in REJECTED],
                              ids=[r[0] for r in REJECTED])
@@ -448,6 +462,12 @@ class TestForward:
         x = np.zeros((2, 3, 32, 32), np.float32)
         with pytest.raises(NonFiniteError, match="batch_norm .*'visformer_ti-micro.final_norm'$"):
             model_forward(model, x)
+
+    def test_rejects_empty_batch(self):
+        model = build(preset("deit_s-micro"), seed=0)
+        for training in (False, True):
+            with pytest.raises(ShapeError, match=re.escape("N >= 1, got (0, 3, 32, 32)")):
+                model_forward(model, np.zeros((0, 3, 32, 32), np.float32), training=training)
 
     def test_rejects_bad_channels(self, model):
         with pytest.raises(ShapeError, match="3"):

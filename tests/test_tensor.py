@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,9 +276,9 @@ class TestWindowRule:
         with pytest.raises(ShapeError, match=message):
             T.out_size(size, k, s, p)
 
-    # before the rule: a bare ZeroDivisionError (stride 0), a bare numpy
-    # ValueError (padding -1), a (1, 2, 1, 1) map (3x3, stride -1), and stride 1
-    # (1x1, stride 0 or -1)
+    # before the rule: a bare ZeroDivisionError (stride 0, groups 0), a bare
+    # numpy ValueError (padding -1), a (1, 2, 1, 1) map (3x3, stride -1), and
+    # stride 1 (1x1, stride 0 or -1)
     @pytest.mark.parametrize("op,kw,message", [
         ("conv3x3", {"stride": 0}, "stride must be >= 1, got 0"),
         ("pool", {"stride": 0}, "stride must be >= 1, got 0"),
@@ -284,8 +287,9 @@ class TestWindowRule:
         ("conv3x3", {"stride": -1}, "stride must be >= 1, got -1"),
         ("conv1x1", {"stride": 0}, "stride must be >= 1, got 0"),
         ("conv1x1", {"stride": -1}, "stride must be >= 1, got -1"),
+        ("conv3x3", {"groups": 0}, "groups must be >= 1, got 0"),
     ], ids=["conv-stride-0", "pool-stride-0", "conv-padding--1", "pool-padding--1",
-            "conv3x3-stride--1", "conv1x1-stride-0", "conv1x1-stride--1"])
+            "conv3x3-stride--1", "conv1x1-stride-0", "conv1x1-stride--1", "conv-groups-0"])
     def test_ops_reject_bad_stride_and_padding(self, rng, op, kw, message):
         x = Tensor(rng.normal(size=(1, 2, 5, 5)))
         with pytest.raises(ShapeError, match=message):
@@ -737,6 +741,13 @@ class TestBackward:
         labels = np.array([0, 1, 2, bad])
         with pytest.raises(ShapeError, match=r"labels must be integers in \[0, 5\)"):
             T.cross_entropy(Tensor(np.zeros((4, 5))), labels)
+
+    def test_cross_entropy_rejects_empty_batch(self):
+        # before: two RuntimeWarnings, then a NonFiniteError on the NaN mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match=re.escape("N >= 1 and (N,) labels, got (0, 5)")):
+                T.cross_entropy(Tensor(np.zeros((0, 5))), np.zeros(0, np.int64))
 
 
 class TestFiniteDiff:
