@@ -142,12 +142,17 @@ BUFFER_INITS = ("running_mean", "running_var")
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) resampled until every entry lies within 2 std."""
+    """Normal(0, std) resampled until every entry lies within 2 std.
+
+    Each round redraws the entries still out of range, in flat order, and
+    tests only those redrawn values."""
     x = rng.normal(0.0, std, size=shape)
-    bad = np.abs(x) > 2 * std
-    while bad.any():
-        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(x) > 2 * std
+    flat = x.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    while bad.size:
+        redrawn = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redrawn
+        bad = bad[np.abs(redrawn) > 2 * std]
     return x
 
 
@@ -164,7 +169,7 @@ def allocate(slots, value: Callable, dtype) -> tuple[ParamStore, dict]:
     """A ParamStore and a buffer dict holding value(slot) cast to dtype, in slot order."""
     store, buffers = ParamStore(), {}
     for slot in slots:
-        arr = value(slot).astype(dtype)
+        arr = value(slot).astype(dtype)  # astype copies: a model shares no array with a loaded dict
         if slot.init in BUFFER_INITS:
             buffers[slot.path] = arr
         else:

@@ -12,6 +12,10 @@ Layout, all integers little-endian:
 Directory entries are {"path", "dims"} sorted by path; paths are
 namespaced "param.", "buffer.", "optim.". Tensors are stored as float32, so
 round trips are bit-exact for float32 models (the training dtype).
+
+A save copies each payload once, into the returned bytes, and a load copies
+each payload once, into its own array; the CRC32 is taken over the parts (on
+save) and over a view of the file (on load), so it needs no copy.
 """
 
 from __future__ import annotations
@@ -63,21 +67,20 @@ def _collect(model: models.Model, extra_tensors: dict | None) -> dict:
 def save_bytes(model: models.Model, extra: dict | None = None,
                extra_tensors: dict | None = None) -> bytes:
     tensors = _collect(model, extra_tensors)
-    directory = []
-    payloads = []
-    for path in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[path], dtype="<f4")
-        directory.append({"path": path, "dims": list(arr.shape)})
-        payloads.append(arr.tobytes())
+    paths = sorted(tensors)
+    payloads = [np.ascontiguousarray(tensors[path], dtype="<f4") for path in paths]
     header = json.dumps(
         {"config": models.config_to_dict(model.config),
          "extra": dict(extra or {}),
-         "tensors": directory},
+         "tensors": [{"path": path, "dims": list(arr.shape)}
+                     for path, arr in zip(paths, payloads)]},
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
-    body = b"".join([MAGIC, struct.pack("<HI", VERSION, len(header)), header,
-                     *payloads])
-    return body + struct.pack("<I", zlib.crc32(body))
+    parts = [MAGIC, struct.pack("<HI", VERSION, len(header)), header, *payloads]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([*parts, struct.pack("<I", crc)])
 
 
 def checkpoint_save(model: models.Model, path, extra: dict | None = None,
@@ -110,20 +113,20 @@ def load_bytes(data: bytes) -> dict:
     if version != VERSION:
         raise VersionError(f"format version {version}, expected {VERSION}")
     (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(data[:-4]) != stored_crc:
+    if zlib.crc32(memoryview(data)[:-4]) != stored_crc:
         raise ChecksumError("CRC32 mismatch")
     if len(data) < 10 + header_len + 4:
         raise ChecksumError("file truncated inside the header")
     header = _header(data[10:10 + header_len])
     offset = 10 + header_len
-    sizes = [math.prod(e["dims"]) * 4 for e in header["tensors"]]
-    if len(data) != offset + sum(sizes) + 4:
+    counts = [math.prod(e["dims"]) for e in header["tensors"]]
+    if len(data) != offset + 4 * sum(counts) + 4:
         raise ChecksumError(f"payload length mismatch: file has {len(data)} bytes")
     tensors = {}
-    for entry, size in zip(header["tensors"], sizes):
-        arr = np.frombuffer(data[offset:offset + size], dtype="<f4")
+    for entry, count in zip(header["tensors"], counts):
+        arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
         tensors[entry["path"]] = arr.reshape(entry["dims"]).copy()
-        offset += size
+        offset += 4 * count
     try:
         config = models.config_from_dict(header["config"])
         models.layer_plan(config)

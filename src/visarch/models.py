@@ -72,6 +72,8 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
     the stem, and a final norm unless a post-norm bottleneck (ending in a norm) is last.
     """
     res = resolution if resolution is not None else config.input_resolution
+    if type(res) is not int:  # a bool is not a resolution
+        raise ShapeError(f"input resolution must be an integer, got {res!r} ({type(res).__name__})")
     if res < 1:
         raise ShapeError(f"input resolution must be >= 1, got {res}")
     if not config.stages:
@@ -197,7 +199,8 @@ def model_forward(model: Model, x, training: bool = False) -> Tensor:
     """Run the network on a square (N, 3, H, H) batch; returns (N, num_classes) logits.
 
     Checks the input, then runs the whole layer_plan, which checks the
-    structure at the input's resolution, through run_plan. Eval
+    structure at the input's resolution, through run_plan. At a resolution
+    other than the config's, every learned table must also keep its shape. Eval
     mode (training=False) runs under tz.no_grad: it records no graph, so its
     logits hold no activations and backward() on a loss built from them
     raises GraphError. Train mode records the graph for backward().
@@ -209,8 +212,25 @@ def model_forward(model: Model, x, training: bool = False) -> Tensor:
     height, width = x.shape[2], x.shape[3]
     if height != width:
         raise ShapeError(f"input must be square, got H={height} W={width}")
+    plan = layer_plan(model.config, resolution=width)
+    if width != model.config.input_resolution:
+        _check_slots(model, plan, width)
     with nullcontext() if training else tz.no_grad():
-        return run_plan(model, layer_plan(model.config, resolution=width), x, 0, training)
+        return run_plan(model, plan, x, 0, training)
+
+
+def _check_slots(model: Model, plan: list[PlanEntry], res: int) -> None:
+    """Raise ShapeError naming the first parameter or buffer whose shape at
+    resolution res differs from the model's (a position table or a relative
+    bias table sized by the resolution the model was built for)."""
+    config = model.config
+    for e in plan:
+        for slot in B.LAYERS[e.kind].params(e, config):
+            held = (model.buffers[slot.path] if slot.init in B.BUFFER_INITS
+                    else model.params[slot.path].data).shape
+            if held != slot.shape:
+                raise ShapeError(f"'{slot.path}' is {held}, built for resolution "
+                                 f"{config.input_resolution}; resolution {res} needs {slot.shape}")
 
 
 # ---------------------------------------------------------------------------

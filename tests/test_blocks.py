@@ -1,6 +1,7 @@
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from visarch import blocks as B
 from visarch import tensor as T
@@ -311,3 +312,28 @@ class TestRowCounting:
         assert by_path["b.attn.relpos"] == 0
         # qkv MACs have no bias term
         assert by_path["b.attn.qkv"] == 49 * 64 * 192
+
+
+def trunc_normal_reference(rng, shape, std):
+    """The direct rejection loop: rescan the whole array after every redraw."""
+    x = rng.normal(0.0, std, size=shape)
+    bad = np.abs(x) > 2 * std
+    while bad.any():
+        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(x) > 2 * std
+    return x
+
+
+class TestTruncNormal:
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (2, 0, 3), (96, 24, 1, 1), (317, 311)])
+    @pytest.mark.parametrize("std", [0.02, 1.0, 1e-3])
+    def test_matches_reference_loop(self, shape, std):
+        # same values, and the generator left in the same state for the next
+        # slot; (317, 311) takes several redraw rounds
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = B.trunc_normal(rng, shape, std)
+        want = trunc_normal_reference(ref_rng, shape, std)
+        assert got.shape == want.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.all(np.abs(got) <= 2 * std)

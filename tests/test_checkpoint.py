@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -26,6 +27,7 @@ from visarch import checkpoint, models
 from visarch.blocks import EmbedSpec
 from visarch.checkpoint import MAGIC, load_bytes, optim_tensors, save_bytes
 from visarch.models import StageSpec
+from visarch.train import AdamW
 
 
 @pytest.fixture(scope="module")
@@ -374,3 +376,70 @@ class TestCorruption:
 
     def test_magic_constant(self, blob):
         assert blob[:4] == MAGIC == b"VSFM"
+
+
+@pytest.fixture(scope="module")
+def adamw_state(model):
+    """AdamW slots for every parameter of model, filled with nonzero values."""
+    optim = AdamW(model.params)
+    rng = np.random.default_rng(5)
+    for slot in (optim.m, optim.v):
+        for p, arr in slot.items():
+            arr[...] = np.abs(rng.normal(size=arr.shape))
+    return optim.state_tensors()
+
+
+def reference_save(model, extra, extra_tensors):
+    """The format written out directly: magic, version, header, the payloads
+    joined in path order, then CRC32 over every preceding byte."""
+    tensors = {f"param.{p}": t.data for p, t in model.params.items()}
+    tensors.update({f"buffer.{p}": arr for p, arr in model.buffers.items()})
+    tensors.update(extra_tensors)
+    paths = sorted(tensors)
+    header = json.dumps({"config": models.config_to_dict(model.config), "extra": extra,
+                         "tensors": [{"path": p, "dims": list(tensors[p].shape)} for p in paths]},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = (b"VSFM" + struct.pack("<H", 4) + struct.pack("<I", len(header)) + header
+            + b"".join(tensors[p].astype("<f4").tobytes() for p in paths))
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestReferenceFormat:
+    def test_save_matches_reference_serializer(self, model, adamw_state):
+        extra = {"seed": 4, "adam_steps": 3}
+        assert save_bytes(model, extra, adamw_state) == reference_save(model, extra, adamw_state)
+
+    def test_loaded_tensors_are_private_and_writable(self, model, adamw_state):
+        blob = save_bytes(model, {}, adamw_state)
+        view = np.frombuffer(blob, np.uint8)
+        loaded = load_bytes(blob)["tensors"]
+        assert len(loaded) == len(model.params) + len(model.buffers) + len(adamw_state)
+        for arr in loaded.values():
+            assert arr.flags.writeable and arr.flags.owndata
+            assert not np.shares_memory(arr, view)
+
+
+def traced_peak(fn, *args):
+    """(bytes traced at the peak while fn(*args) runs, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """A save or a load copies each payload once, so its traced peak stays near
+    the payload's size; one more full copy would double it."""
+
+    def test_save_peak(self, model, adamw_state):
+        peak, blob = traced_peak(save_bytes, model, {}, adamw_state)
+        payload = sum(a.nbytes for a in load_bytes(blob)["tensors"].values())
+        assert peak <= 1.25 * payload
+
+    def test_load_peak(self, model, adamw_state):
+        blob = save_bytes(model, {}, adamw_state)
+        peak, loaded = traced_peak(load_bytes, blob)
+        payload = sum(a.nbytes for a in loaded["tensors"].values())
+        assert peak <= 1.25 * payload

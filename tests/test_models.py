@@ -338,6 +338,12 @@ class TestPlan:
         with pytest.raises(ShapeError, match=f"input resolution must be >= 1, got {res}"):
             complexity_report(preset(name), res)
 
+    @pytest.mark.parametrize("res", [32.0, True, "32"])
+    def test_resolution_must_be_an_integer(self, res):
+        # 32.0 would give float shapes, and True would be read as 1
+        with pytest.raises(ShapeError, match=re.escape(f"must be an integer, got {res!r}")):
+            shape_table(preset("deit_s"), res)
+
     @pytest.mark.parametrize("error,make,match", [r[1:] for r in REJECTED],
                              ids=[r[0] for r in REJECTED])
     def test_rejects_config_that_cannot_run(self, error, make, match):
@@ -477,6 +483,24 @@ class TestForward:
     def test_rejects_non_square(self, model, h, w):
         with pytest.raises(ShapeError, match=f"H={h} W={w}"):
             model_forward(model, np.zeros((1, 3, h, w), np.float32))
+
+    @pytest.mark.parametrize("name,table,held,needed", [
+        ("visformer_ti-micro", "s0.pos", (24, 4, 4), (24, 8, 8)),
+        ("deit_s-micro", "s0.pos", (96, 5, 1), (96, 17, 1)),
+        ("visformer_v2_ti-micro", "s2.b0.attn.relpos", (9, 3), (49, 3)),
+    ])
+    def test_other_resolution_names_the_learned_table(self, name, table, held, needed):
+        # a table sized at build time cannot run at 64: say which, not a numpy broadcast error
+        model = build(preset(name), seed=0)
+        with pytest.raises(ShapeError, match=re.escape(
+                f"'{table}' is {held}, built for resolution 32; resolution 64 needs {needed}")):
+            model_forward(model, np.zeros((1, 3, 64, 64), np.float32))
+
+    def test_other_resolution_runs_without_learned_tables(self):
+        model = build(preset("resnet50_shape-micro"), seed=0)
+        x = np.random.default_rng(4).normal(size=(2, 3, 64, 64)).astype(np.float32)
+        out = model_forward(model, x)
+        assert out.data.shape == (2, 10) and np.all(np.isfinite(out.data))
 
     @pytest.mark.parametrize("name", ["deit_s-micro", "net4-micro",
                                       "resnet50_shape-micro",
