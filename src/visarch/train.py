@@ -46,6 +46,9 @@ class TrainConfig:
         check_fields(self, "train config")
         if self.momentum >= 1.0:
             raise ValueError(f"bad train config: momentum must be < 1, got {self.momentum}")
+        if self.lr_floor > self.base_lr:  # the cosine schedule would rise
+            raise ValueError(f"bad train config: lr_floor must be <= base_lr, got "
+                             f"lr_floor {self.lr_floor} > base_lr {self.base_lr}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -77,23 +80,36 @@ def cosine_lr(config: TrainConfig, epoch: int) -> float:
 
 class _SlotState:
     """Per-parameter optimizer state: each name in slots is an attribute holding
-    {parameter path: array}, saved in checkpoints as optim.<path>.<slot>."""
+    {parameter path: array}, saved in checkpoints as optim.<path>.<slot>.
+
+    Each slot is filled once: with zeros for a fresh run, or, from a resume
+    state's tensors, with a private copy of optim.<path>.<slot>, which must
+    have the parameter's shape and be finite, and >= 0 in a nonnegative slot.
+    A stored optim.* tensor that is none of this optimizer's slots (another
+    optimizer's state) raises CheckpointError."""
 
     slots: tuple = ()
     nonnegative: tuple = ()  # slots that hold a sum of squares
+
+    def __init__(self, store: ParamStore, state: dict | None = None):
+        self.store = store
+        if state is not None:
+            known = {f"optim.{p}.{s}" for s in self.slots for p in store.paths()}
+            for key in state["tensors"]:
+                if key.startswith("optim.") and key not in known:
+                    raise CheckpointError(f"checkpoint has '{key}', which {self.name} "
+                                          "does not keep")
+        for s in self.slots:
+            setattr(self, s, {p: np.zeros_like(t.data) if state is None else
+                              stored_state(state["tensors"], f"optim.{p}.{s}", t.data.shape,
+                                           s in self.nonnegative).copy()
+                              for p, t in store.items()})
 
     def state_tensors(self) -> dict:
         return {f"optim.{p}.{s}": arr for s in self.slots for p, arr in getattr(self, s).items()}
 
     def scalar_state(self) -> dict:
         return {}
-
-    def load_state(self, tensors: dict, scalars: dict) -> None:
-        for s in self.slots:
-            state = getattr(self, s)
-            for p, arr in state.items():
-                state[p] = stored_state(tensors, f"optim.{p}.{s}", arr.shape,
-                                        s in self.nonnegative).copy()
 
 
 class SGDMomentum(_SlotState):
@@ -103,11 +119,10 @@ class SGDMomentum(_SlotState):
     slots = ("v",)
 
     def __init__(self, store: ParamStore, momentum: float = 0.9,
-                 weight_decay: float = 0.0):
-        self.store = store
+                 weight_decay: float = 0.0, *, state: dict | None = None):
+        super().__init__(store, state)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.v = {p: np.zeros_like(t.data) for p, t in store.items()}
 
     def step(self, lr: float) -> None:
         for path, t in self.store.items():
@@ -121,21 +136,22 @@ class SGDMomentum(_SlotState):
 
 
 class AdamW(_SlotState):
-    """Adam with decoupled weight decay."""
+    """Adam with decoupled weight decay; a resume state also carries the step
+    count, scalars["adam_steps"], an integer >= 0."""
 
     name = "adamw"
     slots = ("m", "v")
     nonnegative = ("v",)
 
     def __init__(self, store: ParamStore, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        self.store = store
+                 weight_decay: float = 0.0, *, state: dict | None = None):
+        super().__init__(store, state)
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.steps = 0
-        self.m = {p: np.zeros_like(t.data) for p, t in store.items()}
-        self.v = {p: np.zeros_like(t.data) for p, t in store.items()}
+        self.steps = 0 if state is None else stored_int(state["scalars"], "adam_steps")
+        if self.steps < 0:
+            raise CheckpointError(f"checkpoint extra 'adam_steps' must be >= 0, got {self.steps}")
 
     def step(self, lr: float) -> None:
         self.steps += 1
@@ -158,18 +174,13 @@ class AdamW(_SlotState):
     def scalar_state(self) -> dict:
         return {"adam_steps": self.steps}
 
-    def load_state(self, tensors: dict, scalars: dict) -> None:
-        steps = stored_int(scalars, "adam_steps")
-        if steps < 0:
-            raise CheckpointError(f"checkpoint extra 'adam_steps' must be >= 0, got {steps}")
-        self.steps = steps
-        super().load_state(tensors, scalars)
 
-
-def make_optimizer(config: TrainConfig, store: ParamStore):
+def make_optimizer(config: TrainConfig, store: ParamStore, state: dict | None = None):
+    """The config's optimizer over store, fresh, or resumed from state's
+    {tensors, scalars} (a train resume_state) as _SlotState describes."""
     if config.optimizer == "sgd_momentum":
-        return SGDMomentum(store, config.momentum, config.weight_decay)
-    return AdamW(store, weight_decay=config.weight_decay)
+        return SGDMomentum(store, config.momentum, config.weight_decay, state=state)
+    return AdamW(store, weight_decay=config.weight_decay, state=state)
 
 
 @dataclass
@@ -180,6 +191,14 @@ class TrainResult:
     losses: list = field(default_factory=list)
     accuracies: list = field(default_factory=list)
     last_epoch: int = -1
+
+
+def _check_count(name: str, value, floor: int) -> None:
+    """Raise ValueError unless value is an integer (a bool is not) >= floor."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r} ({type(value).__name__})")
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value}")
 
 
 def _epoch_rng(config: TrainConfig, epoch: int) -> np.random.Generator:
@@ -196,14 +215,17 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
           log=None) -> TrainResult:
     """Run the loop; returns per-epoch mean loss and train accuracy.
 
-    stop_after (>= 0) interrupts the run after that many total epochs, keeping
-    the full schedule, so a resumed run replays the exact remaining epochs.
-    resume_state carries {model, tensors, scalars} as produced by checkpoint
-    loading; a non-finite forward anywhere aborts with the offending layer
-    path in the exception message.
+    stop_after (an integer >= 0) interrupts the run after that many total
+    epochs, keeping the full schedule, so a resumed run replays the exact
+    remaining epochs. resume_state carries {model, tensors, scalars} as
+    produced by checkpoint loading: the model must be the config's preset,
+    scalars["epoch"] the last epoch run, and the optimizer is built from the
+    tensors and scalars, so state another optimizer saved raises
+    CheckpointError (see _SlotState). A non-finite forward anywhere aborts
+    with the offending layer path in the exception message.
     """
-    if stop_after is not None and stop_after < 0:
-        raise ValueError(f"stop_after must be >= 0, got {stop_after}")
+    if stop_after is not None:
+        _check_count("stop_after", stop_after, 0)
     model_cfg = models.preset(config.preset)
     if dataset is None:
         dataset = default_dataset(config, model_cfg.input_resolution)
@@ -212,20 +234,18 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
                          f"'{config.preset}' outputs {model_cfg.num_classes}")
     if resume_state is None:
         model = models.build(model_cfg, seed=config.seed)
-        optim = make_optimizer(config, model.params)
         start_epoch = 0
     else:
         model = resume_state["model"]
         if model.config != model_cfg:
             raise CheckpointError(f"checkpoint holds a '{model.config.name}' model, but the "
                                   f"train config names preset '{config.preset}'")
-        optim = make_optimizer(config, model.params)
-        optim.load_state(resume_state["tensors"], resume_state["scalars"])
         epoch = stored_int(resume_state["scalars"], "epoch")
         if not -1 <= epoch < config.epochs:
             raise CheckpointError(f"checkpoint extra 'epoch' must be in -1..{config.epochs - 1}, "
                                   f"got {epoch}")
         start_epoch = epoch + 1
+    optim = make_optimizer(config, model.params, resume_state)
 
     result = TrainResult(config, model, optim, last_epoch=start_epoch - 1)
     end_epoch = config.epochs if stop_after is None else min(stop_after, config.epochs)
@@ -344,17 +364,14 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     others: relu-kink straddles shrink with h, near-zero derivatives need a
     larger h to rise above the rounding-noise floor (which grows as 1/h), and
     a wrong analytic gradient fails at every h. samples_per_param and batch
-    must be >= 1, tolerance a finite number > 0, so a check cannot pass
-    without comparing anything, and seed an integer >= 0.
+    must be integers >= 1, tolerance a finite number > 0, so a check cannot
+    pass without comparing anything, and seed an integer >= 0.
     """
-    if samples_per_param < 1:
-        raise ValueError(f"samples_per_param must be >= 1, got {samples_per_param}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
+    _check_count("samples_per_param", samples_per_param, 1)
+    _check_count("batch", batch, 1)
+    _check_count("seed", seed, 0)
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     cfg = models.preset(preset_name)
     model = models.build(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(123)

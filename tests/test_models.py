@@ -220,7 +220,8 @@ class TestFieldRules:
     def test_floor_itself_is_valid(self):
         replace(VALID["embedding spec"](), stride=1)
         replace(VALID["model config"](), stem=0)
-        replace(VALID["train config"](), base_lr=0.0, seed=0, data_per_class=1)
+        replace(VALID["train config"](), base_lr=0.0, lr_floor=0.0, seed=0,
+                data_per_class=1)
 
 
 class TestPresets:

@@ -1,6 +1,7 @@
 """Training loop, optimizers, schedule, and gradient checking."""
 
 import json
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,12 @@ def param_bytes(model):
     return b"".join(t.data.tobytes() for _, t in model.params.items())
 
 
+def resume_state_of(result):
+    """The resume_state a checkpoint of a stopped train() result gives."""
+    return {"model": result.model, "tensors": result.optimizer.state_tensors(),
+            "scalars": {"epoch": result.last_epoch, **result.optimizer.scalar_state()}}
+
+
 class TestConfig:
     def test_json_round_trip(self):
         cfg = tiny_config(flip=True, crop_pad=2)
@@ -69,6 +76,7 @@ class TestConfig:
         dict(data_seed=-1),
         dict(crop_pad=-1),
         dict(momentum=1.0),
+        dict(lr_floor=0.5, base_lr=0.1),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
@@ -199,8 +207,7 @@ class TestOptimizerState:
         opt = self.make(cls)
         saved = opt.state_tensors()
         assert set(saved) == {f"optim.{p}.{s}" for p in ("a.w", "b") for s in slots}
-        fresh = cls(opt.store)
-        fresh.load_state(saved, opt.scalar_state())
+        fresh = cls(opt.store, state={"tensors": saved, "scalars": opt.scalar_state()})
         assert fresh.scalar_state() == opt.scalar_state()
         for key, arr in fresh.state_tensors().items():
             assert arr.tobytes() == saved[key].tobytes()
@@ -218,7 +225,7 @@ class TestOptimizerState:
         else:
             saved["optim.a.w.v"] = np.array([[1.0, float(edit)]])
         with pytest.raises(CheckpointError, match=r"'optim\.a\.w\.v'"):
-            cls(opt.store).load_state(saved, opt.scalar_state())
+            cls(opt.store, state={"tensors": saved, "scalars": opt.scalar_state()})
 
     def test_adamw_second_moment_must_not_be_negative(self):
         # before, the next step's sqrt(v) made the parameter NaN
@@ -226,31 +233,39 @@ class TestOptimizerState:
         saved = opt.state_tensors()
         saved["optim.b.v"] = np.array([-1e-6])
         with pytest.raises(CheckpointError, match=r"'optim\.b\.v' holds a negative value"):
-            AdamW(opt.store).load_state(saved, opt.scalar_state())
+            AdamW(opt.store, state={"tensors": saved, "scalars": opt.scalar_state()})
 
     def test_sgd_momentum_may_be_negative(self):
         opt = self.make(SGDMomentum)
         saved = opt.state_tensors()
         saved["optim.b.v"] = np.array([-1.0])
-        fresh = SGDMomentum(opt.store)
-        fresh.load_state(saved, {})
+        fresh = SGDMomentum(opt.store, state={"tensors": saved, "scalars": {}})
         assert fresh.v["b"][0] == -1.0
+
+    def test_another_optimizers_slot_is_rejected(self):
+        opt = self.make(AdamW)
+        with pytest.raises(CheckpointError, match=r"checkpoint has 'optim\.a\.w\.m', "
+                                                  "which sgd_momentum does not keep"):
+            SGDMomentum(opt.store, state={"tensors": opt.state_tensors(),
+                                          "scalars": opt.scalar_state()})
 
     def test_adamw_needs_its_step_count(self):
         opt = self.make(AdamW)
         with pytest.raises(CheckpointError, match="adam_steps"):
-            AdamW(opt.store).load_state(opt.state_tensors(), {})
+            AdamW(opt.store, state={"tensors": opt.state_tensors(), "scalars": {}})
 
     @pytest.mark.parametrize("steps", [None, "1", 1.0, 1.5, True, [1]])
     def test_adamw_step_count_must_be_an_integer(self, steps):
         opt = self.make(AdamW)
         with pytest.raises(CheckpointError, match="'adam_steps'"):
-            AdamW(opt.store).load_state(opt.state_tensors(), {"adam_steps": steps})
+            AdamW(opt.store, state={"tensors": opt.state_tensors(),
+                                    "scalars": {"adam_steps": steps}})
 
     def test_adamw_step_count_must_not_be_negative(self):
         opt = self.make(AdamW)
         with pytest.raises(CheckpointError, match="'adam_steps' must be >= 0, got -4"):
-            AdamW(opt.store).load_state(opt.state_tensors(), {"adam_steps": -4})
+            AdamW(opt.store, state={"tensors": opt.state_tensors(),
+                                    "scalars": {"adam_steps": -4}})
 
 
 class TestLoop:
@@ -274,7 +289,7 @@ class TestLoop:
         assert a.accuracies == b.accuracies
         assert param_bytes(a.model) == param_bytes(b.model)
 
-    @pytest.mark.parametrize("optimizer", ["sgd_momentum", "adamw"])
+    @pytest.mark.parametrize("optimizer", TrainConfig.CHOICES["optimizer"])
     def test_interrupt_and_resume_matches_straight_run(self, optimizer):
         cfg = tiny_config(optimizer=optimizer, base_lr=0.05)
         ds = tiny_dataset()
@@ -282,17 +297,19 @@ class TestLoop:
 
         partial = train(cfg, ds, stop_after=1)
         assert len(partial.losses) == 1
-        state = {
-            "model": partial.model,
-            "tensors": partial.optimizer.state_tensors(),
-            "scalars": {"epoch": partial.last_epoch,
-                        **partial.optimizer.scalar_state()},
-        }
-        resumed = train(cfg, ds, resume_state=state)
+        resumed = train(cfg, ds, resume_state=resume_state_of(partial))
         assert partial.losses + resumed.losses == full.losses
         assert param_bytes(resumed.model) == param_bytes(full.model)
         for k, v in resumed.model.buffers.items():
             assert v.tobytes() == full.model.buffers[k].tobytes()
+
+    @pytest.mark.parametrize("saved,resumed", permutations(TrainConfig.CHOICES["optimizer"], 2))
+    def test_resume_under_another_optimizer_raises(self, saved, resumed):
+        # before, sgd_momentum took AdamW's second moment as its momentum and ran on
+        ds = tiny_dataset()
+        partial = train(tiny_config(optimizer=saved), ds, stop_after=1)
+        with pytest.raises(CheckpointError, match=r"'optim\.[^']+'"):
+            train(tiny_config(optimizer=resumed), ds, resume_state=resume_state_of(partial))
 
     @pytest.mark.parametrize("epoch", ["0", 0.5, True, None])
     def test_resume_epoch_must_be_an_integer(self, epoch):
@@ -333,9 +350,11 @@ class TestLoop:
         assert (r.losses, r.last_epoch) == ([], -1)
         assert param_bytes(r.model) == param_bytes(build(preset(cfg.preset), seed=cfg.seed))
 
-    def test_negative_stop_after_rejected(self):
-        with pytest.raises(ValueError, match="stop_after must be >= 0, got -3"):
-            train(tiny_config(), tiny_dataset(), stop_after=-3)
+    @pytest.mark.parametrize("stop_after,rule", [
+        (-3, ">= 0, got -3"), (1.5, "an integer, got 1.5"), (True, "an integer, got True")])
+    def test_negative_stop_after_rejected(self, stop_after, rule):
+        with pytest.raises(ValueError, match=f"stop_after must be {rule}"):
+            train(tiny_config(), tiny_dataset(), stop_after=stop_after)
 
     def test_rejects_dataset_with_too_many_classes(self):
         ds = synth_dataset(12, 1, 32, seed=0)
@@ -394,7 +413,8 @@ class TestGradcheck:
         assert worst.rel > 0.01
 
     @pytest.mark.parametrize("name,value", [
-        ("samples_per_param", 0), ("samples_per_param", -1), ("batch", 0), ("batch", -2),
+        ("samples_per_param", 0), ("samples_per_param", -1), ("samples_per_param", 1.5),
+        ("samples_per_param", True), ("batch", 0), ("batch", -2), ("batch", 2.5), ("batch", True),
         ("tolerance", 0.0), ("tolerance", -1e-4), ("tolerance", float("nan")),
         ("tolerance", float("inf")), ("seed", -1), ("seed", 1.5), ("seed", True),
     ])
