@@ -60,9 +60,9 @@ class ComplexityReport:
 
 
 def complexity_report(config: ModelConfig, resolution: int | None = None) -> ComplexityReport:
-    res = resolution if resolution is not None else config.input_resolution
-    rows = [r for e in layer_plan(config, resolution=res) for r in B.LAYERS[e.kind].rows(e, config)]
-    return ComplexityReport(config.name, res, rows)
+    plan = layer_plan(config, resolution=resolution)
+    rows = [r for e in plan for r in B.LAYERS[e.kind].rows(e, config)]
+    return ComplexityReport(config.name, plan[0].in_shape[-1], rows)  # the checked resolution
 
 
 def count_params(config: ModelConfig) -> int:

@@ -18,7 +18,7 @@ from . import analysis, checkpoint, models
 from .fp16 import compare_modes, scores_f16
 from .attention import DEFAULT_PB_RELAX_ALPHA, SCORE_MODES
 from .blocks import LAYERS
-from .tensor import NonFiniteError, ShapeError
+from .tensor import NonFiniteError, ShapeError, check_count
 from .train import TrainConfig, gradcheck, train
 
 
@@ -61,8 +61,10 @@ def cmd_train(args) -> int:
                 f"{args.resume} holds no train_config, so it cannot be resumed")
         saved = TrainConfig.from_dict(loaded["extra"]["train_config"])
         if saved != config:
-            print("resume checkpoint was written by a different train config",
-                  file=sys.stderr)
+            old = asdict(saved)
+            diff = ", ".join(f"{k} {v} != {old[k]}" for k, v in asdict(config).items() if v != old[k])
+            print(f"resume checkpoint was written by a different train config "
+                  f"(this one vs the checkpoint's): {diff}", file=sys.stderr)
             return 1
         resume_state = {
             "model": checkpoint.model_from_checkpoint(loaded),
@@ -98,10 +100,9 @@ def _report_text(rep) -> str:
 
 
 def cmd_fp16(args) -> int:
-    for flag, value in (("--d", args.d), ("--tokens", args.tokens)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
-    rng = np.random.default_rng(args.seed)
+    check_count("--d", args.d, 1)
+    check_count("--tokens", args.tokens, 1)
+    rng = np.random.default_rng(check_count("--seed", args.seed, 0))
     if args.random:
         q = rng.uniform(-args.mag, args.mag, (args.tokens, args.d))
         k = rng.uniform(-args.mag, args.mag, (args.tokens, args.d))

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import check_count
+
 MARK_GAIN = 0.15
 NOISE_SIGMA = 0.25
 
@@ -66,8 +68,10 @@ def _smooth_marks(classes: int, resolution: int) -> list:
 def synth_dataset(classes: int, samples_per_class: int, resolution: int,
                   seed: int) -> Dataset:
     """Deterministic balanced dataset of per-class frequency/phase textures."""
-    if classes < 2 or samples_per_class < 1 or resolution < 4:
-        raise ValueError("need classes >= 2, samples_per_class >= 1, resolution >= 4")
+    classes = check_count("classes", classes, 2)
+    samples_per_class = check_count("samples_per_class", samples_per_class, 1)
+    resolution = check_count("resolution", resolution, 4)
+    seed = check_count("seed", seed, 0)
     rng = np.random.default_rng(np.random.PCG64(seed))
     n = classes * samples_per_class
     grid = np.linspace(0.0, 1.0, resolution)

@@ -71,11 +71,8 @@ def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanE
     It also works out what no config holds: a stem pool when no embedding follows
     the stem, and a final norm unless a post-norm bottleneck (ending in a norm) is last.
     """
-    res = resolution if resolution is not None else config.input_resolution
-    if type(res) is not int:  # a bool is not a resolution
-        raise ShapeError(f"input resolution must be an integer, got {res!r} ({type(res).__name__})")
-    if res < 1:
-        raise ShapeError(f"input resolution must be >= 1, got {res}")
+    res = config.input_resolution if resolution is None else resolution
+    res = tz.check_count("input resolution", res, 1, ShapeError)
     if not config.stages:
         raise ShapeError("a model needs at least one stage")
     tokens_mode = config.head_mode == "cls_token"
@@ -174,6 +171,7 @@ def model_slots(config: ModelConfig) -> list:
 
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
     """Allocate and initialize all parameters; identical seeds give identical bits."""
+    seed = tz.check_count("seed", seed, 0, ShapeError)
     rng = np.random.default_rng(np.random.PCG64(seed))
     params, buffers = B.allocate(model_slots(config), lambda s: B.draw(rng, s), dtype)
     return Model(config, params, buffers, np.dtype(dtype), seed)
@@ -207,6 +205,8 @@ def model_forward(model: Model, x, training: bool = False) -> Tensor:
     """
     if isinstance(x, np.ndarray):
         x = Tensor(x.astype(model.dtype, copy=False))
+    elif not isinstance(x, Tensor):
+        raise ShapeError(f"input must be an ndarray or a Tensor, got {type(x).__name__}")
     if len(x.shape) != 4 or x.shape[1] != 3 or x.shape[0] < 1:
         raise ShapeError(f"input must be (N, 3, H, W) with N >= 1, got {x.shape}")
     height, width = x.shape[2], x.shape[3]

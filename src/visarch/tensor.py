@@ -9,9 +9,10 @@ Gradients accumulate into leaf .grad across backward() calls until cleared.
 requires_grad is the one needs-a-gradient test: leaves (ParamStore entries)
 set it, and every recorded node, the only kind with a _backward, has it.
 
-conv2d and max_pool2d share one window rule: out_size (which layer_plan also
-uses for every spatial shape, and which rejects a stride below 1 or a negative
-padding), one gather over a padded (C, H, W, n) map and its adjoint scatter.
+check_count is the package's one rule for an integer argument. conv2d and
+max_pool2d share one window rule: out_size (which layer_plan also uses for every
+spatial shape, and which check_counts the stride and padding), one gather over
+a padded (C, H, W, n) map and its adjoint scatter.
 conv2d runs a 1x1, unpadded, ungrouped kernel as one channel GEMM on NCHW.
 Every other kernel runs in batch tiles, each as many images as keep its im2col
 under _TILE_BYTES: the tile is copied with the batch axis innermost, so each
@@ -105,9 +106,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -388,13 +386,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _result("linear", data, parents, bwd)
 
 
+def check_count(name: str, value, floor: int, error=ValueError) -> int:
+    """value as a Python int if it is an int or numpy integer (a bool is not) >= floor,
+    else raise `error` naming it. A plain int skips the isinstance tests (hot in out_size)."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, np.integer):
+            raise error(f"{name} must be an integer, got {value!r} ({type(value).__name__})")
+        value = int(value)
+    if value < floor:
+        raise error(f"{name} must be >= {floor}, got {value}")
+    return value
+
+
 def out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Positions a kernel-wide window visits sliding by stride over size cells
-    padded at both ends: the output size of conv2d, max_pool2d and layer_plan."""
-    if stride < 1:
-        raise ShapeError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ShapeError(f"padding must be >= 0, got {padding}")
+    padded at both ends: the output size of conv2d, max_pool2d and layer_plan.
+    stride (>= 1) and padding (>= 0) go through check_count."""
+    stride = check_count("stride", stride, 1, ShapeError)
+    padding = check_count("padding", padding, 0, ShapeError)
     if size + 2 * padding < kernel:
         raise ShapeError(f"kernel {kernel} larger than padded input {size + 2 * padding}")
     return (size + 2 * padding - kernel) // stride + 1
@@ -484,18 +493,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
         raise ShapeError(f"conv2d expects rank-4 input and weight, got {xd.shape}, {wd.shape}")
     N, Cin, H, W = xd.shape
     Cout, Cpg, kh, kw = wd.shape
-    if groups < 1:
-        raise ShapeError(f"groups must be >= 1, got {groups}")
+    groups = check_count("groups", groups, 1, ShapeError)
     if Cin % groups or Cout % groups:
         raise ShapeError(f"channels ({Cin} in, {Cout} out) not divisible by groups={groups}")
     if Cpg != Cin // groups:
         raise ShapeError(f"weight expects {Cpg * groups} input channels, got {Cin} (groups={groups})")
     if b is not None and b.shape != (Cout,):
         raise ShapeError(f"conv2d bias must be ({Cout},), got {b.shape}")
-    s, p = int(stride), int(padding)
-    Ho, Wo = out_size(H, kh, s, p), out_size(W, kw, s, p)
-    if kh == kw == 1 and p == 0 and groups == 1:
-        return _channel_gemm(x, w, b, s)
+    Ho, Wo = out_size(H, kh, stride, padding), out_size(W, kw, stride, padding)
+    if kh == kw == 1 and padding == 0 and groups == 1:
+        return _channel_gemm(x, w, b, stride)
     G, opg = groups, Cout // groups
     wg = wd.reshape(G, opg, -1)
     step = max(1, _TILE_BYTES // (Cin * kh * kw * Ho * Wo * xd.itemsize))
@@ -506,7 +513,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     cols = []
     for a, z in tiles:
         # cols[g] is group g's im2col matrix, one row per (channel, ki, kj)
-        win = _windows(_padded(xd[a:z].transpose(1, 2, 3, 0), p, 0.0), kh, kw, s, Ho, Wo)
+        win = _windows(_padded(xd[a:z].transpose(1, 2, 3, 0), padding, 0.0), kh, kw, stride, Ho, Wo)
         c = np.ascontiguousarray(win.reshape(G, Cpg, Ho, Wo, z - a, kh, kw)
                                  .transpose(0, 1, 5, 6, 2, 3, 4)).reshape(G, -1, Ho * Wo * (z - a))
         if z - a == 1:
@@ -529,7 +536,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
             if dx is not None:
                 dwin = ((wg.transpose(0, 2, 1) @ d).reshape(Cin, kh, kw, Ho, Wo, z - a)
                         .transpose(0, 3, 4, 5, 1, 2))
-                dx[a:z] = _scatter_windows(dwin, H, W, s, p).transpose(3, 0, 1, 2)
+                dx[a:z] = _scatter_windows(dwin, H, W, stride, padding).transpose(3, 0, 1, 2)
         dw = dw.reshape(wd.shape)
         if b is None:
             return dx, dw
@@ -546,10 +553,10 @@ def max_pool2d(x: Tensor, *, kernel: int = 3, stride: int = 2, padding: int = 1)
     if xd.ndim != 4:
         raise ShapeError(f"max_pool2d expects rank-4 input, got {xd.shape}")
     N, C, H, W = xd.shape
-    k, s, p = int(kernel), int(stride), int(padding)
+    k, s, p = check_count("kernel", kernel, 1, ShapeError), stride, padding
+    Ho, Wo = out_size(H, k, s, p), out_size(W, k, s, p)
     if p >= k:
         raise ShapeError("max_pool2d padding must be smaller than the kernel")
-    Ho, Wo = out_size(H, k, s, p), out_size(W, k, s, p)
 
     def windows():
         return _windows(_padded(xd.reshape(N * C, H, W, 1), p, -np.inf), k, k, s, Ho, Wo)

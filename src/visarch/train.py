@@ -17,7 +17,7 @@ from . import models
 from .checkpoint import CheckpointError, stored_int, stored_state
 from .data import Dataset, augment_batch, synth_dataset
 from .blocks import BUFFER_INITS, LAYERS, check_fields
-from .tensor import ParamStore, Tensor, backward, cross_entropy, finite_diff_grad, no_grad
+from .tensor import ParamStore, Tensor, backward, check_count, cross_entropy, finite_diff_grad, no_grad
 
 REFERENCE_BATCH = 512
 
@@ -193,21 +193,8 @@ class TrainResult:
     last_epoch: int = -1
 
 
-def _check_count(name: str, value, floor: int) -> None:
-    """Raise ValueError unless value is an integer (a bool is not) >= floor."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r} ({type(value).__name__})")
-    if value < floor:
-        raise ValueError(f"{name} must be >= {floor}, got {value}")
-
-
 def _epoch_rng(config: TrainConfig, epoch: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, epoch, 0xDA7A])
-
-
-def default_dataset(config: TrainConfig, resolution: int) -> Dataset:
-    return synth_dataset(config.data_classes, config.data_per_class,
-                         resolution, config.data_seed)
 
 
 def train(config: TrainConfig, dataset: Dataset | None = None, *,
@@ -225,10 +212,11 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
     with the offending layer path in the exception message.
     """
     if stop_after is not None:
-        _check_count("stop_after", stop_after, 0)
+        stop_after = check_count("stop_after", stop_after, 0)
     model_cfg = models.preset(config.preset)
     if dataset is None:
-        dataset = default_dataset(config, model_cfg.input_resolution)
+        dataset = synth_dataset(config.data_classes, config.data_per_class,
+                                model_cfg.input_resolution, config.data_seed)
     if dataset.num_classes > model_cfg.num_classes:
         raise ValueError(f"dataset has {dataset.num_classes} classes but "
                          f"'{config.preset}' outputs {model_cfg.num_classes}")
@@ -367,9 +355,8 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     must be integers >= 1, tolerance a finite number > 0, so a check cannot
     pass without comparing anything, and seed an integer >= 0.
     """
-    _check_count("samples_per_param", samples_per_param, 1)
-    _check_count("batch", batch, 1)
-    _check_count("seed", seed, 0)
+    samples_per_param = check_count("samples_per_param", samples_per_param, 1)
+    batch = check_count("batch", batch, 1)
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
     cfg = models.preset(preset_name)

@@ -1,0 +1,141 @@
+"""The one rule for integer arguments (tensor.check_count) at every entry point."""
+
+import hashlib
+import io
+import json
+import re
+from contextlib import redirect_stdout
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from visarch import (
+    TrainConfig,
+    build,
+    complexity_report,
+    gradcheck,
+    layer_plan,
+    preset,
+    synth_dataset,
+    train,
+)
+from visarch import tensor as T
+from visarch.cli import build_parser, cmd_fp16
+from visarch.tensor import ShapeError, Tensor
+
+
+def fp16(*argv, d=None, tokens=None):
+    """Run `visarch fp16` on argv, its --d and --tokens replaced if given; its stdout."""
+    args = build_parser().parse_args(["fp16", "--mag", "1", "--json", *argv])
+    args.d = args.d if d is None else d
+    args.tokens = args.tokens if tokens is None else tokens
+    with redirect_stdout(io.StringIO()) as out:
+        cmd_fp16(args)
+    return out.getvalue()
+
+
+# (id, call, error, message): each failed with a bare numpy/Python error or
+# ran on a silently wrong value before the rule
+REJECTED = [
+    ("build-seed-1.5", lambda: build(preset("deit_s-micro"), seed=1.5), ShapeError,
+     "seed must be an integer, got 1.5 (float)"),
+    ("build-seed--1", lambda: build(preset("deit_s-micro"), seed=-1), ShapeError,
+     "seed must be >= 0, got -1"),
+    ("build-seed-True", lambda: build(preset("deit_s-micro"), seed=True), ShapeError,
+     "seed must be an integer, got True (bool)"),
+    ("synth-classes-1", lambda: synth_dataset(1, 5, 8, 0), ValueError, "classes must be >= 2, got 1"),
+    ("synth-per-class-2.5", lambda: synth_dataset(10, 2.5, 32, 0), ValueError,
+     "samples_per_class must be an integer, got 2.5 (float)"),
+    ("synth-per-class-0", lambda: synth_dataset(3, 0, 8, 0), ValueError,
+     "samples_per_class must be >= 1, got 0"),
+    ("synth-resolution-3", lambda: synth_dataset(3, 5, 3, 0), ValueError,
+     "resolution must be >= 4, got 3"),
+    ("synth-resolution-8.0", lambda: synth_dataset(3, 5, 8.0, 0), ValueError,
+     "resolution must be an integer, got 8.0 (float)"),
+    ("synth-seed--1", lambda: synth_dataset(10, 2, 32, -1), ValueError, "seed must be >= 0, got -1"),
+    ("gradcheck-batch-float64", lambda: gradcheck("deit_s-micro", batch=np.float64(2.0)),
+     ValueError, "batch must be an integer, got np.float64(2.0) (float64)"),
+    ("gradcheck-seed--1", lambda: gradcheck("deit_s-micro", seed=-1), ShapeError,
+     "seed must be >= 0, got -1"),
+    ("fp16-d-float", lambda: fp16("--d", "4", d=4.0), ValueError,
+     "--d must be an integer, got 4.0 (float)"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", [r[1:] for r in REJECTED],
+                         ids=[r[0] for r in REJECTED])
+def test_rejects_argument_naming_it(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+        call()
+    assert caught.type is error
+
+
+def as_json(result) -> str:
+    """result as JSON text, arrays as nested lists; a numpy scalar raises TypeError."""
+    def arrays(a):
+        if isinstance(a, np.ndarray):
+            return a.tolist()
+        raise TypeError(f"{type(a).__name__} is not JSON serializable")
+    return json.dumps(result, default=arrays)
+
+
+def digest(model) -> str:
+    h = hashlib.sha256()
+    for _, t in model.params.items():
+        h.update(t.data.tobytes())
+    return h.hexdigest()
+
+
+def conv(n):
+    rng = np.random.default_rng(0)
+    x, w = Tensor(rng.normal(size=(2, 4, 7, 7))), Tensor(rng.normal(size=(4, 2, 3, 3)))
+    out = T.conv2d(x, w, stride=n(2), padding=n(1), groups=n(2))
+    gemm = T.conv2d(x, Tensor(rng.normal(size=(3, 4, 1, 1))), stride=n(2))
+    return [out.shape, out.data, gemm.shape, gemm.data]
+
+
+def pool(n):
+    x = Tensor(np.random.default_rng(1).normal(size=(1, 2, 7, 7)))
+    out = T.max_pool2d(x, kernel=n(3), stride=n(2), padding=n(1))
+    return [out.shape, out.data]
+
+
+def built(n):
+    model = build(preset("deit_s-micro"), seed=n(5))
+    return [model.seed, digest(model)]
+
+
+def run_train(n):
+    config = TrainConfig(preset="visformer_ti-micro", epochs=2, batch_size=16,
+                         data_classes=4, data_per_class=4, seed=3)
+    r = train(config, synth_dataset(4, 4, 32, 2), stop_after=n(1))
+    return [r.losses, r.accuracies, r.last_epoch, digest(r.model)]
+
+
+def run_fp16(n):
+    return fp16("--d", "4", "--tokens", "3", d=n(4), tokens=n(3))
+
+
+# every argument site, each integer argument made by the row's n
+SITES = {
+    "out_size": lambda n: T.out_size(7, 3, n(2), n(1)),
+    "conv2d": conv,
+    "max_pool2d": pool,
+    "layer_plan": lambda n: [(e.prefix, e.in_shape, e.out_shape)
+                             for e in layer_plan(preset("visformer_ti-micro"), n(64))],
+    "complexity_report": lambda n: complexity_report(preset("deit_s-micro"), n(32)).to_dict(),
+    "build": built,
+    "synth_dataset": lambda n: asdict(synth_dataset(n(4), n(3), n(8), n(5))),
+    "train": run_train,
+    "gradcheck": lambda n: asdict(gradcheck("deit_s-micro", samples_per_param=n(1),
+                                            batch=n(1), seed=n(2))),
+    "fp16": run_fp16,
+}
+
+
+@pytest.mark.parametrize("site", list(SITES))
+def test_numpy_integer_gives_the_ints_result(site):
+    # a numpy integer is checked, then read as the Python int it holds, so
+    # shapes, rows and reports stay JSON-serializable
+    assert as_json(SITES[site](np.int64)) == as_json(SITES[site](int))

@@ -117,7 +117,8 @@ class TestFp16:
         (["--mag", "nan"], "non-finite"),
         (["--mode", "pb_relax", "--alpha", "0"], "alpha"),
         (["--alpha", "-2"], "alpha"),
-    ], ids=["d0", "tokens0", "tokens-1", "mag-nan", "alpha0", "alpha-2"])
+        (["--random", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    ], ids=["d0", "tokens0", "tokens-1", "mag-nan", "alpha0", "alpha-2", "seed-1"])
     def test_bad_input_exits_1_naming_it(self, capsys, argv, named):
         rc, out, err = run(capsys, "fp16", "--d", "4", "--mag", "1", *argv)
         assert rc == 1
@@ -148,6 +149,7 @@ class TestTrain:
         cap = capsys.readouterr()
         assert rc == 1
         assert "different train config" in cap.err
+        assert "epochs 2 != 1" in cap.err
 
     def test_interrupt_resume_matches_straight_run(self, capsys, tmp_path):
         cfg_path = write_config(tmp_path, epochs=2)

@@ -339,7 +339,7 @@ class TestPlan:
         with pytest.raises(ShapeError, match=f"input resolution must be >= 1, got {res}"):
             complexity_report(preset(name), res)
 
-    @pytest.mark.parametrize("res", [32.0, True, "32"])
+    @pytest.mark.parametrize("res", [32.0, True, "32", np.float64(32.0), np.True_, [32]])
     def test_resolution_must_be_an_integer(self, res):
         # 32.0 would give float shapes, and True would be read as 1
         with pytest.raises(ShapeError, match=re.escape(f"must be an integer, got {res!r}")):
@@ -475,6 +475,14 @@ class TestForward:
         for training in (False, True):
             with pytest.raises(ShapeError, match=re.escape("N >= 1, got (0, 3, 32, 32)")):
                 model_forward(model, np.zeros((0, 3, 32, 32), np.float32), training=training)
+
+    @pytest.mark.parametrize("x,kind", [(np.zeros((1, 3, 32, 32)).tolist(), "list"),
+                                        ((0.0,), "tuple"), (None, "NoneType")],
+                             ids=["list", "tuple", "None"])
+    def test_rejects_input_that_is_not_an_array(self, model, x, kind):
+        # a list was a bare AttributeError on .shape
+        with pytest.raises(ShapeError, match=f"an ndarray or a Tensor, got {kind}$"):
+            model_forward(model, x)
 
     def test_rejects_bad_channels(self, model):
         with pytest.raises(ShapeError, match="3"):

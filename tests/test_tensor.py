@@ -277,8 +277,10 @@ class TestWindowRule:
             T.out_size(size, k, s, p)
 
     # before the rule: a bare ZeroDivisionError (stride 0, groups 0), a bare
-    # numpy ValueError (padding -1), a (1, 2, 1, 1) map (3x3, stride -1), and
-    # stride 1 (1x1, stride 0 or -1)
+    # numpy ValueError (padding -1), a (1, 2, 1, 1) map (3x3, stride -1),
+    # stride 1 (1x1, stride 0 or -1), "weight expects 4.0 input channels"
+    # (groups 2.0), the padding named for kernel 0, and a silent truncation to
+    # int (stride 1.5 or True, padding 1.7, pool kernel 2.9)
     @pytest.mark.parametrize("op,kw,message", [
         ("conv3x3", {"stride": 0}, "stride must be >= 1, got 0"),
         ("pool", {"stride": 0}, "stride must be >= 1, got 0"),
@@ -288,13 +290,21 @@ class TestWindowRule:
         ("conv1x1", {"stride": 0}, "stride must be >= 1, got 0"),
         ("conv1x1", {"stride": -1}, "stride must be >= 1, got -1"),
         ("conv3x3", {"groups": 0}, "groups must be >= 1, got 0"),
+        ("conv3x3", {"stride": 1.5}, "stride must be an integer, got 1.5"),
+        ("conv3x3", {"padding": 1.7}, "padding must be an integer, got 1.7"),
+        ("conv1x1", {"groups": 2.0}, "groups must be an integer, got 2.0"),
+        ("conv1x1", {"stride": True}, "stride must be an integer, got True"),
+        ("pool", {"kernel": 2.9}, "kernel must be an integer, got 2.9"),
+        ("pool", {"kernel": 0}, "kernel must be >= 1, got 0"),
     ], ids=["conv-stride-0", "pool-stride-0", "conv-padding--1", "pool-padding--1",
-            "conv3x3-stride--1", "conv1x1-stride-0", "conv1x1-stride--1", "conv-groups-0"])
+            "conv3x3-stride--1", "conv1x1-stride-0", "conv1x1-stride--1", "conv-groups-0",
+            "conv-stride-1.5", "conv-padding-1.7", "conv-groups-2.0", "conv-stride-True",
+            "pool-kernel-2.9", "pool-kernel-0"])
     def test_ops_reject_bad_stride_and_padding(self, rng, op, kw, message):
         x = Tensor(rng.normal(size=(1, 2, 5, 5)))
         with pytest.raises(ShapeError, match=message):
             if op == "pool":
-                T.max_pool2d(x, kernel=3, **kw)
+                T.max_pool2d(x, **{"kernel": 3, **kw})
             else:
                 k = 3 if op == "conv3x3" else 1
                 T.conv2d(x, Tensor(rng.normal(size=(2, 2, k, k))), **kw)

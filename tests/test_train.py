@@ -351,7 +351,8 @@ class TestLoop:
         assert param_bytes(r.model) == param_bytes(build(preset(cfg.preset), seed=cfg.seed))
 
     @pytest.mark.parametrize("stop_after,rule", [
-        (-3, ">= 0, got -3"), (1.5, "an integer, got 1.5"), (True, "an integer, got True")])
+        (-3, ">= 0, got -3"), (1.5, "an integer, got 1.5"), (True, "an integer, got True"),
+        (np.int64(-1), ">= 0, got -1"), ("2", "an integer, got '2'"), (2.0, "an integer, got 2.0")])
     def test_negative_stop_after_rejected(self, stop_after, rule):
         with pytest.raises(ValueError, match=f"stop_after must be {rule}"):
             train(tiny_config(), tiny_dataset(), stop_after=stop_after)
