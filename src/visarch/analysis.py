@@ -73,12 +73,6 @@ def count_macs(config: ModelConfig, resolution: int | None = None) -> int:
     return complexity_report(config, resolution).total_macs
 
 
-def attention_score_macs(report: ComplexityReport) -> int:
-    """MACs spent on logit and weighted-sum matmuls (the O(T^2) core)."""
-    return sum(m for p, m, _ in report.rows
-               if p.endswith(".attn.scores") or p.endswith(".attn.apply"))
-
-
 def shape_table(config: ModelConfig, resolution: int | None = None) -> list:
     """(path, in_shape, out_shape) per layer, per sample."""
     return [(e.prefix, e.in_shape, e.out_shape)

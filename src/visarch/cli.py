@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .fp16 import compare_modes, scores_f16
 from .attention import DEFAULT_PB_RELAX_ALPHA, SCORE_MODES
 from .blocks import LAYERS
 from .tensor import NonFiniteError, ShapeError, check_count
-from .train import TrainConfig, gradcheck, train
+from .train import TrainConfig, gradcheck, load_run, save_run, train
 
 
 def _fmt_shape(shape) -> str:
@@ -53,33 +52,10 @@ def cmd_flops(args) -> int:
 def cmd_train(args) -> int:
     with open(args.config) as f:
         config = TrainConfig.from_json(f.read())
-    resume_state = None
-    if args.resume:
-        loaded = checkpoint.checkpoint_load(args.resume)
-        if "train_config" not in loaded["extra"]:
-            raise checkpoint.CheckpointError(
-                f"{args.resume} holds no train_config, so it cannot be resumed")
-        saved = TrainConfig.from_dict(loaded["extra"]["train_config"])
-        if saved != config:
-            old = asdict(saved)
-            diff = ", ".join(f"{k} {v} != {old[k]}" for k, v in asdict(config).items() if v != old[k])
-            print(f"resume checkpoint was written by a different train config "
-                  f"(this one vs the checkpoint's): {diff}", file=sys.stderr)
-            return 1
-        resume_state = {
-            "model": checkpoint.model_from_checkpoint(loaded),
-            "tensors": checkpoint.optim_tensors(loaded),
-            "scalars": loaded["extra"],
-        }
-    result = train(config, resume_state=resume_state,
+    result = train(config, resume_state=load_run(args.resume) if args.resume else None,
                    stop_after=args.stop_after, log=print)
-    model = result.model
-    extra = {"seed": config.seed, "epoch": result.last_epoch,
-             "train_config": asdict(config)}
-    extra.update(result.optimizer.scalar_state())
     out = args.out or f"{config.preset}.vsfm"
-    checkpoint.checkpoint_save(model, out, extra=extra,
-                               extra_tensors=result.optimizer.state_tensors())
+    save_run(result, out)
     if result.losses:
         print(f"final loss {result.losses[-1]:.4f}  acc {result.accuracies[-1]:.3f}")
     print(f"saved {out}")

@@ -97,7 +97,9 @@ def synth_dataset(classes: int, samples_per_class: int, resolution: int,
 def augment_batch(images: np.ndarray, rng: np.random.Generator, *,
                   flip: bool = False, crop_pad: int = 0) -> np.ndarray:
     """Horizontal flip (p=0.5 per sample) and random crop from a zero-padded
-    canvas; both off by default so training stays a pure function of the data."""
+    canvas; both off by default so training stays a pure function of the data.
+    crop_pad must be an integer >= 0."""
+    crop_pad = check_count("crop_pad", crop_pad, 0)
     if not flip and crop_pad == 0:
         return images
     out = images.copy()

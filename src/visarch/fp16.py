@@ -55,11 +55,6 @@ def f16_round(x: float) -> F16Sample:
                      underflowed=value == 0.0 and x != 0.0)
 
 
-def f16_decode(bits: int) -> float:
-    """Value of a binary16 bit pattern."""
-    return float(np.uint16(bits).view(np.float16))
-
-
 def _rne16(arr: np.ndarray) -> np.ndarray:
     """Vectorized round-to-nearest binary16, returned as float64 (inf on overflow)."""
     return _cast16(arr).astype(np.float64)

@@ -204,6 +204,8 @@ def model_forward(model: Model, x, training: bool = False) -> Tensor:
     raises GraphError. Train mode records the graph for backward().
     """
     if isinstance(x, np.ndarray):
+        if x.dtype.kind not in "iuf":  # astype drops imaginary parts, reads bools as 0/1
+            raise ShapeError(f"input dtype must be an integer or floating type, got {x.dtype}")
         x = Tensor(x.astype(model.dtype, copy=False))
     elif not isinstance(x, Tensor):
         raise ShapeError(f"input must be an ndarray or a Tensor, got {type(x).__name__}")

@@ -1,8 +1,9 @@
-"""Desk-scale training loop, optimizers, lr schedule, and gradient checking.
+"""Desk-scale training loop, optimizers, lr schedule, resumable runs and gradient checking.
 
 The loop is fully deterministic: every random choice (shuffle order,
 augmentation) comes from a generator seeded by (config seed, epoch index),
 so resuming at epoch k reproduces the exact batches a straight run saw.
+save_run and load_run checkpoint a run; train() resumes one only under its train config.
 """
 
 from __future__ import annotations
@@ -10,11 +11,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 
 import numpy as np
 
 from . import models
-from .checkpoint import CheckpointError, stored_int, stored_state
+from .checkpoint import (CheckpointError, checkpoint_load, checkpoint_save, model_from_checkpoint,
+                         optim_tensors, stored_int, stored_state)
 from .data import Dataset, augment_batch, synth_dataset
 from .blocks import BUFFER_INITS, LAYERS, check_fields
 from .tensor import ParamStore, Tensor, backward, check_count, cross_entropy, finite_diff_grad, no_grad
@@ -204,10 +207,10 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
 
     stop_after (an integer >= 0) interrupts the run after that many total
     epochs, keeping the full schedule, so a resumed run replays the exact
-    remaining epochs. resume_state carries {model, tensors, scalars} as
-    produced by checkpoint loading: the model must be the config's preset,
-    scalars["epoch"] the last epoch run, and the optimizer is built from the
-    tensors and scalars, so state another optimizer saved raises
+    remaining epochs. resume_state is {model, tensors, scalars} from load_run:
+    scalars["train_config"] must be config (checked first), the model its
+    preset, scalars["epoch"] the last epoch run, and the optimizer is built
+    from the tensors and scalars, so state another optimizer saved raises
     CheckpointError (see _SlotState). A non-finite forward anywhere aborts
     with the offending layer path in the exception message.
     """
@@ -224,6 +227,16 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
         model = models.build(model_cfg, seed=config.seed)
         start_epoch = 0
     else:
+        if "train_config" not in resume_state["scalars"]:
+            raise CheckpointError("resume checkpoint holds no train_config, so it cannot be resumed")
+        try:
+            saved = asdict(TrainConfig.from_dict(resume_state["scalars"]["train_config"]))
+        except ValueError as e:
+            raise CheckpointError(f"checkpoint extra 'train_config' is malformed: {e}") from None
+        diff = ", ".join(f"{k} {v} != {saved[k]}" for k, v in asdict(config).items() if v != saved[k])
+        if diff:
+            raise CheckpointError("resume checkpoint was written by a different train config "
+                                  f"(this one vs the checkpoint's): {diff}")
         model = resume_state["model"]
         if model.config != model_cfg:
             raise CheckpointError(f"checkpoint holds a '{model.config.name}' model, but the "
@@ -263,6 +276,20 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
             log(f"epoch {epoch:3d}  lr {lr:.6f}  "
                 f"loss {result.losses[-1]:.4f}  acc {result.accuracies[-1]:.3f}")
     return result
+
+
+def save_run(result: TrainResult, path) -> None:
+    """Checkpoint result's model, optimizer, seed, last epoch and train config."""
+    extra = {"seed": result.config.seed, "epoch": result.last_epoch,
+             "train_config": asdict(result.config), **result.optimizer.scalar_state()}
+    checkpoint_save(result.model, path, extra, result.optimizer.state_tensors())
+
+
+def load_run(path) -> dict:
+    """A save_run checkpoint as the resume state {model, tensors, scalars} train() takes."""
+    loaded = checkpoint_load(path)
+    return {"model": model_from_checkpoint(loaded), "tensors": optim_tensors(loaded),
+            "scalars": loaded["extra"]}
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +379,13 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     others: relu-kink straddles shrink with h, near-zero derivatives need a
     larger h to rise above the rounding-noise floor (which grows as 1/h), and
     a wrong analytic gradient fails at every h. samples_per_param and batch
-    must be integers >= 1, tolerance a finite number > 0, so a check cannot
-    pass without comparing anything, and seed an integer >= 0.
+    must be integers >= 1, tolerance a finite real number > 0 (not a bool), so
+    a check cannot pass without comparing anything, and seed an integer >= 0.
     """
     samples_per_param = check_count("samples_per_param", samples_per_param, 1)
     batch = check_count("batch", batch, 1)
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance}")
+    if isinstance(tolerance, bool) or not (isinstance(tolerance, Real) and 0 < tolerance < math.inf):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
     cfg = models.preset(preset_name)
     model = models.build(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(123)

@@ -12,6 +12,7 @@ import pytest
 
 from visarch import (
     TrainConfig,
+    augment_batch,
     build,
     complexity_report,
     gradcheck,
@@ -60,6 +61,9 @@ REJECTED = [
      "seed must be >= 0, got -1"),
     ("fp16-d-float", lambda: fp16("--d", "4", d=4.0), ValueError,
      "--d must be an integer, got 4.0 (float)"),
+    ("augment-crop-pad-1.5", lambda: augment_batch(np.zeros((2, 3, 8, 8), np.float32),
+                                                   np.random.default_rng(0), crop_pad=1.5),
+     ValueError, "crop_pad must be an integer, got 1.5 (float)"),
 ]
 
 
@@ -113,6 +117,11 @@ def run_train(n):
     return [r.losses, r.accuracies, r.last_epoch, digest(r.model)]
 
 
+def augmented(n):
+    images = np.random.default_rng(0).normal(size=(3, 3, 8, 8)).astype(np.float32)
+    return augment_batch(images, np.random.default_rng(1), flip=True, crop_pad=n(2))
+
+
 def run_fp16(n):
     return fp16("--d", "4", "--tokens", "3", d=n(4), tokens=n(3))
 
@@ -127,6 +136,7 @@ SITES = {
     "complexity_report": lambda n: complexity_report(preset("deit_s-micro"), n(32)).to_dict(),
     "build": built,
     "synth_dataset": lambda n: asdict(synth_dataset(n(4), n(3), n(8), n(5))),
+    "augment_batch": augmented,
     "train": run_train,
     "gradcheck": lambda n: asdict(gradcheck("deit_s-micro", samples_per_param=n(1),
                                             batch=n(1), seed=n(2))),

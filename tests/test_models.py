@@ -484,6 +484,13 @@ class TestForward:
         with pytest.raises(ShapeError, match=f"an ndarray or a Tensor, got {kind}$"):
             model_forward(model, x)
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.bool_, object, np.str_])
+    def test_rejects_array_that_is_not_numbers(self, model, dtype):
+        # a complex input ran with a ComplexWarning, its imaginary part dropped
+        x = np.zeros((1, 3, 32, 32), dtype=dtype)
+        with pytest.raises(ShapeError, match=f"integer or floating type, got {x.dtype}$"):
+            model_forward(model, x)
+
     def test_rejects_bad_channels(self, model):
         with pytest.raises(ShapeError, match="3"):
             model_forward(model, np.zeros((2, 1, 32, 32), np.float32))

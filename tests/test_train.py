@@ -1,6 +1,7 @@
 """Training loop, optimizers, schedule, and gradient checking."""
 
 import json
+from dataclasses import asdict
 from itertools import permutations
 from pathlib import Path
 
@@ -15,8 +16,10 @@ from visarch import (
     build,
     cosine_lr,
     gradcheck,
+    load_run,
     make_optimizer,
     preset,
+    save_run,
     synth_dataset,
     train,
 )
@@ -45,7 +48,8 @@ def param_bytes(model):
 def resume_state_of(result):
     """The resume_state a checkpoint of a stopped train() result gives."""
     return {"model": result.model, "tensors": result.optimizer.state_tensors(),
-            "scalars": {"epoch": result.last_epoch, **result.optimizer.scalar_state()}}
+            "scalars": {"epoch": result.last_epoch, "train_config": asdict(result.config),
+                        **result.optimizer.scalar_state()}}
 
 
 class TestConfig:
@@ -303,13 +307,45 @@ class TestLoop:
         for k, v in resumed.model.buffers.items():
             assert v.tobytes() == full.model.buffers[k].tobytes()
 
+    def test_interrupt_and_resume_through_files_matches_straight_run(self, tmp_path):
+        cfg = tiny_config(base_lr=0.05)
+        ds = tiny_dataset()
+        save_run(train(cfg, ds), tmp_path / "straight.vsfm")
+        save_run(train(cfg, ds, stop_after=1), tmp_path / "resumed.vsfm")
+        resumed = train(cfg, ds, resume_state=load_run(tmp_path / "resumed.vsfm"))
+        save_run(resumed, tmp_path / "resumed.vsfm")
+        assert (tmp_path / "resumed.vsfm").read_bytes() == (tmp_path / "straight.vsfm").read_bytes()
+
+    @pytest.mark.parametrize("stored,match", [
+        (asdict(tiny_config(base_lr=0.5, flip=True, seed=9)),
+         r"different train config \(this one vs the checkpoint's\): "
+         r"base_lr 0\.02 != 0\.5, seed 3 != 9, flip False != True$"),
+        (None, "holds no train_config, so it cannot be resumed"),
+        (dict(asdict(tiny_config()), epochs=1.5), "'train_config' is malformed.*epochs"),
+    ], ids=["another", "missing", "malformed"])
+    def test_resume_under_another_train_config_raises(self, stored, match):
+        # before, train() resumed under any train config; only the CLI compared them
+        ds = tiny_dataset()
+        state = resume_state_of(train(tiny_config(), ds, stop_after=0))
+        if stored is None:
+            del state["scalars"]["train_config"]
+        else:
+            state["scalars"]["train_config"] = stored
+        with pytest.raises(CheckpointError, match=match):
+            train(tiny_config(), ds, resume_state=state)
+
     @pytest.mark.parametrize("saved,resumed", permutations(TrainConfig.CHOICES["optimizer"], 2))
     def test_resume_under_another_optimizer_raises(self, saved, resumed):
         # before, sgd_momentum took AdamW's second moment as its momentum and ran on
         ds = tiny_dataset()
-        partial = train(tiny_config(optimizer=saved), ds, stop_after=1)
+        state = resume_state_of(train(tiny_config(optimizer=saved), ds, stop_after=1))
+        with pytest.raises(CheckpointError, match=f"optimizer {resumed} != {saved}"):
+            train(tiny_config(optimizer=resumed), ds, resume_state=state)
+        # a stored train_config that names the resumed optimizer still leaves
+        # the other optimizer's slots, which the optimizer itself rejects
+        state["scalars"]["train_config"] = asdict(tiny_config(optimizer=resumed))
         with pytest.raises(CheckpointError, match=r"'optim\.[^']+'"):
-            train(tiny_config(optimizer=resumed), ds, resume_state=resume_state_of(partial))
+            train(tiny_config(optimizer=resumed), ds, resume_state=state)
 
     @pytest.mark.parametrize("epoch", ["0", 0.5, True, None])
     def test_resume_epoch_must_be_an_integer(self, epoch):
@@ -323,7 +359,7 @@ class TestLoop:
         model = build(preset(cfg.preset), seed=cfg.seed)
         optim = make_optimizer(cfg, model.params)
         state = {"model": model, "tensors": optim.state_tensors(),
-                 "scalars": {"epoch": epoch, **optim.scalar_state()}}
+                 "scalars": {"epoch": epoch, "train_config": asdict(cfg), **optim.scalar_state()}}
         return train(cfg, tiny_dataset(), resume_state=state)
 
     @pytest.mark.parametrize("epoch", [-3, -2, 2, 5])
@@ -336,7 +372,7 @@ class TestLoop:
         model = build(preset("deit_s-micro"), seed=cfg.seed)
         optim = make_optimizer(cfg, model.params)
         state = {"model": model, "tensors": optim.state_tensors(),
-                 "scalars": {"epoch": 0, **optim.scalar_state()}}
+                 "scalars": {"epoch": 0, "train_config": asdict(cfg), **optim.scalar_state()}}
         with pytest.raises(CheckpointError, match="'deit_s-micro' model.*'visformer_ti-micro'"):
             train(cfg, tiny_dataset(), resume_state=state)
 
@@ -417,7 +453,8 @@ class TestGradcheck:
         ("samples_per_param", 0), ("samples_per_param", -1), ("samples_per_param", 1.5),
         ("samples_per_param", True), ("batch", 0), ("batch", -2), ("batch", 2.5), ("batch", True),
         ("tolerance", 0.0), ("tolerance", -1e-4), ("tolerance", float("nan")),
-        ("tolerance", float("inf")), ("seed", -1), ("seed", 1.5), ("seed", True),
+        ("tolerance", float("inf")), ("tolerance", "x"), ("tolerance", None),
+        ("tolerance", True), ("seed", -1), ("seed", 1.5), ("seed", True),
     ])
     def test_rejects_arguments_that_check_nothing(self, name, value):
         with pytest.raises(ValueError, match=name):
