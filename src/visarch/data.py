@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import check_count
+from .tensor import check_count, check_flag
 
 MARK_GAIN = 0.15
 NOISE_SIGMA = 0.25
@@ -98,7 +98,8 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator, *,
                   flip: bool = False, crop_pad: int = 0) -> np.ndarray:
     """Horizontal flip (p=0.5 per sample) and random crop from a zero-padded
     canvas; both off by default so training stays a pure function of the data.
-    crop_pad must be an integer >= 0."""
+    flip must be a bool, crop_pad an integer >= 0."""
+    flip = check_flag("flip", flip)
     crop_pad = check_count("crop_pad", crop_pad, 0)
     if not flip and crop_pad == 0:
         return images

@@ -170,43 +170,56 @@ def model_slots(config: ModelConfig) -> list:
 
 
 def build(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
-    """Allocate and initialize all parameters; identical seeds give identical bits."""
+    """Allocate and initialize all parameters; identical seeds give identical bits.
+    seed must be an integer >= 0, dtype float32 or float64."""
     seed = tz.check_count("seed", seed, 0, ShapeError)
+    if dtype is None or dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ShapeError(f"model dtype must be float32 or float64, got {dtype!r}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     params, buffers = B.allocate(model_slots(config), lambda s: B.draw(rng, s), dtype)
     return Model(config, params, buffers, np.dtype(dtype), seed)
 
 
-def run_plan(model: Model, plan: list[PlanEntry], x: Tensor, start: int,
-             training: bool) -> Tensor:
-    """Run plan[start:] on x, the input of entry start.
+def run_plan(model: Model, plan: list[PlanEntry], x: Tensor, training: bool) -> Tensor:
+    """Run the given plan entries, in order, on x, the first one's input.
 
     Each entry runs inside the layer scope '<model name>.<entry prefix>', so
     a non-finite value names the entry that made it. A parameter of entry k
     cannot change the outputs of entries 0..k-1, so a gradient probe of that
-    parameter resumes here from entry k's saved input.
+    parameter runs plan[k:] from entry k's input (see entry_inputs).
     """
     with tz.layer_scope(model.config.name):
-        for e in plan[start:]:
+        for e in plan:
             with tz.layer_scope(e.prefix):
                 x = B.LAYERS[e.kind].forward(x, e, model, training)
     return x
+
+
+def entry_inputs(model: Model, plan: list[PlanEntry], x: Tensor, training: bool) -> list[Tensor]:
+    """Each plan entry's input, then the output: one forward run entry by
+    entry, with the bits a whole run_plan passes along. It holds every entry's
+    output, so model_forward streams through run_plan instead."""
+    xs = [x]
+    for k in range(len(plan)):
+        xs.append(run_plan(model, plan[k:k + 1], xs[k], training))
+    return xs
 
 
 def model_forward(model: Model, x, training: bool = False) -> Tensor:
     """Run the network on a square (N, 3, H, H) batch; returns (N, num_classes) logits.
 
     Checks the input, then runs the whole layer_plan, which checks the
-    structure at the input's resolution, through run_plan. At a resolution
-    other than the config's, every learned table must also keep its shape. Eval
-    mode (training=False) runs under tz.no_grad: it records no graph, so its
-    logits hold no activations and backward() on a loss built from them
-    raises GraphError. Train mode records the graph for backward().
+    structure at the input's resolution, through run_plan. An ndarray becomes
+    a Tensor of the model's dtype under Tensor's dtype rule; training must be
+    a bool. At a resolution other than the config's, every learned table must
+    also keep its shape. Eval mode (training=False) runs under tz.no_grad: it
+    records no graph, so its logits hold no activations and backward() on a
+    loss built from them raises GraphError. Train mode records the graph for
+    backward().
     """
+    training = tz.check_flag("training", training, ShapeError)
     if isinstance(x, np.ndarray):
-        if x.dtype.kind not in "iuf":  # astype drops imaginary parts, reads bools as 0/1
-            raise ShapeError(f"input dtype must be an integer or floating type, got {x.dtype}")
-        x = Tensor(x.astype(model.dtype, copy=False))
+        x = Tensor(x, dtype=model.dtype)
     elif not isinstance(x, Tensor):
         raise ShapeError(f"input must be an ndarray or a Tensor, got {type(x).__name__}")
     if len(x.shape) != 4 or x.shape[1] != 3 or x.shape[0] < 1:
@@ -218,7 +231,7 @@ def model_forward(model: Model, x, training: bool = False) -> Tensor:
     if width != model.config.input_resolution:
         _check_slots(model, plan, width)
     with nullcontext() if training else tz.no_grad():
-        return run_plan(model, plan, x, 0, training)
+        return run_plan(model, plan, x, training)
 
 
 def _check_slots(model: Model, plan: list[PlanEntry], res: int) -> None:

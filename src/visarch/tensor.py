@@ -9,7 +9,8 @@ Gradients accumulate into leaf .grad across backward() calls until cleared.
 requires_grad is the one needs-a-gradient test: leaves (ParamStore entries)
 set it, and every recorded node, the only kind with a _backward, has it.
 
-check_count is the package's one rule for an integer argument. conv2d and
+check_count is the package's one rule for an integer argument, check_flag
+for a bool one, and Tensor's constructor for an array's dtype. conv2d and
 max_pool2d share one window rule: out_size (which layer_plan also uses for every
 spatial shape, and which check_counts the stride and padding), one gather over
 a padded (C, H, W, n) map and its adjoint scatter.
@@ -88,9 +89,13 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
+            if arr.dtype.kind not in "iuf":  # astype drops imaginary parts, reads bools as 0/1
+                raise ShapeError(f"tensor data must be an integer or floating type, got {arr.dtype}")
+            arr = arr.astype(np.float32 if dtype is None else dtype)
+        elif dtype is not None:
+            arr = arr.astype(dtype, copy=False)
         if arr.ndim > 4:
             raise ShapeError(f"rank {arr.ndim} exceeds the rank-4 limit")
         self.data = arr
@@ -396,6 +401,13 @@ def check_count(name: str, value, floor: int, error=ValueError) -> int:
     if value < floor:
         raise error(f"{name} must be >= {floor}, got {value}")
     return value
+
+
+def check_flag(name: str, value, error=ValueError) -> bool:
+    """value as a Python bool if it is a bool or numpy bool, else raise `error` naming it."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be a bool, got {value!r} ({type(value).__name__})")
+    return bool(value)
 
 
 def out_size(size: int, kernel: int, stride: int, padding: int) -> int:

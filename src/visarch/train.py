@@ -20,7 +20,7 @@ from .checkpoint import (CheckpointError, checkpoint_load, checkpoint_save, mode
                          optim_tensors, stored_int, stored_state)
 from .data import Dataset, augment_batch, synth_dataset
 from .blocks import BUFFER_INITS, LAYERS, check_fields
-from .tensor import ParamStore, Tensor, backward, check_count, cross_entropy, finite_diff_grad, no_grad
+from .tensor import ParamStore, Tensor, backward, check_count, cross_entropy, finite_diff_grad
 
 REFERENCE_BATCH = 512
 
@@ -66,7 +66,12 @@ class TrainConfig:
 
     @staticmethod
     def from_json(text: str) -> "TrainConfig":
-        return TrainConfig.from_dict(json.loads(text))
+        """A TrainConfig from JSON text; text that is not JSON raises ValueError too."""
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"bad train config: {e}") from None
+        return TrainConfig.from_dict(d)
 
 
 def cosine_lr(config: TrainConfig, epoch: int) -> float:
@@ -332,34 +337,20 @@ class GradcheckReport:
 GRADCHECK_STEPS = (1e-6, 1e-8, 1e-4)
 
 
-def _probe_losses(model: models.Model, x: np.ndarray, y) -> dict:
+def _probe_losses(model: models.Model, plan: list, inputs: list, y) -> dict:
     """{parameter path: the loss its finite-difference probes evaluate}.
 
-    Each loss restores the running buffers saved here, then resumes a
-    train-mode run_plan at the parameter's plan entry from that entry's
-    input. The inputs are computed once, entry by entry, in train mode under
-    no_grad. No entry reads a later entry's parameter, and train-mode batch
-    norm normalises with batch statistics, so no earlier output depends on
-    the probed value or on the buffers, and each loss has the bits of a
-    whole train-mode forward.
+    inputs[k] is plan entry k's input (models.entry_inputs). A parameter's
+    loss runs a train-mode run_plan from its entry's input to the end. No
+    entry reads a later entry's parameter, and train-mode batch norm
+    normalises with batch statistics, so no earlier output depends on the
+    probed value and no output reads the running buffers the probes update:
+    each loss has the bits of a whole train-mode forward.
     """
-    saved_buffers = {k: v.copy() for k, v in model.buffers.items()}
-    plan = models.layer_plan(model.config)
-    inputs = [Tensor(x)]
-    with no_grad():
-        for k in range(len(plan) - 1):
-            inputs.append(models.run_plan(model, plan[:k + 1], inputs[k], k, True))
-
-    def resumed(k):
-        def loss():
-            for name, v in saved_buffers.items():
-                model.buffers[name][...] = v
-            return cross_entropy(models.run_plan(model, plan, inputs[k], k, True), y)
-        return loss
-
     losses = {}
     for k, e in enumerate(plan):
-        loss = resumed(k)
+        def loss(k=k):
+            return cross_entropy(models.run_plan(model, plan[k:], inputs[k], True), y)
         for slot in LAYERS[e.kind].params(e, model.config):
             if slot.init not in BUFFER_INITS:
                 losses[slot.path] = loss
@@ -371,9 +362,10 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
               seed: int = 0) -> GradcheckReport:
     """Compare analytic gradients against central differences in float64.
 
-    The analytic gradients come from one train-mode model_forward and
-    backward. A probe of a parameter of plan entry k runs only entries k..end,
-    from entry k's input (_probe_losses), so the report equals the one a
+    One train-mode forward, run entry by entry (models.entry_inputs), gives
+    both the analytic gradients, by backward from its logits, and each plan
+    entry's input. A probe of a parameter of entry k runs only entries
+    k..end from that input (_probe_losses), so the report equals the one a
     probe through the whole model_forward gives, in fewer forwards.
     Entries missing tolerance at the first step size are retried at the
     others: relu-kink straddles shrink with h, near-zero derivatives need a
@@ -391,10 +383,12 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     rng = np.random.default_rng(123)
     x = rng.normal(0.0, 1.0, (batch, 3, cfg.input_resolution, cfg.input_resolution))
     y = rng.integers(0, cfg.num_classes, batch)
+    plan = models.layer_plan(cfg)
+    inputs = models.entry_inputs(model, plan, Tensor(x), True)
     store = model.params
-    store.zero_grads()
-    backward(cross_entropy(models.model_forward(model, x, training=True), y))
-    losses = _probe_losses(model, x, y)
+    backward(cross_entropy(inputs[-1], y))
+    inputs = [Tensor(t.data) for t in inputs[:-1]]  # detached, so the graph is freed
+    losses = _probe_losses(model, plan, inputs, y)
     pick = np.random.default_rng(99)
     checked = 0
     failures = []

@@ -1,4 +1,5 @@
-"""The one rule for integer arguments (tensor.check_count) at every entry point."""
+"""The argument rules at every entry point: tensor.check_count for an integer,
+tensor.check_flag for a bool, and build's float32-or-float64 dtype."""
 
 import hashlib
 import io
@@ -17,6 +18,7 @@ from visarch import (
     complexity_report,
     gradcheck,
     layer_plan,
+    model_forward,
     preset,
     synth_dataset,
     train,
@@ -64,6 +66,28 @@ REJECTED = [
     ("augment-crop-pad-1.5", lambda: augment_batch(np.zeros((2, 3, 8, 8), np.float32),
                                                    np.random.default_rng(0), crop_pad=1.5),
      ValueError, "crop_pad must be an integer, got 1.5 (float)"),
+    ("augment-flip-no", lambda: augment_batch(np.zeros((2, 3, 8, 8), np.float32),
+                                              np.random.default_rng(0), flip="no"),
+     ValueError, "flip must be a bool, got 'no' (str)"),
+    ("augment-flip-1", lambda: augment_batch(np.zeros((2, 3, 8, 8), np.float32),
+                                             np.random.default_rng(0), flip=1),
+     ValueError, "flip must be a bool, got 1 (int)"),
+    ("forward-training-False-str", lambda: model_forward(
+        build(preset("visformer_ti-micro")), np.zeros((2, 3, 32, 32), np.float32),
+        training="False"), ShapeError, "training must be a bool, got 'False' (str)"),
+    ("forward-training-None", lambda: model_forward(
+        build(preset("deit_s-micro")), np.zeros((1, 3, 32, 32), np.float32), training=None),
+     ShapeError, "training must be a bool, got None (NoneType)"),
+    ("build-dtype-int32", lambda: build(preset("resnet50_shape-micro"), dtype=np.int32),
+     ShapeError, "model dtype must be float32 or float64, got <class 'numpy.int32'>"),
+    ("build-dtype-float16", lambda: build(preset("deit_s-micro"), dtype=np.float16),
+     ShapeError, "model dtype must be float32 or float64, got <class 'numpy.float16'>"),
+    ("build-dtype-banana", lambda: build(preset("deit_s-micro"), dtype="banana"),
+     ShapeError, "model dtype must be float32 or float64, got 'banana'"),
+    ("build-dtype-None", lambda: build(preset("deit_s-micro"), dtype=None),
+     ShapeError, "model dtype must be float32 or float64, got None"),
+    ("train-config-not-json", lambda: TrainConfig.from_json("preset: deit_s-micro"), ValueError,
+     "bad train config: Expecting value: line 1 column 1 (char 0)"),
 ]
 
 
@@ -149,3 +173,24 @@ def test_numpy_integer_gives_the_ints_result(site):
     # a numpy integer is checked, then read as the Python int it holds, so
     # shapes, rows and reports stay JSON-serializable
     assert as_json(SITES[site](np.int64)) == as_json(SITES[site](int))
+
+
+def test_numpy_bool_gives_the_bools_result():
+    images = np.random.default_rng(0).normal(size=(4, 3, 8, 8)).astype(np.float32)
+    for flag in (True, False):
+        assert np.array_equal(augment_batch(images, np.random.default_rng(1), flip=np.bool_(flag)),
+                              augment_batch(images, np.random.default_rng(1), flip=flag))
+    x = np.random.default_rng(2).normal(size=(2, 3, 32, 32)).astype(np.float32)
+    for flag in (True, False):
+        a, b = (model_forward(build(preset("visformer_ti-micro")), x, training=t)
+                for t in (np.bool_(flag), flag))
+        assert a.data.tobytes() == b.data.tobytes() and a.requires_grad == b.requires_grad == flag
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.dtype("float64"), "float32"],
+                         ids=["float32", "float64", "dtype-float64", "str-float32"])
+def test_build_takes_either_float_dtype_however_named(dtype):
+    model = build(preset("resnet50_shape-micro"), dtype=dtype)
+    assert model.dtype == np.dtype(dtype)
+    assert {t.dtype for _, t in model.params.items()} == {model.dtype}
+    assert {b.dtype for b in model.buffers.values()} == {model.dtype}

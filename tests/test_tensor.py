@@ -842,3 +842,18 @@ class TestTensorBasics:
     def test_default_dtype_is_float32(self):
         assert Tensor([1, 2, 3]).dtype == np.float32
         assert Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float64
+        for dtype in (np.int8, np.uint16, np.float16):
+            assert Tensor(np.arange(3, dtype=dtype)).data.tolist() == [0.0, 1.0, 2.0]
+            assert Tensor(np.arange(3, dtype=dtype)).dtype == np.float32
+        assert Tensor(np.arange(3), dtype=np.float64).dtype == np.float64
+
+    @pytest.mark.parametrize("data", [np.zeros(2, np.complex64), np.ones(2, np.bool_),
+                                      np.array([1.0, None]), np.array(["1.0"]), [True, False],
+                                      1j], ids=["complex", "bool", "object", "str", "bool-list",
+                                                "complex-scalar"])
+    @pytest.mark.parametrize("dtype", [None, np.float64])
+    def test_rejects_data_that_is_not_numbers(self, data, dtype):
+        # complex was cast with a ComplexWarning, bool silently, str by numpy's ValueError
+        kind = np.asarray(data).dtype
+        with pytest.raises(ShapeError, match=f"integer or floating type, got {kind}$"):
+            Tensor(data, dtype=dtype)

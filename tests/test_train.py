@@ -1,5 +1,6 @@
 """Training loop, optimizers, schedule, and gradient checking."""
 
+import importlib
 import json
 from dataclasses import asdict
 from itertools import permutations
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import visarch.blocks as vb
 import visarch.tensor as vt
 from visarch import (
     CheckpointError,
@@ -24,9 +26,11 @@ from visarch import (
     train,
 )
 from visarch.blocks import BUFFER_INITS, LAYERS
-from visarch.models import layer_plan, model_forward
+from visarch.models import entry_inputs, layer_plan, model_forward
 from visarch.tensor import ParamStore, Tensor, cross_entropy, finite_diff_grad
 from visarch.train import REFERENCE_BATCH, AdamW, SGDMomentum, _probe_losses
+
+vtrain = importlib.import_module("visarch.train")  # the package's `train` is the function
 
 
 def tiny_dataset():
@@ -482,16 +486,14 @@ class TestResumedProbes:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 3, 32, 32))
         y = rng.integers(0, config.num_classes, 4)
-        saved = {k: v.copy() for k, v in model.buffers.items()}
+        plan = layer_plan(config)
+        losses = _probe_losses(model, plan, entry_inputs(model, plan, Tensor(x), True)[:-1], y)
 
-        def whole():
-            for k, v in saved.items():
-                model.buffers[k][...] = v
+        def whole():  # restores no buffer: train-mode outputs read none
             return cross_entropy(model_forward(model, x, training=True), y)
 
-        losses = _probe_losses(model, x, y)
         probed = []
-        for e in layer_plan(config):
+        for e in plan:
             slot = probed_slot(e, config)
             if slot is None:
                 continue
@@ -501,3 +503,20 @@ class TestResumedProbes:
             assert resumed == full, (slot.path, resumed, full)
             probed.append(full)
         assert len(probed) >= 15 and np.count_nonzero(probed) == len(probed)
+
+    def test_each_entry_runs_once_before_the_first_probe(self, monkeypatch):
+        # one forward gives the analytic gradients and every probe's input
+        class FirstProbe(Exception):
+            pass
+
+        def first_probe(*args, **kwargs):
+            raise FirstProbe
+
+        runs = []
+        attention = vb.attention_block_forward
+        monkeypatch.setattr(vb, "attention_block_forward",
+                            lambda *args: runs.append(args[4]) or attention(*args))
+        monkeypatch.setattr(vtrain, "finite_diff_grad", first_probe)
+        with pytest.raises(FirstProbe):
+            gradcheck("deit_s-micro")
+        assert sorted(runs) == sorted(f"s0.b{j}" for j in range(12))
