@@ -33,9 +33,6 @@ class ComplexityReport:
     def gmacs(self) -> float:
         return self.total_macs / 1e9
 
-    def row_map(self) -> dict:
-        return {r[0]: (r[1], r[2]) for r in self.rows}
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -64,16 +61,3 @@ def complexity_report(config: ModelConfig, resolution: int | None = None) -> Com
     rows = [r for e in plan for r in B.LAYERS[e.kind].rows(e, config)]
     return ComplexityReport(config.name, plan[0].in_shape[-1], rows)  # the checked resolution
 
-
-def count_params(config: ModelConfig) -> int:
-    return complexity_report(config).total_params
-
-
-def count_macs(config: ModelConfig, resolution: int | None = None) -> int:
-    return complexity_report(config, resolution).total_macs
-
-
-def shape_table(config: ModelConfig, resolution: int | None = None) -> list:
-    """(path, in_shape, out_shape) per layer, per sample."""
-    return [(e.prefix, e.in_shape, e.out_shape)
-            for e in layer_plan(config, resolution=resolution)]

@@ -1,10 +1,11 @@
 """Multi-head self-attention on NCHW maps, and attention logits with selectable score scaling.
 
 Token sequences reuse the same code path as spatial maps by shaping them as
-(N, C, T, 1). mhsa_forward projects queries, keys and values in one linear
-through the stacked w_qkv and narrows each from its output. Models run the
-standard scores; the other modes of attention_logits exist to control the
-dynamic range of the logits:
+(N, C, T, 1). mhsa_forward never leaves that layout: one 1x1 conv through the
+stacked w_qkv gives (N, heads, head_dim, T) queries, keys and values, the
+scores run on their transposed views, and a 1x1 conv projects the output, as
+in the MLP. Models run the standard scores; the other modes of
+attention_logits exist to control the dynamic range of the logits:
 
 - standard: (q . k) / sqrt(d)
 - prenorm:  (q / d^0.25) . (k / d^0.25), same logits with bounded partials
@@ -26,9 +27,11 @@ DEFAULT_PB_RELAX_ALPHA = 32.0
 
 def attention_logits(q: Tensor, k: Tensor, mode: str = "standard",
                      alpha: float = DEFAULT_PB_RELAX_ALPHA) -> Tensor:
-    """Scaled scores for (N, heads, T, d) queries/keys; returns (N, heads, T, T)."""
+    """Scaled scores for (N, heads, T, d) queries/keys; returns (N, heads, T, T).
+    alpha goes through check_positive in every mode."""
     if q.shape != k.shape or len(q.shape) != 4:
         raise ShapeError(f"queries/keys must share a (N, heads, T, d) shape, got {q.shape} vs {k.shape}")
+    alpha = tz.check_positive("alpha", alpha)
     d = q.shape[-1]
     kt = tz.transpose(k, (0, 1, 3, 2))
     if mode == "standard":
@@ -66,30 +69,27 @@ def mhsa_forward(x: Tensor, w_qkv: Tensor, b_qkv: Tensor, w_proj: Tensor, b_proj
                  heads: int, *, bias: Tensor | None = None) -> Tensor:
     """Self-attention with standard scores over the spatial positions of an (N, C, H, W) map.
 
-    w_qkv stacks the query/key/value projections row-wise: (3*inner, C), with
-    inner = heads * head_dim; w_proj is (C, inner). linear checks the rest.
+    w_qkv stacks the query/key/value projections: (3*inner, C, 1, 1), with
+    inner = heads * head_dim; w_proj is (C, inner, 1, 1). conv2d checks the rest.
     bias, if given, is added to the logits and must be (heads, T, T), T = H*W.
     """
     n, c, h, w = x.shape
     rows = w_qkv.shape[0]
     if heads < 1 or rows < 3 * heads or rows % (3 * heads):
         raise ShapeError(f"w_qkv rows must be a positive multiple of 3*{heads} heads, got {w_qkv.shape}")
-    if b_qkv.shape != (rows,):
-        raise ShapeError(f"b_qkv must be ({rows},), got {b_qkv.shape}")
+    if w_qkv.shape[2:] != (1, 1) or w_proj.shape[2:] != (1, 1):
+        raise ShapeError(f"w_qkv and w_proj must be 1x1 kernels, got {w_qkv.shape} and {w_proj.shape}")
+    if w_proj.shape[0] != c:
+        raise ShapeError(f"w_proj must give the input's {c} channels, got {w_proj.shape}")
     t = h * w
     if bias is not None and bias.shape != (heads, t, t):
         raise ShapeError(f"attention bias must be ({heads}, {t}, {t}), got {bias.shape}")
-    inner = rows // 3
-    tokens = tz.transpose(tz.reshape(x, (n, c, t)), (0, 2, 1))
     # w_qkv's rows are the q, k and v heads in turn: split one projection by head
-    qkv = tz.linear(tokens, w_qkv, b_qkv)
-    qkv = tz.transpose(tz.reshape(qkv, (n, t, 3 * heads, inner // heads)), (0, 2, 1, 3))
+    qkv = tz.reshape(tz.conv2d(x, w_qkv, b_qkv), (n, 3 * heads, rows // (3 * heads), t))
     q, k, v = (tz.narrow(qkv, 1, part * heads, heads) for part in range(3))
-    logits = attention_logits(q, k)
+    logits = attention_logits(tz.transpose(q, (0, 1, 3, 2)), tz.transpose(k, (0, 1, 3, 2)))
     if bias is not None:
         logits = tz.add(logits, bias)
     attn = tz.softmax(logits, axis=-1)
-    out = tz.matmul(attn, v)
-    out = tz.reshape(tz.transpose(out, (0, 2, 1, 3)), (n, t, inner))
-    out = tz.linear(out, w_proj, b_proj)
-    return tz.reshape(tz.transpose(out, (0, 2, 1)), (n, c, h, w))
+    out = tz.matmul(v, tz.transpose(attn, (0, 1, 3, 2)))  # (N, heads, head_dim, T)
+    return tz.conv2d(tz.reshape(out, (n, rows // 3, h, w)), w_proj, b_proj)

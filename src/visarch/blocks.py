@@ -186,10 +186,6 @@ def _conv_slots(prefix, cin, cout, k, *, groups=1, bias=True):
     return slots
 
 
-def _linear_slots(prefix, din, dout):
-    return [Slot(prefix + ".w", (dout, din), "trunc"), Slot(prefix + ".b", (dout,), "zeros")]
-
-
 def _norm_slots(prefix, c, kind):
     slots = [Slot(prefix + ".gamma", (c,), "ones"), Slot(prefix + ".beta", (c,), "zeros")]
     if kind == "batch":
@@ -348,8 +344,8 @@ def _attention_params(e, config):
     spec, p = e.spec, e.prefix
     c, inner = spec.channels, spec.heads * spec.head_dim
     slots = (_norm_slots(p + ".norm1", c, config.norm)
-             + _linear_slots(p + ".attn.qkv", c, 3 * inner)
-             + _linear_slots(p + ".attn.proj", inner, c))
+             + _conv_slots(p + ".attn.qkv", c, 3 * inner, 1)
+             + _conv_slots(p + ".attn.proj", inner, c, 1))
     if config.pos_mode == "relative":
         h, w = e.in_shape[1:]
         slots.append(Slot(p + ".attn.relpos", ((2 * h - 1) * (2 * w - 1), spec.heads), "trunc"))
@@ -428,7 +424,8 @@ def _final_norm_params(e, config):
 
 
 def _head_params(e, config):
-    return _linear_slots(e.prefix + ".fc", e.in_shape[0], e.out_shape[0])
+    p, c, k = e.prefix + ".fc", e.in_shape[0], e.out_shape[0]
+    return [Slot(p + ".w", (k, c), "trunc"), Slot(p + ".b", (k,), "zeros")]
 
 
 # The lambdas look the named block forwards up in this module's globals at

@@ -32,7 +32,7 @@ from . import blocks as B
 from . import models
 
 MAGIC = b"VSFM"
-VERSION = 4
+VERSION = 5
 
 
 class CheckpointError(Exception):
@@ -130,8 +130,8 @@ def load_bytes(data: bytes) -> dict:
     try:
         config = models.config_from_dict(header["config"])
         models.layer_plan(config)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"header 'config' is malformed: {e!r}") from None
+    except ValueError as e:  # config_from_dict's, or a layer_plan ShapeError
+        raise CheckpointError(f"header 'config' is malformed: {e}") from None
     return {"config": config, "extra": header["extra"], "tensors": tensors}
 
 

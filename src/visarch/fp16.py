@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attention import DEFAULT_PB_RELAX_ALPHA, SCORE_MODES
+from .tensor import Tensor, check_positive
 
 F16_MAX = 65504.0
 
@@ -104,13 +105,14 @@ def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard",
     Returns (logits, softmax_or_None, OverflowReport). Logits are float64
     values exactly representable in binary16, infinite where the pipeline
     overflowed. softmax_valid is False iff any logit is non-finite. q and k
-    must be finite with at least one token and one channel; alpha must be
-    finite and > 0 in every mode.
+    must be finite with at least one token and one channel; they become
+    float64 under Tensor's dtype rule (a float64 array is not copied, a
+    complex, bool, object or string one raises ShapeError). alpha goes through
+    check_positive in every mode.
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"unknown score mode '{mode}'")
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
+    q, k = Tensor(q, dtype=np.float64).data, Tensor(k, dtype=np.float64).data
     if q.ndim != 2 or q.shape != k.shape:
         raise ValueError(f"expected matching (T, d) arrays, got {q.shape} and {k.shape}")
     t, d = q.shape
@@ -119,8 +121,7 @@ def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard",
     for name, arr in (("q", q), ("k", k)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} has a non-finite entry")
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    alpha = check_positive("alpha", alpha)
     if mode == "standard":
         qs, ks = _rne16(q), _rne16(k)
         logits = _rne16(_dot_f16(qs, ks.T) * _rne16(np.float64(1.0 / np.sqrt(d))))
@@ -171,8 +172,7 @@ def compare_modes(q: np.ndarray, k: np.ndarray,
     """Run every score mode on the same inputs. Divergence is the max absolute
     difference between the emulated softmax and the exact float64 softmax of
     that mode's logits (None when the emulation overflowed)."""
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
+    q, k = Tensor(q, dtype=np.float64).data, Tensor(k, dtype=np.float64).data
     out = {}
     for mode in SCORE_MODES:
         _, probs, report = scores_f16(q, k, mode, alpha)

@@ -9,11 +9,12 @@ Gradients accumulate into leaf .grad across backward() calls until cleared.
 requires_grad is the one needs-a-gradient test: leaves (ParamStore entries)
 set it, and every recorded node, the only kind with a _backward, has it.
 
-check_count is the package's one rule for an integer argument, check_flag
-for a bool one, and Tensor's constructor for an array's dtype. conv2d and
-max_pool2d share one window rule: out_size (which layer_plan also uses for every
-spatial shape, and which check_counts the stride and padding), one gather over
-a padded (C, H, W, n) map and its adjoint scatter.
+check_count is the package's one rule for an integer argument, check_positive
+for a positive real one, check_flag for a bool one, and Tensor's constructor
+for an array's dtype. conv2d and max_pool2d share one window rule: out_size
+(which layer_plan also uses for every spatial shape, and which check_counts
+the stride and padding), one gather over a padded (C, H, W, n) map and its
+adjoint scatter.
 conv2d runs a 1x1, unpadded, ungrouped kernel as one channel GEMM on NCHW.
 Every other kernel runs in batch tiles, each as many images as keep its im2col
 under _TILE_BYTES: the tile is copied with the batch axis innermost, so each
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from numbers import Real
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -367,12 +369,13 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """y = x @ w.T (+ b); x has rank 2 or 3 with features on the last axis."""
+    """y = x @ w.T (+ b) for (N, din) input and a (dout, din) weight: the
+    classifier head. Every other dense layer is a 1x1 conv2d on the NCHW map."""
     xd, wd = x.data, w.data
-    if xd.ndim not in (2, 3) or wd.ndim != 2:
-        raise ShapeError(f"linear expects rank-2/3 input and rank-2 weight, got {xd.shape}, {wd.shape}")
-    if xd.shape[-1] != wd.shape[1]:
-        raise ShapeError(f"linear feature mismatch: input {xd.shape[-1]} vs weight {wd.shape}")
+    if xd.ndim != 2 or wd.ndim != 2:
+        raise ShapeError(f"linear expects rank-2 input and weight, got {xd.shape}, {wd.shape}")
+    if xd.shape[1] != wd.shape[1]:
+        raise ShapeError(f"linear feature mismatch: input {xd.shape[1]} vs weight {wd.shape}")
     if b is not None and b.shape != (wd.shape[0],):
         raise ShapeError(f"linear bias must be ({wd.shape[0]},), got {b.shape}")
     data = xd @ wd.T
@@ -381,12 +384,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(dout):
-        dflat = dout.reshape(-1, wd.shape[0])
         dx = (dout @ wd) if x.requires_grad else None
-        dw = dflat.T @ xd.reshape(-1, wd.shape[1])
         if b is None:
-            return dx, dw
-        return dx, dw, dflat.sum(axis=0)
+            return dx, dout.T @ xd
+        return dx, dout.T @ xd, dout.sum(axis=0)
 
     return _result("linear", data, parents, bwd)
 
@@ -401,6 +402,16 @@ def check_count(name: str, value, floor: int, error=ValueError) -> int:
     if value < floor:
         raise error(f"{name} must be >= {floor}, got {value}")
     return value
+
+
+def check_positive(name: str, value, error=ValueError) -> float:
+    """value as a Python float if it is a real number (a bool is not), finite and > 0,
+    else raise `error` naming it. A plain float skips the isinstance tests."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise error(f"{name} must be a real number, got {value!r} ({type(value).__name__})")
+    if not 0.0 < value < math.inf:
+        raise error(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
 
 
 def check_flag(name: str, value, error=ValueError) -> bool:
@@ -825,6 +836,7 @@ class ParamStore:
 
 def finite_diff_grad(f, store: ParamStore, path: str, index: int, h: float = 1e-3) -> float:
     """Central-difference d f / d store[path].flat[index]; restores the value.
+    index is a count below the tensor's size, h goes through check_positive.
     The probe forwards only read the loss value, so they record no graph."""
     def evaluate():
         with no_grad():
@@ -832,6 +844,10 @@ def finite_diff_grad(f, store: ParamStore, path: str, index: int, h: float = 1e-
         return float(out.data) if isinstance(out, Tensor) else float(out)
 
     flat = store[path].data.reshape(-1)
+    index = check_count("index", index, 0)
+    if index >= flat.size:
+        raise ValueError(f"index must be below the {flat.size} entries of '{path}', got {index}")
+    h = check_positive("h", h)
     old = flat[index].item()
     try:
         flat[index] = old + h

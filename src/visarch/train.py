@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from numbers import Real
 
 import numpy as np
 
@@ -20,7 +19,8 @@ from .checkpoint import (CheckpointError, checkpoint_load, checkpoint_save, mode
                          optim_tensors, stored_int, stored_state)
 from .data import Dataset, augment_batch, synth_dataset
 from .blocks import BUFFER_INITS, LAYERS, check_fields
-from .tensor import ParamStore, Tensor, backward, check_count, cross_entropy, finite_diff_grad
+from .tensor import (ParamStore, Tensor, backward, check_count, check_positive, cross_entropy,
+                     finite_diff_grad)
 
 REFERENCE_BATCH = 512
 
@@ -371,13 +371,12 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     others: relu-kink straddles shrink with h, near-zero derivatives need a
     larger h to rise above the rounding-noise floor (which grows as 1/h), and
     a wrong analytic gradient fails at every h. samples_per_param and batch
-    must be integers >= 1, tolerance a finite real number > 0 (not a bool), so
+    must be integers >= 1, tolerance a finite real number > 0 (check_positive), so
     a check cannot pass without comparing anything, and seed an integer >= 0.
     """
     samples_per_param = check_count("samples_per_param", samples_per_param, 1)
     batch = check_count("batch", batch, 1)
-    if isinstance(tolerance, bool) or not (isinstance(tolerance, Real) and 0 < tolerance < math.inf):
-        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
+    tolerance = check_positive("tolerance", tolerance)
     cfg = models.preset(preset_name)
     model = models.build(cfg, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(123)

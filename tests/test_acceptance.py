@@ -12,8 +12,7 @@ from visarch import (
     TrainConfig,
     attention_logits,
     build,
-    count_macs,
-    count_params,
+    complexity_report,
     diff_configs,
     gradcheck,
     model_forward,
@@ -58,7 +57,7 @@ def report(num, label, problems):
 def test_criterion_1_mac_totals():
     problems = []
     for name, (target, tol) in MAC_TARGETS.items():
-        got = count_macs(preset(name)) / 1e9
+        got = complexity_report(preset(name)).total_macs / 1e9
         if abs(got - target) / target > tol:
             problems.append(f"{name}: {got:.3f}G vs {target}G")
     report(1, "MAC totals within tolerance for all 13 presets", problems)
@@ -67,11 +66,11 @@ def test_criterion_1_mac_totals():
 def test_criterion_2_param_totals():
     problems = []
     for name, (target, tol) in PARAM_TARGETS.items():
-        got = count_params(preset(name)) / 1e6
+        got = complexity_report(preset(name)).total_params / 1e6
         if abs(got - target) / target > tol:
             problems.append(f"{name}: {got:.2f}M vs {target}M")
     for name, (lo, hi) in PARAM_BAND.items():
-        got = count_params(preset(name)) / 1e6
+        got = complexity_report(preset(name)).total_params / 1e6
         if not lo * 0.92 <= got <= hi * 1.08:
             problems.append(f"{name}: {got:.2f}M outside [{lo}, {hi}] +-8%")
     report(2, "parameter totals within tolerance", problems)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from visarch import build, complexity_report, count_macs, count_params, preset, shape_table
+from visarch import build, complexity_report, layer_plan, preset
 
 # frozen totals at native resolution; regression guard for the counting rules
 EXPECTED = {
@@ -26,8 +26,8 @@ class TestTotals:
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_frozen_totals(self, name):
         macs, params = EXPECTED[name]
-        assert count_macs(preset(name)) == macs
-        assert count_params(preset(name)) == params
+        rep = complexity_report(preset(name))
+        assert (rep.total_macs, rep.total_params) == (macs, params)
 
     def test_rows_sum_to_totals(self):
         rep = complexity_report(preset("visformer_s"))
@@ -38,12 +38,12 @@ class TestTotals:
     def test_counts_match_built_parameters(self, name):
         config = preset(f"{name}-micro")
         model = build(config, seed=0)
-        assert count_params(config) == model.params.total_elements()
+        assert complexity_report(config).total_params == model.params.total_elements()
 
     def test_counts_match_full_build(self):
         config = preset("visformer_s")
         model = build(config, seed=0)
-        assert count_params(config) == model.params.total_elements()
+        assert complexity_report(config).total_params == model.params.total_elements()
 
 
 class TestRules:
@@ -64,7 +64,7 @@ class TestRules:
 
     def test_head_is_one_matmul(self):
         rep = complexity_report(preset("deit_s"))
-        assert rep.row_map()["head.fc"] == (384 * 1000, 384 * 1000 + 1000)
+        assert ("head.fc", 384 * 1000, 384 * 1000 + 1000) in rep.rows
 
     def test_attention_core_scales_quartically(self):
         # doubling resolution quadruples tokens: the score/apply matmuls
@@ -80,15 +80,15 @@ class TestRules:
         assert 4 * lo.total_macs < hi.total_macs < 16 * lo.total_macs
 
     def test_resolution_override_flows_to_shapes(self):
-        rows = shape_table(preset("visformer_s"), resolution=448)
-        assert rows[0][1] == (3, 448, 448)
+        assert layer_plan(preset("visformer_s"), resolution=448)[0].in_shape == (3, 448, 448)
+        assert complexity_report(preset("visformer_s"), resolution=448).resolution == 448
 
     def test_odd_stage_resolutions_count_the_shapes_the_forward_runs(self):
         # at 200 the strided stages see 25x25 and 13x13 maps: 3x3 pad-1 stride-2
         # convs give 13x13 and 7x7, not 25 // 2 and 13 // 2
-        out = {p: o for p, _, o in shape_table(preset("resnet50_shape"), 200)}
+        out = {e.prefix: e.out_shape for e in layer_plan(preset("resnet50_shape"), 200)}
         assert (out["s2.b0"][1], out["s3.b0"][1]) == (13, 7)
-        assert count_macs(preset("resnet50_shape"), 200) == 3_498_822_656
+        assert complexity_report(preset("resnet50_shape"), 200).total_macs == 3_498_822_656
 
     def test_table_footers(self):
         text = complexity_report(preset("visformer_ti")).table()

@@ -1,5 +1,7 @@
 """The argument rules at every entry point: tensor.check_count for an integer,
-tensor.check_flag for a bool, and build's float32-or-float64 dtype."""
+tensor.check_positive for a positive real, tensor.check_flag for a bool,
+build's float32-or-float64 dtype, and models.config_from_dict for a model
+config."""
 
 import hashlib
 import io
@@ -12,10 +14,14 @@ import numpy as np
 import pytest
 
 from visarch import (
+    ParamStore,
     TrainConfig,
+    attention_logits,
     augment_batch,
     build,
     complexity_report,
+    config_from_json,
+    config_to_json,
     gradcheck,
     layer_plan,
     model_forward,
@@ -88,7 +94,74 @@ REJECTED = [
      ShapeError, "model dtype must be float32 or float64, got None"),
     ("train-config-not-json", lambda: TrainConfig.from_json("preset: deit_s-micro"), ValueError,
      "bad train config: Expecting value: line 1 column 1 (char 0)"),
+    # a model config: one parse rule, where a JSONDecodeError, KeyError or
+    # TypeError came out before
+    ("config-not-json", lambda: config_from_json("nope"), ValueError,
+     "bad model config: not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("config-empty", lambda: config_from_json("{}"), ValueError,
+     "bad model config: the config is missing field 'name'"),
+    ("config-array", lambda: config_from_json("[1]"), ValueError,
+     "bad model config: the config must be an object, got list"),
+    ("config-no-stages", lambda: config_edited(lambda c: c.pop("stages")), ValueError,
+     "bad model config: the config is missing field 'stages'"),
+    ("config-unknown-field", lambda: config_edited(lambda c: c.update(bogus=1)), ValueError,
+     "bad model config: the config has an unknown field 'bogus'"),
+    ("config-stages-object", lambda: config_edited(lambda c: c.update(stages={})), ValueError,
+     "bad model config: stages must be a list, got dict"),
+    ("config-stage-no-embed", lambda: config_edited(lambda c: c["stages"][0].pop("embed")),
+     ValueError, "bad model config: stages[0] is missing field 'embed'"),
+    ("config-embed-unknown-field", lambda: config_edited(
+        lambda c: c["stages"][1]["embed"].update(kernel=2)), ValueError,
+     "bad model config: stages[1].embed has an unknown field 'kernel'"),
+    ("config-blocks-number", lambda: config_edited(lambda c: c["stages"][0].update(blocks=3)),
+     ValueError, "bad model config: stages[0].blocks must be a list, got int"),
+    ("config-block-kind-mlp", lambda: config_edited(
+        lambda c: c["stages"][1]["blocks"][0].update(kind="mlp")), ValueError,
+     "bad model config: stages[1].blocks[0] must be an object with 'kind' 'attention' or "
+     "'bottleneck', got kind 'mlp'"),
+    ("config-block-no-kind", lambda: config_edited(
+        lambda c: c["stages"][1]["blocks"][0].pop("kind")), ValueError,
+     "bad model config: stages[1].blocks[0] must be an object with 'kind' 'attention' or "
+     "'bottleneck', got kind None"),
+    ("config-block-not-object", lambda: config_edited(
+        lambda c: c["stages"][1]["blocks"].__setitem__(0, [])), ValueError,
+     "bad model config: stages[1].blocks[0] must be an object with 'kind' 'attention' or "
+     "'bottleneck', got list"),
+    ("config-block-no-heads", lambda: config_edited(
+        lambda c: c["stages"][1]["blocks"][0].pop("heads")), ValueError,
+     "bad model config: stages[1].blocks[0] is missing field 'heads'"),
+    # a positive real argument (tensor.check_positive) and a probe index, where
+    # a ZeroDivisionError or IndexError came out, or the call ran, before
+    ("logits-alpha--2", lambda: attention_logits(Tensor(np.ones((1, 1, 2, 4))),
+                                                 Tensor(np.ones((1, 1, 2, 4))), "pb_relax",
+                                                 alpha=-2),
+     ValueError, "alpha must be finite and > 0, got -2"),
+    ("logits-alpha-nan", lambda: attention_logits(Tensor(np.ones((1, 1, 2, 4))),
+                                                  Tensor(np.ones((1, 1, 2, 4))), alpha=np.nan),
+     ValueError, "alpha must be finite and > 0, got nan"),
+    ("finite-diff-h-0", lambda: probe(h=0), ValueError, "h must be finite and > 0, got 0"),
+    ("finite-diff-h-str", lambda: probe(h="1e-3"), ValueError,
+     "h must be a real number, got '1e-3' (str)"),
+    ("finite-diff-index-4", lambda: probe(index=4), ValueError,
+     "index must be below the 4 entries of 'th', got 4"),
+    ("finite-diff-index--1", lambda: probe(index=-1), ValueError, "index must be >= 0, got -1"),
+    ("finite-diff-index-1.0", lambda: probe(index=1.0), ValueError,
+     "index must be an integer, got 1.0 (float)"),
 ]
+
+
+def config_edited(edit):
+    """config_from_json of visformer_ti-micro's JSON after edit(its parsed dict)."""
+    d = json.loads(config_to_json(preset("visformer_ti-micro")))
+    edit(d)
+    return config_from_json(json.dumps(d))
+
+
+def probe(index=0, h=1e-3):
+    """finite_diff_grad of sum(th^2) at th = [0, 1, 2, 3]."""
+    store = ParamStore()
+    th = store.add("th", Tensor(np.arange(4.0), dtype=np.float64))
+    return T.finite_diff_grad(lambda: T.sum_all(T.mul(th, th)), store, "th", index, h=h)
 
 
 @pytest.mark.parametrize("call,error,message", [r[1:] for r in REJECTED],

@@ -7,20 +7,22 @@ from visarch.tensor import ParamStore, ShapeError, Tensor, backward
 
 
 def make_params(rng, c, heads, head_dim, dtype=np.float64, zero_qk=False):
-    """mhsa_forward's weight arguments (w_qkv, b_qkv, w_proj, b_proj, heads)."""
+    """mhsa_forward's weight arguments (w_qkv, b_qkv, w_proj, b_proj, heads): 1x1 kernels."""
     inner = heads * head_dim
-    w_qkv = rng.normal(size=(3 * inner, c)) * 0.2
+    w_qkv = rng.normal(size=(3 * inner, c, 1, 1)) * 0.2
     if zero_qk:
         w_qkv[:2 * inner] = 0.0
     return (Tensor(w_qkv, dtype=dtype), Tensor(np.zeros(3 * inner), dtype=dtype),
-            Tensor(rng.normal(size=(c, inner)) * 0.2, dtype=dtype),
+            Tensor(rng.normal(size=(c, inner, 1, 1)) * 0.2, dtype=dtype),
             Tensor(np.zeros(c), dtype=dtype), heads)
 
 
 def naive_mhsa(x, p, bias=None):
-    """Loop-free reference attention in plain numpy (independent of the engine)."""
+    """Loop-free reference attention in plain numpy (independent of the engine),
+    on (N, T, C) tokens with the 1x1 kernels as (out, in) matrices."""
     n, c, h, w = x.shape
     w_qkv, b_qkv, w_proj, b_proj, heads = (getattr(a, "data", a) for a in p)
+    w_qkv, w_proj = w_qkv.reshape(w_qkv.shape[:2]), w_proj.reshape(w_proj.shape[:2])
     inner = w_qkv.shape[0] // 3
     d = inner // heads
     tokens = x.reshape(n, c, h * w).transpose(0, 2, 1)
@@ -84,11 +86,11 @@ class TestMhsa:
         c = 8
         p = make_params(rng, c, heads=2, head_dim=4, zero_qk=True)
         w_qkv, _, w_proj, _, _ = p
-        w_proj.data[:] = np.eye(c)
+        w_proj.data[:] = np.eye(c)[:, :, None, None]
         x = rng.normal(size=(1, c, 2, 3))
         out = mhsa_forward(Tensor(x, dtype=np.float64), *p).data
         tokens = x.reshape(1, c, 6)
-        v = w_qkv.data[2 * c:] @ tokens[0]
+        v = w_qkv.data[2 * c:, :, 0, 0] @ tokens[0]
         expect = np.repeat(v.mean(axis=1, keepdims=True), 6, axis=1).reshape(1, c, 2, 3)
         np.testing.assert_allclose(out, expect, atol=1e-10)
 
@@ -115,9 +117,9 @@ class TestMhsa:
     def test_grad_flows_fd(self, rng):
         store = ParamStore()
         inner = 6
-        store.add("qkv.w", Tensor(rng.normal(size=(3 * inner, 6)) * 0.3, dtype=np.float64))
+        store.add("qkv.w", Tensor(rng.normal(size=(3 * inner, 6, 1, 1)) * 0.3, dtype=np.float64))
         store.add("qkv.b", Tensor(np.zeros(3 * inner), dtype=np.float64))
-        store.add("proj.w", Tensor(rng.normal(size=(6, inner)) * 0.3, dtype=np.float64))
+        store.add("proj.w", Tensor(rng.normal(size=(6, inner, 1, 1)) * 0.3, dtype=np.float64))
         store.add("proj.b", Tensor(np.zeros(6), dtype=np.float64))
         x = Tensor(rng.normal(size=(1, 6, 2, 2)), dtype=np.float64)
 
@@ -150,8 +152,8 @@ class TestMhsa:
 
 def attention_args(inner=8, c=8, **override):
     """Consistent mhsa_forward arguments for a (1, c, 2, 2) input, with overrides."""
-    args = dict(w_qkv=Tensor(np.zeros((3 * inner, c))), b_qkv=Tensor(np.zeros(3 * inner)),
-                w_proj=Tensor(np.zeros((c, inner))), b_proj=Tensor(np.zeros(c)), heads=2)
+    args = dict(w_qkv=Tensor(np.zeros((3 * inner, c, 1, 1))), b_qkv=Tensor(np.zeros(3 * inner)),
+                w_proj=Tensor(np.zeros((c, inner, 1, 1))), b_proj=Tensor(np.zeros(c)), heads=2)
     return {**args, **override}
 
 
@@ -161,13 +163,18 @@ class TestParamsValidation:
         assert mhsa_forward(x, **attention_args()).shape == (1, 8, 2, 2)
         head_bias = Tensor(np.zeros((2, 4, 4)))
         assert mhsa_forward(x, **attention_args(bias=head_bias)).shape == (1, 8, 2, 2)
-        for bad in (dict(w_qkv=Tensor(np.zeros((25, 8)))),
+        for bad in (dict(w_qkv=Tensor(np.zeros((25, 8, 1, 1)))),
                     dict(heads=3),
                     dict(heads=0),
-                    dict(w_qkv=Tensor(np.zeros((0, 8))), b_qkv=Tensor(np.zeros(0))),
-                    dict(w_qkv=Tensor(np.zeros((24, 9)))),
-                    dict(w_proj=Tensor(np.zeros((8, 10)))),
-                    dict(w_proj=Tensor(np.zeros((9, 8))), b_proj=Tensor(np.zeros(9))),
+                    dict(w_qkv=Tensor(np.zeros((0, 8, 1, 1))), b_qkv=Tensor(np.zeros(0))),
+                    dict(w_qkv=Tensor(np.zeros((24, 9, 1, 1)))),
+                    dict(w_proj=Tensor(np.zeros((8, 10, 1, 1)))),
+                    dict(w_proj=Tensor(np.zeros((9, 8, 1, 1))), b_proj=Tensor(np.zeros(9))),
+                    # the projections are 1x1 kernels: a 2-d matrix or a 3x3 one is not
+                    dict(w_qkv=Tensor(np.zeros((24, 8)))),
+                    dict(w_proj=Tensor(np.zeros((8, 8)))),
+                    dict(w_qkv=Tensor(np.zeros((24, 8, 3, 3)))),
+                    dict(w_proj=Tensor(np.zeros((8, 8, 3, 3)))),
                     dict(b_qkv=Tensor(np.zeros(23))),
                     dict(b_qkv=Tensor(np.zeros((24, 1)))),
                     dict(b_proj=Tensor(np.zeros(9))),

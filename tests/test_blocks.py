@@ -257,7 +257,8 @@ class TestAttentionBlock:
     def test_halved_inner_width_runs(self, rng):
         spec = AttentionSpec(16, hidden=64, heads=2, head_dim=4)
         store, buffers = build_block(spec)
-        assert store["b.attn.qkv.w"].shape == (24, 16)
+        assert store["b.attn.qkv.w"].shape == (24, 16, 1, 1)
+        assert store["b.attn.proj.w"].shape == (16, 8, 1, 1)
         x = Tensor(rng.normal(size=(1, 16, 2, 2)), dtype=np.float64)
         out = B.attention_block_forward(x, spec, store, buffers, "b", "batch", True)
         assert out.shape == (1, 16, 2, 2)

@@ -120,8 +120,10 @@ class TestBadContents:
         ("buffer.s9.extra.mean", lambda t, k: t.__setitem__(k, np.zeros(2, np.float32))),
         ("param.head.fc.w", lambda t, k: t.__setitem__(k, t[k][:, :-1].copy())),
         ("buffer.stem.norm.mean", lambda t, k: t.__setitem__(k, np.zeros(3, np.float32))),
+        # a version-4 file held the attention projections as 2-d matrices
+        ("param.s1.b0.attn.qkv.w", lambda t, k: t.__setitem__(k, t[k].reshape(t[k].shape[:2]))),
     ], ids=["missing-param", "missing-buffer", "extra-param", "extra-buffer",
-            "misshaped-param", "misshaped-buffer"])
+            "misshaped-param", "misshaped-buffer", "2d-attention-weight"])
     def test_raises_checkpoint_error_naming_the_path(self, blob, key, edit):
         loaded = load_bytes(blob)
         edit(loaded["tensors"], key)
@@ -185,7 +187,7 @@ class TestMalformedHeader:
         assert sealed(*header) == blob
 
     def test_tensor_entries_hold_path_and_dims(self, header):
-        # dims gives the rank, so version 4 entries store no "rank"
+        # dims gives the rank, so entries store no "rank" (since version 4)
         assert all(set(e) == {"path", "dims"} for e in header[0]["tensors"])
 
     @pytest.mark.parametrize("raw,match", [
@@ -229,7 +231,7 @@ class TestMalformedHeader:
     @pytest.mark.parametrize("edit,named", [
         (lambda c: c.pop("stages"), "'stages'"),
         (lambda c: c["stages"][0]["blocks"][0].update(bogus=1), "'bogus'"),
-        (lambda c: c.update(stages=7), "not iterable"),
+        (lambda c: c.update(stages=7), "stages must be a list, got int"),
         (lambda c: c.update(input_resolution="32"), "input_resolution must be an integer"),
         (lambda c: c.update(stem=None), "stem must be an integer"),
         (lambda c: c["stages"][0]["blocks"][0].update(channels="24"),
@@ -298,20 +300,25 @@ class TestCorruption:
 
     def test_version_1_is_rejected(self, blob):
         # version 1 headers carried every block field on every block kind
-        assert checkpoint.VERSION == 4
-        with pytest.raises(VersionError, match="format version 1, expected 4"):
+        assert checkpoint.VERSION == 5
+        with pytest.raises(VersionError, match="format version 1, expected 5"):
             load_bytes(resealed_as(blob, 1))
 
     def test_version_2_is_rejected(self, blob):
         # version 2 headers carried stem padding, attention groups and final_norm
-        with pytest.raises(VersionError, match="format version 2, expected 4"):
+        with pytest.raises(VersionError, match="format version 2, expected 5"):
             load_bytes(resealed_as(blob, 2))
 
     def test_version_3_is_rejected(self, blob):
         # version 3 headers carried the stem as an embedding spec, stem_pool, a
         # kernel on every patch embedding and a rank on every tensor entry
-        with pytest.raises(VersionError, match="format version 3, expected 4"):
+        with pytest.raises(VersionError, match="format version 3, expected 5"):
             load_bytes(resealed_as(blob, 3))
+
+    def test_version_4_is_rejected(self, blob):
+        # version 4 files held the attention projections as 2-d (out, in) matrices
+        with pytest.raises(VersionError, match="format version 4, expected 5"):
+            load_bytes(resealed_as(blob, 4))
 
     def test_truncated_tail(self, blob):
         with pytest.raises(ChecksumError):
@@ -399,7 +406,7 @@ def reference_save(model, extra, extra_tensors):
     header = json.dumps({"config": models.config_to_dict(model.config), "extra": extra,
                          "tensors": [{"path": p, "dims": list(tensors[p].shape)} for p in paths]},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = (b"VSFM" + struct.pack("<H", 4) + struct.pack("<I", len(header)) + header
+    body = (b"VSFM" + struct.pack("<H", 5) + struct.pack("<I", len(header)) + header
             + b"".join(tensors[p].astype("<f4").tobytes() for p in paths))
     return body + struct.pack("<I", zlib.crc32(body))
 

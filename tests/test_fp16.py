@@ -208,8 +208,19 @@ class TestScores:
         (np.ones((2, 4)), np.ones((2, 4)), -2.0, "alpha"),
         (np.ones((2, 4)), np.ones((2, 4)), float("nan"), "alpha"),
         (np.ones((2, 4)), np.ones((2, 4)), float("inf"), "alpha"),
+        # a string or None gave a bare TypeError, and True ran as alpha 1
+        (np.ones((2, 4)), np.ones((2, 4)), "x", "^alpha must be a real number, got 'x' \\(str\\)$"),
+        (np.ones((2, 4)), np.ones((2, 4)), None, "^alpha must be a real number, got None"),
+        (np.ones((2, 4)), np.ones((2, 4)), True, "^alpha must be a real number, got True"),
+        # Tensor's dtype rule: a complex input ran without its imaginary part,
+        # a bool or object one ran as numbers, a string one gave numpy's ValueError
+        (np.ones((2, 4)) + 1j, np.ones((2, 4)), 32.0, "type, got complex128$"),
+        (np.ones((2, 4)), np.ones((2, 4), bool), 32.0, "type, got bool$"),
+        (np.ones((2, 4)).astype(object), np.ones((2, 4)), 32.0, "type, got object$"),
+        (np.ones((2, 4)), np.full((2, 4), "1"), 32.0, "type, got <U1$"),
     ], ids=["no-tokens", "no-width", "nan-q", "inf-k", "alpha0", "alpha-neg",
-            "alpha-nan", "alpha-inf"])
+            "alpha-nan", "alpha-inf", "alpha-str", "alpha-None", "alpha-bool",
+            "complex-q", "bool-k", "object-q", "str-k"])
     def test_rejects_inputs_with_no_meaningful_scores(self, q, k, alpha, match):
         for mode in SCORE_MODES:
             with pytest.raises(ValueError, match=match):

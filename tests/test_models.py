@@ -21,7 +21,6 @@ from visarch import (
     model_forward,
     preset,
     preset_names,
-    shape_table,
 )
 from visarch.blocks import BUFFER_INITS, LAYERS, AttentionSpec, BottleneckSpec, EmbedSpec
 from visarch.models import ModelConfig, model_slots
@@ -315,9 +314,9 @@ class TestLadder:
 class TestPlan:
     @pytest.mark.parametrize("name", FULL_PRESETS)
     def test_shapes_chain(self, name):
-        rows = shape_table(preset(name))
-        for (_, _, out), (_, nxt, _) in zip(rows, rows[1:]):
-            assert out == nxt
+        plan = layer_plan(preset(name))
+        for e, nxt in zip(plan, plan[1:]):
+            assert e.out_shape == nxt.in_shape
 
     @pytest.mark.parametrize("name", preset_names())
     def test_every_parameter_belongs_to_one_plan_entry(self, name):
@@ -343,7 +342,7 @@ class TestPlan:
     def test_resolution_must_be_an_integer(self, res):
         # 32.0 would give float shapes, and True would be read as 1
         with pytest.raises(ShapeError, match=re.escape(f"must be an integer, got {res!r}")):
-            shape_table(preset("deit_s"), res)
+            layer_plan(preset("deit_s"), res)
 
     @pytest.mark.parametrize("error,make,match", [r[1:] for r in REJECTED],
                              ids=[r[0] for r in REJECTED])

@@ -374,11 +374,12 @@ class TestLinear:
         conv = T.conv2d(Tensor(x.reshape(3, 5, 1, 1)), Tensor(w.reshape(4, 5, 1, 1)), Tensor(b)).data
         np.testing.assert_allclose(lin, conv[:, :, 0, 0], atol=1e-6)
 
-    def test_rank3_tokens(self, rng):
-        x = rng.normal(size=(2, 7, 5))
-        w = rng.normal(size=(4, 5))
-        got = T.linear(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64)).data
-        np.testing.assert_allclose(got, x @ w.T, atol=1e-12)
+    @pytest.mark.parametrize("x_shape,w_shape", [((2, 7, 5), (4, 5)), ((2, 5), (4, 5, 1, 1))],
+                             ids=["rank3-tokens", "conv-kernel"])
+    def test_rank_2_only(self, x_shape, w_shape):
+        # every dense layer but the head is a 1x1 conv2d on the NCHW map
+        with pytest.raises(ShapeError, match="rank-2 input and weight"):
+            T.linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)))
 
     def test_feature_mismatch_error(self):
         with pytest.raises(ShapeError):

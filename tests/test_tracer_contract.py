@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from visarch import build, models, preset, shape_table
+from visarch import build, layer_plan, models, preset
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -49,6 +49,6 @@ def test_plan_matches_forward_at_odd_stage_resolutions():
     # which a 3x3 pad-1 stride-2 conv maps to 3x3 and 2x2
     checked, errors, _ = traced_join("resnet50_shape-micro", 40)
     assert (checked, errors) == (1, [])
-    out = {path: o for path, _, o in shape_table(preset("resnet50_shape-micro"), 40)}
+    out = {e.prefix: e.out_shape for e in layer_plan(preset("resnet50_shape-micro"), 40)}
     assert out["s2.b0"][1:] == (3, 3)
     assert out["s3.b0"][1:] == (2, 2)
