@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from contextlib import nullcontext
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -256,56 +256,23 @@ def config_to_dict(config: ModelConfig) -> dict:
     return asdict(config)
 
 
-def _object(d, cls, where: str) -> dict:
-    """The parsed JSON object d, as cls's keyword arguments. Raises ValueError
-    naming d if it is not an object, else its first unknown key, else the
-    first field of cls that has no default and that d lacks."""
-    if not isinstance(d, dict):
-        raise ValueError(f"bad model config: {where} must be an object, got {type(d).__name__}")
-    init = {f.name: f for f in fields(cls) if f.init}
-    for key in d:
-        if key not in init:
-            raise ValueError(f"bad model config: {where} has an unknown field {key!r}")
-    for name, f in init.items():
-        if name not in d and f.default is MISSING:
-            raise ValueError(f"bad model config: {where} is missing field {name!r}")
-    return d
-
-
-def _list(value, where: str):
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"bad model config: {where} must be a list, got {type(value).__name__}")
-    return value
-
-
-def _block(b, where: str):
-    """A block spec from its parsed JSON object, whose 'kind' picks the class."""
-    if not (isinstance(b, dict) and b.get("kind") in ("attention", "bottleneck")):
-        got = f"kind {b.get('kind')!r}" if isinstance(b, dict) else type(b).__name__
-        raise ValueError(f"bad model config: {where} must be an object with 'kind' "
-                         f"'attention' or 'bottleneck', got {got}")
-    cls = AttentionSpec if b["kind"] == "attention" else BottleneckSpec
-    return cls(**_object({k: v for k, v in b.items() if k != "kind"}, cls, where))
-
-
-def _stage(s, where: str) -> StageSpec:
-    s = _object(s, StageSpec, where)
-    embed = s["embed"]
-    return StageSpec(
-        embed=None if embed is None else EmbedSpec(**_object(embed, EmbedSpec, where + ".embed")),
-        blocks=tuple(_block(b, f"{where}.blocks[{j}]")
-                     for j, b in enumerate(_list(s["blocks"], where + ".blocks"))))
-
-
 def config_from_dict(d) -> ModelConfig:
-    """A ModelConfig from parsed JSON. A malformed one raises ValueError: 'bad
-    model config: ...' where a part is not an object (or list), has an unknown
-    field or lacks one without a default, or a block's kind is not attention or
-    bottleneck; its spec's check_fields message where a value breaks its rule."""
-    kwargs = _object(d, ModelConfig, "the config")
-    stages = _list(kwargs["stages"], "stages")
-    return ModelConfig(**{**kwargs, "stages": tuple(_stage(s, f"stages[{i}]")
-                                                    for i, s in enumerate(stages))})
+    """A ModelConfig from parsed JSON. A malformed one (a part that is not an
+    object, a missing or unknown field, a block kind other than attention or
+    bottleneck) raises ValueError('bad model config: ...') carrying the error
+    that found it; a value that breaks its spec's rule, its check_fields message."""
+    kinds = {"attention": AttentionSpec, "bottleneck": BottleneckSpec}
+
+    def stage(s):
+        embed = s["embed"]
+        return StageSpec(**{**s, "embed": None if embed is None else EmbedSpec(**embed),
+                            "blocks": tuple(kinds[b["kind"]](**{k: v for k, v in b.items()
+                                                                if k != "kind"})
+                                            for b in s["blocks"])})
+    try:
+        return ModelConfig(**{**d, "stages": tuple(stage(s) for s in d["stages"])})
+    except (AttributeError, KeyError, TypeError) as e:
+        raise ValueError(f"bad model config: {type(e).__name__}: {e}") from None
 
 
 def config_to_json(config: ModelConfig) -> str:

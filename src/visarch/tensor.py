@@ -404,13 +404,13 @@ def check_count(name: str, value, floor: int, error=ValueError) -> int:
     return value
 
 
-def check_positive(name: str, value, error=ValueError) -> float:
+def check_positive(name: str, value) -> float:
     """value as a Python float if it is a real number (a bool is not), finite and > 0,
-    else raise `error` naming it. A plain float skips the isinstance tests."""
+    else raise ValueError naming it. A plain float skips the isinstance tests."""
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
-        raise error(f"{name} must be a real number, got {value!r} ({type(value).__name__})")
+        raise ValueError(f"{name} must be a real number, got {value!r} ({type(value).__name__})")
     if not 0.0 < value < math.inf:
-        raise error(f"{name} must be finite and > 0, got {value!r}")
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return float(value)
 
 

@@ -94,42 +94,6 @@ REJECTED = [
      ShapeError, "model dtype must be float32 or float64, got None"),
     ("train-config-not-json", lambda: TrainConfig.from_json("preset: deit_s-micro"), ValueError,
      "bad train config: Expecting value: line 1 column 1 (char 0)"),
-    # a model config: one parse rule, where a JSONDecodeError, KeyError or
-    # TypeError came out before
-    ("config-not-json", lambda: config_from_json("nope"), ValueError,
-     "bad model config: not JSON: Expecting value: line 1 column 1 (char 0)"),
-    ("config-empty", lambda: config_from_json("{}"), ValueError,
-     "bad model config: the config is missing field 'name'"),
-    ("config-array", lambda: config_from_json("[1]"), ValueError,
-     "bad model config: the config must be an object, got list"),
-    ("config-no-stages", lambda: config_edited(lambda c: c.pop("stages")), ValueError,
-     "bad model config: the config is missing field 'stages'"),
-    ("config-unknown-field", lambda: config_edited(lambda c: c.update(bogus=1)), ValueError,
-     "bad model config: the config has an unknown field 'bogus'"),
-    ("config-stages-object", lambda: config_edited(lambda c: c.update(stages={})), ValueError,
-     "bad model config: stages must be a list, got dict"),
-    ("config-stage-no-embed", lambda: config_edited(lambda c: c["stages"][0].pop("embed")),
-     ValueError, "bad model config: stages[0] is missing field 'embed'"),
-    ("config-embed-unknown-field", lambda: config_edited(
-        lambda c: c["stages"][1]["embed"].update(kernel=2)), ValueError,
-     "bad model config: stages[1].embed has an unknown field 'kernel'"),
-    ("config-blocks-number", lambda: config_edited(lambda c: c["stages"][0].update(blocks=3)),
-     ValueError, "bad model config: stages[0].blocks must be a list, got int"),
-    ("config-block-kind-mlp", lambda: config_edited(
-        lambda c: c["stages"][1]["blocks"][0].update(kind="mlp")), ValueError,
-     "bad model config: stages[1].blocks[0] must be an object with 'kind' 'attention' or "
-     "'bottleneck', got kind 'mlp'"),
-    ("config-block-no-kind", lambda: config_edited(
-        lambda c: c["stages"][1]["blocks"][0].pop("kind")), ValueError,
-     "bad model config: stages[1].blocks[0] must be an object with 'kind' 'attention' or "
-     "'bottleneck', got kind None"),
-    ("config-block-not-object", lambda: config_edited(
-        lambda c: c["stages"][1]["blocks"].__setitem__(0, [])), ValueError,
-     "bad model config: stages[1].blocks[0] must be an object with 'kind' 'attention' or "
-     "'bottleneck', got list"),
-    ("config-block-no-heads", lambda: config_edited(
-        lambda c: c["stages"][1]["blocks"][0].pop("heads")), ValueError,
-     "bad model config: stages[1].blocks[0] is missing field 'heads'"),
     # a positive real argument (tensor.check_positive) and a probe index, where
     # a ZeroDivisionError or IndexError came out, or the call ran, before
     ("logits-alpha--2", lambda: attention_logits(Tensor(np.ones((1, 1, 2, 4))),
@@ -148,6 +112,43 @@ REJECTED = [
     ("finite-diff-index-1.0", lambda: probe(index=1.0), ValueError,
      "index must be an integer, got 1.0 (float)"),
 ]
+
+
+# a model config: one parse rule, where a JSONDecodeError, KeyError or TypeError
+# came out before. Each row names what its message must hold: the field, kind or
+# type that is wrong.
+CONFIG_REJECTED = [
+    ("config-not-json", lambda: config_from_json("nope"), "not JSON"),
+    ("config-empty", lambda: config_from_json("{}"), "'stages'"),
+    ("config-array", lambda: config_from_json("[1]"), "'list'"),
+    ("config-no-stages", lambda: config_edited(lambda c: c.pop("stages")), "'stages'"),
+    ("config-unknown-field", lambda: config_edited(lambda c: c.update(bogus=1)), "'bogus'"),
+    ("config-stages-number", lambda: config_edited(lambda c: c.update(stages=3)), "'int'"),
+    ("config-stage-no-embed", lambda: config_edited(lambda c: c["stages"][0].pop("embed")),
+     "'embed'"),
+    ("config-stage-unknown-field", lambda: config_edited(
+        lambda c: c["stages"][0].update(extra=1)), "'extra'"),
+    ("config-embed-unknown-field", lambda: config_edited(
+        lambda c: c["stages"][1]["embed"].update(kernel=2)), "'kernel'"),
+    ("config-blocks-number", lambda: config_edited(lambda c: c["stages"][0].update(blocks=3)),
+     "'int'"),
+    ("config-block-kind-mlp", lambda: config_edited(
+        lambda c: c["stages"][1]["blocks"][0].update(kind="mlp")), "'mlp'"),
+    ("config-block-no-kind", lambda: config_edited(
+        lambda c: c["stages"][1]["blocks"][0].pop("kind")), "'kind'"),
+    ("config-block-not-object", lambda: config_edited(
+        lambda c: c["stages"][1]["blocks"].__setitem__(0, [])), "list"),
+    ("config-block-no-heads", lambda: config_edited(
+        lambda c: c["stages"][1]["blocks"][0].pop("heads")), "'heads'"),
+]
+
+
+@pytest.mark.parametrize("call,names", [r[1:] for r in CONFIG_REJECTED],
+                         ids=[r[0] for r in CONFIG_REJECTED])
+def test_rejects_malformed_config_naming_it(call, names):
+    with pytest.raises(ValueError, match="^bad model config: ") as caught:
+        call()
+    assert caught.type is ValueError and names in str(caught.value)
 
 
 def config_edited(edit):
