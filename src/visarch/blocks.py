@@ -16,6 +16,7 @@ pooling, and bias adds count zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
@@ -30,14 +31,17 @@ from .tensor import ParamStore, Tensor
 # bool is only a bool, never an int or a float
 _FIELD_TYPES = {"str": (str, "a string"), "int": (int, "an integer"),
                 "float": ((int, float), "a number"), "bool": (bool, "true or false")}
+# The largest value of a number field, and how an error names it: an int is at
+# most the largest numpy shape, and an int in a float field must convert to a float
+_CEILINGS = {"int": (2 ** 63 - 1, "2**63 - 1"), "float": (sys.float_info.max, "the largest float")}
 
 
 def check_fields(obj, what: str) -> None:
     """Raise ValueError naming the first scalar field of the dataclass obj that
     breaks its rule: it holds its annotated type; a number is finite and >= 0,
-    or >= 1 if the class lists it in POSITIVE; a string the class lists in
-    CHOICES is one of the values given there. Other fields, and how the fields
-    fit together, are left to their owner."""
+    or >= 1 if the class lists it in POSITIVE, and at most its _CEILINGS; a string
+    the class lists in CHOICES is one of the values given there. Other fields,
+    and how the fields fit together, are left to their owner."""
     choices = getattr(obj, "CHOICES", {})
     for f in fields(obj):
         if f.type not in _FIELD_TYPES:
@@ -49,6 +53,8 @@ def check_fields(obj, what: str) -> None:
             rule = f"{kind}, got {value!r} ({type(value).__name__})"
         elif f.type in ("int", "float") and not floor <= value < math.inf:
             rule = f"{'finite and ' if f.type == 'float' else ''}>= {floor}, got {value!r}"
+        elif f.type in _CEILINGS and value > _CEILINGS[f.type][0]:  # an int, as inf failed above
+            rule = f"<= {_CEILINGS[f.type][1]}, got an integer of {value.bit_length()} bits"
         elif value not in choices.get(f.name, (value,)):
             rule = f"one of {choices[f.name]}, got {value!r}"
         else:

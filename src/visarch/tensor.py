@@ -274,8 +274,13 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def transpose(x: Tensor, perm) -> Tensor:
+    """x with its axes reordered as perm, a permutation of range(x's rank)."""
     perm = tuple(perm)
-    inv = tuple(np.argsort(perm))
+    axes = range(x.data.ndim)
+    if sorted(perm) != list(axes):
+        raise ShapeError(f"transpose perm must be a permutation of the {x.data.ndim} axes "
+                         f"of {x.data.shape}, got {perm}")
+    inv = tuple(sorted(axes, key=perm.__getitem__))
 
     def bwd(dout):
         return (dout.transpose(inv),)
@@ -707,9 +712,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, *, eps: float = 1e-5) -> 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, *,
                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
-    """BatchNorm over (N, H, W) per channel; running buffers are plain arrays
+    """BatchNorm over (N, H, W) per channel; running buffers are plain (C,) arrays
     updated in place during training (unbiased variance in the running estimate)."""
     xd = _norm_input("batch_norm", x, gamma, beta)
+    for name, buf in (("running_mean", running_mean), ("running_var", running_var)):
+        if not isinstance(buf, np.ndarray) or buf.shape != (xd.shape[1],):
+            got = buf.shape if isinstance(buf, np.ndarray) else type(buf).__name__
+            raise ShapeError(f"batch_norm {name} must be an array of shape ({xd.shape[1]},), "
+                             f"got {got}")
     if not training:
         return _fixed_normalize(x, gamma, beta, running_mean, running_var, eps)
     n = xd.size // xd.shape[1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -366,7 +367,9 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     both the analytic gradients, by backward from its logits, and each plan
     entry's input. A probe of a parameter of entry k runs only entries
     k..end from that input (_probe_losses), so the report equals the one a
-    probe through the whole model_forward gives, in fewer forwards.
+    probe through the whole model_forward gives, in fewer forwards. The
+    probes run in forked worker processes, one per usable CPU (_map_probes),
+    and are merged in probe order, so the report does not depend on their count.
     Entries missing tolerance at the first step size are retried at the
     others: relu-kink straddles shrink with h, near-zero derivatives need a
     larger h to rise above the rounding-noise floor (which grows as 1/h), and
@@ -389,28 +392,95 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     inputs = [Tensor(t.data) for t in inputs[:-1]]  # detached, so the graph is freed
     losses = _probe_losses(model, plan, inputs, y)
     pick = np.random.default_rng(99)
-    checked = 0
-    failures = []
-    worst = GradcheckEntry("", 0, 0.0, 0.0, -1.0)
+    probes = []  # (path, index, analytic), in store order
     for path, t in store.items():
         flat_grad = (t.grad.reshape(-1) if t.grad is not None
                      else np.zeros(t.data.size))
         k = min(samples_per_param, t.data.size)
         for i in pick.choice(t.data.size, size=k, replace=False):
-            i = int(i)
-            ana = float(flat_grad[i])
-            best = None
-            for h in GRADCHECK_STEPS:
-                num = finite_diff_grad(losses[path], store, path, i, h=h)
-                rel = abs(ana - num) / max(abs(ana), abs(num), 1e-3)
-                if best is None or rel < best[0]:
-                    best = (rel, num)
-                if rel < tolerance:
-                    break
-            entry = GradcheckEntry(path, i, ana, best[1], best[0])
-            checked += 1
-            if entry.rel > worst.rel:
-                worst = entry
-            if entry.rel >= tolerance:
-                failures.append(entry)
+            probes.append((path, int(i), float(flat_grad[i])))
+
+    def probe(p) -> GradcheckEntry:
+        path, i, ana = p
+        best = None
+        for h in GRADCHECK_STEPS:
+            num = finite_diff_grad(losses[path], store, path, i, h=h)
+            rel = abs(ana - num) / max(abs(ana), abs(num), 1e-3)
+            if best is None or rel < best[0]:
+                best = (rel, num)
+            if rel < tolerance:
+                break
+        return GradcheckEntry(path, i, ana, best[1], best[0])
+
+    checked = 0
+    failures = []
+    worst = GradcheckEntry("", 0, 0.0, 0.0, -1.0)
+    for entry in _map_probes(probe, probes):
+        checked += 1
+        if entry.rel > worst.rel:
+            worst = entry
+        if entry.rel >= tolerance:
+            failures.append(entry)
     return GradcheckReport(preset_name, tolerance, checked, worst, failures)
+
+
+def _probe_workers(probes: int) -> int:
+    """How many processes run gradcheck's probes: one per CPU this process may
+    run on, at most one per probe, and 1 where the CPU set is unknown."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), probes)
+
+
+_WORKER_PROBE = None  # the probe function, set only in _map_probes' forked workers
+
+
+def _adopt_probe(probe) -> None:
+    global _WORKER_PROBE
+    _WORKER_PROBE = probe
+
+
+def _pooled_probe(p):
+    """_WORKER_PROBE(p), or None if it raises: the exception may not pickle, so
+    the parent re-runs the probe to raise it."""
+    try:
+        return _WORKER_PROBE(p)
+    except Exception:
+        return None
+
+
+def _map_probes(probe, probes: list) -> list:
+    """[probe(p) for p in probes], with the same results and the same first exception.
+
+    Workers forked from this process (_probe_workers of them) inherit the model,
+    the entry inputs and probe, so only the (path, index, analytic) tuples and
+    the entries travel; each takes one whole probe at a time and keeps numpy's
+    BLAS thread count, so its bits are the serial loop's. Where a worker's probe
+    raises, or a worker dies (a killed one would hang a multiprocessing.Pool),
+    the pool is shut down and the probes from that one on run here, so the
+    caller sees the serial loop's result or exception. With one worker, without
+    fork, inside a daemon process (which may not have children) or while another
+    thread runs (a forked child would inherit its locks as they stand), all run here.
+    """
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    workers = _probe_workers(len(probes))
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or threading.active_count() > 1):
+        return [probe(p) for p in probes]
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               _adopt_probe, (probe,))
+    done = []
+    try:
+        for entry in pool.map(_pooled_probe, probes):
+            if entry is None:
+                break
+            done.append(entry)
+    except BrokenProcessPool:
+        pass
+    finally:
+        pool.shutdown(cancel_futures=True)  # waits for the probes already running
+    return done + [probe(p) for p in probes[len(done):]]

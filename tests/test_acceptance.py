@@ -81,6 +81,8 @@ def test_criterion_3a_gradcheck_every_family():
     for name in FAMILIES:
         rep = gradcheck(f"{name}-micro", tolerance=1e-4,
                         samples_per_param=1, batch=2)
+        print(f"  {name}-micro worst rel {rep.worst.rel:.2e} at "
+              f"{rep.worst.path}[{rep.worst.index}]")  # the margin left against 1e-4
         if not rep.passed:
             problems.append(f"{name}-micro worst rel {rep.worst.rel:.2e}")
     report("3a", "gradients match finite differences at 1e-4 in all families",

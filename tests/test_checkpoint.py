@@ -243,6 +243,8 @@ class TestMalformedHeader:
         (lambda c: c["stages"][1]["embed"].update(stride=0), "stride must be >= 1, got 0"),
         (lambda c: c.update(conv_block_style="bogus"), "conv_block_style must be one of"),
         (lambda c: c.update(num_classes=0), "num_classes must be >= 1, got 0"),
+        (lambda c: c["stages"][0]["blocks"][0].update(channels=10 ** 400),
+         "channels must be <= 2**63 - 1"),
         (lambda c: c["stages"][0]["blocks"][0].update(stride=2), "only a post_norm bottleneck"),
         # s0.b0 is a bottleneck and s1.b0 an attention block
         (lambda c: c["stages"][0]["blocks"][0].update(use_3x3=True), "'use_3x3'"),
@@ -261,7 +263,8 @@ class TestMalformedHeader:
     ], ids=["missing-stages", "unknown-block-field", "mistyped-stages", "string-resolution",
             "null-stem", "string-channels", "unknown-norm", "unknown-config-field",
             "zero-groups", "negative-stem", "zero-embed-stride", "unknown-block-style",
-            "zero-classes", "strided-pre-norm", "bottleneck-use_3x3", "attention-attn_inner",
+            "zero-classes", "huge-channels", "strided-pre-norm", "bottleneck-use_3x3",
+            "attention-attn_inner",
             "unknown-kind", "no-kind", "attention-groups", "final-norm", "stem-object",
             "stem-pool", "embed-kernel"])
     def test_bad_config(self, header, edit, named):

@@ -23,7 +23,7 @@ from visarch import (
     preset_names,
 )
 from visarch.blocks import BUFFER_INITS, LAYERS, AttentionSpec, BottleneckSpec, EmbedSpec
-from visarch.models import ModelConfig, model_slots
+from visarch.models import ModelConfig, config_from_dict, config_to_dict, model_slots
 from visarch.tensor import cross_entropy
 from visarch.train import TrainConfig
 
@@ -221,6 +221,30 @@ class TestFieldRules:
         replace(VALID["model config"](), stem=0)
         replace(VALID["train config"](), base_lr=0.0, lr_floor=0.0, seed=0,
                 data_per_class=1)
+
+    def test_int_ceiling_is_the_largest_numpy_shape(self):
+        replace(VALID["train config"](), seed=2 ** 63 - 1)
+        with pytest.raises(ValueError, match=re.escape(
+                "bad train config: seed must be <= 2**63 - 1, got an integer of 64 bits")):
+            replace(VALID["train config"](), seed=2 ** 63)
+
+    def test_an_int_in_a_float_field_must_convert_to_a_float(self):
+        # it used to pass, and cosine_lr then raised a bare OverflowError
+        replace(VALID["train config"](), base_lr=2 ** 1023, lr_floor=0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "bad train config: base_lr must be <= the largest float, got an integer of "
+                "1329 bits")):
+            replace(VALID["train config"](), base_lr=10 ** 400)
+
+    def test_huge_width_is_rejected_by_the_parse(self):
+        # it used to parse, and layer_plan then raised a bare OverflowError
+        d = config_to_dict(preset("net5-micro"))
+        d["stages"][0]["embed"]["out_channels"] = 10 ** 400
+        d["stages"][0]["blocks"] = [dict(b, channels=10 ** 400) for b in d["stages"][0]["blocks"]]
+        with pytest.raises(ValueError, match=re.escape(
+                "bad embedding spec: out_channels must be <= 2**63 - 1, got an integer of "
+                "1329 bits")):
+            config_from_dict(d)
 
 
 class TestPresets:

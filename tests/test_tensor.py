@@ -1,5 +1,6 @@
 import re
 import warnings
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -430,6 +431,21 @@ class TestNorms:
         with pytest.raises(ShapeError):
             T.batch_norm(Tensor(np.ones((1, 2, 1, 1))), g, b, np.zeros(2), np.ones(2), training=True)
 
+    @pytest.mark.parametrize("training,mean,var,message", [
+        (False, np.zeros(4), np.ones(3), "running_mean must be an array of shape (3,), got (4,)"),
+        (True, np.zeros(3), np.ones(4), "running_var must be an array of shape (3,), got (4,)"),
+        (False, [0.0, 0.0, 0.0], np.ones(3),
+         "running_mean must be an array of shape (3,), got list"),
+        (False, np.zeros(3), np.ones((3, 1)),
+         "running_var must be an array of shape (3,), got (3, 1)"),
+    ], ids=["long-mean-eval", "long-var-train", "list-mean", "column-var-eval"])
+    def test_batch_norm_rejects_bad_running_buffers(self, training, mean, var, message):
+        # numpy's reshape or broadcast error, a bare AttributeError, or, for the
+        # column, a silent run in eval
+        g, b = Tensor(np.ones(3)), Tensor(np.zeros(3))
+        with pytest.raises(ShapeError, match=re.escape("batch_norm " + message)):
+            T.batch_norm(Tensor(np.ones((2, 3, 2, 2))), g, b, mean, var, training=training)
+
     def test_batch_norm_eval_backward_is_fixed_affine(self, rng):
         # eval-mode statistics are constants: dx = gamma / sqrt(var + eps) * dout
         store = ParamStore()
@@ -835,6 +851,20 @@ class TestTensorBasics:
             T.reshape(Tensor(np.zeros((2, 2, 2, 2))), (1, 2, 2, 2, 2))
         with pytest.raises(ShapeError, match="rank 5"):
             T.batch_tile(Tensor(np.zeros((1, 2, 2, 2))), 2)
+
+    @pytest.mark.parametrize("perm", list(permutations(range(4))))
+    def test_transpose_backward_applies_the_inverse_permutation(self, perm):
+        x = Tensor(np.arange(120.0).reshape(2, 3, 4, 5), requires_grad=True)
+        dout = np.random.default_rng(0).normal(size=x.data.transpose(perm).shape)
+        backward(T.sum_all(T.mul(T.transpose(x, perm), Tensor(dout))))
+        assert np.array_equal(x.grad, dout.transpose(np.argsort(perm)))
+
+    @pytest.mark.parametrize("perm", [(0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 4), (0, 1, 2, 3, 4)])
+    def test_transpose_rejects_what_is_not_a_permutation_of_the_axes(self, perm):
+        # a repeated axis gave numpy's bare "repeated axis in transpose"
+        with pytest.raises(ShapeError, match=re.escape(
+                f"transpose perm must be a permutation of the 4 axes of (1, 2, 3, 4), got {perm}")):
+            T.transpose(Tensor(np.zeros((1, 2, 3, 4))), perm)
 
     def test_reshape_size_mismatch_error(self):
         with pytest.raises(ShapeError, match="cannot reshape"):

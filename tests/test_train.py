@@ -2,6 +2,13 @@
 
 import importlib
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import asdict
 from itertools import permutations
 from pathlib import Path
@@ -520,3 +527,127 @@ class TestResumedProbes:
         with pytest.raises(FirstProbe):
             gradcheck("deit_s-micro")
         assert sorted(runs) == sorted(f"s0.b{j}" for j in range(12))
+
+
+def at_workers(monkeypatch, n):
+    """gradcheck's probes spread over n workers (1: run here), whatever the CPU count."""
+    monkeypatch.setattr(vtrain, "_probe_workers", lambda probes: min(n, probes))
+
+
+forks = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                           reason="the probe workers are forked")
+
+
+@forks
+class TestProbeWorkers:
+    """Probes in forked workers give the serial loop's report, or its exception."""
+
+    # deit_s: cls, pos and attention entries; resnet50_shape: known failures at
+    # the CLI defaults, and probes retried at every step size
+    @pytest.mark.parametrize("name", ["deit_s-micro", "resnet50_shape-micro"])
+    def test_report_does_not_depend_on_the_worker_count(self, monkeypatch, name):
+        here = []  # the probes run in this process
+        real = vtrain.finite_diff_grad
+        monkeypatch.setattr(vtrain, "finite_diff_grad",
+                            lambda f, store, path, *a, **kw: here.append(path)
+                            or real(f, store, path, *a, **kw))
+        reports = []
+        for n in (1, 3):
+            here.clear()
+            at_workers(monkeypatch, n)
+            reports.append(asdict(gradcheck(name, samples_per_param=1, batch=2)))
+            assert not multiprocessing.active_children()
+            if n == 1:
+                assert len(here) >= reports[-1]["checked"]
+            else:
+                assert here == []  # each probe ran in a forked copy of this process
+        assert reports[0] == reports[1]
+
+    def test_failures_keep_the_probe_order(self, monkeypatch):
+        # every probe returns a made-up slope after a pause that varies, so the
+        # workers finish out of order and nearly every entry fails
+        def made_up(f, store, path, index, h):
+            time.sleep(1e-3 * (index % 3))
+            return float(index % 7)
+
+        monkeypatch.setattr(vtrain, "finite_diff_grad", made_up)
+        reports = []
+        for n in (1, 2):
+            at_workers(monkeypatch, n)
+            reports.append(asdict(gradcheck("deit_s-micro", samples_per_param=1, batch=2)))
+        assert reports[0] == reports[1]
+        assert len(reports[0]["failures"]) > 100
+
+    def test_a_probe_error_reaches_the_caller_as_in_the_serial_loop(self, monkeypatch):
+        # the probes of two blocks raise; the first in probe order (the store's
+        # path order: cls, final_norm, head, s0.b0, s0.b1, s0.b10, ...) must win
+        real = vtrain.finite_diff_grad
+
+        def probe(f, store, path, index, h):
+            if path.startswith(("s0.b3.", "s0.b1.")):
+                raise NonFiniteError(f"non-finite loss probing {path}[{index}] at h {h:g}")
+            return real(f, store, path, index, h=h)
+
+        monkeypatch.setattr(vtrain, "finite_diff_grad", probe)
+        errors = []
+        for n in (1, 2):
+            at_workers(monkeypatch, n)
+            with pytest.raises(NonFiniteError) as info:
+                gradcheck("deit_s-micro", samples_per_param=1, batch=2)
+            errors.append(str(info.value))
+            assert not multiprocessing.active_children()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("non-finite loss probing s0.b1.")
+
+    def test_a_killed_worker_leaves_its_probes_to_the_caller(self, monkeypatch):
+        # a multiprocessing.Pool would wait forever for the killed worker's probe
+        caller = os.getpid()
+
+        def made_up(f, store, path, index, h):
+            if path == "s0.b1.mlp.fc1.w" and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return float(index % 7)
+
+        monkeypatch.setattr(vtrain, "finite_diff_grad", made_up)
+        reports = []
+        for n in (1, 2):
+            at_workers(monkeypatch, n)
+            reports.append(asdict(gradcheck("net1-micro", samples_per_param=1, batch=2)))
+            assert not multiprocessing.active_children()
+        assert reports[0] == reports[1]
+
+    def test_a_daemon_process_runs_its_probes_itself(self, monkeypatch):
+        # a daemon process, such as a pool worker calling gradcheck, may not have children
+        monkeypatch.setattr(vtrain, "finite_diff_grad", lambda *args, **kwargs: 0.0)
+        at_workers(monkeypatch, 2)
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            rep = pool.apply(gradcheck, ("net1-micro",), dict(samples_per_param=1, batch=2))
+        finally:
+            pool.terminate()
+            pool.join()
+        assert rep.checked > 50
+
+    def test_another_thread_keeps_the_probes_here(self, monkeypatch):
+        # a forked child would inherit that thread's locks as they stand
+        here = []
+        monkeypatch.setattr(vtrain, "finite_diff_grad",
+                            lambda f, store, path, *args, **kwargs: here.append(path) or 0.0)
+        at_workers(monkeypatch, 2)
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait)
+        waiting.start()
+        try:
+            rep = gradcheck("net1-micro", samples_per_param=1, batch=2)
+        finally:
+            release.set()
+            waiting.join(timeout=10)
+        assert not waiting.is_alive()
+        assert len(here) >= rep.checked > 50
+
+def test_import_does_not_load_multiprocessing():
+    # gradcheck imports it when it runs, so its cost stays out of `import visarch`
+    src = str(Path(vtrain.__file__).resolve().parents[1])
+    code = "import sys, visarch; assert 'multiprocessing' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
