@@ -134,7 +134,7 @@ def conv_mlp_hidden(channels: int, hidden: int) -> int:
 class Slot(NamedTuple):
     """One parameter or buffer tensor of a layer.
 
-    init is "trunc" (truncated normal, std 0.02), a float (plain normal with
+    init is "trunc" (trunc_normal, std TRUNC_STD), a float (plain normal with
     that std: He fan-out), "zeros" or "ones" for parameters, or one of
     BUFFER_INITS for batch-norm running statistics, which are buffers.
     """
@@ -147,18 +147,21 @@ class Slot(NamedTuple):
 BUFFER_INITS = ("running_mean", "running_var")
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) resampled until every entry lies within 2 std.
+TRUNC_STD = 0.02
+
+
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, TRUNC_STD) resampled until every entry lies within 2 TRUNC_STD.
 
     Each round redraws the entries still out of range, in flat order, and
     tests only those redrawn values."""
-    x = rng.normal(0.0, std, size=shape)
+    x = rng.normal(0.0, TRUNC_STD, size=shape)
     flat = x.reshape(-1)
-    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    bad = np.flatnonzero(np.abs(flat) > 2 * TRUNC_STD)
     while bad.size:
-        redrawn = rng.normal(0.0, std, size=bad.size)
+        redrawn = rng.normal(0.0, TRUNC_STD, size=bad.size)
         flat[bad] = redrawn
-        bad = bad[np.abs(redrawn) > 2 * std]
+        bad = bad[np.abs(redrawn) > 2 * TRUNC_STD]
     return x
 
 

@@ -136,7 +136,8 @@ def load_bytes(data: bytes) -> dict:
 
 
 def _header(raw: bytes) -> dict:
-    """The decoded JSON header, with its fields checked for type."""
+    """The decoded JSON header, with its fields checked for type and its
+    directory entries for strictly increasing paths (sorted, no repeats)."""
     try:
         header = json.loads(raw.decode("utf-8"))
     except ValueError as e:  # UnicodeDecodeError and JSONDecodeError both
@@ -150,6 +151,9 @@ def _header(raw: bytes) -> dict:
                 and all(type(d) is int and d >= 0 for d in e["dims"])):
             raise CheckpointError(f"header 'tensors[{i}]' needs a string path and "
                                   f"non-negative integer dims, got {e!r}")
+        if i and e["path"] <= header["tensors"][i - 1]["path"]:
+            raise CheckpointError(f"header 'tensors[{i}]' path '{e['path']}' does not sort "
+                                  f"after the one before it: paths must be strictly increasing")
     return header
 
 

@@ -24,17 +24,21 @@ NOISE_SIGMA = 0.25
 
 @dataclass(frozen=True)
 class Dataset:
-    """Images as (N, 3, H, W) float32 with N >= 1, labels as (N,) int64."""
+    """Images as (N, 3, H, W) float32 with N >= 1, labels as (N,) int64, all >= 0."""
 
     images: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.images, np.ndarray):
+            raise ValueError(f"images must be an ndarray, got {type(self.images).__name__}")
         if self.images.ndim != 4 or self.images.shape[1] != 3 or not len(self.images):
             raise ValueError(f"images must be (N, 3, H, W) with N >= 1, got {self.images.shape}")
         if not (isinstance(self.labels, np.ndarray) and self.labels.dtype.kind in "iu"
                 and self.labels.shape == (len(self.images),)):
             raise ValueError("labels must be an integer ndarray, one label per image")
+        if self.labels.min() < 0:
+            raise ValueError(f"labels must be >= 0, got {self.labels.min()}")
 
     def __len__(self) -> int:
         return self.images.shape[0]

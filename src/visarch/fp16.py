@@ -6,13 +6,11 @@ reproduces half-precision behavior exactly (round-to-nearest-even on every
 intermediate, sequential accumulation in ascending index order) so the four
 score scalings can be compared without half-precision hardware.
 
-Every rounding, scalar (f16_round) or array (the score pipeline), is the one
-numpy float16 cast in _cast16.
+Every rounding in the score pipeline is the one numpy float16 cast in _rne16.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -20,45 +18,12 @@ import numpy as np
 from .attention import DEFAULT_PB_RELAX_ALPHA, SCORE_MODES
 from .tensor import Tensor, check_positive
 
-F16_MAX = 65504.0
-
-
-@dataclass(frozen=True)
-class F16Sample:
-    """One value pushed through binary16: its bits and what happened to it."""
-
-    bits: int
-    value: float
-    overflowed: bool
-    underflowed: bool
-
-
-def _cast16(x):
-    """x cast to binary16: nearest, ties to even, and +-inf from |x| >= 65520 on."""
-    with np.errstate(over="ignore"):
-        return np.float16(x)
-
-
-def f16_round(x: float) -> F16Sample:
-    """Round a float to the nearest binary16 through the cast the emulator runs.
-
-    Finite values at or beyond 65520 (the midpoint above the largest finite
-    half) become infinity with the overflow flag; nonzero values rounding to
-    zero set the underflow flag. Every NaN becomes the quiet NaN 0x7E00.
-    """
-    x = float(x)
-    if math.isnan(x):
-        return F16Sample(0x7E00, float("nan"), False, False)
-    half = _cast16(x)
-    value = float(half)
-    return F16Sample(int(half.view(np.uint16)), value,
-                     overflowed=math.isinf(value) and math.isfinite(x),
-                     underflowed=value == 0.0 and x != 0.0)
-
 
 def _rne16(arr: np.ndarray) -> np.ndarray:
-    """Vectorized round-to-nearest binary16, returned as float64 (inf on overflow)."""
-    return _cast16(arr).astype(np.float64)
+    """arr rounded to binary16 by numpy's float16 cast (nearest, ties to even,
+    +-inf from |x| >= 65520 on) and returned as float64."""
+    with np.errstate(over="ignore"):
+        return np.float16(arr).astype(np.float64)
 
 
 @dataclass

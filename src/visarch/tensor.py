@@ -638,6 +638,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _result("softmax", y, (x,), bwd)
 
 
+NORM_EPS = 1e-5  # added to the variance by layer_norm and batch_norm
+BN_MOMENTUM = 0.1  # weight of a batch's statistics in batch_norm's running buffers
+
+
 def _norm_input(op: str, x: Tensor, gamma: Tensor, beta: Tensor) -> np.ndarray:
     xd = x.data
     if xd.ndim != 4:
@@ -648,11 +652,11 @@ def _norm_input(op: str, x: Tensor, gamma: Tensor, beta: Tensor) -> np.ndarray:
     return xd
 
 
-def _fixed_normalize(x: Tensor, gamma: Tensor, beta: Tensor, mean, var, eps: float) -> Tensor:
-    """Eval batch_norm: gamma * (x - mean) / sqrt(var + eps) + beta with fixed
+def _fixed_normalize(x: Tensor, gamma: Tensor, beta: Tensor, mean, var) -> Tensor:
+    """Eval batch_norm: gamma * (x - mean) / sqrt(var + NORM_EPS) + beta with fixed
     per-channel statistics, as one scale a and shift, x * a + (beta - mean * a)."""
     C = x.data.shape[1]
-    istd = 1.0 / np.sqrt(var.reshape(1, C, 1, 1) + eps)
+    istd = 1.0 / np.sqrt(var.reshape(1, C, 1, 1) + NORM_EPS)
     a = gamma.data.reshape(1, C, 1, 1) * istd
     y = x.data * a
     y += beta.data.reshape(1, C, 1, 1) - mean.reshape(1, C, 1, 1) * a
@@ -664,8 +668,8 @@ def _fixed_normalize(x: Tensor, gamma: Tensor, beta: Tensor, mean, var, eps: flo
     return _result("batch_norm", y, (x, gamma, beta), bwd)
 
 
-def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float, keep: str):
-    """gamma * (x - mean) / sqrt(var + eps) + beta, the statistics taken over
+def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, keep: str):
+    """gamma * (x - mean) / sqrt(var + NORM_EPS) + beta, the statistics taken over
     every axis of the NCHW map but keep's ("c": batch_norm) or over the channel
     axis alone (keep "nhw": layer_norm), so the gradient flows through them.
     Returns the output and the mean and (biased) variance, shaped as _csum's.
@@ -681,7 +685,7 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float, keep
     mean = _csum(x.data, keep=keep) / m
     xhat = x.data - mean.reshape(shape)
     var = _csum(xhat, xhat, keep=keep) / m
-    istd = (1.0 / np.sqrt(var + eps)).reshape(shape)
+    istd = (1.0 / np.sqrt(var + NORM_EPS)).reshape(shape)
     xhat *= istd
     g = gamma.data.reshape(1, C, 1, 1)
     y = xhat * g
@@ -704,16 +708,17 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float, keep
     return _result(op, y, (x, gamma, beta), bwd), mean, var
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, *, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the channel axis (axis 1) of an NCHW map."""
     _norm_input("layer_norm", x, gamma, beta)
-    return _normalize("layer_norm", x, gamma, beta, eps, "nhw")[0]
+    return _normalize("layer_norm", x, gamma, beta, "nhw")[0]
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var, *,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               training: bool) -> Tensor:
     """BatchNorm over (N, H, W) per channel; running buffers are plain (C,) arrays
-    updated in place during training (unbiased variance in the running estimate)."""
+    updated in place during training by BN_MOMENTUM (unbiased variance in the
+    running estimate)."""
     xd = _norm_input("batch_norm", x, gamma, beta)
     for name, buf in (("running_mean", running_mean), ("running_var", running_var)):
         if not isinstance(buf, np.ndarray) or buf.shape != (xd.shape[1],):
@@ -721,13 +726,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
             raise ShapeError(f"batch_norm {name} must be an array of shape ({xd.shape[1]},), "
                              f"got {got}")
     if not training:
-        return _fixed_normalize(x, gamma, beta, running_mean, running_var, eps)
+        return _fixed_normalize(x, gamma, beta, running_mean, running_var)
     n = xd.size // xd.shape[1]
     if n < 2:
         raise ShapeError("batch_norm in training mode needs more than one value per channel")
-    y, mean, var = _normalize("batch_norm", x, gamma, beta, eps, "c")
-    running_mean[:] = (1 - momentum) * running_mean + momentum * mean
-    running_var[:] = (1 - momentum) * running_var + momentum * var * (n / (n - 1))
+    y, mean, var = _normalize("batch_norm", x, gamma, beta, "c")
+    running_mean[:] = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
+    running_var[:] = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var * (n / (n - 1))
     return y
 
 

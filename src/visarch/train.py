@@ -8,6 +8,7 @@ save_run and load_run checkpoint a run; train() resumes one only under its train
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -92,8 +93,9 @@ class _SlotState:
     {parameter path: array}, saved in checkpoints as optim.<path>.<slot>.
 
     Each slot is filled once: with zeros for a fresh run, or, from a resume
-    state's tensors, with a private copy of optim.<path>.<slot>, which must
-    have the parameter's shape and be finite, and >= 0 in a nonnegative slot.
+    state's tensors, with optim.<path>.<slot> itself, which must have the
+    parameter's shape and be finite, and >= 0 in a nonnegative slot; steps
+    write that array (train() passes its own copy of the state).
     A stored optim.* tensor that is none of this optimizer's slots (another
     optimizer's state) raises CheckpointError."""
 
@@ -111,7 +113,7 @@ class _SlotState:
         for s in self.slots:
             setattr(self, s, {p: np.zeros_like(t.data) if state is None else
                               stored_state(state["tensors"], f"optim.{p}.{s}", t.data.shape,
-                                           s in self.nonnegative).copy()
+                                           s in self.nonnegative)
                               for p, t in store.items()})
 
     def state_tensors(self) -> dict:
@@ -152,11 +154,12 @@ class AdamW(_SlotState):
     slots = ("m", "v")
     nonnegative = ("v",)
 
-    def __init__(self, store: ParamStore, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0, *, state: dict | None = None):
+    BETAS = (0.9, 0.999)
+    EPS = 1e-8
+
+    def __init__(self, store: ParamStore, weight_decay: float = 0.0, *,
+                 state: dict | None = None):
         super().__init__(store, state)
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.steps = 0 if state is None else stored_int(state["scalars"], "adam_steps")
         if self.steps < 0:
@@ -164,7 +167,7 @@ class AdamW(_SlotState):
 
     def step(self, lr: float) -> None:
         self.steps += 1
-        b1, b2 = self.betas
+        b1, b2 = self.BETAS
         c1 = 1.0 - b1 ** self.steps
         c2 = 1.0 - b2 ** self.steps
         for path, t in self.store.items():
@@ -177,7 +180,7 @@ class AdamW(_SlotState):
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            t.data -= lr * ((m / c1) / (np.sqrt(v / c2) + self.eps)
+            t.data -= lr * ((m / c1) / (np.sqrt(v / c2) + self.EPS)
                             + self.weight_decay * t.data)
 
     def scalar_state(self) -> dict:
@@ -217,8 +220,9 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
     scalars["train_config"] must be config (checked first), the model its
     preset, scalars["epoch"] the last epoch run, and the optimizer is built
     from the tensors and scalars, so state another optimizer saved raises
-    CheckpointError (see _SlotState). A non-finite forward anywhere aborts
-    with the offending layer path in the exception message.
+    CheckpointError (see _SlotState). The run trains a copy of resume_state,
+    so the same state resumes the same run again. A non-finite forward
+    anywhere aborts with the offending layer path in the exception message.
     """
     if stop_after is not None:
         stop_after = check_count("stop_after", stop_after, 0)
@@ -243,6 +247,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
         if diff:
             raise CheckpointError("resume checkpoint was written by a different train config "
                                   f"(this one vs the checkpoint's): {diff}")
+        resume_state = copy.deepcopy(resume_state)  # the run writes its model and slots
         model = resume_state["model"]
         if model.config != model_cfg:
             raise CheckpointError(f"checkpoint holds a '{model.config.name}' model, but the "

@@ -327,12 +327,12 @@ def trunc_normal_reference(rng, shape, std):
 
 class TestTruncNormal:
     @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (2, 0, 3), (96, 24, 1, 1), (317, 311)])
-    @pytest.mark.parametrize("std", [0.02, 1.0, 1e-3])
-    def test_matches_reference_loop(self, shape, std):
+    def test_matches_reference_loop(self, shape):
         # same values, and the generator left in the same state for the next
         # slot; (317, 311) takes several redraw rounds
+        std = 0.02
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-        got = B.trunc_normal(rng, shape, std)
+        got = B.trunc_normal(rng, shape)
         want = trunc_normal_reference(ref_rng, shape, std)
         assert got.shape == want.shape == shape
         assert got.tobytes() == want.tobytes()

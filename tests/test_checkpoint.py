@@ -1,6 +1,7 @@
 """Checkpoint serialization format and error handling."""
 
 import json
+import math
 import re
 import struct
 import tracemalloc
@@ -153,6 +154,22 @@ class TestBadContents:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         model_from_checkpoint(load_bytes(blob))
 
+    @pytest.mark.parametrize("edit", [
+        lambda d, k: d.insert(k, d[k]),
+        lambda d, k: d.insert(k, d.pop(k + 1)),
+    ], ids=["repeated-param", "swapped-pair"])
+    def test_directory_must_be_sorted_by_path(self, blob, edit):
+        # before, a repeated path loaded its second payload alone and a swapped
+        # pair loaded as it stood
+        head, payloads = directory(blob)
+        entries = list(zip(head["tensors"], payloads))
+        k = next(i for i, (e, _) in enumerate(entries) if e["path"].startswith("param."))
+        edit(entries, k)
+        head["tensors"] = [e for e, _ in entries]
+        path = entries[k + 1][0]["path"]
+        with pytest.raises(CheckpointError, match=re.escape(f"'tensors[{k + 1}]' path '{path}'")):
+            load_bytes(sealed(head, b"".join(p for _, p in entries)))
+
     @pytest.mark.parametrize("seed", [[1], None, 1.7, "1", True])
     def test_seed_must_be_an_integer(self, blob, seed):
         loaded = load_bytes(blob)
@@ -167,6 +184,17 @@ def sealed(header, payload=b""):
         header, sort_keys=True, separators=(",", ":")).encode()
     body = MAGIC + struct.pack("<HI", checkpoint.VERSION, len(raw)) + raw + payload
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def directory(blob):
+    """blob's decoded header and its payloads, one bytes object per entry."""
+    n = struct.unpack_from("<I", blob, 6)[0]
+    head, offset, payloads = json.loads(blob[10:10 + n]), 10 + n, []
+    for e in head["tensors"]:
+        size = 4 * math.prod(e["dims"])
+        payloads.append(blob[offset:offset + size])
+        offset += size
+    return head, payloads
 
 
 def resealed_as(blob, version):

@@ -83,6 +83,16 @@ class TestSynth:
         with pytest.raises(ValueError, match="labels must be an integer ndarray"):
             Dataset(np.zeros((2, 3, 4, 4), dtype=np.float32), labels)
 
+    @pytest.mark.parametrize("images,labels,match", [
+        ([[[[0.0]]]] * 2, np.zeros(2, dtype=np.int64), "^images must be an ndarray, got list$"),
+        (np.zeros((2, 3, 4, 4), np.float32), np.array([0, -1]), "^labels must be >= 0, got -1$"),
+    ], ids=["list-images", "negative-label"])
+    def test_rejects_what_failed_later(self, images, labels, match):
+        # before, a list raised a bare AttributeError, and a negative label
+        # passed until cross_entropy
+        with pytest.raises(ValueError, match=match):
+            Dataset(images, labels)
+
 
 class TestAugment:
     def test_disabled_is_identity(self):

@@ -412,8 +412,8 @@ class TestNorms:
         beta = Tensor(np.zeros(3), dtype=np.float64)
         rm, rv = np.zeros(3), np.ones(3)
         out = T.batch_norm(Tensor(x, dtype=np.float64), gamma, beta, rm, rv,
-                           training=False, eps=0.0).data
-        np.testing.assert_allclose(out, x, atol=1e-12)
+                           training=False).data
+        np.testing.assert_allclose(out, x / np.sqrt(1.0 + 1e-5), rtol=0, atol=1e-12)
 
     def test_batch_norm_eval_matches_closed_form(self, rng):
         x = rng.normal(loc=2.0, scale=3.0, size=(3, 4, 5, 2))

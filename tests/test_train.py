@@ -56,6 +56,11 @@ def param_bytes(model):
     return b"".join(t.data.tobytes() for _, t in model.params.items())
 
 
+def model_bytes(model):
+    """A model's parameters and buffers, as bytes."""
+    return param_bytes(model) + b"".join(a.tobytes() for _, a in sorted(model.buffers.items()))
+
+
 def resume_state_of(result):
     """The resume_state a checkpoint of a stopped train() result gives."""
     return {"model": result.model, "tensors": result.optimizer.state_tensors(),
@@ -226,7 +231,9 @@ class TestOptimizerState:
         assert fresh.scalar_state() == opt.scalar_state()
         for key, arr in fresh.state_tensors().items():
             assert arr.tobytes() == saved[key].tobytes()
-            assert arr is not saved[key]
+            # the optimizer adopts the state's arrays; train() hands it a copy
+            # (TestLoop.test_resume_leaves_its_state_unchanged)
+            assert arr is saved[key]
 
     @pytest.mark.parametrize("cls", [SGDMomentum, AdamW])
     @pytest.mark.parametrize("edit", ["missing", "misshaped", "nan", "inf"])
@@ -326,6 +333,27 @@ class TestLoop:
         resumed = train(cfg, ds, resume_state=load_run(tmp_path / "resumed.vsfm"))
         save_run(resumed, tmp_path / "resumed.vsfm")
         assert (tmp_path / "resumed.vsfm").read_bytes() == (tmp_path / "straight.vsfm").read_bytes()
+
+    @pytest.mark.parametrize("optimizer", TrainConfig.CHOICES["optimizer"])
+    def test_resume_leaves_its_state_unchanged(self, optimizer, tmp_path):
+        # before, train() trained the state's model in place, so a second
+        # resume from one load_run started from the first one's final weights
+        cfg = tiny_config(optimizer=optimizer, base_lr=0.05)
+        ds = tiny_dataset()
+        save_run(train(cfg, ds, stop_after=1), tmp_path / "run.vsfm")
+        state = load_run(tmp_path / "run.vsfm")
+
+        def state_bytes():
+            return model_bytes(state["model"]) + b"".join(
+                a.tobytes() for _, a in sorted(state["tensors"].items()))
+
+        before = state_bytes()
+        first = train(cfg, ds, resume_state=state)
+        second = train(cfg, ds, resume_state=state)
+        assert len(first.losses) == 2
+        assert first.losses == second.losses
+        assert model_bytes(first.model) == model_bytes(second.model)
+        assert state_bytes() == before
 
     @pytest.mark.parametrize("stored,match", [
         (asdict(tiny_config(base_lr=0.5, flip=True, seed=9)),
