@@ -32,6 +32,10 @@ With fixed (eval) statistics batch_norm is one per-channel scale and shift.
 softmax runs in one buffer, its backward sums dout * y in one einsum, and
 gelu's backward is built in one buffer plus a temporary.
 Under no_grad ops record no graph, so backward() on their result raises.
+Under the private _grouped(n) as well, a batch is consecutive groups of n
+independent samples, each computed with the bits a forward of that group alone
+gives (gradcheck stacks its probes this way); outside it nothing changes.
+An op's axis goes through one rule (_axis): an integer in [-rank, rank).
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ class NonFiniteError(ArithmeticError):
 
 _SCOPE: list[str] = []
 _GRAD_ENABLED = [True]
+_GROUP = [0]  # samples per group under _grouped; 0: the batch is one group
 
 
 @contextmanager
@@ -83,6 +88,34 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED[0] = old
+
+
+@contextmanager
+def _grouped(n: int):
+    """Run a batch as consecutive groups of n independent samples, each with the
+    bits a forward of that group alone gives: train-mode batch_norm takes its
+    statistics per group and leaves its running buffers alone, no k x k conv2d
+    tile crosses a group boundary, and linear runs one GEMM per group. Every
+    other op already works per sample, or per sample and head. This path has no
+    backward, so it needs no_grad (GraphError otherwise); an op whose batch is
+    not a multiple of n raises ShapeError."""
+    n = check_count("group size", n, 1, ShapeError)
+    if _GRAD_ENABLED[0]:
+        raise GraphError("a grouped forward records no graph: run it under no_grad")
+    old = _GROUP[0]
+    _GROUP[0] = n
+    try:
+        yield
+    finally:
+        _GROUP[0] = old
+
+
+def _group_size(op: str, batch: int) -> int:
+    """The samples per group of a batch: _grouped's n, or the whole batch outside it."""
+    n = _GROUP[0] or batch
+    if batch % n:
+        raise ShapeError(f"{op}: batch {batch} is not a whole number of groups of {n}")
+    return n
 
 
 class Tensor:
@@ -150,11 +183,14 @@ def _csum(a, b=None, *, keep: str = "c"):
     """The sum of an NCHW map a, or of a * b, over every axis but keep's, in one
     einsum on the 4-d arrays as they are: no product temporary and no
     contiguous copy. keep "c" gives per-channel sums (C,), "nhw" sums over the
-    channels (N, H, W). A numpy sum over the N, H and W axes is 4-8x slower
+    channels (N, H, W). A (G, n, C, H, W) view of a map keeps its group axis
+    too: "c" gives (G, C). A numpy sum over the N, H and W axes is 4-8x slower
     at the shapes the micro models train on."""
+    axes = "nchw" if a.ndim == 4 else "gnchw"
+    keep = axes[:a.ndim - 4] + keep
     if b is None:
-        return np.einsum("nchw->" + keep, a)
-    return np.einsum("nchw,nchw->" + keep, a, b)
+        return np.einsum(f"{axes}->{keep}", a)
+    return np.einsum(f"{axes},{axes}->{keep}", a, b)
 
 
 def _unbroadcast(grad, shape):
@@ -288,8 +324,20 @@ def transpose(x: Tensor, perm) -> Tensor:
     return _record(x.data.transpose(perm), (x,), bwd)
 
 
+def _axis(op: str, axis, ndim: int) -> int:
+    """axis counted from 0 if it is an integer in [-ndim, ndim) (a negative one
+    counts from the end), else ShapeError naming op, the axis and the rank."""
+    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or not -ndim <= axis < ndim:
+        raise ShapeError(f"{op} axis must be an integer in [-{ndim}, {ndim}) for a rank-{ndim} "
+                         f"tensor, got {axis!r}")
+    return int(axis) % ndim
+
+
 def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
+    if not tensors:
+        raise ShapeError("concat needs at least one tensor")
+    axis = _axis("concat", axis, tensors[0].data.ndim)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -300,6 +348,7 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
+    axis = _axis("narrow", axis, x.data.ndim)
     if start < 0 or length < 0 or start + length > x.data.shape[axis]:
         raise ShapeError(f"narrow [{start}:{start + length}] out of range on axis {axis}")
     idx = [slice(None)] * x.data.ndim
@@ -352,6 +401,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def reduce_max(x: Tensor, axis: int = -1) -> Tensor:
     """Max over one axis, keepdims. Gradient splits equally among ties."""
+    axis = _axis("reduce_max", axis, x.data.ndim)
     m = x.data.max(axis=axis, keepdims=True)
     mask = (x.data == m)
 
@@ -375,7 +425,8 @@ def sum_all(x: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x @ w.T (+ b) for (N, din) input and a (dout, din) weight: the
-    classifier head. Every other dense layer is a 1x1 conv2d on the NCHW map."""
+    classifier head. Every other dense layer is a 1x1 conv2d on the NCHW map.
+    One GEMM per _grouped group: dgemm's bits depend on the row count."""
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2:
         raise ShapeError(f"linear expects rank-2 input and weight, got {xd.shape}, {wd.shape}")
@@ -383,7 +434,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear feature mismatch: input {xd.shape[1]} vs weight {wd.shape}")
     if b is not None and b.shape != (wd.shape[0],):
         raise ShapeError(f"linear bias must be ({wd.shape[0]},), got {b.shape}")
-    data = xd @ wd.T
+    n = _group_size("linear", xd.shape[0])
+    data = (xd @ wd.T if n == xd.shape[0] else
+            np.concatenate([xd[a:a + n] @ wd.T for a in range(0, xd.shape[0], n)]))
     if b is not None:
         data = data + b.data
     parents = (x, w) if b is None else (x, w, b)
@@ -534,7 +587,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     G, opg = groups, Cout // groups
     wg = wd.reshape(G, opg, -1)
     step = max(1, _TILE_BYTES // (Cin * kh * kw * Ho * Wo * xd.itemsize))
-    tiles = [(a, min(a + step, N)) for a in range(0, N, step)]
+    n = _group_size("conv2d", N)  # a _grouped group is tiled as it would be alone
+    tiles = [(a, min(a + step, g + n)) for g in range(0, N, n) for a in range(g, g + n, step)]
     parents = (x, w) if b is None else (x, w, b)
     keep = _recording(parents)
     out = np.empty((N, Cout, Ho, Wo), dtype=np.result_type(xd, wd))
@@ -623,15 +677,16 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """exp(x - max) / sum, in one buffer. A NaN or +inf input, or a row that is
     all -inf, gives a NaN output, which the output check names; a -inf entry in
     a row with a finite maximum gives 0."""
+    axis = _axis("softmax", axis, x.data.ndim)
     y = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
-    ax, sub = axis % y.ndim, "abcd"[:y.ndim]
-    dot = f"{sub},{sub}->{sub[:ax] + sub[ax + 1:]}"
+    sub = "abcd"[:y.ndim]
+    dot = f"{sub},{sub}->{sub[:axis] + sub[axis + 1:]}"
 
     def bwd(dout):
         # y * (dout - sum(dout * y)) along the axis, the sum one einsum
-        dx = dout - np.expand_dims(np.einsum(dot, dout, y), ax)
+        dx = dout - np.expand_dims(np.einsum(dot, dout, y), axis)
         dx *= y
         return (dx,)
 
@@ -668,11 +723,13 @@ def _fixed_normalize(x: Tensor, gamma: Tensor, beta: Tensor, mean, var) -> Tenso
     return _result("batch_norm", y, (x, gamma, beta), bwd)
 
 
-def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, keep: str):
+def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, keep: str, groups: int = 0):
     """gamma * (x - mean) / sqrt(var + NORM_EPS) + beta, the statistics taken over
     every axis of the NCHW map but keep's ("c": batch_norm) or over the channel
     axis alone (keep "nhw": layer_norm), so the gradient flows through them.
     Returns the output and the mean and (biased) variance, shaped as _csum's.
+    With groups (batch_norm under _grouped, which has no backward) the map is
+    viewed as (groups, n, C, H, W) and each group takes its own statistics.
 
     One centred copy xc = x - mean gives var = sum(xc * xc) / m (two-pass, like
     numpy's var) and is then scaled into xhat in place. The backward takes dbeta
@@ -682,14 +739,19 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, keep: str):
     N, C, H, W = x.data.shape
     m = N * H * W if keep == "c" else C
     shape = (1, C, 1, 1) if keep == "c" else (N, 1, H, W)
-    mean = _csum(x.data, keep=keep) / m
-    xhat = x.data - mean.reshape(shape)
+    xd = x.data
+    if groups:
+        xd = xd.reshape(groups, N // groups, C, H, W)
+        m, shape = m // groups, (groups, 1, C, 1, 1)
+    mean = _csum(xd, keep=keep) / m
+    xhat = xd - mean.reshape(shape)
     var = _csum(xhat, xhat, keep=keep) / m
     istd = (1.0 / np.sqrt(var + NORM_EPS)).reshape(shape)
     xhat *= istd
     g = gamma.data.reshape(1, C, 1, 1)
     y = xhat * g
     y += beta.data.reshape(1, C, 1, 1)
+    y = y.reshape(x.data.shape)
 
     def bwd(dout):
         dbeta, dgamma = _csum(dout), _csum(dout, xhat)
@@ -727,9 +789,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
                              f"got {got}")
     if not training:
         return _fixed_normalize(x, gamma, beta, running_mean, running_var)
-    n = xd.size // xd.shape[1]
+    groups = xd.shape[0] // _group_size("batch_norm", xd.shape[0])
+    n = xd.size // xd.shape[1] // groups
     if n < 2:
         raise ShapeError("batch_norm in training mode needs more than one value per channel")
+    if _GROUP[0]:  # statistics per group; the running buffers stay as they are
+        return _normalize("batch_norm", x, gamma, beta, "c", groups)[0]
     y, mean, var = _normalize("batch_norm", x, gamma, beta, "c")
     running_mean[:] = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
     running_var[:] = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var * (n / (n - 1))
@@ -849,8 +914,23 @@ class ParamStore:
             t.grad = None
 
 
+def _central_pair(data: np.ndarray, index: int, h: float, evaluate) -> tuple:
+    """(evaluate() with data.flat[index] raised by h, evaluate() with it lowered
+    by h), the value restored afterwards, also after an exception. index is the
+    C-order position, which .flat writes through to for any layout: a reshape(-1)
+    of a non-contiguous array would write a copy."""
+    old = data.flat[index].item()
+    try:
+        data.flat[index] = old + h
+        up = evaluate()
+        data.flat[index] = old - h
+        return up, evaluate()
+    finally:
+        data.flat[index] = old
+
+
 def finite_diff_grad(f, store: ParamStore, path: str, index: int, h: float = 1e-3) -> float:
-    """Central-difference d f / d store[path].flat[index]; restores the value.
+    """Central-difference d f / d store[path].flat[index] (_central_pair).
     index is a count below the tensor's size, h goes through check_positive.
     The probe forwards only read the loss value, so they record no graph."""
     def evaluate():
@@ -858,17 +938,10 @@ def finite_diff_grad(f, store: ParamStore, path: str, index: int, h: float = 1e-
             out = f()
         return float(out.data) if isinstance(out, Tensor) else float(out)
 
-    flat = store[path].data.reshape(-1)
+    data = store[path].data
     index = check_count("index", index, 0)
-    if index >= flat.size:
-        raise ValueError(f"index must be below the {flat.size} entries of '{path}', got {index}")
+    if index >= data.size:
+        raise ValueError(f"index must be below the {data.size} entries of '{path}', got {index}")
     h = check_positive("h", h)
-    old = flat[index].item()
-    try:
-        flat[index] = old + h
-        fp = evaluate()
-        flat[index] = old - h
-        fm = evaluate()
-    finally:
-        flat[index] = old
+    fp, fm = _central_pair(data, index, h, evaluate)
     return (fp - fm) / (2.0 * h)

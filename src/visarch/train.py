@@ -4,6 +4,8 @@ The loop is fully deterministic: every random choice (shuffle order,
 augmentation) comes from a generator seeded by (config seed, epoch index),
 so resuming at epoch k reproduces the exact batches a straight run saw.
 save_run and load_run checkpoint a run; train() resumes one only under its train config.
+gradcheck runs the probes of each plan entry as one task whose rounds stack
+their forwards (_entry_slopes), and maps the tasks over forked workers (_fork_map).
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from .checkpoint import (CheckpointError, checkpoint_load, checkpoint_save, mode
                          optim_tensors, stored_int, stored_state)
 from .data import Dataset, augment_batch, synth_dataset
 from .blocks import BUFFER_INITS, LAYERS, check_fields
-from .tensor import (ParamStore, Tensor, backward, check_count, check_positive, cross_entropy,
-                     finite_diff_grad)
+from .tensor import (ParamStore, Tensor, _central_pair, _grouped, backward, check_count,
+                     check_positive, cross_entropy, no_grad)
+from .tensor import finite_diff_grad  # noqa: F401 -- perfbench's tracer patches it here by name
 
 REFERENCE_BATCH = 512
 
@@ -343,24 +346,31 @@ class GradcheckReport:
 GRADCHECK_STEPS = (1e-6, 1e-8, 1e-4)
 
 
-def _probe_losses(model: models.Model, plan: list, inputs: list, y) -> dict:
-    """{parameter path: the loss its finite-difference probes evaluate}.
+def _entry_slopes(model: models.Model, plan: list, k: int, x: Tensor, y,
+                  probes: list, h: float) -> list:
+    """The central-difference slope of the loss at step h for each (path, index)
+    probe of plan entry k's parameters, x being that entry's input.
 
-    inputs[k] is plan entry k's input (models.entry_inputs). A parameter's
-    loss runs a train-mode run_plan from its entry's input to the end. No
-    entry reads a later entry's parameter, and train-mode batch norm
-    normalises with batch statistics, so no earlier output depends on the
-    probed value and no output reads the running buffers the probes update:
-    each loss has the bits of a whole train-mode forward.
+    Each probe raises and lowers its value as finite_diff_grad does
+    (_central_pair) and runs entry k alone; the 2 * len(probes) outputs are
+    stacked along the batch axis, and plan[k + 1:] runs once on the stack with
+    each batch as its own group (tensor._grouped). No entry reads a later
+    entry's parameter, and train-mode batch norm normalises with batch
+    statistics, so each group's loss has the bits of a whole train-mode
+    forward with that probe's value.
     """
-    losses = {}
-    for k, e in enumerate(plan):
-        def loss(k=k):
-            return cross_entropy(models.run_plan(model, plan[k:], inputs[k], True), y)
-        for slot in LAYERS[e.kind].params(e, model.config):
-            if slot.init not in BUFFER_INITS:
-                losses[slot.path] = loss
-    return losses
+    def entry_output():
+        return models.run_plan(model, plan[k:k + 1], x, True).data
+
+    n = len(y)
+    with no_grad():
+        outs = [out for path, index in probes
+                for out in _central_pair(model.params[path].data, index, h, entry_output)]
+        with _grouped(n):
+            logits = models.run_plan(model, plan[k + 1:], Tensor(np.concatenate(outs)), True)
+    losses = [float(cross_entropy(Tensor(logits.data[a:a + n]), y).data)
+              for a in range(0, len(outs) * n, n)]
+    return [(up - down) / (2.0 * h) for up, down in zip(losses[::2], losses[1::2])]
 
 
 def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
@@ -370,12 +380,14 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
 
     One train-mode forward, run entry by entry (models.entry_inputs), gives
     both the analytic gradients, by backward from its logits, and each plan
-    entry's input. A probe of a parameter of entry k runs only entries
-    k..end from that input (_probe_losses), so the report equals the one a
-    probe through the whole model_forward gives, in fewer forwards. The
-    probes run in forked worker processes, one per usable CPU (_map_probes),
-    and are merged in probe order, so the report does not depend on their count.
-    Entries missing tolerance at the first step size are retried at the
+    entry's input. The probes of one plan entry's parameters form one task:
+    each round runs that entry alone per probe and sign, and the rest of the
+    plan once for all of them (_entry_slopes), so the report equals the one
+    probes through the whole model_forward give, in far fewer op calls. The
+    tasks run in forked worker processes, one per usable CPU (_fork_map), and
+    their entries are merged in probe order, so the report does not depend
+    on the worker count.
+    Probes missing tolerance at the first step size are retried at the
     others: relu-kink straddles shrink with h, near-zero derivatives need a
     larger h to rise above the rounding-noise floor (which grows as 1/h), and
     a wrong analytic gradient fails at every h. samples_per_param and batch
@@ -395,33 +407,44 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     store = model.params
     backward(cross_entropy(inputs[-1], y))
     inputs = [Tensor(t.data) for t in inputs[:-1]]  # detached, so the graph is freed
-    losses = _probe_losses(model, plan, inputs, y)
+    owner = {slot.path: k for k, e in enumerate(plan)
+             for slot in LAYERS[e.kind].params(e, cfg) if slot.init not in BUFFER_INITS}
     pick = np.random.default_rng(99)
-    probes = []  # (path, index, analytic), in store order
+    tasks = {}  # plan entry -> [(probe number, path, index, analytic)], in store order
+    checked = 0
     for path, t in store.items():
         flat_grad = (t.grad.reshape(-1) if t.grad is not None
                      else np.zeros(t.data.size))
         k = min(samples_per_param, t.data.size)
         for i in pick.choice(t.data.size, size=k, replace=False):
-            probes.append((path, int(i), float(flat_grad[i])))
+            tasks.setdefault(owner[path], []).append((checked, path, int(i), float(flat_grad[i])))
+            checked += 1
 
-    def probe(p) -> GradcheckEntry:
-        path, i, ana = p
-        best = None
+    def check_entry(task) -> list:
+        k, probes = task
+        best = [None] * len(probes)
+        todo = list(range(len(probes)))
         for h in GRADCHECK_STEPS:
-            num = finite_diff_grad(losses[path], store, path, i, h=h)
-            rel = abs(ana - num) / max(abs(ana), abs(num), 1e-3)
-            if best is None or rel < best[0]:
-                best = (rel, num)
-            if rel < tolerance:
+            slopes = _entry_slopes(model, plan, k, inputs[k], y,
+                                   [probes[j][1:3] for j in todo], h)
+            for j, num in zip(todo, slopes):
+                ana = probes[j][3]
+                rel = abs(ana - num) / max(abs(ana), abs(num), 1e-3)
+                if best[j] is None or rel < best[j][0]:
+                    best[j] = (rel, num)
+            todo = [j for j in todo if best[j][0] >= tolerance]
+            if not todo:
                 break
-        return GradcheckEntry(path, i, ana, best[1], best[0])
+        return [(p, GradcheckEntry(path, i, ana, num, rel))
+                for (p, path, i, ana), (rel, num) in zip(probes, best)]
 
-    checked = 0
+    results = [None] * checked
+    for done in _fork_map(check_entry, list(tasks.items()), _probe_workers(len(tasks))):
+        for p, entry in done:
+            results[p] = entry
     failures = []
     worst = GradcheckEntry("", 0, 0.0, 0.0, -1.0)
-    for entry in _map_probes(probe, probes):
-        checked += 1
+    for entry in results:
         if entry.rel > worst.rel:
             worst = entry
         if entry.rel >= tolerance:
@@ -429,63 +452,61 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     return GradcheckReport(preset_name, tolerance, checked, worst, failures)
 
 
-def _probe_workers(probes: int) -> int:
-    """How many processes run gradcheck's probes: one per CPU this process may
-    run on, at most one per probe, and 1 where the CPU set is unknown."""
+def _probe_workers(tasks: int) -> int:
+    """How many processes run gradcheck's tasks: one per CPU this process may
+    run on, at most one per task, and 1 where the CPU set is unknown."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(len(os.sched_getaffinity(0)), probes)
+    return min(len(os.sched_getaffinity(0)), tasks)
 
 
-_WORKER_PROBE = None  # the probe function, set only in _map_probes' forked workers
+_WORKER_FN = None  # the mapped function, set only in _fork_map's forked workers
 
 
-def _adopt_probe(probe) -> None:
-    global _WORKER_PROBE
-    _WORKER_PROBE = probe
+def _adopt(fn) -> None:
+    global _WORKER_FN
+    _WORKER_FN = fn
 
 
-def _pooled_probe(p):
-    """_WORKER_PROBE(p), or None if it raises: the exception may not pickle, so
-    the parent re-runs the probe to raise it."""
+def _pooled(item):
+    """(_WORKER_FN(item),), or None if it raises: the exception may not pickle,
+    so the parent re-runs the item to raise it."""
     try:
-        return _WORKER_PROBE(p)
+        return (_WORKER_FN(item),)
     except Exception:
         return None
 
 
-def _map_probes(probe, probes: list) -> list:
-    """[probe(p) for p in probes], with the same results and the same first exception.
+def _fork_map(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], with the same results and the same first exception.
 
-    Workers forked from this process (_probe_workers of them) inherit the model,
-    the entry inputs and probe, so only the (path, index, analytic) tuples and
-    the entries travel; each takes one whole probe at a time and keeps numpy's
-    BLAS thread count, so its bits are the serial loop's. Where a worker's probe
-    raises, or a worker dies (a killed one would hang a multiprocessing.Pool),
-    the pool is shut down and the probes from that one on run here, so the
-    caller sees the serial loop's result or exception. With one worker, without
-    fork, inside a daemon process (which may not have children) or while another
-    thread runs (a forked child would inherit its locks as they stand), all run here.
+    Workers forked from this process inherit fn and everything it reads, so
+    only the items and the results travel; each takes one whole item at a time
+    and keeps numpy's BLAS thread count, so its bits are the serial loop's.
+    Where a worker's item raises, or a worker dies (a killed one would hang a
+    multiprocessing.Pool), the pool is shut down and the items from that one on
+    run here, so the caller sees the serial loop's result or exception. With
+    fewer than 2 workers, without fork, inside a daemon process (which may not
+    have children) or while another thread runs (a forked child would inherit
+    its locks as they stand), all run here.
     """
     import multiprocessing
     import threading
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    workers = _probe_workers(len(probes))
     if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon or threading.active_count() > 1):
-        return [probe(p) for p in probes]
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               _adopt_probe, (probe,))
+        return [fn(item) for item in items]
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (fn,))
     done = []
     try:
-        for entry in pool.map(_pooled_probe, probes):
-            if entry is None:
+        for result in pool.map(_pooled, items):
+            if result is None:
                 break
-            done.append(entry)
+            done.append(result[0])
     except BrokenProcessPool:
         pass
     finally:
-        pool.shutdown(cancel_futures=True)  # waits for the probes already running
-    return done + [probe(p) for p in probes[len(done):]]
+        pool.shutdown(cancel_futures=True)  # waits for the items already running
+    return done + [fn(item) for item in items[len(done):]]

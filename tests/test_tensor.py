@@ -819,6 +819,125 @@ class TestFiniteDiff:
         assert th.data[0] == 3.0
 
 
+    def test_non_contiguous_parameter(self):
+        # reshape(-1) of a transposed array is a copy: the probe perturbed the copy
+        # and every slope came out 0.0
+        store = ParamStore()
+        th = store.add("th", Tensor(np.arange(6.0).reshape(2, 3).T))
+        assert not th.data.flags.c_contiguous
+        before = th.data.copy()
+
+        def f():
+            return T.sum_all(T.mul(th, th))
+
+        for i, v in enumerate(before.flat):  # index is the C-order position
+            assert abs(finite_diff_grad(f, store, "th", i) - 2.0 * v) < 1e-6
+        assert np.array_equal(th.data, before)
+
+
+class TestGrouped:
+    """Under _grouped(n) each group of n samples gets the bits of its own forward."""
+
+    def test_each_group_has_the_bits_of_its_own_batch(self, rng, monkeypatch):
+        x = rng.normal(size=(6, 4, 5, 5))
+        w3, w1 = rng.normal(size=(4, 2, 3, 3)), rng.normal(size=(4, 4, 1, 1))
+        g, b = rng.normal(size=4), rng.normal(size=4)
+        lw, lb = rng.normal(size=(7, 100)), rng.normal(size=7)
+        feats = rng.normal(size=(192, 100))  # dgemm changes kernel for such a stack
+
+        def maps(x):
+            h = T.conv2d(Tensor(x), Tensor(w3), stride=1, padding=1, groups=2)
+            h = T.batch_norm(h, Tensor(g), Tensor(b), np.zeros(4), np.ones(4), training=True)
+            return T.layer_norm(T.conv2d(T.relu(h), Tensor(w1)), Tensor(g), Tensor(b)).data
+
+        def logits(feats):
+            return T.linear(Tensor(feats), Tensor(lw), Tensor(lb)).data
+
+        monkeypatch.setattr(T, "_TILE_BYTES", 2 * 2 * 9 * 25 * 8)  # 2-image tiles
+        with T.no_grad():
+            alone = [(maps(x[a:a + 3]), logits(feats[a * 32:(a + 3) * 32])) for a in (0, 3)]
+            with T._grouped(3):
+                stacked = maps(x)
+            with T._grouped(96):
+                stacked_logits = logits(feats)
+        assert np.array_equal(stacked, np.concatenate([m for m, _ in alone]))
+        assert np.array_equal(stacked_logits, np.concatenate([f for _, f in alone]))
+
+    def test_refuses_a_recording_forward(self):
+        with pytest.raises(GraphError, match="under no_grad"):
+            with T._grouped(2):
+                pass
+
+    @pytest.mark.parametrize("op", ["batch_norm", "conv2d", "linear"])
+    def test_refuses_a_ragged_batch(self, op):
+        x = Tensor(np.ones((5, 2, 3, 3)))
+        run = {"batch_norm": lambda: T.batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                                                  np.zeros(2), np.ones(2), training=True),
+               "conv2d": lambda: T.conv2d(x, Tensor(np.ones((2, 2, 3, 3)))),
+               "linear": lambda: T.linear(Tensor(np.ones((5, 3))), Tensor(np.ones((2, 3))))}[op]
+        with T.no_grad(), T._grouped(2):
+            with pytest.raises(ShapeError, match=f"{op}: batch 5 is not a whole number of "
+                                                 "groups of 2"):
+                run()
+
+    @pytest.mark.parametrize("n", [0, -1, 1.0, True])
+    def test_rejects_a_group_size_that_is_not_a_count(self, n):
+        with pytest.raises(ShapeError, match="group size"):
+            with T.no_grad(), T._grouped(n):
+                pass
+
+    def test_leaves_the_batch_norm_buffers_unchanged(self, rng):
+        x = Tensor(rng.normal(size=(4, 3, 2, 2)))
+        mean, var = rng.normal(size=3), 1.0 + rng.random(3)
+        kept = mean.copy(), var.copy()
+        with T.no_grad(), T._grouped(2):
+            T.batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), mean, var, training=True)
+        assert np.array_equal(mean, kept[0]) and np.array_equal(var, kept[1])
+
+    def test_group_needs_two_values_per_channel(self):
+        x = Tensor(np.arange(4.0).reshape(4, 1, 1, 1))
+        with T.no_grad(), T._grouped(1):
+            with pytest.raises(ShapeError, match="more than one value per channel"):
+                T.batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), np.zeros(1), np.ones(1),
+                             training=True)
+
+    def test_is_restored_after_an_exception(self):
+        with pytest.raises(KeyError):
+            with T.no_grad(), T._grouped(2):
+                raise KeyError("inside")
+        assert T._GROUP == [0] and T._GRAD_ENABLED == [True]
+        # outside the context the whole batch is one group again
+        out = T.linear(Tensor(np.ones((3, 2))), Tensor(np.ones((1, 2))))
+        assert out.data.shape == (3, 1)
+
+
+class TestAxisRule:
+    # numpy's AxisError (softmax, reduce_max) or a bare IndexError (narrow, concat)
+    @pytest.mark.parametrize("op,call", [
+        ("softmax", lambda x: T.softmax(x, axis=3)),
+        ("reduce_max", lambda x: T.reduce_max(x, axis=-4)),
+        ("narrow", lambda x: T.narrow(x, 3, 0, 1)),
+        ("concat", lambda x: T.concat([x, x], axis=3)),
+    ])
+    def test_an_axis_out_of_range_names_the_op_and_rank(self, op, call):
+        x = Tensor(np.ones((2, 3, 4)))
+        axis = -4 if op == "reduce_max" else 3
+        with pytest.raises(ShapeError, match=re.escape(
+                f"{op} axis must be an integer in [-3, 3) for a rank-3 tensor, got {axis}")):
+            call(x)
+
+    def test_concat_of_nothing(self):
+        # checking the axis against the first tensor must not turn this into an IndexError
+        with pytest.raises(ShapeError, match="at least one tensor"):
+            T.concat([], axis=0)
+
+    def test_a_negative_axis_counts_from_the_end(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        assert np.array_equal(T.softmax(x, axis=-2).data, T.softmax(x, axis=1).data)
+        assert np.array_equal(T.narrow(x, -1, 1, 2).data, x.data[..., 1:3])
+        assert T.concat([x, x], axis=-3).shape == (4, 3, 4)
+
+
 class TestParamStore:
     def test_lexicographic_iteration(self):
         store = ParamStore()

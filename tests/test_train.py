@@ -33,10 +33,11 @@ from visarch import (
     train,
 )
 from visarch.blocks import BUFFER_INITS, LAYERS
-from visarch.models import entry_inputs, layer_plan, model_forward
+from visarch.models import entry_inputs, layer_plan, model_forward, preset_names
 from visarch.tensor import ParamStore, Tensor, cross_entropy, finite_diff_grad
-from visarch.train import REFERENCE_BATCH, AdamW, SGDMomentum, _probe_losses
+from visarch.train import REFERENCE_BATCH, AdamW, SGDMomentum
 
+vmodels = importlib.import_module("visarch.models")
 vtrain = importlib.import_module("visarch.train")  # the package's `train` is the function
 
 
@@ -516,27 +517,29 @@ class TestResumedProbes:
     @pytest.mark.parametrize("name", ["deit_s-micro", "resnet50_shape-micro",
                                       "visformer_v2_ti-micro"])
     def test_probe_resumed_at_its_entry_equals_whole_forward_probe(self, name):
+        # two probes per entry, so the rest of the plan runs on a stack of two
         config = preset(name)
         model = build(config, seed=0, dtype=np.float64)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 3, 32, 32))
         y = rng.integers(0, config.num_classes, 4)
         plan = layer_plan(config)
-        losses = _probe_losses(model, plan, entry_inputs(model, plan, Tensor(x), True)[:-1], y)
+        inputs = entry_inputs(model, plan, Tensor(x), True)[:-1]
 
         def whole():  # restores no buffer: train-mode outputs read none
             return cross_entropy(model_forward(model, x, training=True), y)
 
         probed = []
-        for e in plan:
+        for k, e in enumerate(plan):
             slot = probed_slot(e, config)
             if slot is None:
                 continue
-            i = int(np.prod(slot.shape)) // 2
-            resumed = finite_diff_grad(losses[slot.path], model.params, slot.path, i, h=1e-6)
-            full = finite_diff_grad(whole, model.params, slot.path, i, h=1e-6)
+            size = int(np.prod(slot.shape))
+            probes = [(slot.path, size // 2), (slot.path, size // 3)]
+            resumed = vtrain._entry_slopes(model, plan, k, inputs[k], y, probes, 1e-6)
+            full = [finite_diff_grad(whole, model.params, path, i, h=1e-6) for path, i in probes]
             assert resumed == full, (slot.path, resumed, full)
-            probed.append(full)
+            probed.append(full[0])
         assert len(probed) >= 15 and np.count_nonzero(probed) == len(probed)
 
     def test_each_entry_runs_once_before_the_first_probe(self, monkeypatch):
@@ -551,15 +554,65 @@ class TestResumedProbes:
         attention = vb.attention_block_forward
         monkeypatch.setattr(vb, "attention_block_forward",
                             lambda *args: runs.append(args[4]) or attention(*args))
-        monkeypatch.setattr(vtrain, "finite_diff_grad", first_probe)
+        monkeypatch.setattr(vtrain, "_entry_slopes", first_probe)
         with pytest.raises(FirstProbe):
             gradcheck("deit_s-micro")
         assert sorted(runs) == sorted(f"s0.b{j}" for j in range(12))
 
+    def test_the_rest_of_the_plan_runs_once_per_entry_and_round(self, monkeypatch):
+        at_workers(monkeypatch, 1)
+        rests, rounds = [], []  # plan lengths run on a stack; (entry, probes) per round
+        run_plan, slopes = vmodels.run_plan, vtrain._entry_slopes
+        monkeypatch.setattr(vmodels, "run_plan", lambda model, plan, *a: (
+            vt._GROUP[0] and rests.append(len(plan))) or run_plan(model, plan, *a))
+        monkeypatch.setattr(vtrain, "_entry_slopes", lambda model, plan, k, x, y, probes, h: (
+            rounds.append((k, len(probes))) or slopes(model, plan, k, x, y, probes, h)))
+        rep = gradcheck("deit_s-micro")
+        config = preset("deit_s-micro")
+        plan = layer_plan(config)
+        assert rests == [len(plan) - k - 1 for k, _ in rounds]
+        entries = {k for k, e in enumerate(plan) if probed_slot(e, config) is not None}
+        assert {k for k, _ in rounds} == entries and len(rounds) <= 3 * len(entries)
+        assert sum(n for k, n in rounds) >= rep.checked > 10 * len(rounds)
+
+
+class TestStackedForward:
+    """The premise of _entry_slopes: under tensor._grouped, a forward of P stacked
+    batches gives each batch the bits of its own forward, at every plan entry."""
+
+    @staticmethod
+    def check(name, stacks, batch, monkeypatch=None, tile_images=None):
+        config = preset(name)
+        model = build(config, seed=0, dtype=np.float64)
+        plan = layer_plan(config)
+        xs = np.random.default_rng(5).normal(size=(stacks, batch, 3, 32, 32))
+        if tile_images is not None:  # k x k conv tiles smaller than a group
+            monkeypatch.setattr(vt, "_TILE_BYTES", tile_images * 3 * 49 * 16 * 16 * 8)
+        with vt.no_grad():
+            alone = [entry_inputs(model, plan, Tensor(x), True) for x in xs]
+            with vt._grouped(batch):
+                stacked = entry_inputs(model, plan, Tensor(xs.reshape(-1, 3, 32, 32)), True)
+        for k, got in enumerate(stacked):
+            want = np.concatenate([a[k].data for a in alone])
+            assert np.array_equal(got.data, want), (name, k, plan[min(k, len(plan) - 1)].prefix)
+
+    @pytest.mark.parametrize("name", [n for n in preset_names() if n.endswith("-micro")])
+    def test_every_family(self, name):
+        self.check(name, 3, 2)
+
+    def test_a_stack_of_192_rows(self):
+        # deit_s-micro's head GEMM picks another dgemm kernel at 192 rows
+        self.check("deit_s-micro", 96, 2)
+
+    @pytest.mark.parametrize("tile_images", [0, 2], ids=["1-image-tiles", "2-stem-images"])
+    def test_conv_tiles_smaller_than_a_group(self, monkeypatch, tile_images):
+        # resnet50_shape-micro's stem is 3 x 49 x 16 x 16 im2col values per image
+        self.check("resnet50_shape-micro", 2, 3, monkeypatch, tile_images)
+
 
 def at_workers(monkeypatch, n):
-    """gradcheck's probes spread over n workers (1: run here), whatever the CPU count."""
-    monkeypatch.setattr(vtrain, "_probe_workers", lambda probes: min(n, probes))
+    """gradcheck's tasks spread over n workers (1: run here), whatever the CPU count."""
+    monkeypatch.setattr(vtrain, "_probe_workers", lambda tasks: min(n, tasks))
 
 
 forks = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -568,19 +621,19 @@ forks = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods()
 
 @forks
 class TestProbeWorkers:
-    """Probes in forked workers give the serial loop's report, or its exception."""
+    """Tasks in forked workers give the serial loop's report, or its exception.
+    A task is one plan entry's probes, evaluated by _entry_slopes."""
 
     # deit_s: cls, pos and attention entries; resnet50_shape: known failures at
     # the CLI defaults, and probes retried at every step size
     @pytest.mark.parametrize("name", ["deit_s-micro", "resnet50_shape-micro"])
     def test_report_does_not_depend_on_the_worker_count(self, monkeypatch, name):
-        here = []  # the probes run in this process
-        real = vtrain.finite_diff_grad
-        monkeypatch.setattr(vtrain, "finite_diff_grad",
-                            lambda f, store, path, *a, **kw: here.append(path)
-                            or real(f, store, path, *a, **kw))
+        here = []  # the probes evaluated in this process
+        real = vtrain._entry_slopes
+        monkeypatch.setattr(vtrain, "_entry_slopes", lambda model, plan, k, x, y, probes, h: (
+            here.extend(probes) or real(model, plan, k, x, y, probes, h)))
         reports = []
-        for n in (1, 3):
+        for n in (1, 2, 3):
             here.clear()
             at_workers(monkeypatch, n)
             reports.append(asdict(gradcheck(name, samples_per_param=1, batch=2)))
@@ -588,35 +641,38 @@ class TestProbeWorkers:
             if n == 1:
                 assert len(here) >= reports[-1]["checked"]
             else:
-                assert here == []  # each probe ran in a forked copy of this process
-        assert reports[0] == reports[1]
+                assert here == []  # each task ran in a forked copy of this process
+        assert reports[0] == reports[1] == reports[2]
 
     def test_failures_keep_the_probe_order(self, monkeypatch):
-        # every probe returns a made-up slope after a pause that varies, so the
-        # workers finish out of order and nearly every entry fails
-        def made_up(f, store, path, index, h):
-            time.sleep(1e-3 * (index % 3))
-            return float(index % 7)
+        # every probe gets a made-up slope after a pause that varies by entry, so
+        # the workers finish out of order and nearly every entry fails
+        def made_up(model, plan, k, x, y, probes, h):
+            time.sleep(1e-3 * (k % 3))
+            return [float(index % 7) for path, index in probes]
 
-        monkeypatch.setattr(vtrain, "finite_diff_grad", made_up)
+        monkeypatch.setattr(vtrain, "_entry_slopes", made_up)
         reports = []
         for n in (1, 2):
             at_workers(monkeypatch, n)
             reports.append(asdict(gradcheck("deit_s-micro", samples_per_param=1, batch=2)))
         assert reports[0] == reports[1]
         assert len(reports[0]["failures"]) > 100
+        paths = [e["path"] for e in reports[0]["failures"]]
+        assert paths == sorted(paths)  # the store's path order
 
     def test_a_probe_error_reaches_the_caller_as_in_the_serial_loop(self, monkeypatch):
         # the probes of two blocks raise; the first in probe order (the store's
         # path order: cls, final_norm, head, s0.b0, s0.b1, s0.b10, ...) must win
-        real = vtrain.finite_diff_grad
+        real = vtrain._entry_slopes
 
-        def probe(f, store, path, index, h):
+        def slopes(model, plan, k, x, y, probes, h):
+            path, index = probes[0]
             if path.startswith(("s0.b3.", "s0.b1.")):
                 raise NonFiniteError(f"non-finite loss probing {path}[{index}] at h {h:g}")
-            return real(f, store, path, index, h=h)
+            return real(model, plan, k, x, y, probes, h)
 
-        monkeypatch.setattr(vtrain, "finite_diff_grad", probe)
+        monkeypatch.setattr(vtrain, "_entry_slopes", slopes)
         errors = []
         for n in (1, 2):
             at_workers(monkeypatch, n)
@@ -628,15 +684,16 @@ class TestProbeWorkers:
         assert errors[0].startswith("non-finite loss probing s0.b1.")
 
     def test_a_killed_worker_leaves_its_probes_to_the_caller(self, monkeypatch):
-        # a multiprocessing.Pool would wait forever for the killed worker's probe
+        # a multiprocessing.Pool would wait forever for the killed worker's task
         caller = os.getpid()
 
-        def made_up(f, store, path, index, h):
-            if path == "s0.b1.mlp.fc1.w" and os.getpid() != caller:
+        def made_up(model, plan, k, x, y, probes, h):
+            if ("s0.b1.mlp.fc1.w" in {path for path, _ in probes}
+                    and os.getpid() != caller):
                 os.kill(os.getpid(), signal.SIGKILL)
-            return float(index % 7)
+            return [float(index % 7) for path, index in probes]
 
-        monkeypatch.setattr(vtrain, "finite_diff_grad", made_up)
+        monkeypatch.setattr(vtrain, "_entry_slopes", made_up)
         reports = []
         for n in (1, 2):
             at_workers(monkeypatch, n)
@@ -646,7 +703,8 @@ class TestProbeWorkers:
 
     def test_a_daemon_process_runs_its_probes_itself(self, monkeypatch):
         # a daemon process, such as a pool worker calling gradcheck, may not have children
-        monkeypatch.setattr(vtrain, "finite_diff_grad", lambda *args, **kwargs: 0.0)
+        monkeypatch.setattr(vtrain, "_entry_slopes",
+                            lambda model, plan, k, x, y, probes, h: [0.0] * len(probes))
         at_workers(monkeypatch, 2)
         pool = multiprocessing.get_context("fork").Pool(1)
         try:
@@ -659,8 +717,8 @@ class TestProbeWorkers:
     def test_another_thread_keeps_the_probes_here(self, monkeypatch):
         # a forked child would inherit that thread's locks as they stand
         here = []
-        monkeypatch.setattr(vtrain, "finite_diff_grad",
-                            lambda f, store, path, *args, **kwargs: here.append(path) or 0.0)
+        monkeypatch.setattr(vtrain, "_entry_slopes", lambda model, plan, k, x, y, probes, h: (
+            here.extend(probes) or [0.0] * len(probes)))
         at_workers(monkeypatch, 2)
         release = threading.Event()
         waiting = threading.Thread(target=release.wait)
@@ -672,6 +730,7 @@ class TestProbeWorkers:
             waiting.join(timeout=10)
         assert not waiting.is_alive()
         assert len(here) >= rep.checked > 50
+
 
 def test_import_does_not_load_multiprocessing():
     # gradcheck imports it when it runs, so its cost stays out of `import visarch`
