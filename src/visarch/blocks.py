@@ -175,10 +175,12 @@ def draw(rng: np.random.Generator, slot: Slot) -> np.ndarray:
 
 
 def allocate(slots, value: Callable, dtype) -> tuple[ParamStore, dict]:
-    """A ParamStore and a buffer dict holding value(slot) cast to dtype, in slot order."""
+    """A ParamStore and a buffer dict holding value(slot) cast to dtype, in slot order.
+    A writable array value() returns in dtype is adopted, not copied (a float64
+    build's draws, model_from_checkpoint's loaded arrays); any other is copied."""
     store, buffers = ParamStore(), {}
     for slot in slots:
-        arr = value(slot).astype(dtype)  # astype copies: a model shares no array with a loaded dict
+        arr = np.require(value(slot), dtype, "W")
         if slot.init in BUFFER_INITS:
             buffers[slot.path] = arr
         else:

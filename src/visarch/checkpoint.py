@@ -14,8 +14,10 @@ namespaced "param.", "buffer.", "optim.". Tensors are stored as float32, so
 round trips are bit-exact for float32 models (the training dtype).
 
 A save copies each payload once, into the returned bytes, and a load copies
-each payload once, into its own array; the CRC32 is taken over the parts (on
-save) and over a view of the file (on load), so it needs no copy.
+each payload once, into its own array, which model_from_checkpoint adopts, so
+a loaded model shares its arrays with the loaded dict. The CRC32 is taken
+over the parts (on save) and over a view of the file (on load), so it needs
+no copy.
 """
 
 from __future__ import annotations
@@ -166,7 +168,10 @@ def model_from_checkpoint(loaded: dict) -> models.Model:
     """Rebuild a float32 Model whose params/buffers are the stored bits.
 
     The stored param.* and buffer.* tensors must be exactly the config's
-    slots, shape for shape; nothing is drawn at random.
+    slots, shape for shape; nothing is drawn at random. The model adopts each
+    writable float32 array of `loaded` (blocks.allocate), so it and the dict
+    share them, and a write to one shows in the other; load_bytes' arrays are
+    private to its result, so a load holds one copy of each payload.
     """
     config, tensors = loaded["config"], loaded["tensors"]
     slots = models.model_slots(config)

@@ -215,7 +215,7 @@ def model_forward(model: Model, x, training: bool = False) -> Tensor:
     also keep its shape. Eval mode (training=False) runs under tz.no_grad: it
     records no graph, so its logits hold no activations and backward() on a
     loss built from them raises GraphError. Train mode records the graph for
-    backward().
+    one backward(), which frees it.
     """
     training = tz.check_flag("training", training, ShapeError)
     if isinstance(x, np.ndarray):

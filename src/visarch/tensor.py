@@ -6,6 +6,9 @@ loss=nan. The shape ops (reshape, transpose, narrow, concat, batch_tile) only
 move values, so they skip the check: a non-finite leaf they carry raises at the
 next compute op.
 Gradients accumulate into leaf .grad across backward() calls until cleared.
+A graph is single-use: backward() frees each node as it walks it, so a second
+backward() through any node of that graph raises GraphError; run the forward
+again for another gradient.
 requires_grad is the one needs-a-gradient test: leaves (ParamStore entries)
 set it, and every recorded node, the only kind with a _backward, has it.
 
@@ -20,8 +23,8 @@ Every other kernel runs in batch tiles, each as many images as keep its im2col
 under _TILE_BYTES: the tile is copied with the batch axis innermost, so each
 window row moves n contiguous values, and its windows channel-major, one
 (Cpg*kh*kw, Ho*Wo*n) matrix per group; a 1-image tile's GEMM writes straight
-into its NCHW slice, so batch 1 makes no extra copy. The backward frees each
-tile's im2col once used, so a second backward() through that conv raises.
+into its NCHW slice, so batch 1 makes no extra copy. The backward drops each
+tile's im2col as soon as it has used it.
 max_pool2d is a running maximum over the window slices. Every sum over the
 (N, H, W) axes of a map, or over its channels, is one einsum (_csum): the norm
 statistics and gradients and both conv paths' bias gradients. layer_norm and
@@ -298,7 +301,8 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
+    """x's values in the given shape, every size an integer >= 0 (check_count)."""
+    shape = tuple(check_count("reshape size", s, 0, ShapeError) for s in shape)
     old = x.data.shape
     if math.prod(shape) != x.data.size:
         raise ShapeError(f"cannot reshape {old} to {shape}")
@@ -337,7 +341,13 @@ def concat(tensors, axis: int) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
-    axis = _axis("concat", axis, tensors[0].data.ndim)
+    first = tensors[0].data.shape
+    axis = _axis("concat", axis, len(first))
+    for t in tensors[1:]:
+        shape = t.data.shape
+        if len(shape) != len(first) or shape[:axis] + shape[axis + 1:] != first[:axis] + first[axis + 1:]:
+            raise ShapeError(f"concat along axis {axis} needs equal ranks and equal sizes off "
+                             f"that axis, got {first} and {shape}")
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -348,8 +358,11 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """x[start:start + length] along axis; start and length are integers >= 0."""
     axis = _axis("narrow", axis, x.data.ndim)
-    if start < 0 or length < 0 or start + length > x.data.shape[axis]:
+    start = check_count("narrow start", start, 0, ShapeError)
+    length = check_count("narrow length", length, 0, ShapeError)
+    if start + length > x.data.shape[axis]:
         raise ShapeError(f"narrow [{start}:{start + length}] out of range on axis {axis}")
     idx = [slice(None)] * x.data.ndim
     idx[axis] = slice(start, start + length)
@@ -364,7 +377,8 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def batch_tile(x: Tensor, n: int) -> Tensor:
-    """Tile a parameter over a new leading batch axis of size n."""
+    """Tile a parameter over a new leading batch axis of size n, an integer >= 1."""
+    n = check_count("batch_tile n", n, 1, ShapeError)
 
     def bwd(dout):
         return (dout.sum(axis=0),)
@@ -373,10 +387,16 @@ def batch_tile(x: Tensor, n: int) -> Tensor:
 
 
 def gather_rows(table: Tensor, index) -> Tensor:
-    """out[i, j] = table[index[i, j]] for a 2-d integer index map."""
+    """out[i, j] = table[index[i, j]] for a 2-d map of integer indices in [0, rows)."""
     index = np.asarray(index)
     if table.data.ndim != 2 or index.ndim != 2:
         raise ShapeError("gather_rows expects a 2-d table and a 2-d index map")
+    rows = table.data.shape[0]
+    if not np.issubdtype(index.dtype, np.integer):
+        raise ShapeError(f"gather_rows index must hold integers, got {index.dtype}")
+    if index.size and not (index.min() >= 0 and index.max() < rows):
+        raise ShapeError(f"gather_rows index must be in [0, {rows}) for a {rows}-row table, "
+                         f"got {index.min()} to {index.max()}")
 
     def bwd(dout):
         dt = np.zeros_like(table.data)
@@ -608,8 +628,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
         out += b.data.reshape(1, Cout, 1, 1)
 
     def bwd(dout):
-        if len(cols) != len(tiles):
-            raise GraphError("conv2d's backward already ran on this graph, which freed its im2col")
         dw = np.zeros(wg.shape, dtype=np.result_type(dout, xd))
         dx = np.empty(xd.shape, dtype=np.result_type(dout, wd)) if x.requires_grad else None
         for a, z in tiles:
@@ -678,6 +696,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     all -inf, gives a NaN output, which the output check names; a -inf entry in
     a row with a finite maximum gives 0."""
     axis = _axis("softmax", axis, x.data.ndim)
+    if x.data.shape[axis] == 0:
+        raise ShapeError(f"softmax over axis {axis} needs at least one entry, got shape "
+                         f"{x.data.shape}")
     y = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
@@ -828,8 +849,21 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # autodiff driver
 
 
+def _freed(dout):
+    """The _backward of a node a backward() walk has passed: the graph is single-use."""
+    raise GraphError("backward already ran through this graph, which freed it; "
+                     "run the forward again")
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; accumulates into leaf .grad."""
+    """Reverse-mode sweep from a scalar loss; accumulates into leaf .grad.
+
+    The graph is single-use: as the walk reaches each recorded node it calls
+    that node's _backward, then drops its parents and sets its _backward to
+    _freed, so the activations and im2col columns the closures held die
+    during the walk, not when the caller rebinds the loss. A second backward
+    through any node of a freed graph raises GraphError before any gradient
+    moves. Leaves (no _backward) are not touched but for their .grad."""
     if loss.data.shape not in ((), (1,)):
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -846,21 +880,26 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _freed:  # raise before any gradient moves
+            _freed(None)
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
     grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:  # reverse topological order, dropping each node once walked
+        node = topo.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is None:
-            if node.requires_grad:
+        fn, parents = node._backward, node._parents
+        if fn is None:
+            if g is not None and node.requires_grad:
                 node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
+        node._backward, node._parents = _freed, ()
+        if g is None:
+            continue
+        for parent, pg in zip(parents, fn(g)):
             if pg is None:
                 continue
             key = id(parent)

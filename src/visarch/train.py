@@ -405,8 +405,7 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     plan = models.layer_plan(cfg)
     inputs = models.entry_inputs(model, plan, Tensor(x), True)
     store = model.params
-    backward(cross_entropy(inputs[-1], y))
-    inputs = [Tensor(t.data) for t in inputs[:-1]]  # detached, so the graph is freed
+    backward(cross_entropy(inputs[-1], y))  # frees the graph; inputs keep their data
     owner = {slot.path: k for k, e in enumerate(plan)
              for slot in LAYERS[e.kind].params(e, cfg) if slot.init not in BUFFER_INITS}
     pick = np.random.default_rng(99)

@@ -111,6 +111,28 @@ REJECTED = [
     ("finite-diff-index--1", lambda: probe(index=-1), ValueError, "index must be >= 0, got -1"),
     ("finite-diff-index-1.0", lambda: probe(index=1.0), ValueError,
      "index must be an integer, got 1.0 (float)"),
+    # the shape ops, which cast or passed through their integers before, and
+    # gather_rows and softmax, which gave numpy's IndexError and ValueError
+    ("reshape-size-6.9", lambda: T.reshape(Tensor(np.ones((2, 3))), (6.9,)), ShapeError,
+     "reshape size must be an integer, got 6.9 (float)"),
+    ("reshape-size-True", lambda: T.reshape(Tensor(np.ones((2, 3))), (True, 6)), ShapeError,
+     "reshape size must be an integer, got True (bool)"),
+    ("narrow-start-True", lambda: T.narrow(Tensor(np.ones((2, 3))), 1, True, 1), ShapeError,
+     "narrow start must be an integer, got True (bool)"),
+    ("narrow-length-2.5", lambda: T.narrow(Tensor(np.ones((2, 3))), 1, 0, 2.5), ShapeError,
+     "narrow length must be an integer, got 2.5 (float)"),
+    ("narrow-start--1", lambda: T.narrow(Tensor(np.ones((2, 3))), 1, -1, 1), ShapeError,
+     "narrow start must be >= 0, got -1"),
+    ("batch-tile-0", lambda: T.batch_tile(Tensor(np.ones((2, 3))), 0), ShapeError,
+     "batch_tile n must be >= 1, got 0"),
+    ("batch-tile-2.5", lambda: T.batch_tile(Tensor(np.ones((2, 3))), 2.5), ShapeError,
+     "batch_tile n must be an integer, got 2.5 (float)"),
+    ("batch-tile--1", lambda: T.batch_tile(Tensor(np.ones((2, 3))), -1), ShapeError,
+     "batch_tile n must be >= 1, got -1"),
+    ("gather-rows-index-3", lambda: T.gather_rows(Tensor(np.ones((3, 2))), np.array([[0, 3]])),
+     ShapeError, "gather_rows index must be in [0, 3) for a 3-row table, got 0 to 3"),
+    ("softmax-empty-axis", lambda: T.softmax(Tensor(np.ones((2, 0))), axis=-1), ShapeError,
+     "softmax over axis 1 needs at least one entry, got shape (2, 0)"),
 ]
 
 

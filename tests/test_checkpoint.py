@@ -468,8 +468,9 @@ def traced_peak(fn, *args):
 
 
 class TestMemory:
-    """A save or a load copies each payload once, so its traced peak stays near
-    the payload's size; one more full copy would double it."""
+    """A save or a load copies each payload once, and a model built from a load
+    adopts its arrays, so each traced peak stays near the payload's size; one
+    more full copy would double it."""
 
     def test_save_peak(self, model, adamw_state):
         peak, blob = traced_peak(save_bytes, model, {}, adamw_state)
@@ -481,3 +482,32 @@ class TestMemory:
         peak, loaded = traced_peak(load_bytes, blob)
         payload = sum(a.nbytes for a in loaded["tensors"].values())
         assert peak <= 1.25 * payload
+
+    def test_load_into_a_model_peak(self, model):
+        blob = save_bytes(model)
+        peak, rebuilt = traced_peak(lambda: model_from_checkpoint(load_bytes(blob)))
+        payload = (sum(t.data.nbytes for _, t in rebuilt.params.items())
+                   + sum(a.nbytes for a in rebuilt.buffers.values()))
+        assert peak <= 1.25 * payload
+
+
+class TestAdoption:
+    def test_model_shares_the_loaded_arrays(self, blob):
+        loaded = load_bytes(blob)
+        rebuilt = model_from_checkpoint(loaded)
+        for path, t in rebuilt.params.items():
+            assert t.data is loaded["tensors"][f"param.{path}"]
+        for path, arr in rebuilt.buffers.items():
+            assert arr is loaded["tensors"][f"buffer.{path}"]
+
+    @pytest.mark.parametrize("edit", ["read-only", "float64"])
+    def test_a_read_only_or_float64_array_is_copied(self, blob, edit):
+        loaded = load_bytes(blob)
+        arr = loaded["tensors"]["param.stem.conv.w"]
+        if edit == "read-only":
+            arr.flags.writeable = False
+        else:
+            arr = loaded["tensors"]["param.stem.conv.w"] = arr.astype(np.float64)
+        got = model_from_checkpoint(loaded).params["stem.conv.w"].data
+        assert got.dtype == np.float32 and got.flags.writeable
+        assert not np.shares_memory(got, arr) and np.array_equal(got, arr)

@@ -183,7 +183,7 @@ class TestConv:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_second_backward_through_one_conv_raises(self, rng):
-        # each tile's im2col is freed once the backward has used it
+        # the first backward frees the graph, each tile's im2col with it
         store = ParamStore()
         x = param(store, "x", rng.normal(size=(2, 2, 5, 5)))
         loss = T.sum_all(T.conv2d(x, param(store, "w", rng.normal(size=(2, 2, 3, 3)))))
@@ -712,6 +712,37 @@ class TestBackward:
             backward(T.sum_all(Tensor(np.ones(2))))
         assert w.grad is None
 
+    def test_second_backward_through_a_conv_free_graph_raises(self, rng):
+        # a backward that kept the graph accumulated the gradient twice without a word
+        store = ParamStore()
+        w = param(store, "w", rng.normal(size=(3, 4)))
+        loss = T.cross_entropy(T.linear(Tensor(rng.normal(size=(2, 4))), w), np.array([0, 2]))
+        backward(loss)
+        once = w.grad.copy()
+        with pytest.raises(GraphError, match="already ran through this graph"):
+            backward(loss)
+        assert np.array_equal(w.grad, once)
+
+    def test_a_loss_on_a_freed_trunk_raises_before_any_gradient_moves(self, rng):
+        store = ParamStore()
+        w = param(store, "w", rng.normal(size=(2, 2)))
+        v = param(store, "v", rng.normal(size=(2, 2)))
+        trunk = T.mul(w, w)
+        backward(T.sum_all(trunk))
+        once = w.grad.copy()
+        with pytest.raises(GraphError, match="run the forward again"):
+            backward(T.sum_all(T.mul(trunk, v)))
+        assert np.array_equal(w.grad, once) and v.grad is None
+
+    def test_backward_frees_every_node_it_walks(self, rng):
+        x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+        h = T.relu(T.mul(x, x))
+        loss = T.sum_all(h)
+        backward(loss)
+        for node in (h, loss):
+            assert node._parents == () and node._backward is T._freed
+        assert x._backward is None and x.grad is not None
+
     def test_structural_ops_fd(self, rng):
         store = ParamStore()
         param(store, "a", rng.normal(size=(2, 3, 4, 5)))
@@ -925,6 +956,14 @@ class TestAxisRule:
         with pytest.raises(ShapeError, match=re.escape(
                 f"{op} axis must be an integer in [-3, 3) for a rank-3 tensor, got {axis}")):
             call(x)
+
+    @pytest.mark.parametrize("other", [(3, 2), (3,)], ids=["off-axis-size", "rank"])
+    def test_concat_of_mismatched_shapes_names_the_op_axis_and_shapes(self, other):
+        # numpy's bare ValueError before the check
+        with pytest.raises(ShapeError, match=re.escape(
+                f"concat along axis 0 needs equal ranks and equal sizes off that axis, "
+                f"got (2, 3) and {other}")):
+            T.concat([Tensor(np.ones((2, 3))), Tensor(np.ones(other))], axis=0)
 
     def test_concat_of_nothing(self):
         # checking the axis against the first tensor must not turn this into an IndexError

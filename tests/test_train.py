@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import asdict
 from itertools import permutations
 from pathlib import Path
@@ -448,6 +449,28 @@ class TestLoop:
         train(tiny_config(epochs=2), tiny_dataset(), log=lines.append)
         assert len(lines) == 2
         assert "loss" in lines[0] and "lr" in lines[0]
+
+    def test_a_step_frees_its_graph_while_logits_and_loss_stay_bound(self):
+        # train()'s step at the benchmark's batch: a backward that kept the graph
+        # left about half of the forward's traced memory held here
+        model = build(preset("visformer_ti-micro"), seed=0)
+        optim = AdamW(model.params, 0.01)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(50, 3, 32, 32)).astype(np.float32)
+        y = rng.integers(0, 10, 50)
+        tracemalloc.start()
+        try:
+            logits = model_forward(model, x, training=True)
+            loss = cross_entropy(logits, y)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            model.params.zero_grads()
+            vt.backward(loss)
+            optim.step(0.01)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert logits.data.shape == (50, 10) and loss.data.shape == ()
+        assert held <= 0.15 * forward_peak  # the gradients and little else
 
 
 class TestGradcheck:
