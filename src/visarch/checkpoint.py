@@ -27,11 +27,13 @@ import math
 import os
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 
 from . import blocks as B
 from . import models
+from .tensor import check_count
 
 MAGIC = b"VSFM"
 VERSION = 5
@@ -68,16 +70,20 @@ def _collect(model: models.Model, extra_tensors: dict | None) -> dict:
 
 def save_bytes(model: models.Model, extra: dict | None = None,
                extra_tensors: dict | None = None) -> bytes:
+    """The checkpoint of model, with the JSON values of extra and the optim.*
+    arrays of extra_tensors; an extra value that JSON cannot hold, or a
+    non-finite number, raises ValueError."""
     tensors = _collect(model, extra_tensors)
     paths = sorted(tensors)
     payloads = [np.ascontiguousarray(tensors[path], dtype="<f4") for path in paths]
-    header = json.dumps(
-        {"config": models.config_to_dict(model.config),
-         "extra": dict(extra or {}),
-         "tensors": [{"path": path, "dims": list(arr.shape)}
-                     for path, arr in zip(paths, payloads)]},
-        sort_keys=True, separators=(",", ":"),
-    ).encode("utf-8")
+    head = {"config": asdict(model.config), "extra": dict(extra or {}),
+            "tensors": [{"path": path, "dims": list(arr.shape)}
+                        for path, arr in zip(paths, payloads)]}
+    try:  # check_fields keeps a config's numbers finite, so only extra can fail here
+        header = json.dumps(head, sort_keys=True, separators=(",", ":"),
+                            allow_nan=False).encode("utf-8")
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"checkpoint extra must be plain JSON with finite numbers: {e}") from None
     parts = [MAGIC, struct.pack("<HI", VERSION, len(header)), header, *payloads]
     crc = 0
     for part in parts:
@@ -88,7 +94,8 @@ def save_bytes(model: models.Model, extra: dict | None = None,
 def checkpoint_save(model: models.Model, path, extra: dict | None = None,
                     extra_tensors: dict | None = None) -> None:
     """Write through a sibling temp file and os.replace, so a save that fails
-    or is killed part-way leaves any earlier file at `path` intact."""
+    or is killed part-way leaves any earlier file at `path` intact; the bytes
+    are built first, so a save_bytes error writes nothing."""
     blob = save_bytes(model, extra, extra_tensors)
     tmp = os.fspath(path) + ".tmp"
     try:
@@ -175,10 +182,7 @@ def model_from_checkpoint(loaded: dict) -> models.Model:
     """
     config, tensors = loaded["config"], loaded["tensors"]
     slots = models.model_slots(config)
-    known = {_key(s) for s in slots}
-    for key in tensors:
-        if key.startswith(("param.", "buffer.")) and key not in known:
-            raise CheckpointError(f"checkpoint has '{key}', which {config.name} does not")
+    check_keys(tensors, ("param.", "buffer."), {_key(s) for s in slots}, config.name)
 
     def stored(slot):
         if slot.init in B.BUFFER_INITS:
@@ -187,7 +191,7 @@ def model_from_checkpoint(loaded: dict) -> models.Model:
 
     params, buffers = B.allocate(slots, stored, np.float32)
     return models.Model(config, params, buffers, np.dtype(np.float32),
-                        stored_int(loaded["extra"], "seed", default=0))
+                        stored_int(loaded["extra"], "seed", 0, default=0))
 
 
 def stored_tensor(tensors: dict, key: str, shape: tuple) -> np.ndarray:
@@ -213,17 +217,21 @@ def stored_state(tensors: dict, key: str, shape: tuple, nonnegative: bool = Fals
     return arr
 
 
-def stored_int(extra: dict, key: str, default: int | None = None) -> int:
-    """extra[key], which a checkpoint must hold as a JSON integer; default when
-    the key is absent, which is an error if no default is given."""
+def stored_int(extra: dict, key: str, floor: int, default: int | None = None) -> int:
+    """extra[key], which a checkpoint must hold as a JSON integer >= floor (check_count);
+    default when the key is absent, which is an error if no default is given."""
     if key not in extra:
         if default is None:
             raise CheckpointError(f"checkpoint extra has no '{key}'")
         return default
-    value = extra[key]
-    if type(value) is not int:  # a bool is not a count
-        raise CheckpointError(f"checkpoint extra '{key}' must be an integer, got {value!r}")
-    return value
+    return check_count(f"checkpoint extra '{key}'", extra[key], floor, CheckpointError)
+
+
+def check_keys(tensors: dict, prefixes: tuple, known: set, owner: str) -> None:
+    """Raise CheckpointError at a path under prefixes not in known, which owner does not keep."""
+    for key in tensors:
+        if key.startswith(prefixes) and key not in known:
+            raise CheckpointError(f"checkpoint has '{key}', which {owner} does not keep")
 
 
 def _key(slot) -> str:

@@ -50,7 +50,7 @@ def cmd_flops(args) -> int:
 
 
 def cmd_train(args) -> int:
-    with open(args.config) as f:
+    with open(args.config, "rb") as f:  # from_json decodes, so bad bytes say 'not JSON'
         config = TrainConfig.from_json(f.read())
     result = train(config, resume_state=load_run(args.resume) if args.resume else None,
                    stop_after=args.stop_after, log=print)
@@ -79,6 +79,9 @@ def cmd_fp16(args) -> int:
     check_count("--d", args.d, 1)
     check_count("--tokens", args.tokens, 1)
     rng = np.random.default_rng(check_count("--seed", args.seed, 0))
+    if not np.isfinite(2 * args.mag if args.random else args.mag):  # uniform's high - low
+        also = ", and so must 2*|mag| with --random" if args.random else ""
+        raise ValueError(f"--mag must be finite{also}, got {args.mag!r}")
     if args.random:
         q = rng.uniform(-args.mag, args.mag, (args.tokens, args.d))
         k = rng.uniform(-args.mag, args.mag, (args.tokens, args.d))

@@ -16,7 +16,7 @@ for gradient checking and smoke training.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -252,15 +252,32 @@ def _check_slots(model: Model, plan: list[PlanEntry], res: int) -> None:
 # config serialization (lossless JSON round trip)
 
 
-def config_to_dict(config: ModelConfig) -> dict:
-    return asdict(config)
+def config_to_json(config) -> str:
+    """The canonical JSON text of a ModelConfig or a TrainConfig."""
+    return json.dumps(asdict(config), indent=2, sort_keys=True)
+
+
+def _parsed(what: str, text):
+    """json.loads(text), or ValueError('bad <what> config: not JSON: ...')."""
+    try:
+        return json.loads(text)
+    except ValueError as e:  # JSONDecodeError, and UnicodeDecodeError for bytes
+        raise ValueError(f"bad {what} config: not JSON: {e}") from None
+
+
+@contextmanager
+def _malformed(what: str):
+    """A malformed parsed config's AttributeError, KeyError or TypeError, as ValueError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError) as e:
+        raise ValueError(f"bad {what} config: {type(e).__name__}: {e}") from None
 
 
 def config_from_dict(d) -> ModelConfig:
-    """A ModelConfig from parsed JSON. A malformed one (a part that is not an
-    object, a missing or unknown field, a block kind other than attention or
-    bottleneck) raises ValueError('bad model config: ...') carrying the error
-    that found it; a value that breaks its spec's rule, its check_fields message."""
+    """A ModelConfig from parsed JSON. A malformed one, or a block kind other
+    than attention or bottleneck, raises _malformed's ValueError; a value that
+    breaks its spec's rule, its check_fields message."""
     kinds = {"attention": AttentionSpec, "bottleneck": BottleneckSpec}
 
     def stage(s):
@@ -269,23 +286,13 @@ def config_from_dict(d) -> ModelConfig:
                             "blocks": tuple(kinds[b["kind"]](**{k: v for k, v in b.items()
                                                                 if k != "kind"})
                                             for b in s["blocks"])})
-    try:
+    with _malformed("model"):
         return ModelConfig(**{**d, "stages": tuple(stage(s) for s in d["stages"])})
-    except (AttributeError, KeyError, TypeError) as e:
-        raise ValueError(f"bad model config: {type(e).__name__}: {e}") from None
-
-
-def config_to_json(config: ModelConfig) -> str:
-    return json.dumps(config_to_dict(config), indent=2, sort_keys=True)
 
 
 def config_from_json(text: str) -> ModelConfig:
     """config_from_dict of JSON text; text that is not JSON raises its ValueError too."""
-    try:
-        d = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, and UnicodeDecodeError for bytes
-        raise ValueError(f"bad model config: not JSON: {e}") from None
-    return config_from_dict(d)
+    return config_from_dict(_parsed("model", text))
 
 
 # ---------------------------------------------------------------------------
@@ -406,29 +413,17 @@ def _net7() -> ModelConfig:
 
 def _visformer(name: str, stem_c: int, chans: tuple, depths: tuple,
                heads: tuple) -> ModelConfig:
-    c1, c2, c3 = chans
-    d1, d2, d3 = depths
-    stages = (
-        StageSpec(EmbedSpec(4, c1, norm_after=True), tuple(_bneck(c1) for _ in range(d1))),
-        StageSpec(EmbedSpec(2, c2, norm_after=True), tuple(_attn(c2, heads[0]) for _ in range(d2))),
-        StageSpec(EmbedSpec(2, c3, norm_after=True), tuple(_attn(c3, heads[1]) for _ in range(d3))),
-    )
+    """A Visformer: bottleneck stages, then two attention stages. Three widths
+    give the first generation (a stride-4 first embedding, absolute positions),
+    four give v2 (stride 2 throughout, relative position bias)."""
+    v2 = len(chans) == 4
+    convs = len(chans) - 2
+    stages = tuple(
+        StageSpec(EmbedSpec(2 if v2 or i else 4, c, norm_after=True),
+                  tuple(_bneck(c) if i < convs else _attn(c, heads[i - convs]) for _ in range(d)))
+        for i, (c, d) in enumerate(zip(chans, depths)))
     return ModelConfig(name, 224, 1000, stem=stem_c, stages=stages, norm="batch",
-                       pos_mode="absolute")
-
-
-def _visformer_v2(name: str, stem_c: int, chans: tuple, depths: tuple,
-                  heads: tuple) -> ModelConfig:
-    c1, c2, c3, c4 = chans
-    d1, d2, d3, d4 = depths
-    stages = (
-        StageSpec(EmbedSpec(2, c1, norm_after=True), tuple(_bneck(c1) for _ in range(d1))),
-        StageSpec(EmbedSpec(2, c2, norm_after=True), tuple(_bneck(c2) for _ in range(d2))),
-        StageSpec(EmbedSpec(2, c3, norm_after=True), tuple(_attn(c3, heads[0]) for _ in range(d3))),
-        StageSpec(EmbedSpec(2, c4, norm_after=True), tuple(_attn(c4, heads[1]) for _ in range(d4))),
-    )
-    return ModelConfig(name, 224, 1000, stem=stem_c, stages=stages, norm="batch",
-                       pos_mode="relative")
+                       pos_mode="relative" if v2 else "absolute")
 
 
 def _resnet50_shape() -> ModelConfig:
@@ -473,10 +468,10 @@ _BASE_PRESETS = {
     "net7": _net7,
     "visformer_ti": lambda: _visformer("visformer_ti", 16, (96, 192, 384), (7, 4, 4), (3, 6)),
     "visformer_s": lambda: _visformer("visformer_s", 32, (192, 384, 768), (7, 4, 4), (6, 12)),
-    "visformer_v2_ti": lambda: _visformer_v2("visformer_v2_ti", 24, (48, 96, 192, 384),
-                                             (1, 3, 7, 3), (3, 6)),
-    "visformer_v2_s": lambda: _visformer_v2("visformer_v2_s", 32, (64, 128, 256, 512),
-                                            (1, 10, 14, 3), (4, 8)),
+    "visformer_v2_ti": lambda: _visformer("visformer_v2_ti", 24, (48, 96, 192, 384),
+                                          (1, 3, 7, 3), (3, 6)),
+    "visformer_v2_s": lambda: _visformer("visformer_v2_s", 32, (64, 128, 256, 512),
+                                         (1, 10, 14, 3), (4, 8)),
     "resnet50_shape": _resnet50_shape,
 }
 

@@ -813,7 +813,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
     groups = xd.shape[0] // _group_size("batch_norm", xd.shape[0])
     n = xd.size // xd.shape[1] // groups
     if n < 2:
-        raise ShapeError("batch_norm in training mode needs more than one value per channel")
+        raise ShapeError(f"batch_norm in training mode needs more than one value per channel, "
+                         f"got a batch of {xd.shape[0] // groups} on {xd.shape[2]}x{xd.shape[3]} "
+                         f"maps at '{current_scope()}'")
     if _GROUP[0]:  # statistics per group; the running buffers stay as they are
         return _normalize("batch_norm", x, gamma, beta, "c", groups)[0]
     y, mean, var = _normalize("batch_norm", x, gamma, beta, "c")

@@ -11,7 +11,6 @@ their forwards (_entry_slopes), and maps the tasks over forked workers (_fork_ma
 from __future__ import annotations
 
 import copy
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -19,8 +18,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import models
-from .checkpoint import (CheckpointError, checkpoint_load, checkpoint_save, model_from_checkpoint,
-                         optim_tensors, stored_int, stored_state)
+from .checkpoint import (CheckpointError, check_keys, checkpoint_load, checkpoint_save,
+                         model_from_checkpoint, optim_tensors, stored_int, stored_state)
 from .data import Dataset, augment_batch, synth_dataset
 from .blocks import BUFFER_INITS, LAYERS, check_fields
 from .tensor import (ParamStore, Tensor, _central_pair, _grouped, backward, check_count,
@@ -58,25 +57,16 @@ class TrainConfig:
             raise ValueError(f"bad train config: lr_floor must be <= base_lr, got "
                              f"lr_floor {self.lr_floor} > base_lr {self.base_lr}")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
     @staticmethod
     def from_dict(d) -> "TrainConfig":
-        """A TrainConfig from parsed JSON; a malformed one raises ValueError."""
-        try:
+        """A TrainConfig from parsed JSON; a malformed one raises models._malformed's ValueError."""
+        with models._malformed("train"):
             return TrainConfig(**d)
-        except TypeError as e:  # not an object, or a field unknown, missing or mistyped
-            raise ValueError(f"bad train config: {e}") from None
 
     @staticmethod
     def from_json(text: str) -> "TrainConfig":
-        """A TrainConfig from JSON text; text that is not JSON raises ValueError too."""
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"bad train config: {e}") from None
-        return TrainConfig.from_dict(d)
+        """A TrainConfig from models.config_to_json's text; text not JSON raises ValueError too."""
+        return TrainConfig.from_dict(models._parsed("train", text))
 
 
 def cosine_lr(config: TrainConfig, epoch: int) -> float:
@@ -108,11 +98,8 @@ class _SlotState:
     def __init__(self, store: ParamStore, state: dict | None = None):
         self.store = store
         if state is not None:
-            known = {f"optim.{p}.{s}" for s in self.slots for p in store.paths()}
-            for key in state["tensors"]:
-                if key.startswith("optim.") and key not in known:
-                    raise CheckpointError(f"checkpoint has '{key}', which {self.name} "
-                                          "does not keep")
+            check_keys(state["tensors"], ("optim.",),
+                       {f"optim.{p}.{s}" for s in self.slots for p in store.paths()}, self.name)
         for s in self.slots:
             setattr(self, s, {p: np.zeros_like(t.data) if state is None else
                               stored_state(state["tensors"], f"optim.{p}.{s}", t.data.shape,
@@ -164,9 +151,7 @@ class AdamW(_SlotState):
                  state: dict | None = None):
         super().__init__(store, state)
         self.weight_decay = weight_decay
-        self.steps = 0 if state is None else stored_int(state["scalars"], "adam_steps")
-        if self.steps < 0:
-            raise CheckpointError(f"checkpoint extra 'adam_steps' must be >= 0, got {self.steps}")
+        self.steps = 0 if state is None else stored_int(state["scalars"], "adam_steps", 0)
 
     def step(self, lr: float) -> None:
         self.steps += 1
@@ -224,7 +209,9 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
     preset, scalars["epoch"] the last epoch run, and the optimizer is built
     from the tensors and scalars, so state another optimizer saved raises
     CheckpointError (see _SlotState). The run trains a copy of resume_state,
-    so the same state resumes the same run again. A non-finite forward
+    so the same state resumes the same run again. A batch_size whose smallest
+    batch would give a batch norm one value per channel raises ValueError
+    before the first step (_check_smallest_batch). A non-finite forward
     anywhere aborts with the offending layer path in the exception message.
     """
     if stop_after is not None:
@@ -236,6 +223,8 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
     if dataset.num_classes > model_cfg.num_classes:
         raise ValueError(f"dataset has {dataset.num_classes} classes but "
                          f"'{config.preset}' outputs {model_cfg.num_classes}")
+    n = len(dataset)
+    _check_smallest_batch(model_cfg, config.batch_size, n)
     if resume_state is None:
         model = models.build(model_cfg, seed=config.seed)
         start_epoch = 0
@@ -255,8 +244,8 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
         if model.config != model_cfg:
             raise CheckpointError(f"checkpoint holds a '{model.config.name}' model, but the "
                                   f"train config names preset '{config.preset}'")
-        epoch = stored_int(resume_state["scalars"], "epoch")
-        if not -1 <= epoch < config.epochs:
+        epoch = stored_int(resume_state["scalars"], "epoch", -1)
+        if epoch >= config.epochs:
             raise CheckpointError(f"checkpoint extra 'epoch' must be in -1..{config.epochs - 1}, "
                                   f"got {epoch}")
         start_epoch = epoch + 1
@@ -264,7 +253,6 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
 
     result = TrainResult(config, model, optim, last_epoch=start_epoch - 1)
     end_epoch = config.epochs if stop_after is None else min(stop_after, config.epochs)
-    n = len(dataset)
     for epoch in range(start_epoch, end_epoch):
         rng = _epoch_rng(config, epoch)
         order = rng.permutation(n)
@@ -290,6 +278,21 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
             log(f"epoch {epoch:3d}  lr {lr:.6f}  "
                 f"loss {result.losses[-1]:.4f}  acc {result.accuracies[-1]:.3f}")
     return result
+
+
+def _check_smallest_batch(config: models.ModelConfig, batch_size: int, n: int) -> None:
+    """Raise ValueError naming batch_size, n and the plan entry if the run's smallest
+    batch (batch_size, or the nonzero remainder of the n samples) times the smallest
+    output map of an entry holding a batch norm is below 2, the values per channel
+    that a train-mode batch norm needs."""
+    smallest = n % batch_size or batch_size
+    hw, prefix = min(((e.out_shape[1:], e.prefix) for e in models.layer_plan(config)
+                      if any(s.init in BUFFER_INITS for s in LAYERS[e.kind].params(e, config))),
+                     key=lambda m: math.prod(m[0]), default=((2,), None))
+    if smallest * math.prod(hw) < 2:
+        raise ValueError(f"batch_size {batch_size} over {n} samples gives a smallest batch of "
+                         f"{smallest}, but the batch norm at '{prefix}' on "
+                         f"{'x'.join(map(str, hw))} maps needs more than one value per channel")
 
 
 def save_run(result: TrainResult, path) -> None:
@@ -353,8 +356,9 @@ def _entry_slopes(model: models.Model, plan: list, k: int, x: Tensor, y,
 
     Each probe raises and lowers its value as finite_diff_grad does
     (_central_pair) and runs entry k alone; the 2 * len(probes) outputs are
-    stacked along the batch axis, and plan[k + 1:] runs once on the stack with
-    each batch as its own group (tensor._grouped). No entry reads a later
+    stacked along the batch axis, and plan[k + 1:] runs once on the stack.
+    Both run in one mode, with each batch as its own group (tensor._grouped),
+    so no run writes the model's batch-norm buffers. No entry reads a later
     entry's parameter, and train-mode batch norm normalises with batch
     statistics, so each group's loss has the bits of a whole train-mode
     forward with that probe's value.
@@ -363,11 +367,10 @@ def _entry_slopes(model: models.Model, plan: list, k: int, x: Tensor, y,
         return models.run_plan(model, plan[k:k + 1], x, True).data
 
     n = len(y)
-    with no_grad():
+    with no_grad(), _grouped(n):
         outs = [out for path, index in probes
                 for out in _central_pair(model.params[path].data, index, h, entry_output)]
-        with _grouped(n):
-            logits = models.run_plan(model, plan[k + 1:], Tensor(np.concatenate(outs)), True)
+        logits = models.run_plan(model, plan[k + 1:], Tensor(np.concatenate(outs)), True)
     losses = [float(cross_entropy(Tensor(logits.data[a:a + n]), y).data)
               for a in range(0, len(outs) * n, n)]
     return [(up - down) / (2.0 * h) for up, down in zip(losses[::2], losses[1::2])]
@@ -383,7 +386,8 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     entry's input. The probes of one plan entry's parameters form one task:
     each round runs that entry alone per probe and sign, and the rest of the
     plan once for all of them (_entry_slopes), so the report equals the one
-    probes through the whole model_forward give, in far fewer op calls. The
+    probes through the whole model_forward give, in far fewer op calls, and
+    leave the model's batch-norm buffers as the analytic pass left them. The
     tasks run in forked worker processes, one per usable CPU (_fork_map), and
     their entries are merged in probe order, so the report does not depend
     on the worker count.

@@ -93,7 +93,7 @@ REJECTED = [
     ("build-dtype-None", lambda: build(preset("deit_s-micro"), dtype=None),
      ShapeError, "model dtype must be float32 or float64, got None"),
     ("train-config-not-json", lambda: TrainConfig.from_json("preset: deit_s-micro"), ValueError,
-     "bad train config: Expecting value: line 1 column 1 (char 0)"),
+     "bad train config: not JSON: Expecting value: line 1 column 1 (char 0)"),
     # a positive real argument (tensor.check_positive) and a probe index, where
     # a ZeroDivisionError or IndexError came out, or the call ran, before
     ("logits-alpha--2", lambda: attention_logits(Tensor(np.ones((1, 1, 2, 4))),
@@ -171,6 +171,22 @@ def test_rejects_malformed_config_naming_it(call, names):
     with pytest.raises(ValueError, match="^bad model config: ") as caught:
         call()
     assert caught.type is ValueError and names in str(caught.value)
+
+
+@pytest.mark.parametrize("text,kind", [(b"\xff", "not JSON"), ("nope", "not JSON"),
+                                       ("[1]", "TypeError"), (b"[1]", "TypeError")],
+                         ids=["not-utf8", "not-json", "array", "array-bytes"])
+def test_both_configs_read_back_under_one_rule(text, kind):
+    # before, TrainConfig.from_json(b"\xff") raised a bare UnicodeDecodeError,
+    # and the two configs worded the same TypeError differently
+    causes = []
+    for what, read in (("model", config_from_json), ("train", TrainConfig.from_json)):
+        with pytest.raises(ValueError, match=f"^bad {what} config: {kind}: ") as caught:
+            read(text)
+        assert caught.type is ValueError
+        causes.append(str(caught.value).split(f"{kind}: ", 1)[1])
+    if kind == "not JSON":
+        assert causes[0] == causes[1]
 
 
 def config_edited(edit):

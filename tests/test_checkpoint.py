@@ -6,6 +6,7 @@ import re
 import struct
 import tracemalloc
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -110,6 +111,24 @@ class TestAtomicSave:
         assert p.read_bytes() == before
         assert list(tmp_path.iterdir()) == [p]
 
+    @pytest.mark.parametrize("value,cause", [
+        (np.int64(1), "Object of type int64 is not JSON serializable"),
+        (float("nan"), "Out of range float values are not JSON compliant"),
+        (float("inf"), "Out of range float values are not JSON compliant"),
+    ], ids=["numpy-int", "nan", "inf"])
+    def test_extra_that_is_not_plain_json_writes_nothing(self, model, tmp_path, value, cause):
+        # before, a numpy integer raised a bare TypeError, and a NaN wrote the
+        # non-standard token NaN into the header
+        p = tmp_path / "m.vsfm"
+        checkpoint_save(model, p, extra={"seed": 4})
+        before = p.read_bytes()
+        with pytest.raises(ValueError, match="^checkpoint extra must be plain JSON with finite "
+                                             f"numbers: {cause}") as caught:
+            checkpoint_save(model, p, extra={"seed": 4, "x": value})
+        assert caught.type is ValueError
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
 
 class TestBadContents:
     """Stored param./buffer. tensors must be exactly the config's, shape for shape."""
@@ -175,6 +194,13 @@ class TestBadContents:
         loaded = load_bytes(blob)
         loaded["extra"]["seed"] = seed
         with pytest.raises(CheckpointError, match="'seed'"):
+            model_from_checkpoint(loaded)
+
+    def test_seed_must_not_be_negative(self, blob):
+        # before, it loaded into Model.seed = -5, a seed build rejects
+        loaded = load_bytes(blob)
+        loaded["extra"]["seed"] = -5
+        with pytest.raises(CheckpointError, match="^checkpoint extra 'seed' must be >= 0, got -5$"):
             model_from_checkpoint(loaded)
 
 
@@ -309,7 +335,7 @@ class TestMalformedHeader:
     ])
     def test_model_wide_field_no_layer_reads(self, header, name, field, value):
         head, payload = header
-        head["config"] = {**models.config_to_dict(preset(name)), field: value}
+        head["config"] = {**asdict(preset(name)), field: value}
         with pytest.raises(CheckpointError, match="'config' is malformed: .*" + field):
             load_bytes(sealed(head, payload))
 
@@ -434,7 +460,7 @@ def reference_save(model, extra, extra_tensors):
     tensors.update({f"buffer.{p}": arr for p, arr in model.buffers.items()})
     tensors.update(extra_tensors)
     paths = sorted(tensors)
-    header = json.dumps({"config": models.config_to_dict(model.config), "extra": extra,
+    header = json.dumps({"config": asdict(model.config), "extra": extra,
                          "tensors": [{"path": p, "dims": list(tensors[p].shape)} for p in paths]},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = (b"VSFM" + struct.pack("<H", 5) + struct.pack("<I", len(header)) + header

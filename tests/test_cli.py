@@ -7,7 +7,7 @@ from dataclasses import asdict
 
 import pytest
 
-from visarch import TrainConfig, build, checkpoint_load, checkpoint_save, preset
+from visarch import TrainConfig, build, checkpoint_load, checkpoint_save, config_to_json, preset
 from visarch.checkpoint import MAGIC, VERSION
 from visarch.cli import main
 from visarch.train import make_optimizer
@@ -25,7 +25,7 @@ def write_config(tmp_path, name="cfg.json", **kw):
                 data_classes=4, data_per_class=4, data_seed=2)
     base.update(kw)
     path = tmp_path / name
-    path.write_text(TrainConfig(**base).to_json())
+    path.write_text(config_to_json(TrainConfig(**base)))
     return path
 
 
@@ -114,11 +114,18 @@ class TestFp16:
         (["--d", "0"], "--d"),
         (["--tokens", "0"], "--tokens"),
         (["--tokens", "-1"], "--tokens"),
-        (["--mag", "nan"], "non-finite"),
+        (["--mag", "nan"], "--mag must be finite, got nan"),
+        (["--mag", "inf"], "--mag must be finite, got inf"),
+        (["--mag", "nan", "--random"], "--mag must be finite, and so must 2*|mag| with --random"),
+        (["--mag", "inf", "--random"], "--mag must be finite, and so must 2*|mag| with --random"),
+        (["--mag", "1e308", "--random"], "2*|mag| with --random, got 1e+308"),
+        (["--mag=-1e308", "--random"], "2*|mag| with --random, got -1e+308"),
         (["--mode", "pb_relax", "--alpha", "0"], "alpha"),
         (["--alpha", "-2"], "alpha"),
         (["--random", "--seed", "-1"], "--seed must be >= 0, got -1"),
-    ], ids=["d0", "tokens0", "tokens-1", "mag-nan", "alpha0", "alpha-2", "seed-1"])
+    ], ids=["d0", "tokens0", "tokens-1", "mag-nan", "mag-inf", "mag-nan-random",
+            "mag-inf-random", "mag-1e308-random", "mag--1e308-random", "alpha0", "alpha-2",
+            "seed-1"])
     def test_bad_input_exits_1_naming_it(self, capsys, argv, named):
         rc, out, err = run(capsys, "fp16", "--d", "4", "--mag", "1", *argv)
         assert rc == 1
@@ -171,9 +178,17 @@ class TestTrain:
         assert "stop_after must be >= 0, got -3" in err
         assert out == "" and not out_path.exists()
 
+    def test_config_that_is_not_utf8_exits_1_naming_it(self, capsys, tmp_path):
+        # before, the text-mode read raised a UnicodeDecodeError naming no config
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"preset": "\xff"}')
+        rc, out, err = run(capsys, "train", "--config", str(path))
+        assert rc == 1 and out == ""
+        assert err.startswith("error: bad train config: not JSON: 'utf-8' codec can't decode")
+
     def test_unknown_config_key_exits_1(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
-        cfg = json.loads(TrainConfig("visformer_ti-micro", 1, 4).to_json())
+        cfg = json.loads(config_to_json(TrainConfig("visformer_ti-micro", 1, 4)))
         path.write_text(json.dumps(dict(cfg, lr=0.1)))
         rc, _, err = run(capsys, "train", "--config", str(path))
         assert rc == 1
@@ -182,7 +197,7 @@ class TestTrain:
     @pytest.mark.parametrize("field,value", [("epochs", 1.5), ("flip", "no")])
     def test_mistyped_config_value_exits_1(self, capsys, tmp_path, field, value):
         path = tmp_path / "cfg.json"
-        cfg = json.loads(TrainConfig("visformer_ti-micro", 1, 4).to_json())
+        cfg = json.loads(config_to_json(TrainConfig("visformer_ti-micro", 1, 4)))
         path.write_text(json.dumps(dict(cfg, **{field: value})))
         rc, out, err = run(capsys, "train", "--config", str(path),
                            "--out", str(tmp_path / "m.vsfm"))

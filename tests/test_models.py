@@ -1,8 +1,9 @@
 """Model configs, presets, builder determinism, and forward shapes."""
 
+import hashlib
 import re
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from visarch import (
     preset_names,
 )
 from visarch.blocks import BUFFER_INITS, LAYERS, AttentionSpec, BottleneckSpec, EmbedSpec
-from visarch.models import ModelConfig, config_from_dict, config_to_dict, model_slots
+from visarch.models import ModelConfig, config_from_dict, model_slots
 from visarch.tensor import cross_entropy
 from visarch.train import TrainConfig
 
@@ -238,7 +239,7 @@ class TestFieldRules:
 
     def test_huge_width_is_rejected_by_the_parse(self):
         # it used to parse, and layer_plan then raised a bare OverflowError
-        d = config_to_dict(preset("net5-micro"))
+        d = asdict(preset("net5-micro"))
         d["stages"][0]["embed"]["out_channels"] = 10 ** 400
         d["stages"][0]["blocks"] = [dict(b, channels=10 ** 400) for b in d["stages"][0]["blocks"]]
         with pytest.raises(ValueError, match=re.escape(
@@ -304,6 +305,43 @@ class TestPresets:
     def test_config_json_round_trip(self, name):
         c = preset(name)
         assert config_from_json(config_to_json(c)) == c
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_config_json_is_pinned(self, name):
+        # every field of every preset, beyond what the MAC and parameter totals see
+        digest = hashlib.sha256(config_to_json(preset(name)).encode()).hexdigest()
+        assert digest == CONFIG_DIGESTS[name]
+
+
+# sha256 of config_to_json(preset(name)) for every preset
+CONFIG_DIGESTS = {
+    "deit_s": "013efcacdee2cdf005872782457f487c95a203b3368d09938ae2d8f734e0a257",
+    "deit_s-micro": "57eec10ed09c91bc95cd24b31e8380c28f5b5d16f6e1b17f6af45c6f20e869a6",
+    "net1": "cceb3972d4720b28e77056c4a9733fe58691a2fc40e29334cddbbfc01d4d0612",
+    "net1-micro": "c3e01d4622f8d898a3a893ccdb317040e152b658ee17fa199317557152b14675",
+    "net2": "ac724a4f923fa5129bcf04b8ed189a6e4d7a0d99135ffc9ec19ba0f6a9458828",
+    "net2-micro": "158ea670b147b801bb06821e499865c239230da47b44196a3b282d1311b3f791",
+    "net3": "65b67e96244bfdf994857b7eb2b2577a1d938dbfd7265cf22be36bc6a9352bad",
+    "net3-micro": "c1f1e44999662532d31d6e929f1a6941c60f8c85715f885a99ef0f52008be401",
+    "net4": "0b4045fbea1d195a41cda30925c303c0b0284bb0e1939a8a2beb52987597a76e",
+    "net4-micro": "5f6bcb3a5120b4e3b4e95aa5c14e6730eb10d6c2433958146d2c0d328ff6470b",
+    "net5": "56acf675baebb80f433ad8a3302aa4b4c9dffe966b910426b54b5d792397c321",
+    "net5-micro": "9cd392b04017b20c48f97513bcf1905b201491617a0f99bc83b50aa828e632ec",
+    "net6": "6332baa640e392e8fcccee41f309088b1ddd70925a00662f4cc2305e35c6f55c",
+    "net6-micro": "da716e7d20ba642645b69fc93b4b80549367acf0c0b63a3d98c82857da8dad00",
+    "net7": "7aee2be60f034c057e6d9ef5ef9fda83fa75d923f6111832c554cda8a2aaeaa9",
+    "net7-micro": "ffe3f6ba33a6caa37516f1104873bd6be62e5f70ac026b95987a7a6dd93dd0ef",
+    "resnet50_shape": "4ba79d23c2be4c99d59f999be660a9080eac00287c500712674879b0817f25b4",
+    "resnet50_shape-micro": "af4d7bf94c764a18fe32655ce9c7fac3bb89490b1283e312445d9e0d60f11dca",
+    "visformer_s": "e98cc864516dd2606ff317fcb0c256c2195d21dd4bb80e4a72825873fcd143ba",
+    "visformer_s-micro": "4c8b607054f0f389f49f610344a0bcfb9f2c438ab41d757c2bf7d374443a8055",
+    "visformer_ti": "3ecefb7df7c7812472265a0967505d905aa4be590202fb0ac4fbaf581d537df1",
+    "visformer_ti-micro": "7fd69d2f71585e2c115996f492887f9a42fc69819a69e010ffd8f259362708db",
+    "visformer_v2_s": "17f193b63c8ed479e71ec8e3af14a5e80de07aa163ad3d12402fe0d069e00be5",
+    "visformer_v2_s-micro": "b9ee9bebbcb2dca543db5baaa058a13bd00badefb950d5632e3d3a3fb8d7cde0",
+    "visformer_v2_ti": "72eb559bd885e2910a274aadf3ef17b6d915b71c215e47168c841e2298967b9c",
+    "visformer_v2_ti-micro": "484def3d75f604eb2845494951d986aa7aa22c9dce1cc755272f9a1eae496942",
+}
 
 
 class TestLadder:

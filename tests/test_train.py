@@ -4,6 +4,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -34,8 +35,8 @@ from visarch import (
     train,
 )
 from visarch.blocks import BUFFER_INITS, LAYERS
-from visarch.models import entry_inputs, layer_plan, model_forward, preset_names
-from visarch.tensor import ParamStore, Tensor, cross_entropy, finite_diff_grad
+from visarch.models import config_to_json, entry_inputs, layer_plan, model_forward, preset_names
+from visarch.tensor import ParamStore, ShapeError, Tensor, cross_entropy, finite_diff_grad
 from visarch.train import REFERENCE_BATCH, AdamW, SGDMomentum
 
 vmodels = importlib.import_module("visarch.models")
@@ -73,7 +74,7 @@ def resume_state_of(result):
 class TestConfig:
     def test_json_round_trip(self):
         cfg = tiny_config(flip=True, crop_pad=2)
-        assert TrainConfig.from_json(cfg.to_json()) == cfg
+        assert TrainConfig.from_json(config_to_json(cfg)) == cfg
 
     @pytest.mark.parametrize("kw", [
         dict(epochs=0),
@@ -403,9 +404,14 @@ class TestLoop:
                  "scalars": {"epoch": epoch, "train_config": asdict(cfg), **optim.scalar_state()}}
         return train(cfg, tiny_dataset(), resume_state=state)
 
-    @pytest.mark.parametrize("epoch", [-3, -2, 2, 5])
-    def test_resume_epoch_must_be_in_range(self, epoch):
-        with pytest.raises(CheckpointError, match=r"'epoch' must be in -1\.\.1"):
+    @pytest.mark.parametrize("epoch,match", [
+        (-3, "'epoch' must be >= -1, got -3"),
+        (-2, "'epoch' must be >= -1, got -2"),
+        (2, r"'epoch' must be in -1\.\.1"),
+        (5, r"'epoch' must be in -1\.\.1"),
+    ], ids=["-3", "-2", "2", "5"])
+    def test_resume_epoch_must_be_in_range(self, epoch, match):
+        with pytest.raises(CheckpointError, match=match):
             self.resume_at(epoch)
 
     def test_resume_of_another_presets_model_raises(self):
@@ -443,6 +449,38 @@ class TestLoop:
         cfg = tiny_config(epochs=1, optimizer="sgd_momentum", base_lr=1e24)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="s0.embed"):
             train(cfg, tiny_dataset())
+
+    @pytest.mark.parametrize("name,entry", [("visformer_ti-micro", "s2.embed"),
+                                            ("net4-micro", "s2.b0"),
+                                            ("resnet50_shape-micro", "s3.b0")])
+    def test_a_one_sample_batch_under_batch_norm_is_rejected_before_any_step(
+            self, monkeypatch, name, entry):
+        # 50 samples in batches of 7 leave a last batch of 1, whose 1x1 maps give
+        # batch norm one value per channel; before, the run raised a ShapeError
+        # naming no layer after 7 steps
+        steps = []
+        monkeypatch.setattr(vtrain, "backward", steps.append)
+        config = TrainConfig(name, epochs=2, batch_size=7, data_per_class=5)
+        with pytest.raises(ValueError, match=re.escape(
+                f"batch_size 7 over 50 samples gives a smallest batch of 1, but the batch norm "
+                f"at '{entry}' on 1x1 maps needs more than one value per channel")):
+            train(config)
+        assert steps == []
+
+    def test_a_one_sample_batch_trains_under_layer_norm(self):
+        result = train(TrainConfig("deit_s-micro", epochs=1, batch_size=7, data_per_class=5))
+        assert len(result.losses) == 1 and np.isfinite(result.losses[0])
+
+    @pytest.mark.parametrize("call", [
+        lambda: model_forward(build(preset("visformer_ti-micro")),
+                              np.zeros((1, 3, 32, 32), np.float32), training=True),
+        lambda: gradcheck("visformer_ti-micro", batch=1),
+    ], ids=["forward", "gradcheck"])
+    def test_batch_norm_on_one_value_per_channel_names_the_layer(self, call):
+        with pytest.raises(ShapeError, match=re.escape(
+                "needs more than one value per channel, got a batch of 1 on 1x1 maps at "
+                "'visformer_ti-micro.s2.embed'")):
+            call()
 
     def test_log_callback_sees_each_epoch(self):
         lines = []
@@ -511,6 +549,25 @@ class TestGradcheck:
         assert "FAIL" in rep.table()
         worst = max(rep.failures, key=lambda e: e.rel)
         assert worst.rel > 0.01
+
+    def test_probes_leave_the_batch_norm_buffers_alone(self, monkeypatch):
+        # before, each probe's run of its own entry took batch norm's ungrouped
+        # path, which wrote the running buffers
+        at_workers(monkeypatch, 1)
+        built, analytic = [], []
+        build_model, fork_map = vmodels.build, vtrain._fork_map
+        monkeypatch.setattr(vmodels, "build", lambda *a, **kw: (
+            built.append(build_model(*a, **kw)) or built[-1]))
+
+        def probes(fn, items, workers):  # runs once the analytic pass is done
+            analytic.append({p: a.copy() for p, a in built[0].buffers.items()})
+            return fork_map(fn, items, workers)
+
+        monkeypatch.setattr(vtrain, "_fork_map", probes)
+        gradcheck("resnet50_shape-micro", samples_per_param=1, batch=2)
+        buffers = built[0].buffers
+        assert len(built) == 1 and analytic[0].keys() == buffers.keys()
+        assert all(np.array_equal(analytic[0][p], a) for p, a in buffers.items())
 
     @pytest.mark.parametrize("name,value", [
         ("samples_per_param", 0), ("samples_per_param", -1), ("samples_per_param", 1.5),
@@ -584,16 +641,20 @@ class TestResumedProbes:
 
     def test_the_rest_of_the_plan_runs_once_per_entry_and_round(self, monkeypatch):
         at_workers(monkeypatch, 1)
-        rests, rounds = [], []  # plan lengths run on a stack; (entry, probes) per round
+        runs, rounds = [], []  # (first prefix, length) of each slice run grouped; (entry, probes)
         run_plan, slopes = vmodels.run_plan, vtrain._entry_slopes
         monkeypatch.setattr(vmodels, "run_plan", lambda model, plan, *a: (
-            vt._GROUP[0] and rests.append(len(plan))) or run_plan(model, plan, *a))
+            vt._GROUP[0] and runs.append((plan[0].prefix if plan else None, len(plan)))
+        ) or run_plan(model, plan, *a))
         monkeypatch.setattr(vtrain, "_entry_slopes", lambda model, plan, k, x, y, probes, h: (
             rounds.append((k, len(probes))) or slopes(model, plan, k, x, y, probes, h)))
         rep = gradcheck("deit_s-micro")
         config = preset("deit_s-micro")
         plan = layer_plan(config)
-        assert rests == [len(plan) - k - 1 for k, _ in rounds]
+        # each round runs entry k alone per probe and sign, then plan[k + 1:] once
+        prefixes = [e.prefix for e in plan] + [None]
+        assert runs == [run for k, n in rounds for run in
+                        [(prefixes[k], 1)] * (2 * n) + [(prefixes[k + 1], len(plan) - k - 1)]]
         entries = {k for k, e in enumerate(plan) if probed_slot(e, config) is not None}
         assert {k for k, _ in rounds} == entries and len(rounds) <= 3 * len(entries)
         assert sum(n for k, n in rounds) >= rep.checked > 10 * len(rounds)
