@@ -71,12 +71,14 @@ def _collect(model: models.Model, extra_tensors: dict | None) -> dict:
 def save_bytes(model: models.Model, extra: dict | None = None,
                extra_tensors: dict | None = None) -> bytes:
     """The checkpoint of model, with the JSON values of extra and the optim.*
-    arrays of extra_tensors; an extra value that JSON cannot hold, or a
-    non-finite number, raises ValueError."""
+    arrays of extra_tensors; an extra that is neither a dict nor None, an
+    extra value that JSON cannot hold, or a non-finite number raises ValueError."""
+    if extra is not None and not isinstance(extra, dict):
+        raise ValueError(f"checkpoint extra must be a dict or None, got {type(extra).__name__}")
     tensors = _collect(model, extra_tensors)
     paths = sorted(tensors)
     payloads = [np.ascontiguousarray(tensors[path], dtype="<f4") for path in paths]
-    head = {"config": asdict(model.config), "extra": dict(extra or {}),
+    head = {"config": asdict(model.config), "extra": extra or {},
             "tensors": [{"path": path, "dims": list(arr.shape)}
                         for path, arr in zip(paths, payloads)]}
     try:  # check_fields keeps a config's numbers finite, so only extra can fail here

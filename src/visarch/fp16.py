@@ -32,7 +32,7 @@ class OverflowReport:
     d: int
     tokens: int
     max_abs_input: float
-    max_abs_logit: float  # over finite logits; 0.0 if none finite
+    max_abs_logit: float | None  # over finite logits; None if every logit overflowed
     overflow_count: int
     softmax_valid: bool
 
@@ -45,10 +45,9 @@ def _dot_f16(q: np.ndarray, kt: np.ndarray) -> np.ndarray:
     rounded to binary16, accumulating in ascending index order."""
     d = q.shape[-1]
     acc = np.zeros(q.shape[:-1] + (kt.shape[-1],))
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(d):
-            prod = _rne16(q[..., i, None] * kt[..., i, :])
-            acc = _rne16(acc + prod)
+    for i in range(d):
+        prod = _rne16(q[..., i, None] * kt[..., i, :])
+        acc = _rne16(acc + prod)
     return acc
 
 
@@ -68,8 +67,9 @@ def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard",
     """Emulated half-precision attention scores for (T, d) queries/keys.
 
     Returns (logits, softmax_or_None, OverflowReport). Logits are float64
-    values exactly representable in binary16, infinite where the pipeline
-    overflowed. softmax_valid is False iff any logit is non-finite. q and k
+    values exactly representable in binary16, infinite (or NaN) where the
+    pipeline overflowed, which no numpy warning reports. softmax_valid is
+    False iff any logit is non-finite, max_abs_logit None iff all are. q and k
     must be finite with at least one token and one channel; they become
     float64 under Tensor's dtype rule (a float64 array is not copied, a
     complex, bool, object or string one raises ShapeError). alpha goes through
@@ -87,25 +87,27 @@ def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard",
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} has a non-finite entry")
     alpha = check_positive("alpha", alpha)
-    if mode == "standard":
-        qs, ks = _rne16(q), _rne16(k)
-        logits = _rne16(_dot_f16(qs, ks.T) * _rne16(np.float64(1.0 / np.sqrt(d))))
-    elif mode == "prenorm":
-        s = d ** -0.25
-        logits = _dot_f16(_rne16(q * s), _rne16(k * s).T)
-    elif mode == "fullnorm":
-        s = d ** -0.5
-        logits = _dot_f16(_rne16(q * s), _rne16(k * s).T)
-    else:  # pb_relax
-        qs = _rne16(q / (alpha * np.sqrt(d)))
-        raw = _dot_f16(qs, _rne16(k).T)
-        shifted = _rne16(raw - raw.max(axis=-1, keepdims=True))
-        logits = _rne16(shifted * alpha)
+    # an overflow gives inf, and inf - inf (an overflowed pb_relax row's shift) NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "standard":
+            qs, ks = _rne16(q), _rne16(k)
+            logits = _rne16(_dot_f16(qs, ks.T) * _rne16(np.float64(1.0 / np.sqrt(d))))
+        elif mode == "prenorm":
+            s = d ** -0.25
+            logits = _dot_f16(_rne16(q * s), _rne16(k * s).T)
+        elif mode == "fullnorm":
+            s = d ** -0.5
+            logits = _dot_f16(_rne16(q * s), _rne16(k * s).T)
+        else:  # pb_relax
+            qs = _rne16(q / (alpha * np.sqrt(d)))
+            raw = _dot_f16(qs, _rne16(k).T)
+            shifted = _rne16(raw - raw.max(axis=-1, keepdims=True))
+            logits = _rne16(shifted * alpha)
     finite = np.isfinite(logits)
     report = OverflowReport(
         mode=mode, d=d, tokens=t,
         max_abs_input=float(np.abs([q, k]).max()),
-        max_abs_logit=float(np.abs(logits[finite]).max()) if finite.any() else 0.0,
+        max_abs_logit=float(np.abs(logits[finite]).max()) if finite.any() else None,
         overflow_count=int((~finite).sum()),
         softmax_valid=bool(finite.all()),
     )

@@ -187,8 +187,10 @@ def run_plan(model: Model, plan: list[PlanEntry], x: Tensor, training: bool) -> 
     a non-finite value names the entry that made it. A parameter of entry k
     cannot change the outputs of entries 0..k-1, so a gradient probe of that
     parameter runs plan[k:] from entry k's input (see entry_inputs).
+    The one eval rule: training=False runs under tz.no_grad, so an eval run_plan,
+    entry_inputs or model_forward records no graph (backward() raises GraphError).
     """
-    with tz.layer_scope(model.config.name):
+    with nullcontext() if training else tz.no_grad(), tz.layer_scope(model.config.name):
         for e in plan:
             with tz.layer_scope(e.prefix):
                 x = B.LAYERS[e.kind].forward(x, e, model, training)
@@ -196,8 +198,8 @@ def run_plan(model: Model, plan: list[PlanEntry], x: Tensor, training: bool) -> 
 
 
 def entry_inputs(model: Model, plan: list[PlanEntry], x: Tensor, training: bool) -> list[Tensor]:
-    """Each plan entry's input, then the output: one forward run entry by
-    entry, with the bits a whole run_plan passes along. It holds every entry's
+    """Each plan entry's input, then the output: one forward run entry by entry,
+    with the bits and the eval rule of a whole run_plan. It holds every entry's
     output, so model_forward streams through run_plan instead."""
     xs = [x]
     for k in range(len(plan)):
@@ -212,10 +214,8 @@ def model_forward(model: Model, x, training: bool = False) -> Tensor:
     structure at the input's resolution, through run_plan. An ndarray becomes
     a Tensor of the model's dtype under Tensor's dtype rule; training must be
     a bool. At a resolution other than the config's, every learned table must
-    also keep its shape. Eval mode (training=False) runs under tz.no_grad: it
-    records no graph, so its logits hold no activations and backward() on a
-    loss built from them raises GraphError. Train mode records the graph for
-    one backward(), which frees it.
+    also keep its shape. Eval mode records no graph (run_plan's eval rule), so
+    its logits hold no activations; train mode records one for one backward().
     """
     training = tz.check_flag("training", training, ShapeError)
     if isinstance(x, np.ndarray):
@@ -230,8 +230,7 @@ def model_forward(model: Model, x, training: bool = False) -> Tensor:
     plan = layer_plan(model.config, resolution=width)
     if width != model.config.input_resolution:
         _check_slots(model, plan, width)
-    with nullcontext() if training else tz.no_grad():
-        return run_plan(model, plan, x, training)
+    return run_plan(model, plan, x, training)
 
 
 def _check_slots(model: Model, plan: list[PlanEntry], res: int) -> None:

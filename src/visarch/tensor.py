@@ -27,7 +27,7 @@ into its NCHW slice, so batch 1 makes no extra copy. The backward drops each
 tile's im2col as soon as it has used it.
 max_pool2d is a running maximum over the window slices. Every sum over the
 (N, H, W) axes of a map, or over its channels, is one einsum (_csum): the norm
-statistics and gradients and both conv paths' bias gradients. layer_norm and
+statistics and gradients and conv2d's one bias gradient. layer_norm and
 train-mode batch_norm share one normalise-and-affine kernel: one centred copy
 gives the two-pass variance and is scaled into xhat in place, and the backward
 takes its stat-axis means from dbeta and dgamma where it can (batch_norm).
@@ -35,10 +35,11 @@ With fixed (eval) statistics batch_norm is one per-channel scale and shift.
 softmax runs in one buffer, its backward sums dout * y in one einsum, and
 gelu's backward is built in one buffer plus a temporary.
 Under no_grad ops record no graph, so backward() on their result raises.
-Under the private _grouped(n) as well, a batch is consecutive groups of n
-independent samples, each computed with the bits a forward of that group alone
-gives (gradcheck stacks its probes this way); outside it nothing changes.
-An op's axis goes through one rule (_axis): an integer in [-rank, rank).
+The private _grouped(n) runs under no_grad, and a batch is consecutive groups
+of n independent samples, each computed with the bits a forward of that group
+alone gives (gradcheck stacks its probes this way); outside it nothing changes.
+An op's axis goes through one rule (_axis): an integer in [-rank, rank), and
+for a reduction (softmax, reduce_max) an axis with at least one entry.
 """
 
 from __future__ import annotations
@@ -100,15 +101,14 @@ def _grouped(n: int):
     statistics per group and leaves its running buffers alone, no k x k conv2d
     tile crosses a group boundary, and linear runs one GEMM per group. Every
     other op already works per sample, or per sample and head. This path has no
-    backward, so it needs no_grad (GraphError otherwise); an op whose batch is
+    backward, so it runs under no_grad and records nothing; an op whose batch is
     not a multiple of n raises ShapeError."""
     n = check_count("group size", n, 1, ShapeError)
-    if _GRAD_ENABLED[0]:
-        raise GraphError("a grouped forward records no graph: run it under no_grad")
     old = _GROUP[0]
     _GROUP[0] = n
     try:
-        yield
+        with no_grad():
+            yield
     finally:
         _GROUP[0] = old
 
@@ -210,8 +210,18 @@ def _unbroadcast(grad, shape):
 # elementwise / structural ops
 
 
+def _broadcast(op: str, ufunc, x: Tensor, y: Tensor):
+    """ufunc(x.data, y.data), or ShapeError naming op and both shapes if numpy
+    cannot broadcast them (the cost of the check is only that of the try)."""
+    try:
+        return ufunc(x.data, y.data)
+    except ValueError:
+        raise ShapeError(f"{op} needs shapes that broadcast, got {x.data.shape} and "
+                         f"{y.data.shape}") from None
+
+
 def add(x: Tensor, y: Tensor) -> Tensor:
-    data = x.data + y.data
+    data = _broadcast("add", np.add, x, y)
 
     def bwd(dout):
         return _unbroadcast(dout, x.data.shape), _unbroadcast(dout, y.data.shape)
@@ -226,7 +236,7 @@ def add_residual(x: Tensor, y: Tensor) -> Tensor:
 
 
 def sub(x: Tensor, y: Tensor) -> Tensor:
-    data = x.data - y.data
+    data = _broadcast("sub", np.subtract, x, y)
 
     def bwd(dout):
         return _unbroadcast(dout, x.data.shape), _unbroadcast(-dout, y.data.shape)
@@ -235,7 +245,7 @@ def sub(x: Tensor, y: Tensor) -> Tensor:
 
 
 def mul(x: Tensor, y: Tensor) -> Tensor:
-    data = x.data * y.data
+    data = _broadcast("mul", np.multiply, x, y)
 
     def bwd(dout):
         return (_unbroadcast(dout * y.data, x.data.shape),
@@ -328,13 +338,18 @@ def transpose(x: Tensor, perm) -> Tensor:
     return _record(x.data.transpose(perm), (x,), bwd)
 
 
-def _axis(op: str, axis, ndim: int) -> int:
+def _axis(op: str, axis, shape: tuple, nonempty: bool = False) -> int:
     """axis counted from 0 if it is an integer in [-ndim, ndim) (a negative one
-    counts from the end), else ShapeError naming op, the axis and the rank."""
+    counts from the end), else ShapeError naming op, the axis and the rank.
+    With nonempty (a reduction over it) the axis must hold at least one entry."""
+    ndim = len(shape)
     if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or not -ndim <= axis < ndim:
         raise ShapeError(f"{op} axis must be an integer in [-{ndim}, {ndim}) for a rank-{ndim} "
                          f"tensor, got {axis!r}")
-    return int(axis) % ndim
+    axis = int(axis) % ndim
+    if nonempty and shape[axis] == 0:
+        raise ShapeError(f"{op} over axis {axis} needs at least one entry, got shape {shape}")
+    return axis
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -342,7 +357,7 @@ def concat(tensors, axis: int) -> Tensor:
     if not tensors:
         raise ShapeError("concat needs at least one tensor")
     first = tensors[0].data.shape
-    axis = _axis("concat", axis, len(first))
+    axis = _axis("concat", axis, first)
     for t in tensors[1:]:
         shape = t.data.shape
         if len(shape) != len(first) or shape[:axis] + shape[axis + 1:] != first[:axis] + first[axis + 1:]:
@@ -359,7 +374,7 @@ def concat(tensors, axis: int) -> Tensor:
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """x[start:start + length] along axis; start and length are integers >= 0."""
-    axis = _axis("narrow", axis, x.data.ndim)
+    axis = _axis("narrow", axis, x.data.shape)
     start = check_count("narrow start", start, 0, ShapeError)
     length = check_count("narrow length", length, 0, ShapeError)
     if start + length > x.data.shape[axis]:
@@ -421,7 +436,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def reduce_max(x: Tensor, axis: int = -1) -> Tensor:
     """Max over one axis, keepdims. Gradient splits equally among ties."""
-    axis = _axis("reduce_max", axis, x.data.ndim)
+    axis = _axis("reduce_max", axis, x.data.shape, nonempty=True)
     m = x.data.max(axis=axis, keepdims=True)
     mask = (x.data == m)
 
@@ -548,34 +563,28 @@ def _scatter_windows(dwin, height: int, width: int, s: int, p: int):
     return dxp[:, p:p + height, p:p + width] if p else dxp
 
 
-def _channel_gemm(x: Tensor, w: Tensor, b: Tensor | None, s: int) -> Tensor:
+def _channel_gemm(x: Tensor, w: Tensor, s: int):
     """1x1 convolution, no padding, one group, as (Cout, Cin) @ (N, Cin, Ho*Wo)
-    straight on NCHW: no im2col and no transposed copies."""
+    straight on NCHW: no im2col and no transposed copies. Returns the NCHW
+    output and its backward, dout -> (dx, dw), for conv2d to record."""
     xd = x.data[:, :, ::s, ::s] if s > 1 else x.data
     N, Cin, Ho, Wo = xd.shape
     xs = xd.reshape(N, Cin, Ho * Wo)  # copies only a strided or non-contiguous input
     wm = w.data.reshape(-1, Cin)
-    out = wm @ xs
-    if b is not None:
-        out += b.data.reshape(-1, 1)
-    parents = (x, w) if b is None else (x, w, b)
 
-    def bwd(dout):
+    def grads(dout):
         d = dout.reshape(N, -1, Ho * Wo)
         dw = np.tensordot(d, xs, axes=([0, 2], [0, 2])).reshape(w.data.shape)
-        dx = None
-        if x.requires_grad:
-            dxs = (wm.T @ d).reshape(N, Cin, Ho, Wo)
-            if s == 1:
-                dx = dxs
-            else:
-                dx = np.zeros(x.data.shape, dtype=dxs.dtype)
-                dx[:, :, ::s, ::s] = dxs
-        if b is None:
-            return dx, dw
-        return dx, dw, _csum(dout)
+        if not x.requires_grad:
+            return None, dw
+        dxs = (wm.T @ d).reshape(N, Cin, Ho, Wo)
+        if s == 1:
+            return dxs, dw
+        dx = np.zeros(x.data.shape, dtype=dxs.dtype)
+        dx[:, :, ::s, ::s] = dxs
+        return dx, dw
 
-    return _result("conv2d", out.reshape(N, -1, Ho, Wo), parents, bwd)
+    return (wm @ xs).reshape(N, -1, Ho, Wo), grads
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
@@ -583,15 +592,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     """2-d convolution on NCHW. A 1x1 kernel with no padding and one group is
     one channel GEMM (_channel_gemm). Any other kernel, grouped or not, runs in
     batch tiles, each as many images as keep its im2col under _TILE_BYTES (at
-    least one). A tile of n images is padded
-    into a (Cin, Hp, Wp, n) copy with the batch innermost, its windows copied
-    channel-major as cols, one (Cpg*kh*kw, Ho*Wo*n) matrix per group, and one
-    batched GEMM over the group axis gives (Cout, Ho, Wo, n); a 1-image tile is
-    written straight into its NCHW slice. The backward sums dW over the tiles
-    and scatters each tile's dX in the same layout, dropping its cols when used."""
+    least one). A tile of n images is padded into a (Cin, Hp, Wp, n) copy with
+    the batch innermost, its windows copied channel-major as cols, one
+    (Cpg*kh*kw, Ho*Wo*n) matrix per group, and one batched GEMM over the group
+    axis gives (Cout, Ho, Wo, n); a 1-image tile is written straight into its
+    NCHW slice. Its backward sums dW over the tiles and scatters each tile's dX
+    in the same layout, dropping its cols when used. Either path gives the
+    output and its (dx, dw) backward; conv2d alone adds the bias and records."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 input and weight, got {xd.shape}, {wd.shape}")
+    if 0 in wd.shape:
+        raise ShapeError(f"conv2d weight needs every axis >= 1, got {wd.shape}")
     N, Cin, H, W = xd.shape
     Cout, Cpg, kh, kw = wd.shape
     groups = check_count("groups", groups, 1, ShapeError)
@@ -602,47 +614,46 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     if b is not None and b.shape != (Cout,):
         raise ShapeError(f"conv2d bias must be ({Cout},), got {b.shape}")
     Ho, Wo = out_size(H, kh, stride, padding), out_size(W, kw, stride, padding)
-    if kh == kw == 1 and padding == 0 and groups == 1:
-        return _channel_gemm(x, w, b, stride)
-    G, opg = groups, Cout // groups
-    wg = wd.reshape(G, opg, -1)
-    step = max(1, _TILE_BYTES // (Cin * kh * kw * Ho * Wo * xd.itemsize))
-    n = _group_size("conv2d", N)  # a _grouped group is tiled as it would be alone
-    tiles = [(a, min(a + step, g + n)) for g in range(0, N, n) for a in range(g, g + n, step)]
     parents = (x, w) if b is None else (x, w, b)
-    keep = _recording(parents)
-    out = np.empty((N, Cout, Ho, Wo), dtype=np.result_type(xd, wd))
-    cols = []
-    for a, z in tiles:
-        # cols[g] is group g's im2col matrix, one row per (channel, ki, kj)
-        win = _windows(_padded(xd[a:z].transpose(1, 2, 3, 0), padding, 0.0), kh, kw, stride, Ho, Wo)
-        c = np.ascontiguousarray(win.reshape(G, Cpg, Ho, Wo, z - a, kh, kw)
-                                 .transpose(0, 1, 5, 6, 2, 3, 4)).reshape(G, -1, Ho * Wo * (z - a))
-        if z - a == 1:
-            np.matmul(wg, c, out=out[a].reshape(G, opg, Ho * Wo))
-        else:
-            out[a:z] = (wg @ c).reshape(Cout, Ho, Wo, z - a).transpose(3, 0, 1, 2)
-        if keep:
-            cols.append(c)
-    if b is not None:
-        out += b.data.reshape(1, Cout, 1, 1)
-
-    def bwd(dout):
-        dw = np.zeros(wg.shape, dtype=np.result_type(dout, xd))
-        dx = np.empty(xd.shape, dtype=np.result_type(dout, wd)) if x.requires_grad else None
+    if kh == kw == 1 and padding == 0 and groups == 1:
+        out, grads = _channel_gemm(x, w, stride)
+    else:
+        G, opg = groups, Cout // groups
+        wg = wd.reshape(G, opg, -1)
+        step = max(1, _TILE_BYTES // (Cin * kh * kw * Ho * Wo * xd.itemsize))
+        n = _group_size("conv2d", N)  # a _grouped group is tiled as it would be alone
+        tiles = [(a, min(a + step, g + n)) for g in range(0, N, n) for a in range(g, g + n, step)]
+        keep = _recording(parents)
+        out = np.empty((N, Cout, Ho, Wo), dtype=np.result_type(xd, wd))
+        cols = []
         for a, z in tiles:
-            d = np.ascontiguousarray(dout[a:z].transpose(1, 2, 3, 0)).reshape(G, opg, -1)
-            dw += d @ cols.pop(0).transpose(0, 2, 1)
-            if dx is not None:
-                dwin = ((wg.transpose(0, 2, 1) @ d).reshape(Cin, kh, kw, Ho, Wo, z - a)
-                        .transpose(0, 3, 4, 5, 1, 2))
-                dx[a:z] = _scatter_windows(dwin, H, W, stride, padding).transpose(3, 0, 1, 2)
-        dw = dw.reshape(wd.shape)
-        if b is None:
-            return dx, dw
-        return dx, dw, _csum(dout)
+            # cols[g] is group g's im2col matrix, one row per (channel, ki, kj)
+            win = _windows(_padded(xd[a:z].transpose(1, 2, 3, 0), padding, 0.0), kh, kw, stride, Ho, Wo)
+            c = np.ascontiguousarray(win.reshape(G, Cpg, Ho, Wo, z - a, kh, kw)
+                                     .transpose(0, 1, 5, 6, 2, 3, 4)).reshape(G, -1, Ho * Wo * (z - a))
+            if z - a == 1:
+                np.matmul(wg, c, out=out[a].reshape(G, opg, Ho * Wo))
+            else:
+                out[a:z] = (wg @ c).reshape(Cout, Ho, Wo, z - a).transpose(3, 0, 1, 2)
+            if keep:
+                cols.append(c)
 
-    return _result("conv2d", out, parents, bwd)
+        def grads(dout):
+            dw = np.zeros(wg.shape, dtype=np.result_type(dout, xd))
+            dx = np.empty(xd.shape, dtype=np.result_type(dout, wd)) if x.requires_grad else None
+            for a, z in tiles:
+                d = np.ascontiguousarray(dout[a:z].transpose(1, 2, 3, 0)).reshape(G, opg, -1)
+                dw += d @ cols.pop(0).transpose(0, 2, 1)
+                if dx is not None:
+                    dwin = ((wg.transpose(0, 2, 1) @ d).reshape(Cin, kh, kw, Ho, Wo, z - a)
+                            .transpose(0, 3, 4, 5, 1, 2))
+                    dx[a:z] = _scatter_windows(dwin, H, W, stride, padding).transpose(3, 0, 1, 2)
+            return dx, dw.reshape(wd.shape)
+
+    if b is None:
+        return _result("conv2d", out, parents, grads)
+    out += b.data.reshape(1, Cout, 1, 1)
+    return _result("conv2d", out, parents, lambda dout: (*grads(dout), _csum(dout)))
 
 
 def max_pool2d(x: Tensor, *, kernel: int = 3, stride: int = 2, padding: int = 1) -> Tensor:
@@ -695,10 +706,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """exp(x - max) / sum, in one buffer. A NaN or +inf input, or a row that is
     all -inf, gives a NaN output, which the output check names; a -inf entry in
     a row with a finite maximum gives 0."""
-    axis = _axis("softmax", axis, x.data.ndim)
-    if x.data.shape[axis] == 0:
-        raise ShapeError(f"softmax over axis {axis} needs at least one entry, got shape "
-                         f"{x.data.shape}")
+    axis = _axis("softmax", axis, x.data.shape, nonempty=True)
     y = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)

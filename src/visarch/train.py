@@ -23,7 +23,7 @@ from .checkpoint import (CheckpointError, check_keys, checkpoint_load, checkpoin
 from .data import Dataset, augment_batch, synth_dataset
 from .blocks import BUFFER_INITS, LAYERS, check_fields
 from .tensor import (ParamStore, Tensor, _central_pair, _grouped, backward, check_count,
-                     check_positive, cross_entropy, no_grad)
+                     check_positive, cross_entropy)
 from .tensor import finite_diff_grad  # noqa: F401 -- perfbench's tracer patches it here by name
 
 REFERENCE_BATCH = 512
@@ -358,16 +358,16 @@ def _entry_slopes(model: models.Model, plan: list, k: int, x: Tensor, y,
     (_central_pair) and runs entry k alone; the 2 * len(probes) outputs are
     stacked along the batch axis, and plan[k + 1:] runs once on the stack.
     Both run in one mode, with each batch as its own group (tensor._grouped),
-    so no run writes the model's batch-norm buffers. No entry reads a later
-    entry's parameter, and train-mode batch norm normalises with batch
-    statistics, so each group's loss has the bits of a whole train-mode
-    forward with that probe's value.
+    so no run writes the model's batch-norm buffers or records a graph. No
+    entry reads a later entry's parameter, and train-mode batch norm
+    normalises with batch statistics, so each group's loss has the bits of a
+    whole train-mode forward with that probe's value.
     """
     def entry_output():
         return models.run_plan(model, plan[k:k + 1], x, True).data
 
     n = len(y)
-    with no_grad(), _grouped(n):
+    with _grouped(n):
         outs = [out for path, index in probes
                 for out in _central_pair(model.params[path].data, index, h, entry_output)]
         logits = models.run_plan(model, plan[k + 1:], Tensor(np.concatenate(outs)), True)

@@ -133,6 +133,25 @@ REJECTED = [
      ShapeError, "gather_rows index must be in [0, 3) for a 3-row table, got 0 to 3"),
     ("softmax-empty-axis", lambda: T.softmax(Tensor(np.ones((2, 0))), axis=-1), ShapeError,
      "softmax over axis 1 needs at least one entry, got shape (2, 0)"),
+    # degenerate input to three engine ops, which gave numpy's ValueError
+    # (reduce_max's "zero-size array", a reshape, a broadcast) or a ZeroDivisionError
+    ("reduce-max-empty-axis", lambda: T.reduce_max(Tensor(np.ones((2, 0))), axis=-1),
+     ShapeError, "reduce_max over axis 1 needs at least one entry, got shape (2, 0)"),
+    ("conv2d-no-input-channels", lambda: T.conv2d(Tensor(np.ones((1, 0, 4, 4))),
+                                                  Tensor(np.ones((2, 0, 3, 3)))),
+     ShapeError, "conv2d weight needs every axis >= 1, got (2, 0, 3, 3)"),
+    ("conv2d-0-row-kernel", lambda: T.conv2d(Tensor(np.ones((1, 2, 4, 4))),
+                                             Tensor(np.ones((2, 2, 0, 3)))),
+     ShapeError, "conv2d weight needs every axis >= 1, got (2, 2, 0, 3)"),
+    ("conv2d-1x1-no-input-channels", lambda: T.conv2d(Tensor(np.ones((1, 0, 4, 4))),
+                                                      Tensor(np.ones((2, 0, 1, 1)))),
+     ShapeError, "conv2d weight needs every axis >= 1, got (2, 0, 1, 1)"),
+    ("add-no-broadcast", lambda: T.add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))),
+     ShapeError, "add needs shapes that broadcast, got (2, 3) and (3, 2)"),
+    ("sub-no-broadcast", lambda: T.sub(Tensor(np.ones((2, 3))), Tensor(np.ones(2))),
+     ShapeError, "sub needs shapes that broadcast, got (2, 3) and (2,)"),
+    ("mul-no-broadcast", lambda: T.mul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 3, 4)))),
+     ShapeError, "mul needs shapes that broadcast, got (2, 3, 4) and (3, 3, 4)"),
 ]
 
 

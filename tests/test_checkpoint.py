@@ -129,6 +129,22 @@ class TestAtomicSave:
         assert p.read_bytes() == before
         assert list(tmp_path.iterdir()) == [p]
 
+    @pytest.mark.parametrize("extra", [[1], "ab", 5, 0, "", [], False, [("seed", 1)]],
+                             ids=["list", "str", "int", "zero", "empty-str", "empty-list",
+                                  "false", "pairs"])
+    def test_extra_that_is_not_a_dict_writes_nothing(self, model, tmp_path, extra):
+        # before, the first three raised a bare TypeError or ValueError, the
+        # falsy ones were saved as {} and the pairs as {"seed": 1}
+        p = tmp_path / "m.vsfm"
+        checkpoint_save(model, p, extra={"seed": 4})
+        before = p.read_bytes()
+        with pytest.raises(ValueError, match="^checkpoint extra must be a dict or None, got "
+                                             f"{type(extra).__name__}$") as caught:
+            checkpoint_save(model, p, extra=extra)
+        assert caught.type is ValueError
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
 
 class TestBadContents:
     """Stored param./buffer. tensors must be exactly the config's, shape for shape."""

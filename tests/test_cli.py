@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 import zlib
 from dataclasses import asdict
 
@@ -131,6 +132,18 @@ class TestFp16:
         assert rc == 1
         assert out == ""
         assert named in err
+
+    def test_overflowed_rows_exit_0_without_warning(self, capsys):
+        # before, --mag 1e308 warned of pb_relax's inf - inf row shift, and
+        # --mag 1e200 reported a max_abs_logit of 0.0 beside 16 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "fp16", "--d", "4", "--mag", "1e308")
+            assert rc == 0 and err == "" and "max_abs_logit  : None" in out
+            rc, out, _ = run(capsys, "fp16", "--d", "4", "--mag", "1e200", "--json")
+        assert rc == 0
+        for mode, report in json.loads(out).items():
+            assert report["overflow_count"] == 16 and report["max_abs_logit"] is None, mode
 
 
 class TestTrain:

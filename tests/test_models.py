@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict, fields, replace
 
@@ -24,8 +25,8 @@ from visarch import (
     preset_names,
 )
 from visarch.blocks import BUFFER_INITS, LAYERS, AttentionSpec, BottleneckSpec, EmbedSpec
-from visarch.models import ModelConfig, config_from_dict, model_slots
-from visarch.tensor import cross_entropy
+from visarch.models import ModelConfig, config_from_dict, entry_inputs, model_slots, run_plan
+from visarch.tensor import Tensor, cross_entropy
 from visarch.train import TrainConfig
 
 FULL_PRESETS = ["deit_s", "net1", "net2", "net3", "net4", "net5", "net6", "net7",
@@ -504,6 +505,39 @@ class TestForward:
         with pytest.raises(GraphError, match="training=True"):
             backward(cross_entropy(logits, np.array([0, 1])))
         assert all(t.grad is None for _, t in model.params.items())
+
+    @pytest.mark.parametrize("name", ["visformer_ti-micro", "deit_s-micro",
+                                      "resnet50_shape-micro"])
+    def test_eval_run_plan_and_entry_inputs_record_no_graph(self, name):
+        # one eval rule: run_plan and entry_inputs give model_forward's bits, graph-free
+        model = build(preset(name), seed=0)
+        plan = layer_plan(model.config)
+        x = np.random.default_rng(5).normal(size=(2, 3, 32, 32)).astype(np.float32)
+        logits = model_forward(model, x, training=False).data
+        ran = run_plan(model, plan, Tensor(x), False)
+        inputs = entry_inputs(model, plan, Tensor(x), False)
+        assert ran.data.tobytes() == inputs[-1].data.tobytes() == logits.tobytes()
+        for t in [ran] + inputs[1:]:
+            assert not t.requires_grad and t._backward is None and t._parents == ()
+        for out in (ran, inputs[-1]):
+            with pytest.raises(GraphError, match="no recorded graph"):
+                backward(cross_entropy(out, np.array([0, 1])))
+        assert all(t.grad is None for _, t in model.params.items())
+
+    def test_eval_entry_inputs_hold_only_what_they_return(self):
+        # a recorded eval graph held 25x the returned bytes at batch 8
+        model = build(preset("visformer_ti-micro"), seed=0)
+        plan = layer_plan(model.config)
+        x = Tensor(np.random.default_rng(5).normal(size=(8, 3, 32, 32)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            inputs = entry_inputs(model, plan, x, False)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        returned = sum(t.data.nbytes for t in inputs[1:])
+        assert held <= 1.5 * returned, f"held {held} B for {returned} B of entry outputs"
 
     def test_train_records_graph_after_a_failed_eval(self):
         model = build(preset("visformer_ti-micro"), seed=0)

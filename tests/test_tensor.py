@@ -894,10 +894,18 @@ class TestGrouped:
         assert np.array_equal(stacked, np.concatenate([m for m, _ in alone]))
         assert np.array_equal(stacked_logits, np.concatenate([f for _, f in alone]))
 
-    def test_refuses_a_recording_forward(self):
-        with pytest.raises(GraphError, match="under no_grad"):
+    def test_a_grouped_forward_records_nothing(self, rng):
+        x = Tensor(rng.normal(size=(4, 2, 3, 3)))
+        w = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
+        with T._grouped(2):  # outside no_grad
+            out = T.conv2d(x, w)
+        assert not out.requires_grad and out._backward is None
+        assert T.conv2d(x, w).requires_grad  # recording is back on after it
+        with T.no_grad():
             with T._grouped(2):
-                pass
+                out = T.conv2d(x, w)
+            assert not out.requires_grad and not T.conv2d(x, w).requires_grad
+        assert T._GRAD_ENABLED == [True] and T.conv2d(x, w).requires_grad
 
     @pytest.mark.parametrize("op", ["batch_norm", "conv2d", "linear"])
     def test_refuses_a_ragged_batch(self, op):
