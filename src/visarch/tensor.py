@@ -23,14 +23,15 @@ Every other kernel runs in batch tiles, each as many images as keep its im2col
 under _TILE_BYTES: the tile is copied with the batch axis innermost, so each
 window row moves n contiguous values, and its windows channel-major, one
 (Cpg*kh*kw, Ho*Wo*n) matrix per group; a 1-image tile's GEMM writes straight
-into its NCHW slice, so batch 1 makes no extra copy. The backward drops each
-tile's im2col as soon as it has used it.
+into its NCHW slice, so batch 1 makes no extra copy. The backward gathers each
+tile's im2col again, as max_pool2d its windows, so a node holds no im2col.
 max_pool2d is a running maximum over the window slices. Every sum over the
 (N, H, W) axes of a map, or over its channels, is one einsum (_csum): the norm
 statistics and gradients and conv2d's one bias gradient. layer_norm and
 train-mode batch_norm share one normalise-and-affine kernel: one centred copy
-gives the two-pass variance and is scaled into xhat in place, and the backward
-takes its stat-axis means from dbeta and dgamma where it can (batch_norm).
+gives the two-pass variance and is scaled into xhat in place; the backward
+builds xhat again from the kept mean and istd, and takes its stat-axis means
+from dbeta and dgamma where it can (batch_norm).
 With fixed (eval) statistics batch_norm is one per-channel scale and shift.
 softmax runs in one buffer, its backward sums dout * y in one einsum, and
 gelu's backward is built in one buffer plus a temporary.
@@ -39,7 +40,9 @@ The private _grouped(n) runs under no_grad, and a batch is consecutive groups
 of n independent samples, each computed with the bits a forward of that group
 alone gives (gradcheck stacks its probes this way); outside it nothing changes.
 An op's axis goes through one rule (_axis): an integer in [-rank, rank), and
-for a reduction (softmax, reduce_max) an axis with at least one entry.
+for a reduction (softmax, reduce_max, global_avg_pool's H and W, layer_norm's
+channels) an axis with at least one entry. conv2d, linear and train-mode
+batch_norm take a batch of at least one sample (_group_size).
 """
 
 from __future__ import annotations
@@ -113,8 +116,12 @@ def _grouped(n: int):
         _GROUP[0] = old
 
 
-def _group_size(op: str, batch: int) -> int:
-    """The samples per group of a batch: _grouped's n, or the whole batch outside it."""
+def _group_size(op: str, shape: tuple) -> int:
+    """The samples per group of a batch of this shape: _grouped's n, or the whole
+    batch outside it. An empty batch raises ShapeError naming op and shape."""
+    batch = shape[0]
+    if batch == 0:
+        raise ShapeError(f"{op} needs a batch of at least one sample, got shape {shape}")
     n = _GROUP[0] or batch
     if batch % n:
         raise ShapeError(f"{op}: batch {batch} is not a whole number of groups of {n}")
@@ -165,17 +172,12 @@ def _result(op, data, parents, backward_fn):
     return _record(data, parents, backward_fn)
 
 
-def _recording(parents) -> bool:
-    """Whether an op on these parents records a graph node (and so must keep
-    what its backward reads)."""
-    return _GRAD_ENABLED[0] and any(p.requires_grad for p in parents)
-
-
 def _record(data, parents, backward_fn):
-    """An op's output with its graph node; shape ops call this directly, since
-    they only move values the op that made them already checked."""
+    """An op's output with its graph node, recorded if grad is enabled and a
+    parent needs a gradient; shape ops call this directly, since they only move
+    values the op that made them already checked."""
     out = Tensor(data)
-    if _recording(parents):
+    if _GRAD_ENABLED[0] and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -469,7 +471,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear feature mismatch: input {xd.shape[1]} vs weight {wd.shape}")
     if b is not None and b.shape != (wd.shape[0],):
         raise ShapeError(f"linear bias must be ({wd.shape[0]},), got {b.shape}")
-    n = _group_size("linear", xd.shape[0])
+    n = _group_size("linear", xd.shape)
     data = (xd @ wd.T if n == xd.shape[0] else
             np.concatenate([xd[a:a + n] @ wd.T for a in range(0, xd.shape[0], n)]))
     if b is not None:
@@ -596,9 +598,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     the batch innermost, its windows copied channel-major as cols, one
     (Cpg*kh*kw, Ho*Wo*n) matrix per group, and one batched GEMM over the group
     axis gives (Cout, Ho, Wo, n); a 1-image tile is written straight into its
-    NCHW slice. Its backward sums dW over the tiles and scatters each tile's dX
-    in the same layout, dropping its cols when used. Either path gives the
-    output and its (dx, dw) backward; conv2d alone adds the bias and records."""
+    NCHW slice. Its backward gathers each tile's cols again (the same function,
+    the same bits), sums dW over the tiles and scatters each tile's dX in the
+    same layout. Either path gives the output and its (dx, dw) backward; conv2d
+    alone adds the bias and records. An empty batch raises ShapeError."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 input and weight, got {xd.shape}, {wd.shape}")
@@ -615,35 +618,34 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
         raise ShapeError(f"conv2d bias must be ({Cout},), got {b.shape}")
     Ho, Wo = out_size(H, kh, stride, padding), out_size(W, kw, stride, padding)
     parents = (x, w) if b is None else (x, w, b)
+    n = _group_size("conv2d", xd.shape)  # a _grouped group is tiled as it would be alone
     if kh == kw == 1 and padding == 0 and groups == 1:
         out, grads = _channel_gemm(x, w, stride)
     else:
         G, opg = groups, Cout // groups
         wg = wd.reshape(G, opg, -1)
         step = max(1, _TILE_BYTES // (Cin * kh * kw * Ho * Wo * xd.itemsize))
-        n = _group_size("conv2d", N)  # a _grouped group is tiled as it would be alone
         tiles = [(a, min(a + step, g + n)) for g in range(0, N, n) for a in range(g, g + n, step)]
-        keep = _recording(parents)
-        out = np.empty((N, Cout, Ho, Wo), dtype=np.result_type(xd, wd))
-        cols = []
-        for a, z in tiles:
-            # cols[g] is group g's im2col matrix, one row per (channel, ki, kj)
-            win = _windows(_padded(xd[a:z].transpose(1, 2, 3, 0), padding, 0.0), kh, kw, stride, Ho, Wo)
-            c = np.ascontiguousarray(win.reshape(G, Cpg, Ho, Wo, z - a, kh, kw)
-                                     .transpose(0, 1, 5, 6, 2, 3, 4)).reshape(G, -1, Ho * Wo * (z - a))
-            if z - a == 1:
-                np.matmul(wg, c, out=out[a].reshape(G, opg, Ho * Wo))
-            else:
-                out[a:z] = (wg @ c).reshape(Cout, Ho, Wo, z - a).transpose(3, 0, 1, 2)
-            if keep:
-                cols.append(c)
 
-        def grads(dout):
+        def im2col(a, z):
+            """Images [a, z)'s columns: group g's matrix, one row per (channel, ki, kj)."""
+            win = _windows(_padded(xd[a:z].transpose(1, 2, 3, 0), padding, 0.0), kh, kw, stride, Ho, Wo)
+            return np.ascontiguousarray(win.reshape(G, Cpg, Ho, Wo, z - a, kh, kw)
+                                        .transpose(0, 1, 5, 6, 2, 3, 4)).reshape(G, -1, Ho * Wo * (z - a))
+
+        out = np.empty((N, Cout, Ho, Wo), dtype=np.result_type(xd, wd))
+        for a, z in tiles:
+            if z - a == 1:
+                np.matmul(wg, im2col(a, z), out=out[a].reshape(G, opg, Ho * Wo))
+            else:
+                out[a:z] = (wg @ im2col(a, z)).reshape(Cout, Ho, Wo, z - a).transpose(3, 0, 1, 2)
+
+        def grads(dout):  # holds no columns: each tile's are gathered again from x
             dw = np.zeros(wg.shape, dtype=np.result_type(dout, xd))
             dx = np.empty(xd.shape, dtype=np.result_type(dout, wd)) if x.requires_grad else None
             for a, z in tiles:
                 d = np.ascontiguousarray(dout[a:z].transpose(1, 2, 3, 0)).reshape(G, opg, -1)
-                dw += d @ cols.pop(0).transpose(0, 2, 1)
+                dw += d @ im2col(a, z).transpose(0, 2, 1)
                 if dx is not None:
                     dwin = ((wg.transpose(0, 2, 1) @ d).reshape(Cin, kh, kw, Ho, Wo, z - a)
                             .transpose(0, 3, 4, 5, 1, 2))
@@ -695,6 +697,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
     if xd.ndim != 4:
         raise ShapeError(f"global_avg_pool expects rank-4 input, got {xd.shape}")
     N, C, H, W = xd.shape
+    for axis in (2, 3):
+        _axis("global_avg_pool", axis, xd.shape, nonempty=True)
 
     def bwd(dout):
         return (np.broadcast_to(dout[:, :, None, None] / (H * W), xd.shape).copy(),)
@@ -760,11 +764,13 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, keep: str, group
     With groups (batch_norm under _grouped, which has no backward) the map is
     viewed as (groups, n, C, H, W) and each group takes its own statistics.
 
-    One centred copy xc = x - mean gives var = sum(xc * xc) / m (two-pass, like
-    numpy's var) and is then scaled into xhat in place. The backward takes dbeta
-    and dgamma first: for batch_norm the stat-axis means of dout * gamma and
-    dout * gamma * xhat are gamma * dbeta / m and gamma * dgamma / m, so dx
-    takes no further full-size sum; layer_norm sums over its channels."""
+    One centred copy xc = xd - mean gives var = sum(xc * xc) / m (two-pass, like
+    numpy's var) and is then scaled into xhat in place; the node keeps only mean
+    and istd, and the backward builds xhat again by those two operations (the
+    same bits). It takes dbeta and dgamma first: for batch_norm the stat-axis
+    means of dout * gamma and dout * gamma * xhat are gamma * dbeta / m and
+    gamma * dgamma / m, so dx takes no further full-size sum; layer_norm sums
+    over its channels."""
     N, C, H, W = x.data.shape
     m = N * H * W if keep == "c" else C
     shape = (1, C, 1, 1) if keep == "c" else (N, 1, H, W)
@@ -783,6 +789,8 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, keep: str, group
     y = y.reshape(x.data.shape)
 
     def bwd(dout):
+        xhat = xd - mean.reshape(shape)
+        xhat *= istd
         dbeta, dgamma = _csum(dout), _csum(dout, xhat)
         if keep == "c":
             d, k, s1, s2 = dout, g * istd, dbeta, dgamma
@@ -801,7 +809,7 @@ def _normalize(op: str, x: Tensor, gamma: Tensor, beta: Tensor, keep: str, group
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the channel axis (axis 1) of an NCHW map."""
-    _norm_input("layer_norm", x, gamma, beta)
+    _axis("layer_norm", 1, _norm_input("layer_norm", x, gamma, beta).shape, nonempty=True)
     return _normalize("layer_norm", x, gamma, beta, "nhw")[0]
 
 
@@ -818,7 +826,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
                              f"got {got}")
     if not training:
         return _fixed_normalize(x, gamma, beta, running_mean, running_var)
-    groups = xd.shape[0] // _group_size("batch_norm", xd.shape[0])
+    groups = xd.shape[0] // _group_size("batch_norm", xd.shape)
     n = xd.size // xd.shape[1] // groups
     if n < 2:
         raise ShapeError(f"batch_norm in training mode needs more than one value per channel, "
@@ -870,10 +878,10 @@ def backward(loss: Tensor) -> None:
 
     The graph is single-use: as the walk reaches each recorded node it calls
     that node's _backward, then drops its parents and sets its _backward to
-    _freed, so the activations and im2col columns the closures held die
-    during the walk, not when the caller rebinds the loss. A second backward
-    through any node of a freed graph raises GraphError before any gradient
-    moves. Leaves (no _backward) are not touched but for their .grad."""
+    _freed, so the activations the closures held die during the walk, not
+    when the caller rebinds the loss. A second backward through any node of a
+    freed graph raises GraphError before any gradient moves. Leaves (no
+    _backward) are not touched but for their .grad."""
     if loss.data.shape not in ((), (1,)):
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:

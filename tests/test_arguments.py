@@ -152,6 +152,27 @@ REJECTED = [
      ShapeError, "sub needs shapes that broadcast, got (2, 3) and (2,)"),
     ("mul-no-broadcast", lambda: T.mul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 3, 4)))),
      ShapeError, "mul needs shapes that broadcast, got (2, 3, 4) and (3, 3, 4)"),
+    # an empty batch or map, which gave a ZeroDivisionError, numpy's reshape
+    # ValueError, or a "Mean of empty slice" warning and then NonFiniteError
+    ("conv2d-empty-batch", lambda: T.conv2d(Tensor(np.ones((0, 2, 4, 4))),
+                                            Tensor(np.ones((3, 2, 3, 3)))),
+     ShapeError, "conv2d needs a batch of at least one sample, got shape (0, 2, 4, 4)"),
+    ("conv2d-1x1-empty-batch", lambda: T.conv2d(Tensor(np.ones((0, 2, 4, 4))),
+                                                Tensor(np.ones((3, 2, 1, 1)))),
+     ShapeError, "conv2d needs a batch of at least one sample, got shape (0, 2, 4, 4)"),
+    ("linear-empty-batch", lambda: T.linear(Tensor(np.ones((0, 2))), Tensor(np.ones((3, 2)))),
+     ShapeError, "linear needs a batch of at least one sample, got shape (0, 2)"),
+    ("batch-norm-empty-batch", lambda: T.batch_norm(
+        Tensor(np.ones((0, 2, 4, 4))), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+        np.zeros(2), np.ones(2), training=True),
+     ShapeError, "batch_norm needs a batch of at least one sample, got shape (0, 2, 4, 4)"),
+    ("global-avg-pool-empty-map", lambda: T.global_avg_pool(Tensor(np.ones((1, 2, 0, 0)))),
+     ShapeError, "global_avg_pool over axis 2 needs at least one entry, got shape (1, 2, 0, 0)"),
+    ("global-avg-pool-empty-width", lambda: T.global_avg_pool(Tensor(np.ones((1, 2, 3, 0)))),
+     ShapeError, "global_avg_pool over axis 3 needs at least one entry, got shape (1, 2, 3, 0)"),
+    ("layer-norm-no-channels", lambda: T.layer_norm(Tensor(np.ones((1, 0, 2, 2))),
+                                                    Tensor(np.ones(0)), Tensor(np.zeros(0))),
+     ShapeError, "layer_norm over axis 1 needs at least one entry, got shape (1, 0, 2, 2)"),
 ]
 
 

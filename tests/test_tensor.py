@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 from itertools import permutations
 
@@ -659,6 +660,49 @@ class TestResidual:
     def test_shape_mismatch_error(self):
         with pytest.raises(ShapeError):
             T.add_residual(Tensor(np.ones((1, 2, 3, 3))), Tensor(np.ones((1, 2, 4, 4))))
+
+
+class TestHeldMemory:
+    """A recorded node holds its output and per-channel or per-position
+    statistics, nothing full-size its backward can build again from its input:
+    conv2d's im2col and the norms' xhat are rebuilt in the backward."""
+
+    @staticmethod
+    def held(op, *shapes):
+        """op on float64 leaves of these shapes, and the bytes traced while it
+        ran that are still held once it returns, its output among them."""
+        rng = np.random.default_rng(0)
+        leaves = [Tensor(rng.normal(size=s), requires_grad=True, dtype=np.float64) for s in shapes]
+        tracemalloc.start()
+        try:
+            out = op(*leaves)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad and out._backward is not None
+        return out, held
+
+    def test_kxk_conv2d(self):
+        # the stem's shape: its im2col is 2.4 MiB against a 64 KiB output
+        out, held = self.held(lambda x, w: T.conv2d(x, w, padding=3), (2, 3, 32, 32), (4, 3, 7, 7))
+        assert out.data.nbytes == 1 << 16
+        assert held <= 1.25 * out.data.nbytes
+
+    def test_grouped_conv2d(self):
+        out, held = self.held(lambda x, w: T.conv2d(x, w, padding=1, groups=4),
+                              (2, 8, 16, 16), (8, 2, 3, 3))
+        assert held <= 1.25 * out.data.nbytes
+
+    def test_train_mode_batch_norm(self):
+        rm, rv = np.zeros(16), np.ones(16)
+        out, held = self.held(lambda x, g, b: T.batch_norm(x, g, b, rm, rv, training=True),
+                              (2, 16, 8, 8), (16,), (16,))
+        assert held <= 1.25 * out.data.nbytes
+
+    def test_layer_norm(self):
+        # its mean and istd are one value per position: 2 / C of the output
+        out, held = self.held(T.layer_norm, (2, 16, 8, 8), (16,), (16,))
+        assert held <= 1.25 * out.data.nbytes
 
 
 class TestBackward:

@@ -489,8 +489,9 @@ class TestLoop:
         assert "loss" in lines[0] and "lr" in lines[0]
 
     def test_a_step_frees_its_graph_while_logits_and_loss_stay_bound(self):
-        # train()'s step at the benchmark's batch: a backward that kept the graph
-        # left about half of the forward's traced memory held here
+        # train()'s step at the benchmark's batch: what stays held is the
+        # gradients, one per parameter, and little else; a backward that kept
+        # the graph left about half of the forward's traced memory held here
         model = build(preset("visformer_ti-micro"), seed=0)
         optim = AdamW(model.params, 0.01)
         rng = np.random.default_rng(0)
@@ -500,7 +501,6 @@ class TestLoop:
         try:
             logits = model_forward(model, x, training=True)
             loss = cross_entropy(logits, y)
-            forward_peak = tracemalloc.get_traced_memory()[1]
             model.params.zero_grads()
             vt.backward(loss)
             optim.step(0.01)
@@ -508,7 +508,7 @@ class TestLoop:
         finally:
             tracemalloc.stop()
         assert logits.data.shape == (50, 10) and loss.data.shape == ()
-        assert held <= 0.15 * forward_peak  # the gradients and little else
+        assert held <= 1.1 * sum(t.data.nbytes for _, t in model.params.items())
 
 
 class TestGradcheck:
