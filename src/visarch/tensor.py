@@ -23,8 +23,12 @@ Every other kernel runs in batch tiles, each as many images as keep its im2col
 under _TILE_BYTES: the tile is copied with the batch axis innermost, so each
 window row moves n contiguous values, and its windows channel-major, one
 (Cpg*kh*kw, Ho*Wo*n) matrix per group; a 1-image tile's GEMM writes straight
-into its NCHW slice, so batch 1 makes no extra copy. The backward gathers each
-tile's im2col again, as max_pool2d its windows, so a node holds no im2col.
+into its NCHW slice, so batch 1 makes no extra copy. Under _grouped no tile
+crosses a group, and consecutive equal tiles whose im2col fits _TILE_BYTES
+together run as one: one padded copy, one gather and one stacked GEMM, which
+still multiplies each tile's matrices alone (outside _grouped every run is one
+tile). The backward gathers each tile's im2col again, as max_pool2d its
+windows, so a node holds no im2col.
 max_pool2d is a running maximum over the window slices. Every sum over the
 (N, H, W) axes of a map, or over its channels, is one einsum (_csum): the norm
 statistics and gradients and conv2d's one bias gradient. layer_norm and
@@ -52,7 +56,6 @@ from contextlib import contextmanager
 from numbers import Real
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -528,30 +531,37 @@ def out_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 # Bytes of im2col one k x k conv tile holds: conv2d splits the batch into tiles
-# of as many images as fit, and at least one. With 8 MiB the 224 stems, 56x56
-# 3x3s and the 28x28 grouped 3x3 tile per image, and a 32x32 train batch of 50
-# is one tile per conv; of 1-32 MiB it gave the fastest batch-8 eval convs and
-# train steps on a 2-core Xeon. Smaller tiles also mean more, smaller
-# allocations, whose fresh pages cost faults.
+# of as many images as fit, and at least one, and runs as many equal _grouped
+# tiles together as fit. With 8 MiB the 224 stems, 56x56 3x3s and the 28x28
+# grouped 3x3 tile per image, and a 32x32 train batch of 50 is one tile per
+# conv; of 1-32 MiB it gave the fastest batch-8 eval convs and train steps on a
+# 2-core Xeon. Smaller tiles also mean more, smaller allocations, whose fresh
+# pages cost faults.
 _TILE_BYTES = 1 << 23
 
 
 def _padded(xs, p: int, fill: float):
-    """A (C, H, W, n) map padded by p cells of `fill` on H and W, as one C-contiguous
-    buffer: copied once, unless it already is one and p is 0."""
+    """A (..., C, H, W, n) map padded by p cells of `fill` on H and W, as one
+    C-contiguous buffer: copied once, unless it already is one and p is 0."""
     if p == 0 and xs.flags.c_contiguous:
         return xs
-    C, H, W, n = xs.shape
-    xp = np.full((C, H + 2 * p, W + 2 * p, n), fill, dtype=xs.dtype)
-    xp[:, p:p + H, p:p + W] = xs
+    *lead, H, W, n = xs.shape
+    xp = np.full((*lead, H + 2 * p, W + 2 * p, n), fill, dtype=xs.dtype)
+    xp[..., p:p + H, p:p + W, :] = xs
     return xp
 
 
 def _windows(xp, kh: int, kw: int, s: int, ho: int, wo: int):
-    """(C, Ho, Wo, n, kh, kw) read-only view of every window (stride s) of a padded
-    (C, Hp, Wp, n) map: the gather behind conv2d and max_pool2d. With the batch
-    innermost, each window row is Wo*n contiguous values at stride 1, n at stride 2."""
-    return sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, :ho * s:s, :wo * s:s]
+    """(..., C, Ho, Wo, n, kh, kw) read-only view of every window (stride s) of a
+    C-contiguous padded (..., C, Hp, Wp, n) map (_padded's): the gather behind
+    conv2d and max_pool2d, one ndarray on xp's buffer with explicit strides. With
+    the batch innermost, each window row is Wo*n contiguous values at stride 1,
+    n at stride 2."""
+    *lead, sh, sw, sn = xp.strides
+    win = np.ndarray((*xp.shape[:-3], ho, wo, xp.shape[-1], kh, kw), xp.dtype, xp, 0,
+                     (*lead, sh * s, sw * s, sn, sh, sw))
+    win.flags.writeable = False
+    return win
 
 
 def _scatter_windows(dwin, height: int, width: int, s: int, p: int):
@@ -594,14 +604,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     """2-d convolution on NCHW. A 1x1 kernel with no padding and one group is
     one channel GEMM (_channel_gemm). Any other kernel, grouped or not, runs in
     batch tiles, each as many images as keep its im2col under _TILE_BYTES (at
-    least one). A tile of n images is padded into a (Cin, Hp, Wp, n) copy with
-    the batch innermost, its windows copied channel-major as cols, one
-    (Cpg*kh*kw, Ho*Wo*n) matrix per group, and one batched GEMM over the group
-    axis gives (Cout, Ho, Wo, n); a 1-image tile is written straight into its
-    NCHW slice. Its backward gathers each tile's cols again (the same function,
-    the same bits), sums dW over the tiles and scatters each tile's dX in the
-    same layout. Either path gives the output and its (dx, dw) backward; conv2d
-    alone adds the bias and records. An empty batch raises ShapeError."""
+    least one); under _grouped a group is tiled as it would be alone. A run of
+    t consecutive tiles of n images each, as many as keep their im2col under
+    _TILE_BYTES together, is padded into one (t, Cin, Hp, Wp, n) copy with the
+    batch innermost, its windows copied channel-major as cols, one
+    (Cpg*kh*kw, Ho*Wo*n) matrix per tile and group, and one batched GEMM over
+    the (tile, group) axes gives (t, Cout, Ho, Wo, n): each matrix gets the
+    BLAS call its tile alone would make, so the bits do not depend on the run.
+    Only _grouped stacks make runs of more than one tile. A 1-image tile is
+    written straight into its NCHW slice. The backward gathers each tile's cols
+    again (the same function, the same bits), sums dW over the tiles and
+    scatters each tile's dX in the same layout. Either path gives the output
+    and its (dx, dw) backward; conv2d alone adds the bias and records. An
+    empty batch raises ShapeError."""
     xd, wd = x.data, w.data
     if xd.ndim != 4 or wd.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 input and weight, got {xd.shape}, {wd.shape}")
@@ -624,28 +639,39 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
     else:
         G, opg = groups, Cout // groups
         wg = wd.reshape(G, opg, -1)
-        step = max(1, _TILE_BYTES // (Cin * kh * kw * Ho * Wo * xd.itemsize))
+        per_image = Cin * kh * kw * Ho * Wo * xd.itemsize
+        step = max(1, _TILE_BYTES // per_image)
         tiles = [(a, min(a + step, g + n)) for g in range(0, N, n) for a in range(g, g + n, step)]
+        runs = []  # [first image, tiles, images per tile]: consecutive equal tiles within budget
+        for a, z in tiles:
+            if runs and runs[-1][2] == z - a and (runs[-1][1] + 1) * (z - a) * per_image <= _TILE_BYTES:
+                runs[-1][1] += 1
+            else:
+                runs.append([a, 1, z - a])
 
-        def im2col(a, z):
-            """Images [a, z)'s columns: group g's matrix, one row per (channel, ki, kj)."""
-            win = _windows(_padded(xd[a:z].transpose(1, 2, 3, 0), padding, 0.0), kh, kw, stride, Ho, Wo)
-            return np.ascontiguousarray(win.reshape(G, Cpg, Ho, Wo, z - a, kh, kw)
-                                        .transpose(0, 1, 5, 6, 2, 3, 4)).reshape(G, -1, Ho * Wo * (z - a))
+        def im2col(a, t, m):
+            """The columns of t tiles of m images from image a, (t, G, Cpg*kh*kw, Ho*Wo*m):
+            tile i's group g matrix, one row per (channel, ki, kj)."""
+            xs = xd[a:a + t * m].reshape(t, m, Cin, H, W).transpose(0, 2, 3, 4, 1)
+            win = _windows(_padded(xs, padding, 0.0), kh, kw, stride, Ho, Wo)
+            return np.ascontiguousarray(win.reshape(t, G, Cpg, Ho, Wo, m, kh, kw)
+                                        .transpose(0, 1, 2, 6, 7, 3, 4, 5)).reshape(t, G, -1, Ho * Wo * m)
 
         out = np.empty((N, Cout, Ho, Wo), dtype=np.result_type(xd, wd))
-        for a, z in tiles:
-            if z - a == 1:
-                np.matmul(wg, im2col(a, z), out=out[a].reshape(G, opg, Ho * Wo))
+        for a, t, m in runs:  # one GEMM per (tile, group), as each tile alone would run it
+            z = a + t * m
+            if m == 1:
+                np.matmul(wg, im2col(a, t, m), out=out[a:z].reshape(t, G, opg, Ho * Wo))
             else:
-                out[a:z] = (wg @ im2col(a, z)).reshape(Cout, Ho, Wo, z - a).transpose(3, 0, 1, 2)
+                out[a:z].reshape(t, m, Cout, Ho, Wo)[:] = ((wg @ im2col(a, t, m))
+                                                           .reshape(t, Cout, Ho, Wo, m).transpose(0, 4, 1, 2, 3))
 
         def grads(dout):  # holds no columns: each tile's are gathered again from x
             dw = np.zeros(wg.shape, dtype=np.result_type(dout, xd))
             dx = np.empty(xd.shape, dtype=np.result_type(dout, wd)) if x.requires_grad else None
             for a, z in tiles:
                 d = np.ascontiguousarray(dout[a:z].transpose(1, 2, 3, 0)).reshape(G, opg, -1)
-                dw += d @ im2col(a, z).transpose(0, 2, 1)
+                dw += d @ im2col(a, 1, z - a)[0].transpose(0, 2, 1)
                 if dx is not None:
                     dwin = ((wg.transpose(0, 2, 1) @ d).reshape(Cin, kh, kw, Ho, Wo, z - a)
                             .transpose(0, 3, 4, 5, 1, 2))

@@ -5,7 +5,8 @@ augmentation) comes from a generator seeded by (config seed, epoch index),
 so resuming at epoch k reproduces the exact batches a straight run saw.
 save_run and load_run checkpoint a run; train() resumes one only under its train config.
 gradcheck runs the probes of each plan entry as one task whose rounds stack
-their forwards (_entry_slopes), and maps the tasks over forked workers (_fork_map).
+their forwards (_entry_slopes), and maps the tasks over forked workers (_fork_map)
+whose allocators keep the memory they free (_adopt).
 """
 
 from __future__ import annotations
@@ -390,7 +391,8 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     leave the model's batch-norm buffers as the analytic pass left them. The
     tasks run in forked worker processes, one per usable CPU (_fork_map), and
     their entries are merged in probe order, so the report does not depend
-    on the worker count.
+    on the worker count. Each worker keeps the memory its probes free for the
+    next op (_adopt); the caller's allocator is left as it is.
     Probes missing tolerance at the first step size are retried at the
     others: relu-kink straddles shrink with h, near-zero derivatives need a
     larger h to rise above the rounding-noise floor (which grows as 1/h), and
@@ -466,9 +468,24 @@ def _probe_workers(tasks: int) -> int:
 _WORKER_FN = None  # the mapped function, set only in _fork_map's forked workers
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
 def _adopt(fn) -> None:
+    """_fork_map's pool initializer: fn is what this worker maps, and the worker's
+    allocator keeps the memory it frees. glibc's mallopt takes every block up to
+    its 32 MiB maximum from the heap and trims the heap only past 1 GiB, so a
+    probe temporary one op frees is reused by the next op rather than handed
+    back to the kernel and faulted in again. Without mallopt (not glibc) the
+    allocator is left as it is. The caller's allocator is never touched."""
     global _WORKER_FN
     _WORKER_FN = fn
+    import ctypes
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # the libc already loaded
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def _pooled(item):
@@ -486,6 +503,9 @@ def _fork_map(fn, items: list, workers: int) -> list:
     Workers forked from this process inherit fn and everything it reads, so
     only the items and the results travel; each takes one whole item at a time
     and keeps numpy's BLAS thread count, so its bits are the serial loop's.
+    Each worker's allocator keeps the memory it frees (_adopt), so a temporary
+    one op frees is not faulted in again by the next; this process's
+    allocator is not touched.
     Where a worker's item raises, or a worker dies (a killed one would hang a
     multiprocessing.Pool), the pool is shut down and the items from that one on
     run here, so the caller sees the serial loop's result or exception. With

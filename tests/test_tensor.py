@@ -951,6 +951,33 @@ class TestGrouped:
             assert not out.requires_grad and not T.conv2d(x, w).requires_grad
         assert T._GRAD_ENABLED == [True] and T.conv2d(x, w).requires_grad
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_kxk_groups_run_together_with_the_bits_of_each_alone(self, rng, monkeypatch,
+                                                                 stride, padding, groups, dtype):
+        # 5 groups, budgeted at 1, 2 (the last run ragged) or all 5 group tiles per run;
+        # 1-image groups are the path whose GEMM writes the NCHW output directly
+        w = Tensor(rng.normal(size=(6, 4 // groups, 3, 3)), dtype=dtype)
+        padded = []
+        real = T._padded
+        monkeypatch.setattr(T, "_padded", lambda *a: padded.append(a[0].shape) or real(*a))
+        for n in (1, 3):
+            x = rng.normal(size=(5 * n, 4, 7, 6)).astype(dtype)
+            for per_run in (1, 2, 5):
+                tile_images(monkeypatch, x, w.data, stride, padding, per_run * n)
+                with T.no_grad():
+                    alone = [T.conv2d(Tensor(x[a:a + n]), w, stride=stride, padding=padding,
+                                      groups=groups).data for a in range(0, 5 * n, n)]
+                    padded.clear()
+                    with T._grouped(n):
+                        stacked = T.conv2d(Tensor(x), w, stride=stride, padding=padding,
+                                           groups=groups).data
+                assert np.array_equal(stacked, np.concatenate(alone)), (n, per_run)
+                runs = [per_run] * (5 // per_run) + [5 % per_run] * (5 % per_run > 0)
+                assert padded == [(t, 4, 7, 6, n) for t in runs], (n, per_run)
+
     @pytest.mark.parametrize("op", ["batch_norm", "conv2d", "linear"])
     def test_refuses_a_ragged_batch(self, op):
         x = Tensor(np.ones((5, 2, 3, 3)))

@@ -1,5 +1,6 @@
 """Training loop, optimizers, schedule, and gradient checking."""
 
+import ctypes
 import importlib
 import json
 import multiprocessing
@@ -814,6 +815,61 @@ class TestProbeWorkers:
             waiting.join(timeout=10)
         assert not waiting.is_alive()
         assert len(here) >= rep.checked > 50
+
+
+SECOND_FILL_FAULTS = """
+import importlib, json, os, resource
+import numpy as np
+vtrain = importlib.import_module("visarch.train")
+
+def second_fill_faults(_):
+    # (this process's id, its minor faults over the second of two passes); with
+    # numpy's huge-page advice off, a fill faults on every fresh 4 KiB page
+    np._core.multiarray._set_madvise_hugepage(False)
+
+    def one_pass():
+        a = np.empty(1 << 21)  # 16 MiB of float64
+        a.fill(1.0)
+        del a
+
+    one_pass()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    one_pass()
+    return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+done = vtrain._fork_map(second_fill_faults, [0, 1], 2)
+print(json.dumps([second_fill_faults(None), done]))
+"""
+
+
+class TestWorkerMemory:
+    """A forked worker keeps the memory it frees, so the next op reuses it."""
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="no glibc mallopt")
+    def test_a_worker_reuses_a_freed_16_mib_array(self):
+        # with glibc's defaults each fill of such an array gets fresh pages (a
+        # mapping, then a heap grown for it), so a worker faults on all 4,096
+        # pages of the second fill, and so does the caller. It runs in a fresh
+        # interpreter: glibc raises its thresholds after large frees, so this
+        # process's history would decide what such a worker does.
+        src = str(Path(vtrain.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", SECOND_FILL_FAULTS], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        (caller, faults_here), done = json.loads(out)
+        assert len(done) == 2 and caller not in {pid for pid, _ in done}
+        assert all(faults < 4096 // 4 for _, faults in done), done
+        assert faults_here > 4096 * 3 // 4  # the caller's allocator keeps glibc's defaults
+
+    def test_a_libc_without_mallopt_still_adopts_the_function(self, monkeypatch):
+        class NoMallopt:  # a C library that is not glibc
+            def __init__(self, name):
+                pass
+
+        monkeypatch.setattr(ctypes, "CDLL", NoMallopt)
+        monkeypatch.setattr(vtrain, "_WORKER_FN", None)
+        vtrain._adopt(len)
+        assert vtrain._WORKER_FN is len
 
 
 def test_import_does_not_load_multiprocessing():
