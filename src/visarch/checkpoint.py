@@ -9,8 +9,8 @@ Layout, all integers little-endian:
     payloads    one per directory entry, float32 little-endian, in order
     trailer     CRC32 (u32) over every preceding byte
 
-Directory entries are {"path", "dims"} sorted by path; paths are
-namespaced "param.", "buffer.", "optim.". Tensors are stored as float32, so
+Directory entries are {"path", "dims"} sorted by path; each path is under one
+of the NAMESPACES "param.", "buffer.", "optim.". Tensors are stored as float32, so
 round trips are bit-exact for float32 models (the training dtype).
 
 A save copies each payload once, into the returned bytes, and a load copies
@@ -37,6 +37,7 @@ from .tensor import check_count
 
 MAGIC = b"VSFM"
 VERSION = 5
+NAMESPACES = ("param.", "buffer.", "optim.")  # every directory path starts with one
 
 
 class CheckpointError(Exception):
@@ -56,14 +57,12 @@ class ChecksumError(CheckpointError):
 
 
 def _collect(model: models.Model, extra_tensors: dict | None) -> dict:
-    out = {}
-    for path, t in model.params.items():
-        out[f"param.{path}"] = t.data
-    for path, arr in model.buffers.items():
-        out[f"buffer.{path}"] = arr
+    param, buffer, optim = NAMESPACES
+    out = {param + path: t.data for path, t in model.params.items()}
+    out.update((buffer + path, arr) for path, arr in model.buffers.items())
     for path, arr in (extra_tensors or {}).items():
-        if not path.startswith("optim."):
-            raise ValueError(f"extra tensor path must start with 'optim.': '{path}'")
+        if not path.startswith(optim):
+            raise ValueError(f"extra tensor path must start with '{optim}': '{path}'")
         out[path] = arr
     return out
 
@@ -140,15 +139,14 @@ def load_bytes(data: bytes) -> dict:
         offset += 4 * count
     try:
         config = models.config_from_dict(header["config"])
-        models.layer_plan(config)
-    except ValueError as e:  # config_from_dict's, or a layer_plan ShapeError
+    except ValueError as e:  # config_from_dict's, or the ShapeError of layer_plan as it is made
         raise CheckpointError(f"header 'config' is malformed: {e}") from None
     return {"config": config, "extra": header["extra"], "tensors": tensors}
 
 
 def _header(raw: bytes) -> dict:
-    """The decoded JSON header, with its fields checked for type and its
-    directory entries for strictly increasing paths (sorted, no repeats)."""
+    """The decoded JSON header, with its fields checked for type and its directory
+    entries for paths under NAMESPACES, strictly increasing (sorted, no repeats)."""
     try:
         header = json.loads(raw.decode("utf-8"))
     except ValueError as e:  # UnicodeDecodeError and JSONDecodeError both
@@ -162,6 +160,9 @@ def _header(raw: bytes) -> dict:
                 and all(type(d) is int and d >= 0 for d in e["dims"])):
             raise CheckpointError(f"header 'tensors[{i}]' needs a string path and "
                                   f"non-negative integer dims, got {e!r}")
+        if not e["path"].startswith(NAMESPACES):
+            raise CheckpointError(f"header 'tensors[{i}]' path '{e['path']}' is under none "
+                                  f"of the namespaces {', '.join(NAMESPACES)}")
         if i and e["path"] <= header["tensors"][i - 1]["path"]:
             raise CheckpointError(f"header 'tensors[{i}]' path '{e['path']}' does not sort "
                                   f"after the one before it: paths must be strictly increasing")

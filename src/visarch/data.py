@@ -20,6 +20,7 @@ from .tensor import check_count, check_flag
 
 MARK_GAIN = 0.15
 NOISE_SIGMA = 0.25
+MIN_CLASSES = 2  # synth_dataset's floor
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ def _smooth_marks(classes: int, resolution: int) -> list:
 def synth_dataset(classes: int, samples_per_class: int, resolution: int,
                   seed: int) -> Dataset:
     """Deterministic balanced dataset of per-class frequency/phase textures."""
-    classes = check_count("classes", classes, 2)
+    classes = check_count("classes", classes, MIN_CLASSES)
     samples_per_class = check_count("samples_per_class", samples_per_class, 1)
     resolution = check_count("resolution", resolution, 4)
     seed = check_count("seed", seed, 0)

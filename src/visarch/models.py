@@ -1,9 +1,9 @@
 """Model catalog, deterministic builder, and the forward pass.
 
-A ModelConfig is the single structural description; layer_plan derives the
-layer list (with shapes) from it. build, the forward pass, checkpoint
-loading and complexity accounting all walk that plan through the one per-kind
-table, blocks.LAYERS, so they cannot drift apart. A config gives only a
+A ModelConfig is the single structural description; layer_plan checks it as it
+is made and derives the layer list (with shapes) from it. build, the forward pass,
+checkpoint loading and complexity accounting all walk that plan through the one
+per-kind table, blocks.LAYERS, so they cannot drift apart. A config gives only a
 stem's width (every stem is blocks.STEM) and a patch embedding's stride (its kernel).
 
 The catalog holds the two conv/attention hybrid families (ti/s and the v2
@@ -35,6 +35,8 @@ class StageSpec:
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """A model's structure; making one by any route runs check_fields, then layer_plan."""
+
     POSITIVE = ("input_resolution", "num_classes")
     CHOICES = {"norm": ("batch", "layer"), "pos_mode": ("none", "absolute", "relative"),
                "head_mode": ("gap", "cls_token"), "conv_block_style": ("pre_norm", "post_norm")}
@@ -51,6 +53,7 @@ class ModelConfig:
 
     def __post_init__(self):
         B.check_fields(self, "model config")
+        layer_plan(self)
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,14 @@ class PlanEntry:
 def layer_plan(config: ModelConfig, resolution: int | None = None) -> list[PlanEntry]:
     """Flatten a config into ordered layer entries.
 
-    This is the one structural check: each field's value was checked when its
-    config was constructed, and the block forwards check nothing, so every
-    rule on how the fields fit together at this resolution is enforced here.
+    This is the one structural check, run as a config is made (at its own resolution)
+    and at each explicit resolution (an integer >= 1): field values were checked first
+    and the block forwards check nothing, so every rule on how fields fit is enforced here.
     It also works out what no config holds: a stem pool when no embedding follows
     the stem, and a final norm unless a post-norm bottleneck (ending in a norm) is last.
     """
-    res = config.input_resolution if resolution is None else resolution
-    res = tz.check_count("input resolution", res, 1, ShapeError)
+    res = (config.input_resolution if resolution is None
+           else tz.check_count("input resolution", resolution, 1, ShapeError))
     if not config.stages:
         raise ShapeError("a model needs at least one stage")
     tokens_mode = config.head_mode == "cls_token"
@@ -274,9 +277,9 @@ def _malformed(what: str):
 
 
 def config_from_dict(d) -> ModelConfig:
-    """A ModelConfig from parsed JSON. A malformed one, or a block kind other
-    than attention or bottleneck, raises _malformed's ValueError; a value that
-    breaks its spec's rule, its check_fields message."""
+    """A ModelConfig from parsed JSON, checked whole. A malformed one, or a block kind
+    other than attention or bottleneck, raises _malformed's ValueError; a bad value or
+    fields that do not fit together, the check_fields or layer_plan error that finds it."""
     kinds = {"attention": AttentionSpec, "bottleneck": BottleneckSpec}
 
     def stage(s):
@@ -481,11 +484,9 @@ def preset_names() -> list[str]:
 
 
 def preset(name: str) -> ModelConfig:
+    """The catalog's config of that name, checked whole as every ModelConfig is made."""
     base = name[:-6] if name.endswith("-micro") else name
     if base not in _BASE_PRESETS:
         raise KeyError(f"unknown preset '{name}' (known: {', '.join(preset_names())})")
     config = _BASE_PRESETS[base]()
-    if name.endswith("-micro"):
-        config = _micro(config)
-    layer_plan(config)
-    return config
+    return _micro(config) if name.endswith("-micro") else config

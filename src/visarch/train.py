@@ -21,7 +21,7 @@ import numpy as np
 from . import models
 from .checkpoint import (CheckpointError, check_keys, checkpoint_load, checkpoint_save,
                          model_from_checkpoint, optim_tensors, stored_int, stored_state)
-from .data import Dataset, augment_batch, synth_dataset
+from .data import MIN_CLASSES, Dataset, augment_batch, synth_dataset
 from .blocks import BUFFER_INITS, LAYERS, check_fields
 from .tensor import (ParamStore, Tensor, _central_pair, _grouped, backward, check_count,
                      check_positive, cross_entropy)
@@ -52,6 +52,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self, "train config")
+        if self.data_classes < MIN_CLASSES:  # the default dataset's floor
+            raise ValueError(f"bad train config: data_classes must be >= {MIN_CLASSES}, "
+                             f"got {self.data_classes}")
         if self.momentum >= 1.0:
             raise ValueError(f"bad train config: momentum must be < 1, got {self.momentum}")
         if self.lr_floor > self.base_lr:  # the cosine schedule would rise
@@ -211,8 +214,8 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
     from the tensors and scalars, so state another optimizer saved raises
     CheckpointError (see _SlotState). The run trains a copy of resume_state,
     so the same state resumes the same run again. A batch_size whose smallest
-    batch would give a batch norm one value per channel raises ValueError
-    before the first step (_check_smallest_batch). A non-finite forward
+    batch would give a batch norm one value per channel at the dataset's resolution
+    raises ValueError before the first step (_check_smallest_batch). A non-finite forward
     anywhere aborts with the offending layer path in the exception message.
     """
     if stop_after is not None:
@@ -225,7 +228,7 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
         raise ValueError(f"dataset has {dataset.num_classes} classes but "
                          f"'{config.preset}' outputs {model_cfg.num_classes}")
     n = len(dataset)
-    _check_smallest_batch(model_cfg, config.batch_size, n)
+    _check_smallest_batch(model_cfg, dataset.resolution, config.batch_size, n)
     if resume_state is None:
         model = models.build(model_cfg, seed=config.seed)
         start_epoch = 0
@@ -281,13 +284,14 @@ def train(config: TrainConfig, dataset: Dataset | None = None, *,
     return result
 
 
-def _check_smallest_batch(config: models.ModelConfig, batch_size: int, n: int) -> None:
+def _check_smallest_batch(config: models.ModelConfig, resolution: int, batch_size: int,
+                          n: int) -> None:
     """Raise ValueError naming batch_size, n and the plan entry if the run's smallest
     batch (batch_size, or the nonzero remainder of the n samples) times the smallest
-    output map of an entry holding a batch norm is below 2, the values per channel
-    that a train-mode batch norm needs."""
+    output map, at the data's resolution, of an entry holding a batch norm is below 2,
+    the values per channel that a train-mode batch norm needs."""
     smallest = n % batch_size or batch_size
-    hw, prefix = min(((e.out_shape[1:], e.prefix) for e in models.layer_plan(config)
+    hw, prefix = min(((e.out_shape[1:], e.prefix) for e in models.layer_plan(config, resolution)
                       if any(s.init in BUFFER_INITS for s in LAYERS[e.kind].params(e, config))),
                      key=lambda m: math.prod(m[0]), default=((2,), None))
     if smallest * math.prod(hw) < 2:

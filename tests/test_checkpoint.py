@@ -205,6 +205,21 @@ class TestBadContents:
         with pytest.raises(CheckpointError, match=re.escape(f"'tensors[{k + 1}]' path '{path}'")):
             load_bytes(sealed(head, b"".join(p for _, p in entries)))
 
+    @pytest.mark.parametrize("path", ["a.junk", "params.head.fc.w", "zzz.junk"])
+    def test_every_path_is_under_a_namespace(self, blob, path):
+        # before, a resealed file with such an entry loaded, and model_from_checkpoint
+        # and load_run ignored it
+        head, payloads = directory(blob)
+        entry = {"path": path, "dims": [2]}
+        entries = sorted([*zip(head["tensors"], payloads), (entry, bytes(8))],
+                         key=lambda e: e[0]["path"])
+        head["tensors"] = [e for e, _ in entries]
+        k = head["tensors"].index(entry)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"header 'tensors[{k}]' path '{path}' is under none of the namespaces "
+                f"param., buffer., optim.")):
+            load_bytes(sealed(head, b"".join(p for _, p in entries)))
+
     @pytest.mark.parametrize("seed", [[1], None, 1.7, "1", True])
     def test_seed_must_be_an_integer(self, blob, seed):
         loaded = load_bytes(blob)

@@ -1,6 +1,7 @@
 """Model configs, presets, builder determinism, and forward shapes."""
 
 import hashlib
+import json
 import re
 import tracemalloc
 from collections import Counter
@@ -24,6 +25,7 @@ from visarch import (
     preset,
     preset_names,
 )
+from visarch import models
 from visarch.blocks import BUFFER_INITS, LAYERS, AttentionSpec, BottleneckSpec, EmbedSpec
 from visarch.models import ModelConfig, config_from_dict, entry_inputs, model_slots, run_plan
 from visarch.tensor import Tensor, cross_entropy
@@ -199,12 +201,17 @@ BAD_FIELDS = [
     ("train config", "momentum", -0.5), ("train config", "seed", -1),
     ("train config", "crop_pad", -1), ("train config", "data_classes", -1),
     ("train config", "data_per_class", 0), ("train config", "data_seed", -1),
+    # the train config's own floor, above check_fields' 0: the default dataset needs two classes
+    ("train config", "data_classes", 0), ("train config", "data_classes", 1),
 ]
+# '<class>-<field>', with '-<value>' after it where the pair came before
+BAD_FIELD_IDS = [f"{w.split()[0]}-{f}" + (f"-{v}" if any(r[:2] == (w, f) for r in BAD_FIELDS[:i])
+                                          else "")
+                 for i, (w, f, v) in enumerate(BAD_FIELDS)]
 
 
 class TestFieldRules:
-    @pytest.mark.parametrize("what,field,value", BAD_FIELDS,
-                             ids=[f"{w.split()[0]}-{f}" for w, f, _ in BAD_FIELDS])
+    @pytest.mark.parametrize("what,field,value", BAD_FIELDS, ids=BAD_FIELD_IDS)
     def test_rejects_value_at_construction(self, what, field, value):
         with pytest.raises(ValueError, match=f"^bad {what}: {field} must be "):
             replace(VALID[what](), **{field: value})
@@ -217,12 +224,18 @@ class TestFieldRules:
                 "bad model config: conv_block_style must be one of ('pre_norm', 'post_norm'), "
                 "got 'bogus'")):
             replace(preset("net7-micro"), conv_block_style="bogus")
+        # data_classes' floor is the default dataset's 2; below 0, check_fields names it first.
+        # Before, 0 and 1 passed, and train() failed in synth_dataset naming no config field
+        for value, rule in ((1, ">= 2, got 1"), (-1, ">= 0, got -1")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"bad train config: data_classes must be {rule}")):
+                replace(VALID["train config"](), data_classes=value)
 
     def test_floor_itself_is_valid(self):
         replace(VALID["embedding spec"](), stride=1)
         replace(VALID["model config"](), stem=0)
         replace(VALID["train config"](), base_lr=0.0, lr_floor=0.0, seed=0,
-                data_per_class=1)
+                data_per_class=1, data_classes=2)
 
     def test_int_ceiling_is_the_largest_numpy_shape(self):
         replace(VALID["train config"](), seed=2 ** 63 - 1)
@@ -414,6 +427,39 @@ class TestPlan:
         with pytest.raises(error, match=re.escape(match)) as caught:
             layer_plan(make())
         assert caught.type is error
+
+
+# deit_s-micro with relative position bias, which its cls_token layout cannot run,
+# made each way a config is made
+RELATIVE_DEIT = {
+    "constructor": lambda: ModelConfig(**{**{f.name: getattr(preset("deit_s-micro"), f.name)
+                                             for f in fields(ModelConfig)},
+                                          "pos_mode": "relative"}),
+    "replace": lambda: replace(preset("deit_s-micro"), pos_mode="relative"),
+    "from-dict": lambda: config_from_dict({**asdict(preset("deit_s-micro")),
+                                           "pos_mode": "relative"}),
+    "from-json": lambda: config_from_json(json.dumps({**asdict(preset("deit_s-micro")),
+                                                      "pos_mode": "relative"})),
+}
+
+
+class TestMadeWhole:
+    @pytest.mark.parametrize("how", list(RELATIVE_DEIT))
+    def test_a_config_layer_plan_rejects_cannot_be_made(self, how):
+        # before, each of these returned a config, and only build raised
+        with pytest.raises(ShapeError, match=re.escape(
+                "relative position bias is not defined for the cls_token layout")) as caught:
+            RELATIVE_DEIT[how]()
+        assert caught.type is ShapeError
+
+    def test_layer_plan_runs_once_per_config_made_at_its_own_resolution(self, monkeypatch):
+        # a -micro preset makes its base and then its edit; preset() used to plan a third time
+        seen = []
+        monkeypatch.setattr(models, "layer_plan", lambda c, r=None: seen.append((c.name, r)))
+        base = preset("deit_s-micro")
+        assert seen == [("deit_s", None), ("deit_s-micro", None)]
+        replace(base, input_resolution=64)
+        assert seen[2:] == [("deit_s-micro", None)]
 
 
 class TestFieldsShow:

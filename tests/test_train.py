@@ -468,6 +468,32 @@ class TestLoop:
             train(config)
         assert steps == []
 
+    @staticmethod
+    def counted_steps(monkeypatch) -> list:
+        steps = []
+        step = SGDMomentum.step
+        monkeypatch.setattr(SGDMomentum, "step", lambda self, lr: steps.append(lr) or step(self, lr))
+        return steps
+
+    def test_the_smallest_batch_trains_where_the_datasets_maps_allow(self, monkeypatch):
+        # at 64 the last batch of 1 sees 2x2 maps at s3.b0; before, the check planned
+        # the config's 32 (1x1 maps) and rejected the run
+        steps = self.counted_steps(monkeypatch)
+        config = TrainConfig("resnet50_shape-micro", epochs=1, batch_size=7, data_per_class=5)
+        result = train(config, synth_dataset(10, 5, 64, 7))
+        assert len(steps) == 8 and np.isfinite(result.losses[0])
+
+    def test_the_smallest_batch_is_rejected_where_the_datasets_maps_are_1x1(self, monkeypatch):
+        # at 32 the full-size model's s3.b0 maps are 1x1; before, the check planned
+        # the config's 224 (7x7 maps), and the run raised from batch_norm after 7 steps
+        steps = self.counted_steps(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(
+                "batch_size 7 over 50 samples gives a smallest batch of 1, but the batch norm "
+                "at 's3.b0' on 1x1 maps needs more than one value per channel")):
+            train(TrainConfig("resnet50_shape", epochs=1, batch_size=7),
+                  synth_dataset(10, 5, 32, 7))
+        assert steps == []
+
     def test_a_one_sample_batch_trains_under_layer_norm(self):
         result = train(TrainConfig("deit_s-micro", epochs=1, batch_size=7, data_per_class=5))
         assert len(result.losses) == 1 and np.isfinite(result.losses[0])
