@@ -36,11 +36,8 @@ def attention_logits(q: Tensor, k: Tensor, mode: str = "standard",
     kt = tz.transpose(k, (0, 1, 3, 2))
     if mode == "standard":
         return tz.scale(tz.matmul(q, kt), 1.0 / np.sqrt(d))
-    if mode == "prenorm":
-        s = d ** -0.25
-        return tz.matmul(tz.scale(q, s), tz.scale(kt, s))
-    if mode == "fullnorm":
-        s = d ** -0.5
+    if mode in ("prenorm", "fullnorm"):
+        s = d ** (-0.25 if mode == "prenorm" else -0.5)
         return tz.matmul(tz.scale(q, s), tz.scale(kt, s))
     if mode == "pb_relax":
         p = tz.matmul(tz.scale(q, 1.0 / (alpha * np.sqrt(d))), kt)

@@ -38,6 +38,7 @@ from .tensor import check_count
 MAGIC = b"VSFM"
 VERSION = 5
 NAMESPACES = ("param.", "buffer.", "optim.")  # every directory path starts with one
+PARAM, BUFFER, OPTIM = NAMESPACES
 
 
 class CheckpointError(Exception):
@@ -57,12 +58,11 @@ class ChecksumError(CheckpointError):
 
 
 def _collect(model: models.Model, extra_tensors: dict | None) -> dict:
-    param, buffer, optim = NAMESPACES
-    out = {param + path: t.data for path, t in model.params.items()}
-    out.update((buffer + path, arr) for path, arr in model.buffers.items())
+    out = {PARAM + path: t.data for path, t in model.params.items()}
+    out.update((BUFFER + path, arr) for path, arr in model.buffers.items())
     for path, arr in (extra_tensors or {}).items():
-        if not path.startswith(optim):
-            raise ValueError(f"extra tensor path must start with '{optim}': '{path}'")
+        if not path.startswith(OPTIM):
+            raise ValueError(f"extra tensor path must start with '{OPTIM}': '{path}'")
         out[path] = arr
     return out
 
@@ -185,7 +185,7 @@ def model_from_checkpoint(loaded: dict) -> models.Model:
     """
     config, tensors = loaded["config"], loaded["tensors"]
     slots = models.model_slots(config)
-    check_keys(tensors, ("param.", "buffer."), {_key(s) for s in slots}, config.name)
+    check_keys(tensors, (PARAM, BUFFER), {_key(s) for s in slots}, config.name)
 
     def stored(slot):
         if slot.init in B.BUFFER_INITS:
@@ -238,8 +238,13 @@ def check_keys(tensors: dict, prefixes: tuple, known: set, owner: str) -> None:
 
 
 def _key(slot) -> str:
-    return ("buffer." if slot.init in B.BUFFER_INITS else "param.") + slot.path
+    return (BUFFER if slot.init in B.BUFFER_INITS else PARAM) + slot.path
+
+
+def optim_key(path: str, slot: str) -> str:
+    """The checkpoint path of optimizer slot `slot` of the parameter at path."""
+    return f"{OPTIM}{path}.{slot}"
 
 
 def optim_tensors(loaded: dict) -> dict:
-    return {p: a for p, a in loaded["tensors"].items() if p.startswith("optim.")}
+    return {p: a for p, a in loaded["tensors"].items() if p.startswith(OPTIM)}

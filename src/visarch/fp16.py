@@ -7,6 +7,8 @@ intermediate, sequential accumulation in ascending index order) so the four
 score scalings can be compared without half-precision hardware.
 
 Every rounding in the score pipeline is the one numpy float16 cast in _rne16.
+The exact reference compare_modes measures against is the engine's own
+tensor.softmax on float64 logits, so the lab and the models share one softmax.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attention import DEFAULT_PB_RELAX_ALPHA, SCORE_MODES
-from .tensor import Tensor, check_positive
+from .tensor import Tensor, check_positive, softmax
 
 
 def _rne16(arr: np.ndarray) -> np.ndarray:
@@ -92,11 +94,8 @@ def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard",
         if mode == "standard":
             qs, ks = _rne16(q), _rne16(k)
             logits = _rne16(_dot_f16(qs, ks.T) * _rne16(np.float64(1.0 / np.sqrt(d))))
-        elif mode == "prenorm":
-            s = d ** -0.25
-            logits = _dot_f16(_rne16(q * s), _rne16(k * s).T)
-        elif mode == "fullnorm":
-            s = d ** -0.5
+        elif mode in ("prenorm", "fullnorm"):
+            s = d ** (-0.25 if mode == "prenorm" else -0.5)
             logits = _dot_f16(_rne16(q * s), _rne16(k * s).T)
         else:  # pb_relax
             qs = _rne16(q / (alpha * np.sqrt(d)))
@@ -113,11 +112,6 @@ def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard",
     )
     probs = _softmax_f16(logits) if report.softmax_valid else None
     return logits, probs, report
-
-
-def _exact_softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def exact_logits(q: np.ndarray, k: np.ndarray, mode: str,
@@ -137,15 +131,15 @@ def exact_logits(q: np.ndarray, k: np.ndarray, mode: str,
 def compare_modes(q: np.ndarray, k: np.ndarray,
                   alpha: float = DEFAULT_PB_RELAX_ALPHA) -> dict:
     """Run every score mode on the same inputs. Divergence is the max absolute
-    difference between the emulated softmax and the exact float64 softmax of
-    that mode's logits (None when the emulation overflowed)."""
+    difference between the emulated softmax and tensor.softmax of that mode's
+    float64 exact_logits (None when the emulation overflowed; then no reference runs)."""
     q, k = Tensor(q, dtype=np.float64).data, Tensor(k, dtype=np.float64).data
     out = {}
     for mode in SCORE_MODES:
         _, probs, report = scores_f16(q, k, mode, alpha)
         divergence = None
         if probs is not None:
-            ref = _exact_softmax(exact_logits(q, k, mode, alpha))
+            ref = softmax(Tensor(exact_logits(q, k, mode, alpha))).data
             divergence = float(np.abs(probs - ref).max())
         out[mode] = {"report": report, "softmax_divergence": divergence}
     return out

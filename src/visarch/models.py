@@ -27,15 +27,40 @@ from .blocks import AttentionSpec, BottleneckSpec, EmbedSpec
 from .tensor import ParamStore, ShapeError, Tensor
 
 
+def _check_tuple(obj, what: str, name: str, types: tuple) -> None:
+    """Raise ValueError in check_fields' form unless obj's field name is a tuple of
+    types: a list would make a frozen config that hash() rejects."""
+    value = getattr(obj, name)
+    if not isinstance(value, tuple):
+        got = type(value).__name__
+    elif all(isinstance(v, types) for v in value):
+        return
+    else:
+        v = next(v for v in value if not isinstance(v, types))
+        got = f"{v!r} ({type(v).__name__})"
+    raise ValueError(f"bad {what}: {name} must be a tuple of "
+                     f"{' or '.join(t.__name__ for t in types)}, got {got}")
+
+
 @dataclass(frozen=True)
 class StageSpec:
+    """An optional patch embedding, then blocks; each field's type is checked as a
+    stage is made, and how the stage fits its model by layer_plan."""
+
     embed: EmbedSpec | None
     blocks: tuple[AttentionSpec | BottleneckSpec, ...]
+
+    def __post_init__(self):
+        if not (self.embed is None or isinstance(self.embed, EmbedSpec)):
+            raise ValueError(f"bad stage spec: embed must be an EmbedSpec or None, "
+                             f"got {self.embed!r} ({type(self.embed).__name__})")
+        _check_tuple(self, "stage spec", "blocks", (AttentionSpec, BottleneckSpec))
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """A model's structure; making one by any route runs check_fields, then layer_plan."""
+    """A model's structure; making one by any route runs check_fields, checks that
+    stages is a tuple of StageSpec, then runs layer_plan."""
 
     POSITIVE = ("input_resolution", "num_classes")
     CHOICES = {"norm": ("batch", "layer"), "pos_mode": ("none", "absolute", "relative"),
@@ -53,6 +78,7 @@ class ModelConfig:
 
     def __post_init__(self):
         B.check_fields(self, "model config")
+        _check_tuple(self, "model config", "stages", (StageSpec,))
         layer_plan(self)
 
 

@@ -466,7 +466,8 @@ def sum_all(x: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x @ w.T (+ b) for (N, din) input and a (dout, din) weight: the
     classifier head. Every other dense layer is a 1x1 conv2d on the NCHW map.
-    One GEMM per _grouped group: dgemm's bits depend on the row count."""
+    One stacked matmul runs a GEMM per _grouped group (the whole batch is one
+    group outside _grouped): dgemm's bits depend on the row count."""
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2:
         raise ShapeError(f"linear expects rank-2 input and weight, got {xd.shape}, {wd.shape}")
@@ -475,8 +476,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.shape != (wd.shape[0],):
         raise ShapeError(f"linear bias must be ({wd.shape[0]},), got {b.shape}")
     n = _group_size("linear", xd.shape)
-    data = (xd @ wd.T if n == xd.shape[0] else
-            np.concatenate([xd[a:a + n] @ wd.T for a in range(0, xd.shape[0], n)]))
+    data = (xd.reshape(-1, n, xd.shape[1]) @ wd.T).reshape(xd.shape[0], -1)
     if b is not None:
         data = data + b.data
     parents = (x, w) if b is None else (x, w, b)

@@ -19,8 +19,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import models
-from .checkpoint import (CheckpointError, check_keys, checkpoint_load, checkpoint_save,
-                         model_from_checkpoint, optim_tensors, stored_int, stored_state)
+from .checkpoint import (OPTIM, CheckpointError, check_keys, checkpoint_load, checkpoint_save,
+                         model_from_checkpoint, optim_key, optim_tensors, stored_int,
+                         stored_state)
 from .data import MIN_CLASSES, Dataset, augment_batch, synth_dataset
 from .blocks import BUFFER_INITS, LAYERS, check_fields
 from .tensor import (ParamStore, Tensor, _central_pair, _grouped, backward, check_count,
@@ -87,7 +88,7 @@ def cosine_lr(config: TrainConfig, epoch: int) -> float:
 
 class _SlotState:
     """Per-parameter optimizer state: each name in slots is an attribute holding
-    {parameter path: array}, saved in checkpoints as optim.<path>.<slot>.
+    {parameter path: array}, saved in checkpoints at optim_key(path, slot).
 
     Each slot is filled once: with zeros for a fresh run, or, from a resume
     state's tensors, with optim.<path>.<slot> itself, which must have the
@@ -102,16 +103,16 @@ class _SlotState:
     def __init__(self, store: ParamStore, state: dict | None = None):
         self.store = store
         if state is not None:
-            check_keys(state["tensors"], ("optim.",),
-                       {f"optim.{p}.{s}" for s in self.slots for p in store.paths()}, self.name)
+            check_keys(state["tensors"], (OPTIM,),
+                       {optim_key(p, s) for s in self.slots for p in store.paths()}, self.name)
         for s in self.slots:
             setattr(self, s, {p: np.zeros_like(t.data) if state is None else
-                              stored_state(state["tensors"], f"optim.{p}.{s}", t.data.shape,
+                              stored_state(state["tensors"], optim_key(p, s), t.data.shape,
                                            s in self.nonnegative)
                               for p, t in store.items()})
 
     def state_tensors(self) -> dict:
-        return {f"optim.{p}.{s}": arr for s in self.slots for p, arr in getattr(self, s).items()}
+        return {optim_key(p, s): arr for s in self.slots for p, arr in getattr(self, s).items()}
 
     def scalar_state(self) -> dict:
         return {}

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,15 @@ from hypothesis import strategies as st
 
 from visarch.fp16 import _rne16, compare_modes, exact_logits, scores_f16
 from visarch.attention import SCORE_MODES
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def bits16(x) -> np.ndarray:
@@ -133,6 +145,18 @@ class TestScores:
         assert out["standard"]["report"].overflow_count == 16
         for mode in ("prenorm", "fullnorm", "pb_relax"):
             assert out[mode]["softmax_divergence"] is not None
+
+    def test_compare_modes_reproduces_the_benchmarks_record(self):
+        # draw 0 of each (tokens, mag) cell of the audit workload against
+        # perfbench/expected.json: a change to the emulator, to exact_logits or
+        # to tensor.softmax (the exact reference) shows here, not only in the benchmark
+        wl = load_workloads()
+        recorded = wl.load_expected()["fp16"]
+        for t in wl.FP16_TOKENS:
+            for mag in wl.FP16_MAGS:
+                key = wl.fp16_key(t, mag, 0)
+                got = wl.fp16_outcome(compare_modes(*wl.fp16_instance(t, mag, 0)))
+                assert got == recorded[key], key
 
     def test_fullnorm_exact_logits_are_standard_over_sqrt_d(self, rng):
         q = rng.normal(0, 1, (5, 9))

@@ -116,6 +116,20 @@ REJECTED = [
      "unexpected keyword argument 'final_norm'"),
     ("no-stages", ShapeError, lambda: replace(preset("net1-micro"), stages=()),
      "a model needs at least one stage"),
+    # the stage tree's types, checked as each part is made: these used to raise a bare
+    # AttributeError in layer_plan, and a list made a config that hash() rejects
+    ("stage-not-spec", ValueError, lambda: ModelConfig("x", 32, 10, 0, stages=(1,)),
+     "bad model config: stages must be a tuple of StageSpec, got 1 (int)"),
+    ("stages-list", ValueError, lambda: replace(preset("net1-micro"),
+                                                stages=list(preset("net1-micro").stages)),
+     "bad model config: stages must be a tuple of StageSpec, got list"),
+    ("block-not-spec", ValueError, lambda: edit_stage(preset("net1-micro"), blocks=("x",)),
+     "bad stage spec: blocks must be a tuple of AttentionSpec or BottleneckSpec, got 'x' (str)"),
+    ("blocks-list", ValueError,
+     lambda: edit_stage(preset("net1-micro"), blocks=list(preset("net1-micro").stages[0].blocks)),
+     "bad stage spec: blocks must be a tuple of AttentionSpec or BottleneckSpec, got list"),
+    ("embed-not-spec", ValueError, lambda: edit_stage(preset("net1-micro"), embed="e"),
+     "bad stage spec: embed must be an EmbedSpec or None, got 'e' (str)"),
     # a model-wide field must have a layer that reads it
     ("post-norm-without-bottleneck", ShapeError,
      lambda: replace(preset("net5-micro"), conv_block_style="post_norm"),
@@ -269,6 +283,8 @@ class TestPresets:
         for n in FULL_PRESETS:
             assert f"{n}-micro" in names
         assert len(names) == 2 * len(FULL_PRESETS)
+        for n in names:  # a frozen config holds only tuples, so it can key a dict
+            hash(preset(n))
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="known"):

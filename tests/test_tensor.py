@@ -914,29 +914,39 @@ class TestGrouped:
     """Under _grouped(n) each group of n samples gets the bits of its own forward."""
 
     def test_each_group_has_the_bits_of_its_own_batch(self, rng, monkeypatch):
-        x = rng.normal(size=(6, 4, 5, 5))
-        w3, w1 = rng.normal(size=(4, 2, 3, 3)), rng.normal(size=(4, 4, 1, 1))
-        g, b = rng.normal(size=4), rng.normal(size=4)
-        lw, lb = rng.normal(size=(7, 100)), rng.normal(size=7)
-        feats = rng.normal(size=(192, 100))  # dgemm changes kernel for such a stack
+        for dtype in (np.float64, np.float32):
+            x = rng.normal(size=(6, 4, 5, 5))
+            w3, w1 = rng.normal(size=(4, 2, 3, 3)), rng.normal(size=(4, 4, 1, 1))
+            g, b = rng.normal(size=4), rng.normal(size=4)
+            lw, lb = rng.normal(size=(7, 100)), rng.normal(size=7)
+            feats = rng.normal(size=(192, 100))  # dgemm changes kernel for such a stack
+            x, w3, w1, g, b, lw, lb, feats = (a.astype(dtype)
+                                              for a in (x, w3, w1, g, b, lw, lb, feats))
 
-        def maps(x):
-            h = T.conv2d(Tensor(x), Tensor(w3), stride=1, padding=1, groups=2)
-            h = T.batch_norm(h, Tensor(g), Tensor(b), np.zeros(4), np.ones(4), training=True)
-            return T.layer_norm(T.conv2d(T.relu(h), Tensor(w1)), Tensor(g), Tensor(b)).data
+            def maps(x):
+                h = T.conv2d(Tensor(x), Tensor(w3), stride=1, padding=1, groups=2)
+                h = T.batch_norm(h, Tensor(g), Tensor(b), np.zeros(4), np.ones(4), training=True)
+                return T.layer_norm(T.conv2d(T.relu(h), Tensor(w1)), Tensor(g), Tensor(b)).data
 
-        def logits(feats):
-            return T.linear(Tensor(feats), Tensor(lw), Tensor(lb)).data
+            def logits(feats):
+                return T.linear(Tensor(feats), Tensor(lw), Tensor(lb)).data
 
-        monkeypatch.setattr(T, "_TILE_BYTES", 2 * 2 * 9 * 25 * 8)  # 2-image tiles
-        with T.no_grad():
-            alone = [(maps(x[a:a + 3]), logits(feats[a * 32:(a + 3) * 32])) for a in (0, 3)]
-            with T._grouped(3):
-                stacked = maps(x)
-            with T._grouped(96):
-                stacked_logits = logits(feats)
-        assert np.array_equal(stacked, np.concatenate([m for m, _ in alone]))
-        assert np.array_equal(stacked_logits, np.concatenate([f for _, f in alone]))
+            monkeypatch.setattr(T, "_TILE_BYTES", 2 * 2 * 9 * 25 * np.dtype(dtype).itemsize)
+            with T.no_grad():
+                alone = [maps(x[a:a + 3]) for a in (0, 3)]
+                with T._grouped(3):
+                    stacked = maps(x)
+                assert np.array_equal(stacked, np.concatenate(alone)), dtype
+                # linear's one stacked matmul runs a GEMM per group, at 1 and 96
+                # rows as at 4; outside _grouped the batch is one plain GEMM
+                for n in (1, 4, 96):
+                    alone = [logits(feats[a:a + n]) for a in range(0, len(feats), n)]
+                    with T._grouped(n):
+                        stacked = logits(feats)
+                    assert np.array_equal(stacked, np.concatenate(alone)), (dtype, n)
+                for n in (1, 8, 50):
+                    got = T.linear(Tensor(feats[:n]), Tensor(lw)).data
+                    assert got.dtype == dtype and np.array_equal(got, feats[:n] @ lw.T), (dtype, n)
 
     def test_a_grouped_forward_records_nothing(self, rng):
         x = Tensor(rng.normal(size=(4, 2, 3, 3)))
