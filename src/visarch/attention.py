@@ -11,7 +11,11 @@ attention_logits exist to control the dynamic range of the logits:
 - prenorm:  (q / d^0.25) . (k / d^0.25), same logits with bounded partials
 - fullnorm: (q / sqrt(d)) . (k / sqrt(d)), equals standard scaled by 1/sqrt(d)
 - pb_relax: q pre-scaled by 1/(alpha*sqrt(d)), row max subtracted after the
-  dot product, then multiplied back by alpha; shift-invariant under softmax
+  dot product, then multiplied back by alpha; shift-invariant under softmax.
+  alpha is the constant PB_RELAX_ALPHA = 32 (CogView's PB-relax)
+
+fp16's binary16 lab emulates the same four modes and takes its float64
+reference logits from attention_logits.
 """
 
 from __future__ import annotations
@@ -22,16 +26,13 @@ from . import tensor as tz
 from .tensor import ShapeError, Tensor
 
 SCORE_MODES = ("standard", "prenorm", "fullnorm", "pb_relax")
-DEFAULT_PB_RELAX_ALPHA = 32.0
+PB_RELAX_ALPHA = 32.0
 
 
-def attention_logits(q: Tensor, k: Tensor, mode: str = "standard",
-                     alpha: float = DEFAULT_PB_RELAX_ALPHA) -> Tensor:
-    """Scaled scores for (N, heads, T, d) queries/keys; returns (N, heads, T, T).
-    alpha goes through check_positive in every mode."""
+def attention_logits(q: Tensor, k: Tensor, mode: str = "standard") -> Tensor:
+    """Scaled scores for (N, heads, T, d) queries/keys; returns (N, heads, T, T)."""
     if q.shape != k.shape or len(q.shape) != 4:
         raise ShapeError(f"queries/keys must share a (N, heads, T, d) shape, got {q.shape} vs {k.shape}")
-    alpha = tz.check_positive("alpha", alpha)
     d = q.shape[-1]
     kt = tz.transpose(k, (0, 1, 3, 2))
     if mode == "standard":
@@ -40,8 +41,8 @@ def attention_logits(q: Tensor, k: Tensor, mode: str = "standard",
         s = d ** (-0.25 if mode == "prenorm" else -0.5)
         return tz.matmul(tz.scale(q, s), tz.scale(kt, s))
     if mode == "pb_relax":
-        p = tz.matmul(tz.scale(q, 1.0 / (alpha * np.sqrt(d))), kt)
-        return tz.scale(tz.sub(p, tz.reduce_max(p, axis=-1)), alpha)
+        p = tz.matmul(tz.scale(q, 1.0 / (PB_RELAX_ALPHA * np.sqrt(d))), kt)
+        return tz.scale(tz.sub(p, tz.reduce_max(p, axis=-1)), PB_RELAX_ALPHA)
     raise ValueError(f"unknown score mode '{mode}'")
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis, checkpoint, models
 from .fp16 import compare_modes, scores_f16
-from .attention import DEFAULT_PB_RELAX_ALPHA, SCORE_MODES
+from .attention import SCORE_MODES
 from .blocks import LAYERS
 from .tensor import NonFiniteError, ShapeError, check_count
 from .train import TrainConfig, gradcheck, load_run, save_run, train
@@ -89,7 +89,7 @@ def cmd_fp16(args) -> int:
         q = np.full((args.tokens, args.d), args.mag)
         k = np.full((args.tokens, args.d), args.mag)
     if args.mode == "all":
-        out = compare_modes(q, k, alpha=args.alpha)
+        out = compare_modes(q, k)
         if args.json:
             payload = {m: dict(e["report"].to_dict(),
                                softmax_divergence=e["softmax_divergence"])
@@ -101,7 +101,7 @@ def cmd_fp16(args) -> int:
                 print(f"{'softmax_divergence'.ljust(18)} : {e['softmax_divergence']}")
                 print()
         return 0
-    _, _, rep = scores_f16(q, k, args.mode, alpha=args.alpha)
+    _, _, rep = scores_f16(q, k, args.mode)
     print(json.dumps(rep.to_dict(), indent=2) if args.json else _report_text(rep))
     return 0
 
@@ -140,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="head width")
     p.add_argument("--mag", type=float, required=True, help="entry magnitude")
     p.add_argument("--tokens", type=int, default=4)
-    p.add_argument("--alpha", type=float, default=DEFAULT_PB_RELAX_ALPHA)
     p.add_argument("--random", action="store_true",
                    help="uniform entries in [-mag, mag] instead of constant")
     p.add_argument("--seed", type=int, default=0)

@@ -7,8 +7,10 @@ intermediate, sequential accumulation in ascending index order) so the four
 score scalings can be compared without half-precision hardware.
 
 Every rounding in the score pipeline is the one numpy float16 cast in _rne16.
-The exact reference compare_modes measures against is the engine's own
-tensor.softmax on float64 logits, so the lab and the models share one softmax.
+The exact reference compare_modes measures against is the engine's own: the
+float64 logits of attention.attention_logits and tensor.softmax over them, so
+the lab and the models share one definition of each score mode and one
+softmax. PB-relax's alpha is attention.PB_RELAX_ALPHA in both.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attention import DEFAULT_PB_RELAX_ALPHA, SCORE_MODES
-from .tensor import Tensor, check_positive, softmax
+from .attention import PB_RELAX_ALPHA, SCORE_MODES, attention_logits
+from .tensor import Tensor, softmax
 
 
 def _rne16(arr: np.ndarray) -> np.ndarray:
@@ -64,8 +66,7 @@ def _softmax_f16(logits: np.ndarray) -> np.ndarray:
     return _rne16(e / s)
 
 
-def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard",
-               alpha: float = DEFAULT_PB_RELAX_ALPHA):
+def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard"):
     """Emulated half-precision attention scores for (T, d) queries/keys.
 
     Returns (logits, softmax_or_None, OverflowReport). Logits are float64
@@ -74,8 +75,7 @@ def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard",
     False iff any logit is non-finite, max_abs_logit None iff all are. q and k
     must be finite with at least one token and one channel; they become
     float64 under Tensor's dtype rule (a float64 array is not copied, a
-    complex, bool, object or string one raises ShapeError). alpha goes through
-    check_positive in every mode.
+    complex, bool, object or string one raises ShapeError).
     """
     if mode not in SCORE_MODES:
         raise ValueError(f"unknown score mode '{mode}'")
@@ -88,7 +88,6 @@ def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard",
     for name, arr in (("q", q), ("k", k)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} has a non-finite entry")
-    alpha = check_positive("alpha", alpha)
     # an overflow gives inf, and inf - inf (an overflowed pb_relax row's shift) NaN
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "standard":
@@ -98,10 +97,10 @@ def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard",
             s = d ** (-0.25 if mode == "prenorm" else -0.5)
             logits = _dot_f16(_rne16(q * s), _rne16(k * s).T)
         else:  # pb_relax
-            qs = _rne16(q / (alpha * np.sqrt(d)))
+            qs = _rne16(q / (PB_RELAX_ALPHA * np.sqrt(d)))
             raw = _dot_f16(qs, _rne16(k).T)
             shifted = _rne16(raw - raw.max(axis=-1, keepdims=True))
-            logits = _rne16(shifted * alpha)
+            logits = _rne16(shifted * PB_RELAX_ALPHA)
     finite = np.isfinite(logits)
     report = OverflowReport(
         mode=mode, d=d, tokens=t,
@@ -114,32 +113,26 @@ def scores_f16(q: np.ndarray, k: np.ndarray, mode: str = "standard",
     return logits, probs, report
 
 
-def exact_logits(q: np.ndarray, k: np.ndarray, mode: str,
-                 alpha: float = DEFAULT_PB_RELAX_ALPHA) -> np.ndarray:
-    """Float64 reference logits for a score mode (no rounding anywhere)."""
-    d = q.shape[-1]
-    if mode == "standard" or mode == "prenorm":
-        return q @ k.T / np.sqrt(d)
-    if mode == "fullnorm":
-        return q @ k.T / d
-    if mode == "pb_relax":
-        p = q @ k.T / (alpha * np.sqrt(d))
-        return (p - p.max(axis=-1, keepdims=True)) * alpha
-    raise ValueError(f"unknown score mode '{mode}'")
+def exact_logits(q: np.ndarray, k: np.ndarray, mode: str) -> np.ndarray:
+    """Float64 reference logits of a score mode for (T, d) queries/keys: the
+    engine's attention_logits on (1, 1, T, d) views. prenorm's reference is
+    standard's logits, which it equals in exact arithmetic."""
+    return attention_logits(Tensor(q[None, None], dtype=np.float64),
+                            Tensor(k[None, None], dtype=np.float64),
+                            "standard" if mode == "prenorm" else mode).data[0, 0]
 
 
-def compare_modes(q: np.ndarray, k: np.ndarray,
-                  alpha: float = DEFAULT_PB_RELAX_ALPHA) -> dict:
+def compare_modes(q: np.ndarray, k: np.ndarray) -> dict:
     """Run every score mode on the same inputs. Divergence is the max absolute
     difference between the emulated softmax and tensor.softmax of that mode's
     float64 exact_logits (None when the emulation overflowed; then no reference runs)."""
     q, k = Tensor(q, dtype=np.float64).data, Tensor(k, dtype=np.float64).data
     out = {}
     for mode in SCORE_MODES:
-        _, probs, report = scores_f16(q, k, mode, alpha)
+        _, probs, report = scores_f16(q, k, mode)
         divergence = None
         if probs is not None:
-            ref = softmax(Tensor(exact_logits(q, k, mode, alpha))).data
+            ref = softmax(Tensor(exact_logits(q, k, mode))).data
             divergence = float(np.abs(probs - ref).max())
         out[mode] = {"report": report, "softmax_divergence": divergence}
     return out

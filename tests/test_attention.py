@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from visarch import tensor as T
-from visarch.attention import attention_logits, mhsa_forward, rel_pos_bias, rel_pos_index
+from visarch.attention import (SCORE_MODES, attention_logits, mhsa_forward, rel_pos_bias,
+                               rel_pos_index)
 from visarch.tensor import ParamStore, ShapeError, Tensor, backward
 
 
@@ -65,13 +66,41 @@ class TestLogits:
         q = Tensor(rng.normal(size=(1, 2, 6, 8)), dtype=np.float64)
         k = Tensor(rng.normal(size=(1, 2, 6, 8)), dtype=np.float64)
         a = T.softmax(attention_logits(q, k, "standard")).data
-        b = T.softmax(attention_logits(q, k, "pb_relax", alpha=16.0)).data
+        b = T.softmax(attention_logits(q, k, "pb_relax")).data
         np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_unknown_mode(self, rng):
         q = Tensor(rng.normal(size=(1, 1, 2, 4)))
         with pytest.raises(ValueError):
             attention_logits(q, q, "cosine")
+
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_grads_match_central_differences(self, rng, mode):
+        # pb_relax's row shift is the only user of reduce_max's and sub's
+        # backward and of _unbroadcast's sum down to a kept axis
+        store = ParamStore()
+        q = store.add("q", Tensor(rng.normal(size=(1, 2, 3, 4)), dtype=np.float64))
+        k = store.add("k", Tensor(rng.normal(size=(1, 2, 3, 4)), dtype=np.float64))
+
+        def loss():
+            return T.sum_all(T.gelu(attention_logits(q, k, mode)))
+
+        backward(loss())
+        for path, t in store.items():
+            for i in range(t.data.size):
+                num = T.finite_diff_grad(loss, store, path, i)
+                ana = t.grad.reshape(-1)[i]
+                assert abs(ana - num) / max(abs(ana), abs(num), 1e-3) < 1e-4, (path, i)
+
+    def test_reduce_max_splits_a_tied_maximum(self):
+        # each of a row's `count` tied maxima gets dout / count, the others nothing
+        store = ParamStore()
+        x = store.add("x", Tensor(np.array([[1.0, 3.0, 3.0, 2.0, 3.0],
+                                            [0.0, 5.0, 1.0, 1.0, 1.0]]), dtype=np.float64))
+        dout = Tensor(np.array([[6.0], [4.0]]), dtype=np.float64)
+        backward(T.sum_all(T.mul(T.reduce_max(x, axis=-1), dout)))
+        np.testing.assert_array_equal(x.grad, [[0.0, 2.0, 2.0, 0.0, 2.0],
+                                               [0.0, 4.0, 0.0, 0.0, 0.0]])
 
 
 class TestMhsa:

@@ -235,12 +235,16 @@ class TestBadContents:
             model_from_checkpoint(loaded)
 
 
+def with_crc(body):
+    """body followed by its CRC32, so a load gets past the CRC check."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def sealed(header, payload=b""):
     """A checkpoint around an arbitrary header, with a valid CRC."""
     raw = header if isinstance(header, bytes) else json.dumps(
         header, sort_keys=True, separators=(",", ":")).encode()
-    body = MAGIC + struct.pack("<HI", checkpoint.VERSION, len(raw)) + raw + payload
-    return body + struct.pack("<I", zlib.crc32(body))
+    return with_crc(MAGIC + struct.pack("<HI", checkpoint.VERSION, len(raw)) + raw + payload)
 
 
 def directory(blob):
@@ -256,8 +260,7 @@ def directory(blob):
 
 def resealed_as(blob, version):
     """blob with its format version replaced and its CRC recomputed."""
-    body = blob[:4] + struct.pack("<H", version) + blob[6:-4]
-    return body + struct.pack("<I", zlib.crc32(body))
+    return with_crc(blob[:4] + struct.pack("<H", version) + blob[6:-4])
 
 
 class TestMalformedHeader:
@@ -419,6 +422,21 @@ class TestCorruption:
     def test_empty_file(self):
         with pytest.raises(ChecksumError):
             load_bytes(b"")
+
+    def test_resealed_header_length_past_the_end(self, blob):
+        # a plain truncation fails the CRC first; a valid one reaches the length check
+        corrupt = with_crc(blob[:6] + struct.pack("<I", len(blob)) + blob[10:-4])
+        with pytest.raises(ChecksumError, match="^file truncated inside the header$"):
+            load_bytes(corrupt)
+
+    @pytest.mark.parametrize("resize", [lambda p: p[:-4], lambda p: p + p[-4:]],
+                             ids=["one-float-short", "one-float-long"])
+    def test_resealed_payload_length_mismatch(self, blob, resize):
+        n = struct.unpack_from("<I", blob, 6)[0]
+        corrupt = with_crc(blob[:10 + n] + resize(blob[10 + n:-4]))
+        with pytest.raises(ChecksumError,
+                           match=f"^payload length mismatch: file has {len(corrupt)} bytes$"):
+            load_bytes(corrupt)
 
     def test_flipped_payload_byte(self, blob):
         # flip one payload byte and refresh the length so only the CRC trips

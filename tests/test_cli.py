@@ -1,17 +1,19 @@
 """Command-line interface behavior via main(argv)."""
 
+import inspect
 import json
 import struct
 import warnings
 import zlib
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
-from visarch import TrainConfig, build, checkpoint_load, checkpoint_save, config_to_json, preset
+from visarch import TrainConfig, build, checkpoint_load, checkpoint_save, cli, config_to_json, preset
 from visarch.checkpoint import MAGIC, VERSION
 from visarch.cli import main
-from visarch.train import make_optimizer
+from visarch.train import gradcheck, make_optimizer
 
 
 def run(capsys, *argv):
@@ -121,17 +123,23 @@ class TestFp16:
         (["--mag", "inf", "--random"], "--mag must be finite, and so must 2*|mag| with --random"),
         (["--mag", "1e308", "--random"], "2*|mag| with --random, got 1e+308"),
         (["--mag=-1e308", "--random"], "2*|mag| with --random, got -1e+308"),
-        (["--mode", "pb_relax", "--alpha", "0"], "alpha"),
-        (["--alpha", "-2"], "alpha"),
         (["--random", "--seed", "-1"], "--seed must be >= 0, got -1"),
     ], ids=["d0", "tokens0", "tokens-1", "mag-nan", "mag-inf", "mag-nan-random",
-            "mag-inf-random", "mag-1e308-random", "mag--1e308-random", "alpha0", "alpha-2",
-            "seed-1"])
+            "mag-inf-random", "mag-1e308-random", "mag--1e308-random", "seed-1"])
     def test_bad_input_exits_1_naming_it(self, capsys, argv, named):
         rc, out, err = run(capsys, "fp16", "--d", "4", "--mag", "1", *argv)
         assert rc == 1
         assert out == ""
         assert named in err
+
+    def test_random_draw_is_seeded_and_within_mag(self, capsys):
+        argv = ("fp16", "--d", "8", "--mag", "3", "--tokens", "5", "--random", "--json")
+        rc, first, _ = run(capsys, *argv, "--seed", "3")
+        assert rc == 0
+        assert run(capsys, *argv, "--seed", "3")[1] == first
+        assert run(capsys, *argv, "--seed", "4")[1] != first
+        for mode, report in json.loads(first).items():
+            assert 0.0 < report["max_abs_input"] <= 3.0, mode
 
     def test_overflowed_rows_exit_0_without_warning(self, capsys):
         # before, --mag 1e308 warned of pb_relax's inf - inf row shift, and
@@ -285,6 +293,23 @@ class TestGradcheck:
         assert rc == 0
         assert out.strip().endswith("PASS")
         assert "worst" in out
+
+    def test_defaults_are_the_librarys(self, capsys, monkeypatch):
+        # the audit benchmark calls train.gradcheck(name) as the CLI's default run
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(inspect.signature(gradcheck).bind(*args, **kwargs).arguments)
+            return SimpleNamespace(table=lambda: "PASS", passed=True)
+
+        monkeypatch.setattr(cli, "gradcheck", record)
+        rc, out, _ = run(capsys, "gradcheck", "deit_s-micro")
+        assert rc == 0 and out == "PASS\n"
+        defaults = {name: p.default for name, p in inspect.signature(gradcheck).parameters.items()
+                    if p.default is not inspect.Parameter.empty}
+        (passed,) = calls
+        assert passed.pop("preset_name") == "deit_s-micro"
+        assert passed == {name: defaults[name] for name in passed}
 
     @pytest.mark.parametrize("flag,value,named", [
         ("--samples", "0", "samples_per_param"),

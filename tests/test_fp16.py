@@ -180,34 +180,24 @@ class TestScores:
         with pytest.raises(ValueError):
             scores_f16(q, np.ones((3, 4)))
 
-    @pytest.mark.parametrize("q,k,alpha,match", [
-        (np.ones((0, 4)), np.ones((0, 4)), 32.0, "one token"),
-        (np.ones((2, 0)), np.ones((2, 0)), 32.0, "one channel"),
-        (np.full((2, 4), np.nan), np.ones((2, 4)), 32.0, "q has a non-finite"),
-        (np.ones((2, 4)), np.array([[1.0, 2.0, -np.inf, 0.0]] * 2), 32.0, "k has a non-finite"),
-        (np.ones((2, 4)), np.ones((2, 4)), 0.0, "alpha"),
-        (np.ones((2, 4)), np.ones((2, 4)), -2.0, "alpha"),
-        (np.ones((2, 4)), np.ones((2, 4)), float("nan"), "alpha"),
-        (np.ones((2, 4)), np.ones((2, 4)), float("inf"), "alpha"),
-        # a string or None gave a bare TypeError, and True ran as alpha 1
-        (np.ones((2, 4)), np.ones((2, 4)), "x", "^alpha must be a real number, got 'x' \\(str\\)$"),
-        (np.ones((2, 4)), np.ones((2, 4)), None, "^alpha must be a real number, got None"),
-        (np.ones((2, 4)), np.ones((2, 4)), True, "^alpha must be a real number, got True"),
+    @pytest.mark.parametrize("q,k,match", [
+        (np.ones((0, 4)), np.ones((0, 4)), "one token"),
+        (np.ones((2, 0)), np.ones((2, 0)), "one channel"),
+        (np.full((2, 4), np.nan), np.ones((2, 4)), "q has a non-finite"),
+        (np.ones((2, 4)), np.array([[1.0, 2.0, -np.inf, 0.0]] * 2), "k has a non-finite"),
         # Tensor's dtype rule: a complex input ran without its imaginary part,
         # a bool or object one ran as numbers, a string one gave numpy's ValueError
-        (np.ones((2, 4)) + 1j, np.ones((2, 4)), 32.0, "type, got complex128$"),
-        (np.ones((2, 4)), np.ones((2, 4), bool), 32.0, "type, got bool$"),
-        (np.ones((2, 4)).astype(object), np.ones((2, 4)), 32.0, "type, got object$"),
-        (np.ones((2, 4)), np.full((2, 4), "1"), 32.0, "type, got <U1$"),
-    ], ids=["no-tokens", "no-width", "nan-q", "inf-k", "alpha0", "alpha-neg",
-            "alpha-nan", "alpha-inf", "alpha-str", "alpha-None", "alpha-bool",
-            "complex-q", "bool-k", "object-q", "str-k"])
-    def test_rejects_inputs_with_no_meaningful_scores(self, q, k, alpha, match):
+        (np.ones((2, 4)) + 1j, np.ones((2, 4)), "type, got complex128$"),
+        (np.ones((2, 4)), np.ones((2, 4), bool), "type, got bool$"),
+        (np.ones((2, 4)).astype(object), np.ones((2, 4)), "type, got object$"),
+        (np.ones((2, 4)), np.full((2, 4), "1"), "type, got <U1$"),
+    ], ids=["no-tokens", "no-width", "nan-q", "inf-k", "complex-q", "bool-k", "object-q", "str-k"])
+    def test_rejects_inputs_with_no_meaningful_scores(self, q, k, match):
         for mode in SCORE_MODES:
             with pytest.raises(ValueError, match=match):
-                scores_f16(q, k, mode, alpha)
+                scores_f16(q, k, mode)
         with pytest.raises(ValueError, match=match):
-            compare_modes(q, k, alpha)
+            compare_modes(q, k)
 
     def test_softmax_valid_iff_no_overflow(self, rng):
         for mag in (1.0, 30.0, 33.0, 100.0):

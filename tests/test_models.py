@@ -375,6 +375,7 @@ CONFIG_DIGESTS = {
 
 
 class TestLadder:
+    # (preset, preset or a one-field edit of the first, components reported)
     STEPS = [
         ("deit_s", "net1", {"head"}),
         ("net1", "net2", {"stem", "embeddings"}),
@@ -383,11 +384,16 @@ class TestLadder:
         ("net4", "net5", {"mlp_conv"}),
         ("net5", "net6", {"position"}),
         ("net6", "net7", {"blocks"}),
+        ("net7-micro", {"conv_block_style": "post_norm"}, {"block_style"}),
+        ("deit_s-micro", {"input_resolution": 64}, {"input"}),
     ]
 
-    @pytest.mark.parametrize("a,b,expected", STEPS, ids=[s[1] for s in STEPS])
+    @pytest.mark.parametrize("a,b,expected", STEPS,
+                             ids=[s[1] if isinstance(s[1], str) else "-".join(s[2]) for s in STEPS])
     def test_each_step_touches_one_component(self, a, b, expected):
-        assert diff_configs(preset(a), preset(b)) == expected
+        a = preset(a)
+        b = replace(a, **b) if isinstance(b, dict) else preset(b)
+        assert diff_configs(a, b) == expected
 
     def test_diff_is_symmetric(self):
         a, b = preset("net3"), preset("net4")
