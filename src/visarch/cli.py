@@ -63,8 +63,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = gradcheck(args.preset, tolerance=args.tolerance,
-                       samples_per_param=args.samples)
+    given = {k: v for k, v in vars(args).items() if k in ("tolerance", "samples_per_param")}
+    report = gradcheck(args.preset, **given)  # an absent flag keeps gradcheck's default
     print(report.table())
     return 0 if report.passed else 1
 
@@ -131,8 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("preset")
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--samples", type=int, default=2, help="entries per parameter")
+    p.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--samples", type=int, default=argparse.SUPPRESS, dest="samples_per_param",
+                   help="entries per parameter")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("fp16", help="half-precision attention score emulation")

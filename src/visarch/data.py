@@ -25,7 +25,7 @@ MIN_CLASSES = 2  # synth_dataset's floor
 
 @dataclass(frozen=True)
 class Dataset:
-    """Images as (N, 3, H, W) float32 with N >= 1, labels as (N,) int64, all >= 0."""
+    """Images as square (N, 3, H, H) float32 with N >= 1, labels as (N,) int64, all >= 0."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -35,6 +35,8 @@ class Dataset:
             raise ValueError(f"images must be an ndarray, got {type(self.images).__name__}")
         if self.images.ndim != 4 or self.images.shape[1] != 3 or not len(self.images):
             raise ValueError(f"images must be (N, 3, H, W) with N >= 1, got {self.images.shape}")
+        if self.images.shape[2] != self.images.shape[3]:
+            raise ValueError(f"images must be square, got shape {self.images.shape}")
         if not (isinstance(self.labels, np.ndarray) and self.labels.dtype.kind in "iu"
                 and self.labels.shape == (len(self.images),)):
             raise ValueError("labels must be an integer ndarray, one label per image")
@@ -103,7 +105,13 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator, *,
                   flip: bool = False, crop_pad: int = 0) -> np.ndarray:
     """Horizontal flip (p=0.5 per sample) and random crop from a zero-padded
     canvas; both off by default so training stays a pure function of the data.
-    flip must be a bool, crop_pad an integer >= 0."""
+    images must be a 4-d ndarray, rng a numpy Generator, flip a bool and
+    crop_pad an integer >= 0."""
+    if not (isinstance(images, np.ndarray) and images.ndim == 4):
+        got = images.shape if isinstance(images, np.ndarray) else type(images).__name__
+        raise ValueError(f"images must be a 4-d ndarray, got {got}")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     flip = check_flag("flip", flip)
     crop_pad = check_count("crop_pad", crop_pad, 0)
     if not flip and crop_pad == 0:

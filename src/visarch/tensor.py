@@ -9,8 +9,9 @@ Gradients accumulate into leaf .grad across backward() calls until cleared.
 A graph is single-use: backward() frees each node as it walks it, so a second
 backward() through any node of that graph raises GraphError; run the forward
 again for another gradient.
-requires_grad is the one needs-a-gradient test: leaves (ParamStore entries)
-set it, and every recorded node, the only kind with a _backward, has it.
+requires_grad is the one needs-a-gradient test: the constructor takes no such
+argument, ParamStore.add sets it on its leaves, and every recorded node, the
+only kind with a _backward, has it.
 
 check_count is the package's one rule for an integer argument, check_positive
 for a positive real one, check_flag for a bool one, and Tensor's constructor
@@ -24,9 +25,9 @@ under _TILE_BYTES: the tile is copied with the batch axis innermost, so each
 window row moves n contiguous values, and its windows channel-major, one
 (Cpg*kh*kw, Ho*Wo*n) matrix per group; a 1-image tile's GEMM writes straight
 into its NCHW slice, so batch 1 makes no extra copy. Under _grouped no tile
-crosses a group, and consecutive equal tiles whose im2col fits _TILE_BYTES
-together run as one: one padded copy, one gather and one stacked GEMM, which
-still multiplies each tile's matrices alone (outside _grouped every run is one
+crosses a group, and the runs are computed, not merged: as many whole groups
+as fit _TILE_BYTES run as one padded copy, one gather and one stacked GEMM,
+which still multiplies each group's matrices alone (any other run is one
 tile). The backward gathers each tile's im2col again, as max_pool2d its
 windows, so a node holds no im2col.
 max_pool2d is a running maximum over the window slices. Every sum over the
@@ -132,11 +133,13 @@ def _group_size(op: str, shape: tuple) -> int:
 
 
 class Tensor:
-    """A rank<=4 float array plus an optional grad and autodiff bookkeeping."""
+    """A rank<=4 float array plus an optional grad and autodiff bookkeeping.
+    Tensor(data, dtype) needs no gradient: ParamStore.add marks a leaf that
+    does, and an op's output is marked when it records a graph node."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, dtype=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             if arr.dtype.kind not in "iuf":  # astype drops imaginary parts, reads bools as 0/1
@@ -148,7 +151,7 @@ class Tensor:
             raise ShapeError(f"rank {arr.ndim} exceeds the rank-4 limit")
         self.data = arr
         self.grad = None
-        self.requires_grad = requires_grad
+        self.requires_grad = False
         self._parents = ()
         self._backward = None
 
@@ -530,11 +533,11 @@ def out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-# Bytes of im2col one k x k conv tile holds: conv2d splits the batch into tiles
-# of as many images as fit, and at least one, and runs as many equal _grouped
-# tiles together as fit. With 8 MiB the 224 stems, 56x56 3x3s and the 28x28
-# grouped 3x3 tile per image, and a 32x32 train batch of 50 is one tile per
-# conv; of 1-32 MiB it gave the fastest batch-8 eval convs and train steps on a
+# Bytes of im2col one k x k conv tile holds: conv2d computes runs of tiles of as
+# many images as fit, and at least one, a run of _grouped groups as many whole
+# groups as fit. With 8 MiB the 224 stems, 56x56 3x3s and the 28x28 grouped
+# 3x3 tile per image, and a 32x32 train batch of 50 is one tile per conv; of
+# 1-32 MiB it gave the fastest batch-8 eval convs and train steps on a
 # 2-core Xeon. Smaller tiles also mean more, smaller allocations, whose fresh
 # pages cost faults.
 _TILE_BYTES = 1 << 23
@@ -603,16 +606,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
            stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
     """2-d convolution on NCHW. A 1x1 kernel with no padding and one group is
     one channel GEMM (_channel_gemm). Any other kernel, grouped or not, runs in
-    batch tiles, each as many images as keep its im2col under _TILE_BYTES (at
-    least one); under _grouped a group is tiled as it would be alone. A run of
-    t consecutive tiles of n images each, as many as keep their im2col under
-    _TILE_BYTES together, is padded into one (t, Cin, Hp, Wp, n) copy with the
-    batch innermost, its windows copied channel-major as cols, one
-    (Cpg*kh*kw, Ho*Wo*n) matrix per tile and group, and one batched GEMM over
-    the (tile, group) axes gives (t, Cout, Ho, Wo, n): each matrix gets the
-    BLAS call its tile alone would make, so the bits do not depend on the run.
-    Only _grouped stacks make runs of more than one tile. A 1-image tile is
-    written straight into its NCHW slice. The backward gathers each tile's cols
+    batch tiles of step images, as many as keep the im2col under _TILE_BYTES
+    (at least one), planned as runs, not merged: under _grouped, step // n
+    whole groups of n <= step images make a run of one tile a group; a larger
+    group, or the whole batch outside _grouped, runs one tile at a time, its
+    last tile shorter. A run of t tiles of m images is padded into one
+    (t, Cin, Hp, Wp, m) copy with the batch innermost, its windows copied
+    channel-major as cols, one (Cpg*kh*kw, Ho*Wo*m) matrix per tile and group,
+    and one batched GEMM over the (tile, group) axes gives (t, Cout, Ho, Wo, m):
+    each matrix gets the BLAS call its tile alone would make, so the bits do
+    not depend on the run. A 1-image tile is written straight into its NCHW
+    slice. The backward walks the same runs, one tile each, as only _grouped
+    (which records nothing) makes longer ones: it gathers each tile's cols
     again (the same function, the same bits), sums dW over the tiles and
     scatters each tile's dX in the same layout. Either path gives the output
     and its (dx, dw) backward; conv2d alone adds the bias and records. An
@@ -641,13 +646,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
         wg = wd.reshape(G, opg, -1)
         per_image = Cin * kh * kw * Ho * Wo * xd.itemsize
         step = max(1, _TILE_BYTES // per_image)
-        tiles = [(a, min(a + step, g + n)) for g in range(0, N, n) for a in range(g, g + n, step)]
-        runs = []  # [first image, tiles, images per tile]: consecutive equal tiles within budget
-        for a, z in tiles:
-            if runs and runs[-1][2] == z - a and (runs[-1][1] + 1) * (z - a) * per_image <= _TILE_BYTES:
-                runs[-1][1] += 1
-            else:
-                runs.append([a, 1, z - a])
+        if n <= step:  # (first image, tiles, images per tile): step // n whole groups a run
+            runs = [(a, min(step // n, (N - a) // n), n) for a in range(0, N, step // n * n)]
+        else:  # each group in tiles of step images, its last shorter, one tile a run
+            runs = [(a, 1, min(step, g + n - a)) for g in range(0, N, n) for a in range(g, g + n, step)]
 
         def im2col(a, t, m):
             """The columns of t tiles of m images from image a, (t, G, Cpg*kh*kw, Ho*Wo*m):
@@ -669,11 +671,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, *,
         def grads(dout):  # holds no columns: each tile's are gathered again from x
             dw = np.zeros(wg.shape, dtype=np.result_type(dout, xd))
             dx = np.empty(xd.shape, dtype=np.result_type(dout, wd)) if x.requires_grad else None
-            for a, z in tiles:
+            for a, _, m in runs:  # one tile each: only _grouped, which records nothing, runs more
+                z = a + m
                 d = np.ascontiguousarray(dout[a:z].transpose(1, 2, 3, 0)).reshape(G, opg, -1)
-                dw += d @ im2col(a, 1, z - a)[0].transpose(0, 2, 1)
+                dw += d @ im2col(a, 1, m)[0].transpose(0, 2, 1)
                 if dx is not None:
-                    dwin = ((wg.transpose(0, 2, 1) @ d).reshape(Cin, kh, kw, Ho, Wo, z - a)
+                    dwin = ((wg.transpose(0, 2, 1) @ d).reshape(Cin, kh, kw, Ho, Wo, m)
                             .transpose(0, 3, 4, 5, 1, 2))
                     dx[a:z] = _scatter_windows(dwin, H, W, stride, padding).transpose(3, 0, 1, 2)
             return dx, dw.reshape(wd.shape)

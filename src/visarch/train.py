@@ -383,33 +383,35 @@ def _entry_slopes(model: models.Model, plan: list, k: int, x: Tensor, y,
 
 
 def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
-              samples_per_param: int = 2, batch: int = 4,
-              seed: int = 0) -> GradcheckReport:
+              samples_per_param: int = 2, batch: int = 4) -> GradcheckReport:
     """Compare analytic gradients against central differences in float64.
 
-    One train-mode forward, run entry by entry (models.entry_inputs), gives
-    both the analytic gradients, by backward from its logits, and each plan
-    entry's input. The probes of one plan entry's parameters form one task:
+    The model (build's seed 0), batch (seed 123) and probes (seed 99) are
+    fixed. One train-mode forward, run entry by entry (models.entry_inputs),
+    gives both the analytic gradients, by backward from its logits, and each
+    plan entry's input. The probes, one store-order list of (path, index,
+    analytic), are grouped by the plan entry that owns each into tasks:
     each round runs that entry alone per probe and sign, and the rest of the
     plan once for all of them (_entry_slopes), so the report equals the one
     probes through the whole model_forward give, in far fewer op calls, and
     leave the model's batch-norm buffers as the analytic pass left them. The
     tasks run in forked worker processes, one per usable CPU (_fork_map), and
-    their entries are merged in probe order, so the report does not depend
-    on the worker count. Each worker keeps the memory its probes free for the
-    next op (_adopt); the caller's allocator is left as it is.
+    their entries are merged back in store order, so the report (worst: the
+    first largest rel) does not depend on the worker count. Each worker keeps
+    the memory its probes free for the next op (_adopt); the caller's
+    allocator is left as it is.
     Probes missing tolerance at the first step size are retried at the
     others: relu-kink straddles shrink with h, near-zero derivatives need a
     larger h to rise above the rounding-noise floor (which grows as 1/h), and
     a wrong analytic gradient fails at every h. samples_per_param and batch
-    must be integers >= 1, tolerance a finite real number > 0 (check_positive), so
-    a check cannot pass without comparing anything, and seed an integer >= 0.
+    must be integers >= 1 and tolerance a finite real number > 0
+    (check_positive), so a check cannot pass without comparing anything.
     """
     samples_per_param = check_count("samples_per_param", samples_per_param, 1)
     batch = check_count("batch", batch, 1)
     tolerance = check_positive("tolerance", tolerance)
     cfg = models.preset(preset_name)
-    model = models.build(cfg, seed=seed, dtype=np.float64)
+    model = models.build(cfg, dtype=np.float64)
     rng = np.random.default_rng(123)
     x = rng.normal(0.0, 1.0, (batch, 3, cfg.input_resolution, cfg.input_resolution))
     y = rng.integers(0, cfg.num_classes, batch)
@@ -420,46 +422,41 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     owner = {slot.path: k for k, e in enumerate(plan)
              for slot in LAYERS[e.kind].params(e, cfg) if slot.init not in BUFFER_INITS}
     pick = np.random.default_rng(99)
-    tasks = {}  # plan entry -> [(probe number, path, index, analytic)], in store order
-    checked = 0
+    probes = []  # (path, index, analytic), in store order
     for path, t in store.items():
         flat_grad = (t.grad.reshape(-1) if t.grad is not None
                      else np.zeros(t.data.size))
         k = min(samples_per_param, t.data.size)
-        for i in pick.choice(t.data.size, size=k, replace=False):
-            tasks.setdefault(owner[path], []).append((checked, path, int(i), float(flat_grad[i])))
-            checked += 1
+        probes += [(path, int(i), float(flat_grad[i]))
+                   for i in pick.choice(t.data.size, size=k, replace=False)]
+    tasks = {}  # plan entry -> its probes, in store order
+    for probe in probes:
+        tasks.setdefault(owner[probe[0]], []).append(probe)
 
     def check_entry(task) -> list:
-        k, probes = task
-        best = [None] * len(probes)
-        todo = list(range(len(probes)))
+        k, owned = task
+        best = [None] * len(owned)
+        todo = list(range(len(owned)))
         for h in GRADCHECK_STEPS:
             slopes = _entry_slopes(model, plan, k, inputs[k], y,
-                                   [probes[j][1:3] for j in todo], h)
+                                   [owned[j][:2] for j in todo], h)
             for j, num in zip(todo, slopes):
-                ana = probes[j][3]
+                ana = owned[j][2]
                 rel = abs(ana - num) / max(abs(ana), abs(num), 1e-3)
                 if best[j] is None or rel < best[j][0]:
                     best[j] = (rel, num)
             todo = [j for j in todo if best[j][0] >= tolerance]
             if not todo:
                 break
-        return [(p, GradcheckEntry(path, i, ana, num, rel))
-                for (p, path, i, ana), (rel, num) in zip(probes, best)]
+        return [GradcheckEntry(path, i, ana, num, rel)
+                for (path, i, ana), (rel, num) in zip(owned, best)]
 
-    results = [None] * checked
-    for done in _fork_map(check_entry, list(tasks.items()), _probe_workers(len(tasks))):
-        for p, entry in done:
-            results[p] = entry
-    failures = []
-    worst = GradcheckEntry("", 0, 0.0, 0.0, -1.0)
-    for entry in results:
-        if entry.rel > worst.rel:
-            worst = entry
-        if entry.rel >= tolerance:
-            failures.append(entry)
-    return GradcheckReport(preset_name, tolerance, checked, worst, failures)
+    done = {k: iter(entries) for k, entries in
+            zip(tasks, _fork_map(check_entry, list(tasks.items()), _probe_workers(len(tasks))))}
+    entries = [next(done[owner[path]]) for path, _, _ in probes]  # store order again
+    worst = max(entries, key=lambda e: e.rel)  # the first of the largest
+    failures = [e for e in entries if e.rel >= tolerance]
+    return GradcheckReport(preset_name, tolerance, len(entries), worst, failures)
 
 
 def _probe_workers(tasks: int) -> int:

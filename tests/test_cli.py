@@ -305,11 +305,11 @@ class TestGradcheck:
         monkeypatch.setattr(cli, "gradcheck", record)
         rc, out, _ = run(capsys, "gradcheck", "deit_s-micro")
         assert rc == 0 and out == "PASS\n"
-        defaults = {name: p.default for name, p in inspect.signature(gradcheck).parameters.items()
-                    if p.default is not inspect.Parameter.empty}
-        (passed,) = calls
-        assert passed.pop("preset_name") == "deit_s-micro"
-        assert passed == {name: defaults[name] for name in passed}
+        rc, out, _ = run(capsys, "gradcheck", "deit_s-micro", "--samples", "3", "--tolerance", "1e-3")
+        assert rc == 0 and out == "PASS\n"
+        bare, flagged = calls
+        assert bare == {"preset_name": "deit_s-micro"}  # the CLI repeats no default
+        assert flagged == {"preset_name": "deit_s-micro", "tolerance": 1e-3, "samples_per_param": 3}
 
     @pytest.mark.parametrize("flag,value,named", [
         ("--samples", "0", "samples_per_param"),

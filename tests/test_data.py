@@ -86,10 +86,13 @@ class TestSynth:
     @pytest.mark.parametrize("images,labels,match", [
         ([[[[0.0]]]] * 2, np.zeros(2, dtype=np.int64), "^images must be an ndarray, got list$"),
         (np.zeros((2, 3, 4, 4), np.float32), np.array([0, -1]), "^labels must be >= 0, got -1$"),
-    ], ids=["list-images", "negative-label"])
+        (np.zeros((4, 3, 32, 16), np.float32), np.arange(4),
+         r"^images must be square, got shape \(4, 3, 32, 16\)$"),
+    ], ids=["list-images", "negative-label", "non-square"])
     def test_rejects_what_failed_later(self, images, labels, match):
-        # before, a list raised a bare AttributeError, and a negative label
-        # passed until cross_entropy
+        # before, a list raised a bare AttributeError, a negative label
+        # passed until cross_entropy, and a non-square image until train()
+        # planned the model at its width
         with pytest.raises(ValueError, match=match):
             Dataset(images, labels)
 

@@ -7,6 +7,10 @@ then every read in the top-level definition of a name so reached. A read inside
 a definition nothing reaches (a scalar helper that only its own dataclass
 uses, say) calls nothing. A name with no caller either goes or is listed in
 ALLOWED with the reason it stays.
+
+Every optional parameter of a reached public function, or of a reached public
+class's own __init__, is passed by some call in that same caller code: by
+keyword, by position, or through * or **. An option nothing passes goes.
 """
 
 import ast
@@ -61,6 +65,54 @@ def called_names(package_files=PACKAGE_FILES, caller_files=CALLER_FILES) -> set:
     return called
 
 
+def parameters(stmt):
+    """(positional, optional) parameter names of a function, or of a class's own
+    __init__ (self dropped); None for a class without one."""
+    if isinstance(stmt, ast.ClassDef):
+        inits = [s for s in stmt.body if isinstance(s, ast.FunctionDef) and s.name == "__init__"]
+        if not inits:
+            return None
+        args, skip = inits[0].args, 1
+    else:
+        args, skip = stmt.args, 0
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    optional = positional[len(positional) - len(args.defaults):]
+    optional += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional[skip:], optional
+
+
+def unpassed_options(public, package_files=PACKAGE_FILES, caller_files=CALLER_FILES) -> list:
+    """"name(parameter)" for each optional parameter of a public name the callers
+    reach that no call in the calling code passes: the caller files, and the
+    package's module-level statements and definitions of the names reached."""
+    called = called_names(package_files, caller_files)
+    code, signatures = [parse(path) for path in caller_files], {}
+    for path in package_files:
+        for stmt in parse(path).body:
+            if not isinstance(stmt, DEFINITIONS):
+                code.append(stmt)
+            elif stmt.name in called:
+                code.append(stmt)
+                if stmt.name in public:
+                    signatures[stmt.name] = parameters(stmt)
+    passed = {name: set() for name in signatures}
+    for node in code:
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if signatures.get(name) is None:
+                continue
+            positional, optional = signatures[name]
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            passed[name] |= set(positional if starred else positional[:len(call.args)])
+            for kw in call.keywords:
+                passed[name] |= set(optional) if kw.arg is None else {kw.arg}
+    return sorted(f"{name}({p})" for name, sig in signatures.items() if sig
+                  for p in sig[1] if p not in passed[name])
+
+
 def test_caller_files_exist():
     assert len(PACKAGE_FILES) > 5 and all(p.is_file() for p in CALLER_FILES)
     assert any(p.parent.name == "perfbench" for p in CALLER_FILES)
@@ -87,3 +139,23 @@ def test_a_read_inside_an_unreached_definition_calls_nothing(tmp_path):
     called = called_names([module], [script])
     assert {"run", "helper"} <= called
     assert not {"round_one", "Sample"} & called
+
+
+def test_every_optional_parameter_is_passed():
+    # Tensor(data, requires_grad=False, dtype=None) read a positional dtype as
+    # requires_grad, and no caller passed requires_grad at all
+    unpassed = unpassed_options(visarch.__all__)
+    assert not unpassed, f"optional parameters no caller passes: {unpassed}"
+
+
+def test_a_parameter_is_passed_by_keyword_position_or_star(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def kw(a, b=1, *, c=2):\n    pass\n\n\n"
+                      "def pos(a, b=1, c=2):\n    pass\n\n\n"
+                      "def star(a, b=1, *, c=2):\n    pass\n\n\n"
+                      "class Box:\n    def __init__(self, a, b=1):\n        pass\n\n\n"
+                      "class Plain:\n    size: int = 3\n")
+    script = tmp_path / "bench.py"
+    script.write_text("kw(0, c=3)\npos(0, 1)\nstar(*x, **y)\nBox(0)\nPlain()\n")
+    public = ["kw", "pos", "star", "Box", "Plain"]
+    assert unpassed_options(public, [module], [script]) == ["Box(b)", "kw(b)", "pos(c)"]

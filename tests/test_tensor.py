@@ -62,6 +62,13 @@ def param(store, path, arr):
     return store.add(path, Tensor(np.asarray(arr, dtype=np.float64)))
 
 
+def leaf(data, dtype=None):
+    """A Tensor that needs a gradient, marked as ParamStore.add marks a parameter."""
+    t = Tensor(data, dtype)
+    t.requires_grad = True
+    return t
+
+
 def conv_grads_ref(x, w, dout, stride, padding, groups):
     """dX and dW of sum(conv2d(x, w) * dout) by a direct loop over every output."""
     H, W = x.shape[2:]
@@ -672,7 +679,7 @@ class TestHeldMemory:
         """op on float64 leaves of these shapes, and the bytes traced while it
         ran that are still held once it returns, its output among them."""
         rng = np.random.default_rng(0)
-        leaves = [Tensor(rng.normal(size=s), requires_grad=True, dtype=np.float64) for s in shapes]
+        leaves = [leaf(rng.normal(size=s), np.float64) for s in shapes]
         tracemalloc.start()
         try:
             out = op(*leaves)
@@ -708,7 +715,7 @@ class TestHeldMemory:
 class TestBackward:
     def test_weighted_sum_grad_is_input(self, rng):
         x = rng.normal(size=(3, 4))
-        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
+        w = leaf(rng.normal(size=(3, 4)), np.float64)
         backward(T.sum_all(T.mul(w, Tensor(x, dtype=np.float64))))
         np.testing.assert_allclose(w.grad, x, atol=1e-12)
 
@@ -726,8 +733,8 @@ class TestBackward:
         assert numeric_grads(loss, store, samples=6) < 1e-4
 
     def test_unused_param_grad_zero(self, rng):
-        used = Tensor(rng.normal(size=(2, 2)), requires_grad=True, dtype=np.float64)
-        unused = Tensor(rng.normal(size=(2, 2)), requires_grad=True, dtype=np.float64)
+        used = leaf(rng.normal(size=(2, 2)), np.float64)
+        unused = leaf(rng.normal(size=(2, 2)), np.float64)
         backward(T.sum_all(T.mul(used, used)))
         assert unused.grad is None
         np.testing.assert_allclose(used.grad, 2 * used.data, atol=1e-12)
@@ -742,12 +749,12 @@ class TestBackward:
         assert w.grad is None
 
     def test_non_scalar_loss_error(self):
-        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        w = leaf(np.ones((2, 2)))
         with pytest.raises(GraphError):
             backward(T.mul(w, w))
 
     def test_graphless_loss_error(self):
-        w = Tensor(np.ones(2), requires_grad=True)
+        w = leaf(np.ones(2))
         with T.no_grad():
             loss = T.sum_all(T.mul(w, w))
         with pytest.raises(GraphError, match="training=True"):
@@ -779,7 +786,7 @@ class TestBackward:
         assert np.array_equal(w.grad, once) and v.grad is None
 
     def test_backward_frees_every_node_it_walks(self, rng):
-        x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+        x = leaf(rng.normal(size=(2, 2)))
         h = T.relu(T.mul(x, x))
         loss = T.sum_all(h)
         backward(loss)
@@ -950,7 +957,7 @@ class TestGrouped:
 
     def test_a_grouped_forward_records_nothing(self, rng):
         x = Tensor(rng.normal(size=(4, 2, 3, 3)))
-        w = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
+        w = leaf(rng.normal(size=(2, 2, 3, 3)))
         with T._grouped(2):  # outside no_grad
             out = T.conv2d(x, w)
         assert not out.requires_grad and out._backward is None
@@ -967,16 +974,22 @@ class TestGrouped:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_kxk_groups_run_together_with_the_bits_of_each_alone(self, rng, monkeypatch,
                                                                  stride, padding, groups, dtype):
-        # 5 groups, budgeted at 1, 2 (the last run ragged) or all 5 group tiles per run;
-        # 1-image groups are the path whose GEMM writes the NCHW output directly
+        # 5 groups, budgeted at 1, 2 (the last run ragged) or all 5 group tiles per run,
+        # and 3-image groups also below one group: a 2-image tile, then a 1-image one;
+        # 1-image tiles are the path whose GEMM writes the NCHW output directly
         w = Tensor(rng.normal(size=(6, 4 // groups, 3, 3)), dtype=dtype)
         padded = []
         real = T._padded
         monkeypatch.setattr(T, "_padded", lambda *a: padded.append(a[0].shape) or real(*a))
         for n in (1, 3):
             x = rng.normal(size=(5 * n, 4, 7, 6)).astype(dtype)
-            for per_run in (1, 2, 5):
-                tile_images(monkeypatch, x, w.data, stride, padding, per_run * n)
+            budgets = [(per_run * n,  # (images, [(tiles, images per tile) of each run])
+                        [(per_run, n)] * (5 // per_run) + [(5 % per_run, n)] * (5 % per_run > 0))
+                       for per_run in (1, 2, 5)]
+            if n == 3:
+                budgets.append((2, [(1, 2), (1, 1)] * 5))
+            for images, runs in budgets:
+                tile_images(monkeypatch, x, w.data, stride, padding, images)
                 with T.no_grad():
                     alone = [T.conv2d(Tensor(x[a:a + n]), w, stride=stride, padding=padding,
                                       groups=groups).data for a in range(0, 5 * n, n)]
@@ -984,9 +997,8 @@ class TestGrouped:
                     with T._grouped(n):
                         stacked = T.conv2d(Tensor(x), w, stride=stride, padding=padding,
                                            groups=groups).data
-                assert np.array_equal(stacked, np.concatenate(alone)), (n, per_run)
-                runs = [per_run] * (5 // per_run) + [5 % per_run] * (5 % per_run > 0)
-                assert padded == [(t, 4, 7, 6, n) for t in runs], (n, per_run)
+                assert np.array_equal(stacked, np.concatenate(alone)), (n, images)
+                assert padded == [(t, 4, 7, 6, m) for t, m in runs], (n, images)
 
     @pytest.mark.parametrize("op", ["batch_norm", "conv2d", "linear"])
     def test_refuses_a_ragged_batch(self, op):
@@ -1101,7 +1113,7 @@ class TestTensorBasics:
 
     @pytest.mark.parametrize("perm", list(permutations(range(4))))
     def test_transpose_backward_applies_the_inverse_permutation(self, perm):
-        x = Tensor(np.arange(120.0).reshape(2, 3, 4, 5), requires_grad=True)
+        x = leaf(np.arange(120.0).reshape(2, 3, 4, 5))
         dout = np.random.default_rng(0).normal(size=x.data.transpose(perm).shape)
         backward(T.sum_all(T.mul(T.transpose(x, perm), Tensor(dout))))
         assert np.array_equal(x.grad, dout.transpose(np.argsort(perm)))
