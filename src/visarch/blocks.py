@@ -116,15 +116,11 @@ class BottleneckSpec:
 def conv_mlp_hidden(channels: int, hidden: int) -> int:
     """Widest 1x1 -> 3x3 -> 1x1 stack not exceeding the plain MLP's MACs.
 
-    Largest m with 2*C*m + 9*m^2 <= 2*C*hidden.
+    The largest m with 2*C*m + 9*m^2 <= 2*C*hidden, which is the largest m with
+    (9*m + C)^2 <= C^2 + 18*C*hidden. As 9*m + C is an integer, that holds
+    exactly when 9*m + C <= isqrt(C^2 + 18*C*hidden), with no float rounding.
     """
-    budget = 2 * channels * hidden
-    m = int((math.sqrt(channels * channels + 9 * budget) - channels) / 9)
-    while m > 0 and 2 * channels * m + 9 * m * m > budget:
-        m -= 1
-    while 2 * channels * (m + 1) + 9 * (m + 1) ** 2 <= budget:
-        m += 1
-    return m
+    return (math.isqrt(channels * channels + 18 * channels * hidden) - channels) // 9
 
 
 # ---------------------------------------------------------------------------

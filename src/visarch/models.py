@@ -327,12 +327,27 @@ def config_from_json(text: str) -> ModelConfig:
 # structural diff
 
 
+def _placed_blocks(config: ModelConfig) -> list:
+    """Each block's spec with the input stride it runs at: the product of the
+    strides of the stem, its pool, the stage embeddings and the strided blocks
+    before it, as layer_plan lays them out."""
+    strides = {"stem": B.STEM["stride"], "pool": B.STEM_POOL["stride"]}
+    stride, placed = 1, []
+    for e in layer_plan(config):
+        if e.kind in ("attention", "bottleneck"):
+            placed.append((stride, e.spec))
+        stride *= strides.get(e.kind, getattr(e.spec, "stride", 1))
+    return placed
+
+
 def diff_configs(a: ModelConfig, b: ModelConfig) -> set:
     """Names of the structural components that differ between two configs.
 
-    Block lists differing only in attention blocks' use_3x3 flags report
-    'mlp_conv' rather than 'blocks', so rewiring MLPs is distinguishable from
-    recomposing the network.
+    Blocks are compared where they run, each at its input stride
+    (_placed_blocks), so a block moved across a strided embedding reports
+    'blocks'. Block lists differing only in attention blocks' use_3x3 flags,
+    at equal strides, report 'mlp_conv' rather than 'blocks', so rewiring
+    MLPs is distinguishable from recomposing the network.
     """
     touched = set()
     if a.head_mode != b.head_mode or a.num_classes != b.num_classes:
@@ -349,11 +364,12 @@ def diff_configs(a: ModelConfig, b: ModelConfig) -> set:
         touched.add("block_style")
     if a.input_resolution != b.input_resolution:
         touched.add("input")
-    ab, bb = ([blk for s in c.stages for blk in s.blocks] for c in (a, b))
+    ab, bb = _placed_blocks(a), _placed_blocks(b)
     if ab != bb:
         if len(ab) == len(bb) and all(
-                x == y or x.kind == y.kind == "attention" and x == replace(y, use_3x3=x.use_3x3)
-                for x, y in zip(ab, bb)):
+                sx == sy and (x == y or x.kind == y.kind == "attention"
+                              and x == replace(y, use_3x3=x.use_3x3))
+                for (sx, x), (sy, y) in zip(ab, bb)):
             touched.add("mlp_conv")
         else:
             touched.add("blocks")

@@ -992,9 +992,6 @@ class ParamStore:
         for path in sorted(self._params):
             yield path, self._params[path]
 
-    def total_elements(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = None

@@ -396,10 +396,12 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     probes through the whole model_forward give, in far fewer op calls, and
     leave the model's batch-norm buffers as the analytic pass left them. The
     tasks run in forked worker processes, one per usable CPU (_fork_map), and
-    their entries are merged back in store order, so the report (worst: the
-    first largest rel) does not depend on the worker count. Each worker keeps
-    the memory its probes free for the next op (_adopt); the caller's
-    allocator is left as it is.
+    their entries are merged back in store order, so the report does not
+    depend on the worker count. Each worker keeps the memory its probes free
+    for the next op (_adopt); the caller's allocator is left as it is.
+    An entry passes only when its rel is below tolerance, so a NaN rel (a
+    non-finite analytic gradient) fails; worst is the first entry with the
+    largest rel, a NaN counting as the largest.
     Probes missing tolerance at the first step size are retried at the
     others: relu-kink straddles shrink with h, near-zero derivatives need a
     larger h to rise above the rounding-noise floor (which grows as 1/h), and
@@ -445,7 +447,7 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
                 rel = abs(ana - num) / max(abs(ana), abs(num), 1e-3)
                 if best[j] is None or rel < best[j][0]:
                     best[j] = (rel, num)
-            todo = [j for j in todo if best[j][0] >= tolerance]
+            todo = [j for j in todo if not best[j][0] < tolerance]
             if not todo:
                 break
         return [GradcheckEntry(path, i, ana, num, rel)
@@ -454,8 +456,8 @@ def gradcheck(preset_name: str, tolerance: float = 1e-4, *,
     done = {k: iter(entries) for k, entries in
             zip(tasks, _fork_map(check_entry, list(tasks.items()), _probe_workers(len(tasks))))}
     entries = [next(done[owner[path]]) for path, _, _ in probes]  # store order again
-    worst = max(entries, key=lambda e: e.rel)  # the first of the largest
-    failures = [e for e in entries if e.rel >= tolerance]
+    worst = max(entries, key=lambda e: (math.isnan(e.rel), e.rel))  # the first of the largest
+    failures = [e for e in entries if not e.rel < tolerance]
     return GradcheckReport(preset_name, tolerance, len(entries), worst, failures)
 
 
@@ -491,12 +493,8 @@ def _adopt(fn) -> None:
 
 
 def _pooled(item):
-    """(_WORKER_FN(item),), or None if it raises: the exception may not pickle,
-    so the parent re-runs the item to raise it."""
-    try:
-        return (_WORKER_FN(item),)
-    except Exception:
-        return None
+    """_WORKER_FN(item), run in a worker; what it raises reaches _fork_map's map."""
+    return _WORKER_FN(item)
 
 
 def _fork_map(fn, items: list, workers: int) -> list:
@@ -508,30 +506,28 @@ def _fork_map(fn, items: list, workers: int) -> list:
     Each worker's allocator keeps the memory it frees (_adopt), so a temporary
     one op frees is not faulted in again by the next; this process's
     allocator is not touched.
-    Where a worker's item raises, or a worker dies (a killed one would hang a
-    multiprocessing.Pool), the pool is shut down and the items from that one on
-    run here, so the caller sees the serial loop's result or exception. With
-    fewer than 2 workers, without fork, inside a daemon process (which may not
-    have children) or while another thread runs (a forked child would inherit
-    its locks as they stand), all run here.
+    Every failure takes one route. The pool's map raises at the first failed
+    item in item order, whether it raised, its exception would not pickle, its
+    worker died (a killed one would hang a multiprocessing.Pool) or its result
+    could not be read back; the pool is shut down and the items from that one
+    on run here, so the caller sees the serial loop's result or exception.
+    With fewer than 2 workers, without fork, inside a daemon process (which
+    may not have children) or while another thread runs (a forked child would
+    inherit its locks as they stand), all run here.
     """
     import multiprocessing
     import threading
     from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon or threading.active_count() > 1):
-        return [fn(item) for item in items]
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (fn,))
     done = []
-    try:
-        for result in pool.map(_pooled, items):
-            if result is None:
-                break
-            done.append(result[0])
-    except BrokenProcessPool:
-        pass
-    finally:
-        pool.shutdown(cancel_futures=True)  # waits for the items already running
+    if (workers >= 2 and "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon and threading.active_count() == 1):
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (fn,))
+        try:
+            for result in pool.map(_pooled, items):
+                done.append(result)
+        except Exception:
+            pass
+        finally:
+            pool.shutdown(cancel_futures=True)  # waits for the items already running
     return done + [fn(item) for item in items[len(done):]]

@@ -38,12 +38,12 @@ class TestTotals:
     def test_counts_match_built_parameters(self, name):
         config = preset(f"{name}-micro")
         model = build(config, seed=0)
-        assert complexity_report(config).total_params == model.params.total_elements()
+        assert complexity_report(config).total_params == sum(t.data.size for _, t in model.params.items())
 
     def test_counts_match_full_build(self):
         config = preset("visformer_s")
         model = build(config, seed=0)
-        assert complexity_report(config).total_params == model.params.total_elements()
+        assert complexity_report(config).total_params == sum(t.data.size for _, t in model.params.items())
 
 
 class TestRules:

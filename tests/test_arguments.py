@@ -174,6 +174,37 @@ REJECTED = [
     ("layer-norm-no-channels", lambda: T.layer_norm(Tensor(np.ones((1, 0, 2, 2))),
                                                     Tensor(np.ones(0)), Tensor(np.zeros(0))),
      ShapeError, "layer_norm over axis 1 needs at least one entry, got shape (1, 0, 2, 2)"),
+    # checks no test reached before: a range, rank, dtype or shape the op cannot
+    # take, and a parameter path the store does not hold
+    ("narrow-past-the-end", lambda: T.narrow(Tensor(np.ones((2, 3))), 1, 2, 2), ShapeError,
+     "narrow [2:4] out of range on axis 1"),
+    ("gather-rows-1d-table", lambda: T.gather_rows(Tensor(np.ones(3)), np.array([[0, 1]])),
+     ShapeError, "gather_rows expects a 2-d table and a 2-d index map"),
+    ("gather-rows-float-index", lambda: T.gather_rows(Tensor(np.ones((3, 2))),
+                                                      np.array([[0.0, 1.0]])),
+     ShapeError, "gather_rows index must hold integers, got float64"),
+    ("matmul-rank-mismatch", lambda: T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3, 2)))),
+     ShapeError, "matmul rank mismatch: (2, 3) @ (1, 3, 2)"),
+    ("matmul-shape-mismatch", lambda: T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))),
+     ShapeError, "matmul shape mismatch: (2, 3) @ (2, 3)"),
+    ("conv2d-rank-3-input", lambda: T.conv2d(Tensor(np.ones((2, 4, 4))),
+                                             Tensor(np.ones((3, 2, 3, 3)))),
+     ShapeError, "conv2d expects rank-4 input and weight, got (2, 4, 4), (3, 2, 3, 3)"),
+    ("max-pool-rank-3-input", lambda: T.max_pool2d(Tensor(np.ones((2, 4, 4)))), ShapeError,
+     "max_pool2d expects rank-4 input, got (2, 4, 4)"),
+    ("max-pool-padding-3-kernel-3", lambda: T.max_pool2d(Tensor(np.ones((1, 2, 4, 4))), padding=3),
+     ShapeError, "max_pool2d padding must be smaller than the kernel"),
+    ("global-avg-pool-rank-3-input", lambda: T.global_avg_pool(Tensor(np.ones((2, 4, 4)))),
+     ShapeError, "global_avg_pool expects rank-4 input, got (2, 4, 4)"),
+    ("layer-norm-rank-2-input", lambda: T.layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones(3)),
+                                                     Tensor(np.zeros(3))),
+     ShapeError, "layer_norm expects rank-4 input, got (2, 3)"),
+    ("batch-norm-affine-3-for-2", lambda: T.batch_norm(
+        Tensor(np.ones((2, 2, 4, 4))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+        np.zeros(2), np.ones(2), training=True),
+     ShapeError, "batch_norm affine shape must be (2,)"),
+    ("param-store-missing-path", lambda: ParamStore()["s0.w"], KeyError,
+     "\"no parameter at path 's0.w'\""),
 ]
 
 

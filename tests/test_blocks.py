@@ -60,8 +60,10 @@ class TestConvMlpHidden:
         assert conv_mlp_hidden(768, 3072) == 643
 
     def test_maximal_under_budget(self):
-        for c in (192, 384, 768, 96, 48, 256):
-            hid = 4 * c
+        near_2_40 = [(2 ** 40 + a, 2 ** 40 + b) for a in (-7, 0, 3) for b in (-5, 0, 11)]
+        pairs = ([(c, 4 * c) for c in (192, 384, 768, 96, 48, 256)] + near_2_40
+                 + [(c, hid) for c in range(1, 201) for hid in range(1, 201)])
+        for c, hid in pairs:
             m = conv_mlp_hidden(c, hid)
             budget = 2 * c * hid
             assert 2 * c * m + 9 * m * m <= budget

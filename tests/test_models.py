@@ -408,6 +408,20 @@ class TestLadder:
     def test_identical_configs_diff_empty(self):
         assert diff_configs(preset("net2"), preset("net2")) == set()
 
+    def test_a_block_moved_across_a_strided_embedding_reports_blocks(self):
+        # the flattened block lists are equal, but the moved block runs at
+        # stride 16 instead of 8, so the MACs differ
+        blk = AttentionSpec(64, 256, 2, 32)
+
+        def split(first, second):
+            return ModelConfig("moved", 32, 10, 16, (models.StageSpec(EmbedSpec(4, 64), first),
+                                                     models.StageSpec(EmbedSpec(2, 64), second)))
+
+        a, b = split((blk, blk), (blk,)), split((blk,), (blk, blk))
+        assert (complexity_report(a).total_macs, complexity_report(b).total_macs) == \
+            (2_767_488, 2_146_944)
+        assert diff_configs(a, b) == diff_configs(b, a) == {"blocks"}
+
 
 class TestPlan:
     @pytest.mark.parametrize("name", FULL_PRESETS)

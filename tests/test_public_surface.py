@@ -11,6 +11,9 @@ ALLOWED with the reason it stays.
 Every optional parameter of a reached public function, or of a reached public
 class's own __init__, is passed by some call in that same caller code: by
 keyword, by position, or through * or **. An option nothing passes goes.
+
+Every public method or property defined in the body of a public class is read
+by that same caller code, under the same reach rule. A method nothing reads goes.
 """
 
 import ast
@@ -113,6 +116,16 @@ def unpassed_options(public, package_files=PACKAGE_FILES, caller_files=CALLER_FI
                   for p in sig[1] if p not in passed[name])
 
 
+def uncalled_methods(public, package_files=PACKAGE_FILES, caller_files=CALLER_FILES) -> list:
+    """"Class.method" for each public method or property defined in the body of
+    a public class that the callers do not reach."""
+    called = called_names(package_files, caller_files)
+    return sorted(f"{stmt.name}.{m.name}" for path in package_files for stmt in parse(path).body
+                  if isinstance(stmt, ast.ClassDef) and stmt.name in public
+                  for m in stmt.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not m.name.startswith("_") and m.name not in called)
+
+
 def test_caller_files_exist():
     assert len(PACKAGE_FILES) > 5 and all(p.is_file() for p in CALLER_FILES)
     assert any(p.parent.name == "perfbench" for p in CALLER_FILES)
@@ -159,3 +172,21 @@ def test_a_parameter_is_passed_by_keyword_position_or_star(tmp_path):
     script.write_text("kw(0, c=3)\npos(0, 1)\nstar(*x, **y)\nBox(0)\nPlain()\n")
     public = ["kw", "pos", "star", "Box", "Plain"]
     assert unpassed_options(public, [module], [script]) == ["Box(b)", "kw(b)", "pos(c)"]
+
+
+def test_every_public_method_has_a_caller():
+    # ParamStore.total_elements was read only by tests of its own
+    uncalled = uncalled_methods(visarch.__all__)
+    assert not uncalled, f"public methods with no caller: {uncalled}"
+
+
+def test_a_method_is_called_when_a_caller_reads_it(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("class Box:\n    def used(self):\n        pass\n\n"
+                      "    def unused(self):\n        pass\n\n"
+                      "    def _private(self):\n        pass\n\n"
+                      "    @property\n    def size(self):\n        return 1\n\n\n"
+                      "class Hidden:\n    def unused(self):\n        pass\n")
+    script = tmp_path / "bench.py"
+    script.write_text("Box().used()\nBox().size\n")
+    assert uncalled_methods(["Box"], [module], [script]) == ["Box.unused"]

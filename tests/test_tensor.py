@@ -1092,12 +1092,6 @@ class TestParamStore:
         with pytest.raises(ValueError):
             store.add("w", Tensor(np.zeros(1)))
 
-    def test_total_elements(self):
-        store = ParamStore()
-        store.add("a", Tensor(np.zeros((2, 3))))
-        store.add("b", Tensor(np.zeros(5)))
-        assert store.total_elements() == 11
-
 
 class TestTensorBasics:
     def test_rank_limit(self):

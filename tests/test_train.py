@@ -585,6 +585,24 @@ class TestGradcheck:
         worst = max(rep.failures, key=lambda e: e.rel)
         assert worst.rel > 0.01
 
+    def test_flags_a_nan_analytic_gradient(self, monkeypatch):
+        # a NaN rel is not >= the tolerance, so it passed unretried and uncounted,
+        # and max() named a finite entry the worst
+        built = []
+        build_model, real_backward = vmodels.build, vtrain.backward
+        monkeypatch.setattr(vmodels, "build", lambda *a, **kw: (
+            built.append(build_model(*a, **kw)) or built[-1]))
+
+        def nan_fc1(loss):
+            real_backward(loss)
+            built[0].params["s0.b0.mlp.fc1.w"].grad.fill(np.nan)
+
+        monkeypatch.setattr(vtrain, "backward", nan_fc1)
+        rep = gradcheck("net1-micro", samples_per_param=1)
+        assert not rep.passed
+        assert [(e.path, e.index) for e in rep.failures] == [("s0.b0.mlp.fc1.w", 22667)]
+        assert rep.worst == rep.failures[0] and np.isnan(rep.worst.rel)
+
     def test_probes_leave_the_batch_norm_buffers_alone(self, monkeypatch):
         # before, each probe's run of its own entry took batch norm's ungrouped
         # path, which wrote the running buffers
@@ -738,6 +756,22 @@ forks = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods()
                            reason="the probe workers are forked")
 
 
+class Unpicklable(Exception):
+    """An exception a worker cannot send back: a lambda does not pickle."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+class Unrebuildable(Exception):
+    """An exception that pickles but cannot be rebuilt: unpickling calls
+    __init__ with the one message."""
+
+    def __init__(self, item, why):
+        super().__init__(f"item {item}: {why}")
+
+
 @forks
 class TestProbeWorkers:
     """Tasks in forked workers give the serial loop's report, or its exception.
@@ -801,6 +835,21 @@ class TestProbeWorkers:
             assert not multiprocessing.active_children()
         assert errors[0] == errors[1]
         assert errors[0].startswith("non-finite loss probing s0.b1.")
+
+    @pytest.mark.parametrize("error", [Unpicklable, Unrebuildable])
+    def test_an_exception_that_cannot_travel_is_the_serial_loops(self, error):
+        def square(item):
+            if item == 3:
+                raise error("item 3: bad") if error is Unpicklable else error(item, "bad")
+            return item * item
+
+        caught = []
+        for n in (1, 2):
+            with pytest.raises(error) as info:
+                vtrain._fork_map(square, list(range(6)), n)
+            caught.append((info.type, str(info.value)))
+            assert not multiprocessing.active_children()
+        assert caught == [(error, "item 3: bad")] * 2
 
     def test_a_killed_worker_leaves_its_probes_to_the_caller(self, monkeypatch):
         # a multiprocessing.Pool would wait forever for the killed worker's task
